@@ -1,5 +1,6 @@
 //! Per-extractor throughput: the cost column behind Table 1's feature
-//! set. One group per feature, at 64×48 and 128×96 frames.
+//! set. One group per feature, at 64×48, 128×96 and 160×120 frames
+//! (160×120 is the size of generated clips and web query frames).
 
 use cbvr_features::correlogram::AutoColorCorrelogram;
 use cbvr_features::gabor::GaborTexture;
@@ -27,7 +28,7 @@ fn frame(width: u32, height: u32) -> RgbImage {
 fn bench_features(c: &mut Criterion) {
     let mut group = c.benchmark_group("features");
     group.sample_size(20);
-    for (w, h) in [(64u32, 48u32), (128, 96)] {
+    for (w, h) in [(64u32, 48u32), (128, 96), (160, 120)] {
         let img = frame(w, h);
         let label = format!("{w}x{h}");
         group.bench_with_input(BenchmarkId::new("histogram", &label), &img, |b, img| {

@@ -196,8 +196,8 @@ struct EngineMetrics {
     compaction_runs: Arc<Counter>,
     /// `compaction.rows_dropped` — tombstoned rows dropped by compaction.
     compaction_rows_dropped: Arc<Counter>,
-    /// `compaction.secs` — whole seconds spent compacting (cumulative).
-    compaction_secs: Arc<Counter>,
+    /// `compaction.nanos` — wall time of each compaction pass.
+    compaction: Arc<Histogram>,
 }
 
 impl EngineMetrics {
@@ -226,7 +226,7 @@ impl EngineMetrics {
             tombstones: registry.gauge("catalog.tombstones"),
             compaction_runs: registry.counter("compaction.runs"),
             compaction_rows_dropped: registry.counter("compaction.rows_dropped"),
-            compaction_secs: registry.counter("compaction.secs"),
+            compaction: registry.histogram("compaction.nanos"),
             registry,
         }
     }
@@ -820,7 +820,7 @@ impl QueryEngine {
     /// the merged segment followed by every segment that was not part of
     /// the base, preserving global order for those appended rows.
     pub fn compact(&self) -> CompactionReport {
-        let started = self.metrics.registry.now_nanos();
+        let _timer = self.metrics.registry.timer(&self.metrics.compaction);
         let base = self.snapshot.load();
         let base_ids: BTreeSet<u64> = base.segments().iter().map(|s| s.id()).collect();
         let segments_before = base.segments().len();
@@ -868,8 +868,6 @@ impl QueryEngine {
         self.publish(next);
         self.metrics.compaction_runs.inc();
         self.metrics.compaction_rows_dropped.add(rows_dropped as u64);
-        let elapsed = self.metrics.registry.now_nanos().saturating_sub(started);
-        self.metrics.compaction_secs.add(elapsed / 1_000_000_000);
         CompactionReport { segments_before, segments_after, rows_dropped }
     }
 

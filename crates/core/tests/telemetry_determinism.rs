@@ -8,13 +8,14 @@
 
 use cbvr_core::engine::CatalogEntry;
 use cbvr_core::{
-    ExecPool, QueryEngine, QueryOptions, Registry, TestClock, THREADS_AUTO,
+    Clock, ExecPool, QueryEngine, QueryOptions, Registry, TestClock, THREADS_AUTO,
 };
 use cbvr_features::FeatureSet;
 use cbvr_imgproc::{Histogram256, Rgb, RgbImage};
 use cbvr_index::{paper_range, RangeKey};
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serialises the tests that drive execution pools: `pool.*` metrics
@@ -280,6 +281,37 @@ fn clip_queries_record_dtw_and_rank_stages() {
     assert!(engine.query_feature_sequence(&query, &options(0, 1)).is_empty());
     assert_eq!(registry.counter("query.clip.requests").get(), 3);
     assert_eq!(registry.histogram("query.clip.dtw_nanos").count(), 2);
+}
+
+/// A clock that moves 1 ms forward on every reading, so any timed
+/// region spans a positive, sub-second duration.
+#[derive(Default)]
+struct StepClock {
+    nanos: AtomicU64,
+}
+
+impl Clock for StepClock {
+    fn now_nanos(&self) -> u64 {
+        self.nanos.fetch_add(1_000_000, Ordering::SeqCst)
+    }
+}
+
+#[test]
+fn compaction_records_one_sub_second_sample_per_pass() {
+    let (mut engine, _, _, _) = test_engine(21, 9);
+    let registry = Arc::new(Registry::with_clock(Arc::new(StepClock::default())));
+    engine.set_telemetry(registry.clone());
+    let compaction = registry.histogram("compaction.nanos");
+    assert_eq!(compaction.count(), 0);
+
+    assert_eq!(engine.remove_video(2), 3);
+    let report = engine.compact();
+    assert_eq!(report.rows_dropped, 3);
+    assert_eq!(registry.counter("compaction.runs").get(), 1);
+    assert_eq!(compaction.count(), 1);
+    // A sub-second pass is recorded, not truncated to zero.
+    let nanos = compaction.sum();
+    assert!(nanos > 0 && nanos < 1_000_000_000, "{nanos}");
 }
 
 #[test]

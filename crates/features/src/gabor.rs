@@ -21,10 +21,40 @@
 //!   `imageSize`, keeping values comparable across image sizes.
 //!
 //! Feature string (`GABOR VARCHAR2(1500)` column): `gabor 60 v0 ... v59`.
+//!
+//! # Evaluation order and bit-identity
+//!
+//! The response at a pixel is a direct spatial convolution with
+//! edge-clamped sampling, accumulated tap by tap in `(dy, dx)` row-major
+//! order with a separate multiply and add per tap (`acc += k · v`). Those
+//! 60 descriptor values are stored in catalogs and compared across
+//! builds, so the evaluation is pinned to the last bit by
+//! `tests/gabor_equivalence.rs`, which checks `f64::to_bits` equality
+//! against a per-pixel reference convolution. The fast path keeps every
+//! pixel's sum identical by construction:
+//!
+//! - the 30-kernel bank is built once, by the same construction, in a
+//!   process-wide [`OnceLock`];
+//! - the gray raster is copied once per frame into an edge-clamped `f64`
+//!   buffer with a `MAX_RADIUS` border (plus `TILE - 1` columns of
+//!   slack on the right), so a tap reads a plain slice element with the
+//!   same value `get_clamped` would return;
+//! - loops are interchanged so `TILE` adjacent output pixels of a row
+//!   share one pass over the taps: each tap's kernel weights are loaded
+//!   once and multiplied into `TILE` contiguous source values, with
+//!   per-pixel `re`/`im` accumulators kept in registers. Each pixel still
+//!   adds the same products in the same order; pixels past the right
+//!   edge of the last tile are computed from slack and discarded.
+//!
+//! Anything that reorders or fuses the per-pixel sum — `mul_add`,
+//! folding symmetric taps, separable or FFT filtering, pairwise or
+//! parallel reductions of the mean/std — changes the last bits of the
+//! descriptors and is ruled out by that contract.
 
 use crate::error::{FeatureError, Result};
 use cbvr_imgproc::geom::{self, Interpolation};
 use cbvr_imgproc::{GrayImage, RgbImage};
+use std::sync::OnceLock;
 
 /// Number of scales (M).
 pub const SCALES: usize = 5;
@@ -36,10 +66,15 @@ pub const DIM: usize = SCALES * ORIENTATIONS * 2;
 pub const GABOR_MAX_SIDE: u32 = 64;
 
 const F_MAX: f64 = 0.4;
+/// Radius cap of every kernel in the bank (the padded raster's border).
+const MAX_RADIUS: usize = 10;
+/// Adjacent output pixels of a row evaluated together.
+const TILE: usize = 8;
 
-/// One complex Gabor kernel (separately stored real/imaginary taps).
+/// One complex Gabor kernel (separately stored real/imaginary taps,
+/// row-major over `(dy, dx)`).
 struct GaborKernel {
-    radius: i64,
+    radius: usize,
     re: Vec<f64>,
     im: Vec<f64>,
 }
@@ -47,7 +82,7 @@ struct GaborKernel {
 impl GaborKernel {
     fn new(frequency: f64, theta: f64) -> GaborKernel {
         let sigma = 0.56 / frequency;
-        let radius = (2.0 * sigma).ceil().min(10.0) as i64;
+        let radius = (2.0 * sigma).ceil().min(MAX_RADIUS as f64) as i64;
         let side = (2 * radius + 1) as usize;
         let mut re = Vec::with_capacity(side * side);
         let mut im = Vec::with_capacity(side * side);
@@ -70,35 +105,97 @@ impl GaborKernel {
         for v in &mut re {
             *v -= mean;
         }
-        GaborKernel { radius, re, im }
+        GaborKernel {
+            radius: radius as usize,
+            re,
+            im,
+        }
     }
 
-    /// Mean and std of the response magnitude over the image.
-    fn response_stats(&self, img: &GrayImage) -> (f64, f64) {
-        let (w, h) = img.dimensions();
-        let n = (w as usize) * (h as usize);
-        let side = (2 * self.radius + 1) as usize;
-        let mut magnitudes = Vec::with_capacity(n);
-        for y in 0..h as i64 {
-            for x in 0..w as i64 {
-                let mut acc_re = 0.0;
-                let mut acc_im = 0.0;
-                let mut k = 0usize;
-                for dy in -self.radius..=self.radius {
-                    for dx in -self.radius..=self.radius {
-                        let v = img.get_clamped(x + dx, y + dy).0 as f64;
-                        acc_re += self.re[k] * v;
-                        acc_im += self.im[k] * v;
-                        k += 1;
+    /// Mean and std of the response magnitude over the raster, using
+    /// `magnitudes` as scratch.
+    fn response_stats(&self, raster: &PaddedRaster, magnitudes: &mut Vec<f64>) -> (f64, f64) {
+        let (w, h) = (raster.width, raster.height);
+        let n = w * h;
+        let side = 2 * self.radius + 1;
+        // Padded coordinates of tap (dy = -r, dx = -r) for output (0, 0).
+        let origin = MAX_RADIUS - self.radius;
+        magnitudes.clear();
+        for y in 0..h {
+            for x0 in (0..w).step_by(TILE) {
+                let mut acc_re = [0.0f64; TILE];
+                let mut acc_im = [0.0f64; TILE];
+                let rows = self.re.chunks_exact(side).zip(self.im.chunks_exact(side));
+                for (ky, (re_row, im_row)) in rows.enumerate() {
+                    let start = (y + origin + ky) * raster.stride + x0 + origin;
+                    let src_row = &raster.data[start..start + side + TILE - 1];
+                    let taps = re_row.iter().zip(im_row).zip(src_row.windows(TILE));
+                    for ((&k_re, &k_im), src) in taps {
+                        for i in 0..TILE {
+                            acc_re[i] += k_re * src[i];
+                            acc_im[i] += k_im * src[i];
+                        }
                     }
                 }
-                debug_assert_eq!(k, side * side);
-                magnitudes.push((acc_re * acc_re + acc_im * acc_im).sqrt());
+                for i in 0..TILE.min(w - x0) {
+                    magnitudes.push((acc_re[i] * acc_re[i] + acc_im[i] * acc_im[i]).sqrt());
+                }
             }
         }
+        debug_assert_eq!(magnitudes.len(), n);
         let mean = magnitudes.iter().sum::<f64>() / n as f64;
         let var = magnitudes.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / n as f64;
         (mean, var.sqrt())
+    }
+}
+
+/// The 30-filter bank, ordered `(scale, orientation)`; built on first use.
+fn bank() -> &'static [GaborKernel] {
+    static BANK: OnceLock<Vec<GaborKernel>> = OnceLock::new();
+    BANK.get_or_init(|| {
+        let mut bank = Vec::with_capacity(SCALES * ORIENTATIONS);
+        for m in 0..SCALES {
+            let frequency = F_MAX / 2f64.sqrt().powi(m as i32);
+            for n in 0..ORIENTATIONS {
+                let theta = n as f64 * std::f64::consts::PI / ORIENTATIONS as f64;
+                bank.push(GaborKernel::new(frequency, theta));
+            }
+        }
+        bank
+    })
+}
+
+/// A gray raster as `f64`, edge-clamped out to `MAX_RADIUS` on every
+/// side plus `TILE - 1` extra columns on the right, so every tap of
+/// every tile is an in-bounds read of the value `get_clamped` returns.
+/// (`GrayImage` is never empty, so the clamps have a pixel to land on.)
+struct PaddedRaster {
+    width: usize,
+    height: usize,
+    stride: usize,
+    data: Vec<f64>,
+}
+
+impl PaddedRaster {
+    fn new(gray: &GrayImage) -> PaddedRaster {
+        let (width, height) = (gray.width() as usize, gray.height() as usize);
+        let stride = width + 2 * MAX_RADIUS + TILE - 1;
+        let rows = height + 2 * MAX_RADIUS;
+        let raw = gray.as_raw();
+        let mut data = Vec::with_capacity(stride * rows);
+        for py in 0..rows {
+            let sy = py.saturating_sub(MAX_RADIUS).min(height - 1);
+            let src = &raw[sy * width..(sy + 1) * width];
+            data.extend(
+                (0..stride).map(|px| f64::from(src[px.saturating_sub(MAX_RADIUS).min(width - 1)])),
+            );
+        }
+        PaddedRaster {
+            width,
+            height,
+            stride,
+            data,
+        }
     }
 }
 
@@ -128,19 +225,16 @@ impl GaborTexture {
 
     /// Extract from an already-prepared gray image (no rescaling).
     pub fn extract_gray(gray: &GrayImage) -> GaborTexture {
+        let raster = PaddedRaster::new(gray);
+        let mut magnitudes = Vec::with_capacity(raster.width * raster.height);
         let mut features = Vec::with_capacity(DIM);
-        for m in 0..SCALES {
-            let frequency = F_MAX / 2f64.sqrt().powi(m as i32);
-            for n in 0..ORIENTATIONS {
-                let theta = n as f64 * std::f64::consts::PI / ORIENTATIONS as f64;
-                let kernel = GaborKernel::new(frequency, theta);
-                let (mean, std) = kernel.response_stats(gray);
-                // The pseudocode divides both stats by imageSize; the stats
-                // above are already per-pixel means, so they are directly
-                // size-comparable. Scale to keep magnitudes tame.
-                features.push(mean / 255.0);
-                features.push(std / 255.0);
-            }
+        for kernel in bank() {
+            let (mean, std) = kernel.response_stats(&raster, &mut magnitudes);
+            // The pseudocode divides both stats by imageSize; the stats
+            // above are already per-pixel means, so they are directly
+            // size-comparable. Scale to keep magnitudes tame.
+            features.push(mean / 255.0);
+            features.push(std / 255.0);
         }
         GaborTexture { features }
     }

@@ -1,9 +1,10 @@
 //! Spatial filtering: 2-D convolution and standard kernels.
 //!
-//! The Gabor extractor (§4.4) convolves the gray-level raster with a bank
-//! of complex wavelets; [`convolve_gray_f32`] is the primitive it uses.
-//! Sobel and Gaussian kernels support the Tamura directionality feature and
-//! the synthetic generator's soft edges.
+//! [`convolve_gray_f32`] is a general-purpose `f32` convolution. The
+//! Gabor extractor (§4.4) does not use it: its filter bank runs its own
+//! `f64` loop in `cbvr_features::gabor`, whose per-tap summation order is
+//! pinned bit-for-bit. Sobel and Gaussian kernels support the Tamura
+//! directionality feature and the synthetic generator's soft edges.
 
 use crate::error::{ImgError, Result};
 use crate::image::GrayImage;
