@@ -12,8 +12,14 @@
 //!
 //! `--smoke` is the CI mode: a single 10 240-frame sweep at `k = 10`
 //! that **fails (exit 1)** unless the serial cascade visits ≤ 70% of the
-//! distance-kernel elements the full scan visits — the PR acceptance
-//! floor of a ≥30% reduction in element operations.
+//! distance-kernel elements the full scan visits — a floor of a ≥30%
+//! reduction in element operations.
+//!
+//! A serial clip sweep runs DTW clip queries over a catalog of contiguous
+//! 1–8 key-frame videos with abandon off and on, reading the exact
+//! `query.clip.elements` counter (kernel elements, lower-bound pass
+//! included); `--smoke` also **fails** unless abandon-on visits ≤ 50% of
+//! the abandon-off elements.
 //!
 //! The run also performs a query-during-ingest sweep over the segmented
 //! catalog — query latency measured idle vs racing a writer thread that
@@ -34,6 +40,9 @@ use std::time::Instant;
 /// expensive part — the scan cost under test only depends on descriptor
 /// variety, which 64 distinct frames provide).
 const BASE_FRAMES: usize = 64;
+
+/// Clip queries per clip-sweep run.
+const CLIP_QUERIES: usize = 8;
 
 fn synthetic_frame(rng: &mut rand::rngs::StdRng) -> RgbImage {
     let base = Rgb::new(
@@ -99,6 +108,88 @@ impl Run {
             self.abandoned_fraction(),
         )
     }
+}
+
+struct ClipRun {
+    size: usize,
+    videos: usize,
+    abandon: bool,
+    queries: usize,
+    wall_ns: u64,
+    elements: u64,
+    abandoned: u64,
+}
+
+impl ClipRun {
+    fn to_json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"size\": {}, \"videos\": {}, \"abandon\": {}, \"queries\": {}, ",
+                "\"wall_ns_per_query\": {}, \"elements_per_query\": {}, ",
+                "\"abandoned_per_query\": {:.1}}}"
+            ),
+            self.size,
+            self.videos,
+            self.abandon,
+            self.queries,
+            self.wall_ns / self.queries as u64,
+            self.elements / self.queries as u64,
+            self.abandoned as f64 / self.queries as f64,
+        )
+    }
+}
+
+/// Serial clip queries (`k = 10`, two key frames each) over a catalog of
+/// `size` rows cut into contiguous videos of 1–8 key frames, abandon off
+/// then on. Returns one run per setting; both rankings must agree.
+fn clip_sweep(bases: &[CatalogEntry], queries: &[Vec<FeatureSet>], size: usize) -> Vec<ClipRun> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xc11b);
+    let mut entries = Vec::with_capacity(size);
+    let mut v_id = 0u64;
+    let mut left_in_video = 0;
+    for i in 0..size {
+        if left_in_video == 0 {
+            left_in_video = rng.gen_range(1..=8usize);
+            v_id += 1;
+        }
+        left_in_video -= 1;
+        let b = &bases[rng.gen_range(0..BASE_FRAMES)];
+        entries.push(CatalogEntry { i_id: i as u64 + 1, v_id, ..b.clone() });
+    }
+    let mut engine = QueryEngine::from_catalog(entries, HashMap::new());
+    let videos = engine.video_ids().len();
+    let mut runs = Vec::new();
+    let mut rankings = Vec::new();
+    for abandon in [false, true] {
+        let registry = Arc::new(Registry::new());
+        engine.set_telemetry(Arc::clone(&registry));
+        let options = QueryOptions { k: 10, threads: 1, abandon, ..QueryOptions::default() };
+        let start = Instant::now();
+        let results: Vec<_> =
+            queries.iter().map(|q| engine.query_feature_sequence(q, &options)).collect();
+        let run = ClipRun {
+            size,
+            videos,
+            abandon,
+            queries: queries.len(),
+            wall_ns: start.elapsed().as_nanos() as u64,
+            elements: registry.counter("query.clip.elements").get(),
+            abandoned: registry.counter("query.abandon.dtw").get(),
+        };
+        eprintln!(
+            "clip size={:>6} videos={} abandon={:<5} wall/query={:>10}ns elements/query={:>10} abandoned/query={:.1}",
+            run.size,
+            run.videos,
+            run.abandon,
+            run.wall_ns / run.queries as u64,
+            run.elements / run.queries as u64,
+            run.abandoned as f64 / run.queries as f64,
+        );
+        runs.push(run);
+        rankings.push(results);
+    }
+    assert_eq!(rankings[0], rankings[1], "abandon changed a clip ranking");
+    runs
 }
 
 struct ConcurrencyRun {
@@ -326,8 +417,15 @@ fn main() {
     let probe = FeatureSet::extract(&probe_frame);
     let probe_range = paper_range(&Histogram256::of_rgb_luma(&probe_frame));
 
+    // Clip queries: two held-out frames each (never catalog rows).
+    let clip_queries: Vec<Vec<FeatureSet>> = (0..CLIP_QUERIES)
+        .map(|_| (0..2).map(|_| FeatureSet::extract(&synthetic_frame(&mut rng))).collect())
+        .collect();
+
     let mut runs: Vec<Run> = Vec::new();
+    let mut clip_runs: Vec<ClipRun> = Vec::new();
     for &size in sizes {
+        clip_runs.extend(clip_sweep(&bases, &clip_queries, size));
         // Tile the base entries up to `size` with distinct ids.
         let entries: Vec<CatalogEntry> = (0..size)
             .map(|i| {
@@ -390,9 +488,12 @@ fn main() {
     }
 
     let body: Vec<String> = runs.iter().map(|r| format!("    {}", r.to_json())).collect();
+    let clip_body: Vec<String> =
+        clip_runs.iter().map(|r| format!("    {}", r.to_json())).collect();
     let json = format!(
-        "{{\n  \"bench\": \"query\",\n  \"k\": {k},\n  \"base_frames\": {BASE_FRAMES},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
+        "{{\n  \"bench\": \"query\",\n  \"k\": {k},\n  \"base_frames\": {BASE_FRAMES},\n  \"runs\": [\n{}\n  ],\n  \"clip_runs\": [\n{}\n  ]\n}}\n",
+        body.join(",\n"),
+        clip_body.join(",\n")
     );
     std::fs::write(&out, &json).expect("write bench output");
     eprintln!("wrote {out}");
@@ -413,8 +514,31 @@ fn main() {
     eprintln!(
         "10k serial element ratio: cascade {cascade} / full {full} = {ratio:.3} (gate: <= 0.70)"
     );
+    // Clip gate: the bounded DTW must visit ≤ 50% of the plain DTW's
+    // kernel elements (bound pass included) on the 10k catalog.
+    let clip_elements_at = |abandon: bool| {
+        clip_runs
+            .iter()
+            .find(|r| r.size == 10_240 && r.abandon == abandon)
+            .map(|r| r.elements)
+            .expect("10k clip run present")
+    };
+    let clip_full = clip_elements_at(false);
+    let clip_bounded = clip_elements_at(true);
+    let clip_ratio = clip_bounded as f64 / clip_full as f64;
+    eprintln!(
+        "10k serial clip element ratio: bounded {clip_bounded} / full {clip_full} = {clip_ratio:.3} (gate: <= 0.50)"
+    );
+    let mut failed = false;
     if smoke && ratio > 0.70 {
         eprintln!("FAIL: cascade element reduction below the 30% acceptance floor");
+        failed = true;
+    }
+    if smoke && clip_ratio > 0.50 {
+        eprintln!("FAIL: clip DTW element reduction below the 50% floor");
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }

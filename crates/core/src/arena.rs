@@ -55,6 +55,12 @@ pub const CASCADE_ORDER: [FeatureKind; 7] = [
     FeatureKind::ColorHistogram,
 ];
 
+/// The cheap head of [`CASCADE_ORDER`] whose kernels
+/// [`DescriptorArena::lower_gap`] runs: 86 elements per entry against 587
+/// for the other three kinds, which it bounds in O(1) instead.
+pub const LOWER_BOUND_KINDS: [FeatureKind; 4] =
+    [FeatureKind::Regions, FeatureKind::Glcm, FeatureKind::Tamura, FeatureKind::Gabor];
+
 /// Number of feature kinds (arena columns).
 pub const KINDS: usize = FeatureKind::ALL.len();
 
@@ -352,13 +358,65 @@ impl DescriptorArena {
         Ok(arena)
     }
 
-    /// Score entry `i` against `query` through the full cascade with no
-    /// threshold — the clip path's DTW cell cost. Identical arithmetic to
-    /// a surviving [`DescriptorArena::cascade_score`].
-    pub fn score(&self, query: &QueryVectors, i: usize, plan: &CascadePlan) -> f64 {
-        let mut tally = CascadeTally::default();
-        self.cascade_score(query, i, plan, f64::NEG_INFINITY, &mut tally)
-            .expect("no threshold: the cascade cannot abandon")
+    /// The kind's native distance between `query` and entry `i`, or `None`
+    /// once its kernel proves it exceeds `cutoff`.
+    fn stage_distance(
+        &self,
+        kind: FeatureKind,
+        query: &QueryVectors,
+        i: usize,
+        cutoff: f64,
+    ) -> BoundedDistance {
+        let k = kind as usize;
+        let qv = query.vecs[k].as_slice();
+        let ev = self.slice(kind, i);
+        match kind {
+            FeatureKind::ColorHistogram => {
+                jensen_shannon_f32(qv, ev, query.stats[k], self.stats[k][i], cutoff)
+            }
+            FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => l2_f32(qv, ev, cutoff),
+            FeatureKind::Correlogram => scaled_l1_f32(qv, ev, kind_dim(kind) as f64, cutoff),
+            FeatureKind::Naive => naive_rgb_f32(qv, ev, cutoff),
+            FeatureKind::Regions => {
+                let r = regions_rel_f32(qv, ev);
+                match r.distance {
+                    Some(d) if d > cutoff => BoundedDistance { distance: None, elements: r.elements },
+                    _ => r,
+                }
+            }
+        }
+    }
+
+    /// A lower bound of entry `i`'s *distance* `1 − score` from `query`,
+    /// paying only for the cheap head of the cascade
+    /// ([`LOWER_BOUND_KINDS`]: 86 of 673 elements, ~46% of the default
+    /// weight) — the clip DTW prunes cells with it before any expensive
+    /// kernel runs. The distance is `Σₖ fracₖ(1 − sₖ)` over every active
+    /// stage. Each term is bounded from below by running the cheap kernels
+    /// to the end and, for the other kinds, by the O(1) norm/mass
+    /// [`prebound`] of their distance (similarity falls as distance grows).
+    /// The result is deflated by [`BOUND_SLOP`] and [`SCORE_EPS`], since the
+    /// exact distance is computed as `1 − combine(…)` in a different order.
+    pub fn lower_gap(
+        &self,
+        query: &QueryVectors,
+        i: usize,
+        plan: &CascadePlan,
+        tally: &mut CascadeTally,
+    ) -> f64 {
+        let mut gap = 0.0f64;
+        for stage in &plan.stages {
+            let k = stage.kind as usize;
+            let d = if LOWER_BOUND_KINDS.contains(&stage.kind) {
+                let r = self.stage_distance(stage.kind, query, i, f64::INFINITY);
+                tally.elements += r.elements as u64;
+                r.distance.expect("an infinite cutoff never abandons")
+            } else {
+                prebound(stage.kind, query.stats[k], self.stats[k][i])
+            };
+            gap += stage.frac * (1.0 - similarity_for_scale(stage.scale, d).clamp(0.0, 1.0));
+        }
+        (gap * (1.0 - BOUND_SLOP) - SCORE_EPS).max(0.0)
     }
 
     /// Score entry `i` against `query`, abandoning as soon as the entry is
@@ -408,33 +466,11 @@ impl DescriptorArena {
             } else {
                 stage.scale * (1.0 / sim_crit - 1.0) * (1.0 + BOUND_SLOP)
             };
-            let stat_q = query.stats[k];
-            let stat_e = self.stats[k][i];
-            if prebound(stage.kind, stat_q, stat_e) > cutoff {
+            if prebound(stage.kind, query.stats[k], self.stats[k][i]) > cutoff {
                 tally.abandoned[k] += 1;
                 return None;
             }
-            let qv = query.vecs[k].as_slice();
-            let ev = self.slice(stage.kind, i);
-            let r = match stage.kind {
-                FeatureKind::ColorHistogram => jensen_shannon_f32(qv, ev, stat_q, stat_e, cutoff),
-                FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => {
-                    l2_f32(qv, ev, cutoff)
-                }
-                FeatureKind::Correlogram => {
-                    scaled_l1_f32(qv, ev, kind_dim(stage.kind) as f64, cutoff)
-                }
-                FeatureKind::Naive => naive_rgb_f32(qv, ev, cutoff),
-                FeatureKind::Regions => {
-                    let r = regions_rel_f32(qv, ev);
-                    match r.distance {
-                        Some(d) if d > cutoff => {
-                            BoundedDistance { distance: None, elements: r.elements }
-                        }
-                        _ => r,
-                    }
-                }
-            };
+            let r = self.stage_distance(stage.kind, query, i, cutoff);
             tally.elements += r.elements as u64;
             let Some(d) = r.distance else {
                 tally.abandoned[k] += 1;
@@ -562,6 +598,14 @@ mod tests {
         (arena, sets)
     }
 
+    /// Entry `i`'s exact score: the cascade with no threshold.
+    fn full_score(arena: &DescriptorArena, q: &QueryVectors, i: usize, plan: &CascadePlan) -> f64 {
+        let mut tally = CascadeTally::default();
+        arena
+            .cascade_score(q, i, plan, f64::NEG_INFINITY, &mut tally)
+            .expect("no threshold: the cascade cannot abandon")
+    }
+
     #[test]
     fn slabs_are_contiguous_and_aligned() {
         let (arena, _) = build(5);
@@ -585,7 +629,7 @@ mod tests {
         let plan = CascadePlan::new(&FeatureWeights::default(), &calibration);
         for (i, s) in sets.iter().enumerate() {
             let q = QueryVectors::from_set(s);
-            assert_eq!(arena.score(&q, i, &plan), 1.0, "entry {i}");
+            assert_eq!(full_score(&arena, &q, i, &plan), 1.0, "entry {i}");
         }
     }
 
@@ -595,7 +639,7 @@ mod tests {
         let calibration = ScoreCalibration::default();
         let plan = CascadePlan::new(&FeatureWeights::default(), &calibration);
         let q = QueryVectors::from_set(&sets[3]);
-        let full: Vec<f64> = (0..8).map(|i| arena.score(&q, i, &plan)).collect();
+        let full: Vec<f64> = (0..8).map(|i| full_score(&arena, &q, i, &plan)).collect();
         // Use the 2nd-best score as the threshold: the top entries must
         // survive with bit-identical scores, the rest must be abandoned
         // or score below threshold.
@@ -613,6 +657,44 @@ mod tests {
         let full_elements: u64 =
             FeatureKind::ALL.iter().map(|&k| 8 * kind_dim(k) as u64).sum();
         assert!(tally.elements <= full_elements);
+    }
+
+    #[test]
+    fn lower_gap_bounds_the_exact_distance() {
+        let (arena, sets) = build(8);
+        for weights in [
+            FeatureWeights::default(),
+            FeatureWeights::uniform(),
+            FeatureWeights::single(FeatureKind::Gabor),
+            FeatureWeights::single(FeatureKind::ColorHistogram),
+        ] {
+            let plan = CascadePlan::new(&weights, &ScoreCalibration::default());
+            for (qi, s) in sets.iter().enumerate() {
+                let q = QueryVectors::from_set(s);
+                for i in 0..arena.len() {
+                    let mut tally = CascadeTally::default();
+                    let lower = arena.lower_gap(&q, i, &plan, &mut tally);
+                    let exact = 1.0 - full_score(&arena, &q, i, &plan);
+                    assert!(lower >= 0.0 && lower <= exact, "{lower} > {exact} ({qi}/{i})");
+                    if i == qi {
+                        assert_eq!(lower, 0.0, "self pair");
+                    }
+                    // Only the cheap head's kernels run.
+                    let cheap: usize = plan
+                        .stages
+                        .iter()
+                        .filter(|st| LOWER_BOUND_KINDS.contains(&st.kind))
+                        .map(|st| kind_dim(st.kind))
+                        .sum();
+                    assert_eq!(tally.elements, cheap as u64);
+                }
+            }
+        }
+        // The cheap head carries a real share of the default weight.
+        let plan = CascadePlan::new(&FeatureWeights::default(), &ScoreCalibration::default());
+        let q = QueryVectors::from_set(&sets[0]);
+        let mut tally = CascadeTally::default();
+        assert!((1..arena.len()).any(|i| arena.lower_gap(&q, i, &plan, &mut tally) > 0.0));
     }
 
     #[test]
@@ -637,7 +719,7 @@ mod tests {
         let plan = CascadePlan::new(&weights, &ScoreCalibration::default());
         assert!(plan.stages.is_empty());
         let q = QueryVectors::from_set(&sets[1]);
-        assert_eq!(arena.score(&q, 0, &plan), 0.0);
+        assert_eq!(full_score(&arena, &q, 0, &plan), 0.0);
     }
 
     #[test]
@@ -659,7 +741,7 @@ mod tests {
         let plan = CascadePlan::new(&FeatureWeights::default(), &ScoreCalibration::default());
         let q = QueryVectors::from_set(&sets[2]);
         for i in 0..arena.len() {
-            assert_eq!(arena.score(&q, i, &plan), back.score(&q, i, &plan));
+            assert_eq!(full_score(&arena, &q, i, &plan), full_score(&back, &q, i, &plan));
         }
     }
 
@@ -679,19 +761,19 @@ mod tests {
         let (mut arena, sets) = build(6);
         let plan = CascadePlan::new(&FeatureWeights::default(), &ScoreCalibration::default());
         let q = QueryVectors::from_set(&sets[1]);
-        let kept: Vec<f64> = (0..3).map(|i| arena.score(&q, i, &plan)).collect();
+        let kept: Vec<f64> = (0..3).map(|i| full_score(&arena, &q, i, &plan)).collect();
         arena.truncate(3);
         assert_eq!(arena.len(), 3);
         for kind in FeatureKind::ALL {
             assert_eq!(arena.data[kind as usize].len(), 3 * kind_dim(kind));
         }
         for (i, &expect) in kept.iter().enumerate() {
-            assert_eq!(arena.score(&q, i, &plan), expect);
+            assert_eq!(full_score(&arena, &q, i, &plan), expect);
         }
         // Pushing after a truncate re-extends cleanly.
         arena.push(&sets[5]);
         assert_eq!(arena.len(), 4);
         let q5 = QueryVectors::from_set(&sets[5]);
-        assert_eq!(arena.score(&q5, 3, &plan), 1.0);
+        assert_eq!(full_score(&arena, &q5, 3, &plan), 1.0);
     }
 }

@@ -13,7 +13,7 @@
 //! - **query by metadata** — substring match on video names.
 
 use crate::arena::{CascadePlan, CascadeTally, QueryVectors, KINDS};
-use crate::dtw::dtw_distance_abandon;
+use crate::dtw::dtw_distance_bounded;
 use crate::error::Result;
 use crate::ingest::extract_feature_sets_parallel;
 use crate::pool::{ExecPool, TopK, THREADS_AUTO};
@@ -183,9 +183,12 @@ struct EngineMetrics {
     /// `query.abandon.<kind>` — candidates abandoned at each stage,
     /// indexed by the kind's discriminant.
     abandon_kind: [Arc<Counter>; KINDS],
-    /// `query.abandon.dtw` — clip alignments cut off by the prefix-row
-    /// bound.
+    /// `query.abandon.dtw` — clip alignments proven outside the top-k by
+    /// the bounded DTW (lower-bound pass, pruned cells or a dead row).
     abandon_dtw: Arc<Counter>,
+    /// `query.clip.elements` — distance-kernel elements visited by clip
+    /// DTW, the lower-bound pass included.
+    clip_elements: Arc<Counter>,
     /// `catalog.snapshot.swaps` — snapshots published since start.
     snapshot_swaps: Arc<Counter>,
     /// `catalog.segments` — sealed segments in the current snapshot.
@@ -221,6 +224,7 @@ impl EngineMetrics {
             scan_survivors: registry.counter("query.scan.survivors"),
             abandon_kind: slots.map(|s| s.expect("every kind registered")),
             abandon_dtw: registry.counter("query.abandon.dtw"),
+            clip_elements: registry.counter("query.clip.elements"),
             snapshot_swaps: registry.counter("catalog.snapshot.swaps"),
             segments: registry.gauge("catalog.segments"),
             tombstones: registry.gauge("catalog.tombstones"),
@@ -514,7 +518,7 @@ impl QueryEngine {
     /// Video ids with at least one live key frame.
     pub fn video_ids(&self) -> Vec<u64> {
         let snap = self.snapshot.load();
-        let mut ids: Vec<u64> = snap.video_sequences().keys().copied().collect();
+        let mut ids: Vec<u64> = snap.video_sequences().iter().map(|(v_id, _)| *v_id).collect();
         ids.sort_unstable();
         ids
     }
@@ -655,7 +659,9 @@ impl QueryEngine {
         options: &QueryOptions,
     ) -> Vec<VideoMatch> {
         self.metrics.clip_requests.inc();
-        if options.k == 0 {
+        // An empty query aligns with nothing: no ranking, as a frame query
+        // that matches no candidate.
+        if options.k == 0 || query.is_empty() {
             return Vec::new();
         }
         // One snapshot load serves the whole query (see query_features).
@@ -664,14 +670,17 @@ impl QueryEngine {
         // build them once instead of once per catalog video.
         let plan = CascadePlan::new(&options.weights, snap.calibration());
         let query_vecs: Vec<QueryVectors> = query.iter().map(QueryVectors::from_set).collect();
-        let videos: Vec<(&u64, &Vec<EntryRef>)> = snap.video_sequences().iter().collect();
+        let videos = snap.video_sequences();
         // One DTW per video, chunk size 1: alignments dominate the cost
         // and vary with sequence length, so fine-grained stealing
-        // balances them. Each alignment runs under the exact prefix-row
-        // abandon against the best known k-th-best distance; abandoned
-        // videos are provably outside the top-k, so results match the
-        // no-abandon path exactly (`rank_video_matches` is total, which
-        // also erases the HashMap's nondeterministic iteration order).
+        // balances them. Each alignment is a bounded DTW against the best
+        // known k-th-best distance: cells are pruned by the cheap
+        // `lower_gap` bound and scored by the cascade under the remaining
+        // budget (a cell distance `d ≤ budget` is a score `≥ 1 − budget`).
+        // Abandoned videos are provably outside the top-k and survivors
+        // keep their exact distance bits, so results match the no-abandon
+        // path exactly. Videos are walked in arena order, so a serial
+        // query's cutoff trajectory — and its telemetry — is fixed.
         let merged = std::sync::Mutex::new(TopK::new(options.k, rank_video_matches));
         let ceil = DistCeil::new();
         {
@@ -679,18 +688,32 @@ impl QueryEngine {
             ExecPool::global().run(videos.len(), 1, options.threads, |chunk_range| {
                 let mut local = TopK::new(options.k, rank_video_matches);
                 let mut abandoned = 0u64;
-                for &(&v_id, indices) in &videos[chunk_range] {
+                let mut bound_tally = CascadeTally::default();
+                let mut tally = CascadeTally::default();
+                for (v_id, rows) in &videos[chunk_range] {
                     let cutoff = if options.abandon {
                         local.worst().map(|m| m.distance).unwrap_or(f64::INFINITY).min(ceil.get())
                     } else {
                         f64::INFINITY
                     };
-                    let aligned =
-                        dtw_distance_abandon(&query_vecs, indices, cutoff, |qv, &r: &EntryRef| {
-                            1.0 - snap.segment(r.segment).arena().score(qv, r.row as usize, &plan)
-                        });
+                    let aligned = dtw_distance_bounded(
+                        &query_vecs,
+                        rows,
+                        cutoff,
+                        |qv, r: &EntryRef| {
+                            let arena = snap.segment(r.segment).arena();
+                            arena.lower_gap(qv, r.row as usize, &plan, &mut bound_tally)
+                        },
+                        |qv, r: &EntryRef, budget| {
+                            let arena = snap.segment(r.segment).arena();
+                            let threshold = 1.0 - budget;
+                            arena
+                                .cascade_score(qv, r.row as usize, &plan, threshold, &mut tally)
+                                .map(|score| 1.0 - score)
+                        },
+                    );
                     match aligned {
-                        Some(distance) => local.push(VideoMatch { v_id, distance }),
+                        Some(distance) => local.push(VideoMatch { v_id: *v_id, distance }),
                         None => abandoned += 1,
                     }
                 }
@@ -702,6 +725,10 @@ impl QueryEngine {
                 drop(shared);
                 if abandoned > 0 {
                     self.metrics.abandon_dtw.add(abandoned);
+                }
+                let elements = bound_tally.elements + tally.elements;
+                if elements > 0 {
+                    self.metrics.clip_elements.add(elements);
                 }
             });
         }
@@ -791,7 +818,11 @@ impl QueryEngine {
     pub fn remove_video(&self, v_id: u64) -> usize {
         let _commit = self.commit_guard();
         let snap = self.snapshot.load();
-        let removed = snap.video_sequences().get(&v_id).map_or(0, Vec::len);
+        let removed = snap
+            .video_sequences()
+            .iter()
+            .find(|(v, _)| *v == v_id)
+            .map_or(0, |(_, rows)| rows.len());
         if removed == 0 {
             return 0;
         }
@@ -1084,6 +1115,21 @@ mod tests {
             engine.query_video(&video, &KeyframeConfig::default(), &QueryOptions::default());
         assert_eq!(results[0].v_id, target.0, "{results:?}");
         assert!(results[0].distance < 1e-6, "self distance {}", results[0].distance);
+    }
+
+    #[test]
+    fn empty_clip_query_returns_no_ranking() {
+        // Aligning nothing against every video used to return k arbitrary
+        // videos tied at distance ∞; like a frame query that matches no
+        // candidate, it must return an empty ranking.
+        let (engine, _) = populated_engine();
+        assert!(!engine.video_ids().is_empty());
+        for threads in [1, THREADS_AUTO] {
+            for abandon in [false, true] {
+                let options = QueryOptions { k: 3, threads, abandon, ..QueryOptions::default() };
+                assert!(engine.query_feature_sequence(&[], &options).is_empty());
+            }
+        }
     }
 
     #[test]

@@ -118,8 +118,9 @@ pub struct CatalogSnapshot {
     tombstones: BTreeSet<u64>,
     video_names: HashMap<u64, String>,
     /// Per-video row addresses in global (key-frame) order, tombstoned
-    /// videos excluded.
-    video_sequences: HashMap<u64, Vec<EntryRef>>,
+    /// videos excluded; videos are listed in order of their first row, so
+    /// a walk over them streams the arena slabs front to back.
+    video_sequences: Vec<(u64, Vec<EntryRef>)>,
     calibration: ScoreCalibration,
 }
 
@@ -139,17 +140,19 @@ impl CatalogSnapshot {
             rows += seg.len();
         }
         let mut live = 0usize;
-        let mut video_sequences: HashMap<u64, Vec<EntryRef>> = HashMap::new();
+        let mut video_sequences: Vec<(u64, Vec<EntryRef>)> = Vec::new();
+        let mut video_slots: HashMap<u64, usize> = HashMap::new();
         for (s, seg) in segments.iter().enumerate() {
             for (row, e) in seg.entries().iter().enumerate() {
                 if tombstones.contains(&e.v_id) {
                     continue;
                 }
                 live += 1;
-                video_sequences
-                    .entry(e.v_id)
-                    .or_default()
-                    .push(EntryRef { segment: s as u32, row: row as u32 });
+                let slot = *video_slots.entry(e.v_id).or_insert_with(|| {
+                    video_sequences.push((e.v_id, Vec::new()));
+                    video_sequences.len() - 1
+                });
+                video_sequences[slot].1.push(EntryRef { segment: s as u32, row: row as u32 });
             }
         }
         CatalogSnapshot {
@@ -195,8 +198,9 @@ impl CatalogSnapshot {
     }
 
     /// Per-video row addresses in key-frame order (tombstoned videos
-    /// excluded) — the clip query's DTW input.
-    pub fn video_sequences(&self) -> &HashMap<u64, Vec<EntryRef>> {
+    /// excluded), videos in order of their first row — the clip query's
+    /// DTW input, walked in arena order.
+    pub fn video_sequences(&self) -> &[(u64, Vec<EntryRef>)] {
         &self.video_sequences
     }
 
@@ -393,6 +397,49 @@ mod tests {
             HashMap::new(),
             ScoreCalibration::from_catalog(&[]),
         ))
+    }
+
+    fn rows(v_ids: &[u64]) -> Vec<CatalogEntry> {
+        let img = cbvr_imgproc::RgbImage::new(8, 8).expect("8×8 frame");
+        let features = FeatureSet::extract(&img);
+        v_ids
+            .iter()
+            .enumerate()
+            .map(|(i, &v_id)| CatalogEntry {
+                i_id: i as u64 + 1,
+                v_id,
+                range: cbvr_index::paper_range(&cbvr_imgproc::Histogram256::of_rgb_luma(&img)),
+                features: features.clone(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn video_sequences_follow_first_appearance_across_segments() {
+        // Video 9 starts first, 4 interleaves with it, 7 spans the
+        // segment boundary; 5 is tombstoned.
+        let all = rows(&[9, 9, 4, 9, 5, 7, 7, 4]);
+        let segments = vec![
+            Arc::new(Segment::seal(0, all[..6].to_vec())),
+            Arc::new(Segment::seal(1, all[6..].to_vec())),
+        ];
+        let snap = CatalogSnapshot::assemble(
+            segments,
+            BTreeSet::from([5]),
+            HashMap::new(),
+            ScoreCalibration::from_catalog(&[]),
+        );
+        let at = |segment, row| EntryRef { segment, row };
+        assert_eq!(
+            snap.video_sequences(),
+            [
+                (9, vec![at(0, 0), at(0, 1), at(0, 3)]),
+                (4, vec![at(0, 2), at(1, 1)]),
+                (7, vec![at(0, 5), at(1, 0)]),
+            ],
+            "tombstoned video 5 is excluded"
+        );
+        assert_eq!(snap.live(), 7);
     }
 
     #[test]

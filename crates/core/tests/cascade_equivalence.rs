@@ -61,6 +61,72 @@ fn random_catalog(seed: u64, n: usize) -> (QueryEngine, FeatureSet, RangeKey) {
     (engine, FeatureSet::extract(&probe), range)
 }
 
+/// Distinct base frames a clip catalog's rows are drawn from.
+const CLIP_POOL: usize = 24;
+
+/// A clip catalog shaped like a real one: `nvid` videos, each a
+/// contiguous run of 1–8 key frames drawn from a pool of extracted base
+/// frames, plus an exact copy of one video. The copy comes *first* in
+/// catalog order under the largest id, so the original, walked later,
+/// ties it exactly and must displace it whenever the copy holds the k-th
+/// place — a tie at exactly the cutoff. Returns the entries, the pool and
+/// the copied video's frames.
+fn clip_catalog(
+    rng: &mut rand::rngs::StdRng,
+    nvid: usize,
+) -> (Vec<CatalogEntry>, Vec<CatalogEntry>, Vec<FeatureSet>) {
+    let pool: Vec<CatalogEntry> =
+        (0..CLIP_POOL).map(|_| entry_from_frame(0, 0, &random_frame(rng))).collect();
+    let mut videos: Vec<Vec<&CatalogEntry>> = (0..nvid)
+        .map(|_| (0..rng.gen_range(1..=8usize)).map(|_| &pool[rng.gen_range(0..CLIP_POOL)]).collect())
+        .collect();
+    let copied = videos[rng.gen_range(0..nvid)].clone();
+    let frames = copied.iter().map(|e| e.features.clone()).collect();
+    videos.insert(0, copied);
+    let v_ids = std::iter::once(nvid as u64 + 1).chain(1..=nvid as u64);
+    let mut entries = Vec::new();
+    for (v_id, rows) in v_ids.zip(&videos) {
+        for &base in rows {
+            entries.push(CatalogEntry { i_id: entries.len() as u64 + 1, v_id, ..base.clone() });
+        }
+    }
+    (entries, pool, frames)
+}
+
+/// A `len`-frame clip query: each frame either a pool frame (an exact
+/// catalog row, so distances get small and cutoffs tight) or, always when
+/// `pool` is empty, a fresh one.
+fn clip_query(rng: &mut rand::rngs::StdRng, pool: &[CatalogEntry], len: usize) -> Vec<FeatureSet> {
+    (0..len)
+        .map(|_| {
+            if !pool.is_empty() && rng.gen_range(0..2u32) == 0 {
+                pool[rng.gen_range(0..pool.len())].features.clone()
+            } else {
+                FeatureSet::extract(&random_frame(rng))
+            }
+        })
+        .collect()
+}
+
+/// Cut the entry list at 1–3 random points, preserving global order
+/// (empty groups are legal: `from_segmented` skips them).
+fn random_split(
+    entries: &[CatalogEntry],
+    rng: &mut rand::rngs::StdRng,
+) -> Vec<Vec<CatalogEntry>> {
+    let mut points: Vec<usize> =
+        (0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(0..=entries.len())).collect();
+    points.sort_unstable();
+    let mut groups = Vec::new();
+    let mut start = 0;
+    for p in points {
+        groups.push(entries[start..p].to_vec());
+        start = p;
+    }
+    groups.push(entries[start..].to_vec());
+    groups
+}
+
 /// Weight profiles the cascade must stay exact under: the paper default,
 /// uniform, a single expensive stage, a single cheap stage, and a skewed
 /// hand-rolled mix (including a zeroed-out stage).
@@ -134,37 +200,6 @@ proptest! {
     }
 
     #[test]
-    fn clip_query_cascade_matches_naive_scan(
-        seed in 0u64..1_000_000,
-        n in 4usize..=14,
-    ) {
-        force_parallel_pool();
-        let (engine, _, _) = random_catalog(seed, n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xdead_beef);
-        let query: Vec<FeatureSet> =
-            (0..3).map(|_| FeatureSet::extract(&random_frame(&mut rng))).collect();
-        let nvid = engine.video_ids().len();
-        for weights in &weight_profiles(seed) {
-            for k in [1, nvid, nvid + 2] {
-                let naive = engine.query_feature_sequence(
-                    &query, &options(k, 1, true, weights, false),
-                );
-                for threads in [1, 4] {
-                    for abandon in [false, true] {
-                        let got = engine.query_feature_sequence(
-                            &query, &options(k, threads, true, weights, abandon),
-                        );
-                        prop_assert_eq!(
-                            &naive, &got,
-                            "k={} threads={} abandon={}", k, threads, abandon
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn frame_query_matches_similarity_reference(
         seed in 0u64..1_000_000,
         n in 4usize..=12,
@@ -200,6 +235,67 @@ proptest! {
             // within float noise; outside that, ids must line up.
             if (m.score - ref_score).abs() == 0.0 {
                 prop_assert_eq!(m.i_id, *ref_id);
+            }
+        }
+    }
+}
+
+proptest! {
+    // Clip cases are cheap and the bound bugs they catch (a lower bound
+    // or budget a hair too tight) only show on some draws: run more.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn clip_query_cascade_matches_naive_scan(
+        seed in 0u64..1_000_000,
+        nvid in 8usize..=40,
+    ) {
+        force_parallel_pool();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (entries, pool, copied) = clip_catalog(&mut rng, nvid);
+        // Random queries of 1–4 frames, then two that rank the copied
+        // video and its original first: its own frames (distance 0) and
+        // its frames plus one fresh frame (a positive tie).
+        let mut queries: Vec<Vec<FeatureSet>> =
+            (1..=4).map(|len| clip_query(&mut rng, &pool, len)).collect();
+        queries.push(copied.clone());
+        queries.push(copied.into_iter().chain(clip_query(&mut rng, &[], 1)).collect());
+        let mut layouts = vec![("one segment", QueryEngine::from_catalog(entries.clone(), HashMap::new()))];
+        // The same rows cut into segments (a cut may split a video), with
+        // one video tombstoned.
+        let segmented = QueryEngine::from_segmented(random_split(&entries, &mut rng), HashMap::new());
+        let ids = segmented.video_ids();
+        prop_assert!(segmented.remove_video(ids[rng.gen_range(0..ids.len())]) > 0);
+        layouts.push(("segmented + tombstone", segmented));
+        // Gabor alone is a cheap stage whose lower bound is the whole
+        // distance: the tightest case for the DTW's lower-bound pruning.
+        let mut profiles = weight_profiles(seed);
+        profiles.push(FeatureWeights::single(FeatureKind::Gabor));
+        for (layout, engine) in &layouts {
+            let nvid = engine.video_ids().len();
+            for weights in &profiles {
+                for query in &queries {
+                    for k in [1, 3, nvid] {
+                        let naive = engine.query_feature_sequence(
+                            query, &options(k, 1, true, weights, false),
+                        );
+                        prop_assert_eq!(naive.len(), k.min(nvid));
+                        for threads in [1, 4] {
+                            for abandon in [false, true] {
+                                let got = engine.query_feature_sequence(
+                                    query, &options(k, threads, true, weights, abandon),
+                                );
+                                // Vec<VideoMatch> equality: ids AND
+                                // bit-identical distances.
+                                prop_assert_eq!(
+                                    &naive, &got,
+                                    "{} len={} k={} threads={} abandon={}",
+                                    layout, query.len(), k, threads, abandon
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -344,3 +344,48 @@ fn render_snapshot_is_stable_for_a_fixed_workload() {
          c_hist.sum 5\n"
     );
 }
+
+#[test]
+fn serial_clip_telemetry_is_identical_across_engines() {
+    // Two engines built from the same entries walk their videos in the
+    // same (arena) order, so a serial clip query's cutoff trajectory —
+    // and every abandon and element it counts — is reproducible.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(909);
+    let frames: Vec<RgbImage> = (0..12).map(|_| random_frame(&mut rng)).collect();
+    // 16 videos of 3 contiguous key frames each.
+    let entries: Vec<CatalogEntry> = (0..48)
+        .map(|i| entry_from_frame(i as u64 + 1, i as u64 / 3 + 1, &frames[(i * 7) % 12]))
+        .collect();
+    let queries: Vec<Vec<FeatureSet>> = (0..3)
+        .map(|q| {
+            vec![
+                FeatureSet::extract(&frames[q]),
+                FeatureSet::extract(&random_frame(&mut rng)),
+            ]
+        })
+        .collect();
+    let run = |abandon: bool| {
+        let mut engine = QueryEngine::from_catalog(entries.clone(), HashMap::new());
+        let registry = Arc::new(Registry::with_clock(Arc::new(TestClock::new())));
+        engine.set_telemetry(registry.clone());
+        let options = QueryOptions { k: 3, threads: 1, abandon, ..QueryOptions::default() };
+        let results: Vec<_> =
+            queries.iter().map(|q| engine.query_feature_sequence(q, &options)).collect();
+        (
+            results,
+            registry.counter("query.abandon.dtw").get(),
+            registry.counter("query.clip.elements").get(),
+        )
+    };
+    let first = run(true);
+    assert_eq!(first, run(true));
+    assert!(first.1 > 0, "the bounded DTW abandons some videos");
+
+    // Without abandon every cell runs all seven kernels to the end:
+    // 3 queries × 2 query frames × 48 rows × 673 elements, no bound pass.
+    let exact = run(false);
+    assert_eq!(exact.0, first.0, "abandon never changes the ranking");
+    assert_eq!(exact.1, 0);
+    assert_eq!(exact.2, 3 * 2 * 48 * 673);
+    assert!(first.2 < exact.2, "{} vs {}", first.2, exact.2);
+}
