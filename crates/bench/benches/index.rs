@@ -2,7 +2,7 @@
 //! scan it replaces (ablation A1's latency side).
 
 use cbvr_imgproc::{Gray, GrayImage, Histogram256};
-use cbvr_index::{paper_range, RangeIndex, RangeKey, RangeTree};
+use cbvr_index::{paper_range, RangeIndex, RangeKey};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn histogram(seed: u64) -> Histogram256 {
@@ -24,9 +24,6 @@ fn bench_index(c: &mut Criterion) {
     let h = histogram(1);
     group.bench_function("paper_range_assign", |b| b.iter(|| paper_range(&h)));
 
-    let deep = RangeTree::new(cbvr_index::RangeTreeConfig { thresholds: vec![55.0; 6] }).unwrap();
-    group.bench_function("deep_tree_assign", |b| b.iter(|| deep.assign(&h)));
-
     for n in [1_000usize, 10_000] {
         // Build an index of n items spread over the realistic buckets.
         let mut index = RangeIndex::new();
@@ -38,11 +35,9 @@ fn bench_index(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("overlap_lookup", n), &index, |b, idx| {
             b.iter(|| idx.overlap_candidates(probe))
         });
-        group.bench_with_input(BenchmarkId::new("exact_lookup", n), &index, |b, idx| {
-            b.iter(|| idx.bucket_candidates(probe))
-        });
+        // The whole 0–255 axis overlaps every bucket: the unpruned scan.
         group.bench_with_input(BenchmarkId::new("full_scan_baseline", n), &index, |b, idx| {
-            b.iter(|| idx.all())
+            b.iter(|| idx.overlap_candidates(RangeKey::new(0, 255)))
         });
     }
     group.finish();

@@ -1,7 +1,7 @@
-//! DP/DTW sequence-similarity scaling: full vs banded, and the
-//! clip-to-clip query that uses it.
+//! DP/DTW sequence-similarity scaling, and the clip-to-clip query that
+//! uses it.
 
-use cbvr_core::dtw::{dtw_distance, dtw_distance_banded};
+use cbvr_core::dtw::dtw_distance;
 use cbvr_core::engine::QueryOptions;
 use cbvr_core::KeyframeConfig;
 use cbvr_eval::{Corpus, CorpusConfig};
@@ -19,9 +19,6 @@ fn bench_dtw(c: &mut Criterion) {
         let b = sequence(n, 0.4);
         group.bench_with_input(BenchmarkId::new("full", n), &n, |bch, _| {
             bch.iter(|| dtw_distance(&a, &b, |x, y| (x - y).abs()))
-        });
-        group.bench_with_input(BenchmarkId::new("banded_8", n), &n, |bch, _| {
-            bch.iter(|| dtw_distance_banded(&a, &b, 8, |x, y| (x - y).abs()))
         });
     }
     group.finish();

@@ -48,9 +48,6 @@ pub enum Command {
         feature: Option<FeatureKind>,
         /// Disable range-index pruning.
         no_index: bool,
-        /// Disable the early-abandon cascade (score every candidate in
-        /// full; results are identical, only the work differs).
-        no_abandon: bool,
     },
     /// Query by example clip file (DTW).
     QueryClip {
@@ -114,7 +111,7 @@ administrator commands:
                                                   drop removed rows, recalibrate
 
 user commands:
-  query --image F [--k N] [--feature KIND] [--no-index] [--no-abandon]
+  query --image F [--k N] [--feature KIND] [--no-index]
   query-clip --file F.vsc [--k N]
   search --name SUBSTR
   export --id N --out DIR
@@ -179,7 +176,6 @@ fn parse_command(name: &str, cursor: &mut Cursor) -> Result<Command, ParseError>
     let mut out: Option<PathBuf> = None;
     let mut feature: Option<FeatureKind> = None;
     let mut no_index = false;
-    let mut no_abandon = false;
     let mut telemetry = false;
 
     while let Some(flag) = cursor.next() {
@@ -228,7 +224,6 @@ fn parse_command(name: &str, cursor: &mut Cursor) -> Result<Command, ParseError>
                 );
             }
             "--no-index" => no_index = true,
-            "--no-abandon" => no_abandon = true,
             "--telemetry" => telemetry = true,
             other => return Err(ParseError(format!("unknown flag '{other}' for {name}"))),
         }
@@ -255,7 +250,6 @@ fn parse_command(name: &str, cursor: &mut Cursor) -> Result<Command, ParseError>
             k: k.unwrap_or(10),
             feature,
             no_index,
-            no_abandon,
         },
         "query-clip" => Command::QueryClip { file: need!(file, "--file"), k: k.unwrap_or(5) },
         "search" => Command::Search { name: need!(video_name, "--name") },
@@ -292,7 +286,7 @@ mod tests {
     fn parses_query_with_options() {
         let (_, cmd) = parse(&v(&[
             "--db", "d", "query", "--image", "q.bmp", "--k", "25", "--feature", "gabor",
-            "--no-index", "--no-abandon",
+            "--no-index",
         ]))
         .unwrap();
         assert_eq!(
@@ -302,7 +296,6 @@ mod tests {
                 k: 25,
                 feature: Some(FeatureKind::Gabor),
                 no_index: true,
-                no_abandon: true,
             }
         );
     }
@@ -317,7 +310,6 @@ mod tests {
                 k: 10,
                 feature: None,
                 no_index: false,
-                no_abandon: false,
             }
         );
         let (_, cmd) = parse(&v(&["--db", "d", "generate", "--category", "news", "--name", "n"]))

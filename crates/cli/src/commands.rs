@@ -95,7 +95,7 @@ pub fn run(db_dir: &Path, command: Command) -> Result<String, CliError> {
             db.delete_video(id).map_err(|e| err("delete", e))?;
             Ok(format!("deleted v_id={id} (and its key frames)"))
         }
-        Command::Query { image, k, feature, no_index, no_abandon } => {
+        Command::Query { image, k, feature, no_index } => {
             let bytes = std::fs::read(&image).map_err(|e| err("read image", e))?;
             let frame = cbvr_imgproc::decode_auto(&bytes).map_err(|e| err("decode image", e))?;
             let mut db = open(db_dir)?;
@@ -114,7 +114,6 @@ pub fn run(db_dir: &Path, command: Command) -> Result<String, CliError> {
                     k,
                     weights,
                     use_index: !no_index,
-                    abandon: !no_abandon,
                     ..Default::default()
                 },
             );

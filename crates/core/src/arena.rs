@@ -23,7 +23,6 @@
 //! *proven* unable to enter the top-k, so ranked results are identical at
 //! every thread count and every `abandon` setting.
 
-use crate::error::{CoreError, Result};
 use crate::score::{similarity_for_scale, ScoreCalibration};
 use crate::weights::FeatureWeights;
 use cbvr_features::distance::{
@@ -31,7 +30,6 @@ use cbvr_features::distance::{
     scaled_l1_f32, BoundedDistance,
 };
 use cbvr_features::{FeatureKind, FeatureSet};
-use cbvr_storage::codec::{RowReader, RowWriter};
 
 /// Cascade evaluation order: ascending per-stage kernel cost (elements per
 /// entry × per-element work: regions 3, GLCM 5, Tamura 18, Gabor 60, naive
@@ -149,22 +147,6 @@ impl AlignedF32 {
             self.len += 1;
         }
     }
-
-    /// Truncate to `len` elements (unused tail lanes are kept zeroed).
-    fn truncate(&mut self, len: usize) {
-        if len >= self.len {
-            return;
-        }
-        self.len = len;
-        self.chunks.truncate(len.div_ceil(LANE));
-        if let (Some(last), rem) = (self.chunks.last_mut(), len % LANE) {
-            if rem != 0 {
-                for slot in &mut last.0[rem..] {
-                    *slot = 0.0;
-                }
-            }
-        }
-    }
 }
 
 /// Flatten one descriptor of `set` into `out` as `kind_dim(kind)` f32s.
@@ -209,7 +191,7 @@ fn bound_stat(kind: FeatureKind, v: &[f32]) -> f64 {
 }
 
 /// O(1) lower bound of the kind's native distance from the two vectors'
-/// bound statistics, deflated by [`BOUND_SLOP`] so statistic rounding can
+/// bound statistics, deflated by `BOUND_SLOP` so statistic rounding can
 /// never make it exceed the true distance:
 ///
 /// - L2 kinds: reverse triangle inequality, `|‖a‖ − ‖b‖| ≤ ‖a − b‖`;
@@ -241,9 +223,6 @@ impl Default for DescriptorArena {
         DescriptorArena::new()
     }
 }
-
-/// On-disk format version for [`DescriptorArena::to_bytes`].
-const ARENA_FORMAT_VERSION: u32 = 1;
 
 impl DescriptorArena {
     /// Empty arena.
@@ -285,77 +264,10 @@ impl DescriptorArena {
         self.len += 1;
     }
 
-    /// Drop every entry at index ≥ `len` (used by catalog rebuilds that
-    /// shrink in place rather than reallocating).
-    pub fn truncate(&mut self, len: usize) {
-        if len >= self.len {
-            return;
-        }
-        for kind in FeatureKind::ALL {
-            self.data[kind as usize].truncate(len * kind_dim(kind));
-            self.stats[kind as usize].truncate(len);
-        }
-        self.len = len;
-    }
-
     /// Entry `i`'s vector for `kind`.
     pub fn slice(&self, kind: FeatureKind, i: usize) -> &[f32] {
         let dim = kind_dim(kind);
         &self.data[kind as usize].as_slice()[i * dim..(i + 1) * dim]
-    }
-
-    /// Entry `i`'s bound statistic for `kind`.
-    pub fn stat(&self, kind: FeatureKind, i: usize) -> f64 {
-        self.stats[kind as usize][i]
-    }
-
-    /// Serialise to a length-prefixed binary row (the KEY_FRAMES sidecar
-    /// format): version, entry count, then per kind the f32 slab and the
-    /// f64 stats.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = RowWriter::new();
-        w.u32(ARENA_FORMAT_VERSION);
-        w.u64(self.len as u64);
-        for kind in FeatureKind::ALL {
-            w.f32s(self.data[kind as usize].as_slice());
-            w.f64s(&self.stats[kind as usize]);
-        }
-        w.finish()
-    }
-
-    /// Deserialise a row written by [`DescriptorArena::to_bytes`],
-    /// validating version and per-kind shapes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<DescriptorArena> {
-        let mut r = RowReader::new(bytes);
-        let version = r.u32().map_err(CoreError::Storage)?;
-        if version != ARENA_FORMAT_VERSION {
-            return Err(CoreError::Config(format!(
-                "unsupported descriptor arena format version {version}"
-            )));
-        }
-        let len = r.u64().map_err(CoreError::Storage)? as usize;
-        let mut arena = DescriptorArena::new();
-        arena.len = len;
-        for kind in FeatureKind::ALL {
-            let slab = r.f32s().map_err(CoreError::Storage)?;
-            if slab.len() != len * kind_dim(kind) {
-                return Err(CoreError::Config(format!(
-                    "descriptor arena slab for {kind} holds {} elements, expected {}",
-                    slab.len(),
-                    len * kind_dim(kind)
-                )));
-            }
-            let stats = r.f64s().map_err(CoreError::Storage)?;
-            if stats.len() != len {
-                return Err(CoreError::Config(format!(
-                    "descriptor arena stats for {kind} hold {} entries, expected {len}",
-                    stats.len()
-                )));
-            }
-            arena.data[kind as usize].extend_from_slice(&slab);
-            arena.stats[kind as usize] = stats;
-        }
-        Ok(arena)
     }
 
     /// The kind's native distance between `query` and entry `i`, or `None`
@@ -394,8 +306,8 @@ impl DescriptorArena {
     /// kernel runs. The distance is `Σₖ fracₖ(1 − sₖ)` over every active
     /// stage. Each term is bounded from below by running the cheap kernels
     /// to the end and, for the other kinds, by the O(1) norm/mass
-    /// [`prebound`] of their distance (similarity falls as distance grows).
-    /// The result is deflated by [`BOUND_SLOP`] and [`SCORE_EPS`], since the
+    /// `prebound` of their distance (similarity falls as distance grows).
+    /// The result is deflated by `BOUND_SLOP` and `SCORE_EPS`, since the
     /// exact distance is computed as `1 − combine(…)` in a different order.
     pub fn lower_gap(
         &self,
@@ -431,10 +343,10 @@ impl DescriptorArena {
     /// `Σ_{k∈S} fracₖ·sₖ + Σ_{k∉S} fracₖ`, an upper bound of the final
     /// score (remaining stages can at best contribute their full
     /// fraction). Abandonment triggers only when `ub ≤ threshold −`
-    /// [`SCORE_EPS`], or when a kernel proves the *current* stage alone
+    /// `SCORE_EPS`, or when a kernel proves the *current* stage alone
     /// must lose more than the remaining slack (its distance exceeds the
     /// stage's critical cutoff, computed by inverting the similarity map
-    /// and inflated by [`BOUND_SLOP`]). Either way the candidate's true
+    /// and inflated by `BOUND_SLOP`). Either way the candidate's true
     /// score is strictly below the threshold, so it cannot displace any
     /// kept top-k item nor win a tie (ties sit *at* the threshold and are
     /// protected by the epsilon margin). Surviving candidates run every
@@ -563,13 +475,6 @@ pub struct CascadeTally {
     /// Candidates abandoned per kind (indexed by discriminant): at the
     /// stage's threshold check, its pre-bound, or inside its kernel.
     pub abandoned: [u64; KINDS],
-}
-
-impl CascadeTally {
-    /// Total candidates abandoned across all stages.
-    pub fn abandoned_total(&self) -> u64 {
-        self.abandoned.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -708,7 +613,7 @@ mod tests {
                 .cascade_score(&q, i, &plan, f64::NEG_INFINITY, &mut tally)
                 .is_some());
         }
-        assert_eq!(tally.abandoned_total(), 0);
+        assert_eq!(tally.abandoned, [0; KINDS]);
         assert_eq!(tally.survivors, 6);
     }
 
@@ -720,60 +625,5 @@ mod tests {
         assert!(plan.stages.is_empty());
         let q = QueryVectors::from_set(&sets[1]);
         assert_eq!(full_score(&arena, &q, 0, &plan), 0.0);
-    }
-
-    #[test]
-    fn bytes_round_trip_preserves_slabs_and_scores() {
-        let (arena, sets) = build(5);
-        let bytes = arena.to_bytes();
-        let back = DescriptorArena::from_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), arena.len());
-        for kind in FeatureKind::ALL {
-            for i in 0..arena.len() {
-                assert_eq!(arena.slice(kind, i), back.slice(kind, i), "{kind}/{i}");
-                assert_eq!(
-                    arena.stat(kind, i).to_bits(),
-                    back.stat(kind, i).to_bits(),
-                    "{kind}/{i} stat"
-                );
-            }
-        }
-        let plan = CascadePlan::new(&FeatureWeights::default(), &ScoreCalibration::default());
-        let q = QueryVectors::from_set(&sets[2]);
-        for i in 0..arena.len() {
-            assert_eq!(full_score(&arena, &q, i, &plan), full_score(&back, &q, i, &plan));
-        }
-    }
-
-    #[test]
-    fn corrupt_bytes_are_rejected() {
-        let (arena, _) = build(2);
-        let bytes = arena.to_bytes();
-        assert!(DescriptorArena::from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        let mut wrong_version = bytes.clone();
-        wrong_version[0] = 0xEE;
-        assert!(DescriptorArena::from_bytes(&wrong_version).is_err());
-        assert!(DescriptorArena::from_bytes(&[]).is_err());
-    }
-
-    #[test]
-    fn truncate_drops_tail_entries() {
-        let (mut arena, sets) = build(6);
-        let plan = CascadePlan::new(&FeatureWeights::default(), &ScoreCalibration::default());
-        let q = QueryVectors::from_set(&sets[1]);
-        let kept: Vec<f64> = (0..3).map(|i| full_score(&arena, &q, i, &plan)).collect();
-        arena.truncate(3);
-        assert_eq!(arena.len(), 3);
-        for kind in FeatureKind::ALL {
-            assert_eq!(arena.data[kind as usize].len(), 3 * kind_dim(kind));
-        }
-        for (i, &expect) in kept.iter().enumerate() {
-            assert_eq!(full_score(&arena, &q, i, &plan), expect);
-        }
-        // Pushing after a truncate re-extends cleanly.
-        arena.push(&sets[5]);
-        assert_eq!(arena.len(), 4);
-        let q5 = QueryVectors::from_set(&sets[5]);
-        assert_eq!(full_score(&arena, &q5, 3, &plan), 1.0);
     }
 }

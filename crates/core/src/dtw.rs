@@ -57,7 +57,7 @@ const CUTOFF_SLOP: f64 = 1e-9;
 ///   to exceed `budget` (a returned value is always the exact cost, even
 ///   above `budget`; `budget = ∞` must never return `None`).
 ///
-/// With `L = cutoff·(n + m)` (inflated by [`CUTOFF_SLOP`]), one backward
+/// With `L = cutoff·(n + m)` (inflated by `CUTOFF_SLOP`), one backward
 /// pass over the `n×m` lower matrix yields `fut(i, j)`, the cheapest
 /// lower-bound cost of the cells any path visits after `(i, j)` — a true
 /// bound, since every continuation still crosses each later row and
@@ -157,51 +157,6 @@ pub fn dtw_distance_bounded<A, B>(
     finish(prev_cost[m] / denom)
 }
 
-/// DTW with a Sakoe–Chiba band: cells with `|i - j·n/m| > band` are
-/// skipped, bounding runtime for long sequences. `band` is in elements of
-/// `a`'s axis; `usize::MAX` degenerates to full DTW.
-pub fn dtw_distance_banded<T>(
-    a: &[T],
-    b: &[T],
-    band: usize,
-    mut dist: impl FnMut(&T, &T) -> f64,
-) -> f64 {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return 0.0,
-        (true, false) | (false, true) => return f64::INFINITY,
-        _ => {}
-    }
-    let n = a.len();
-    let m = b.len();
-    let mut prev_cost = vec![f64::INFINITY; m + 1];
-    let mut cur_cost = vec![f64::INFINITY; m + 1];
-    prev_cost[0] = 0.0;
-
-    for i in 1..=n {
-        for c in cur_cost.iter_mut() {
-            *c = f64::INFINITY;
-        }
-        // Centre of the band on b's axis for this row.
-        let centre = (i * m) / n;
-        let lo = centre.saturating_sub(band).max(1);
-        let hi = (centre + band).min(m);
-        for j in lo..=hi {
-            let d = dist(&a[i - 1], &b[j - 1]);
-            let best = prev_cost[j - 1].min(prev_cost[j]).min(cur_cost[j - 1]);
-            if best.is_finite() {
-                cur_cost[j] = best + d;
-            }
-        }
-        std::mem::swap(&mut prev_cost, &mut cur_cost);
-    }
-    let total = prev_cost[m];
-    if !total.is_finite() {
-        // Band too narrow for these lengths; fall back to exact DTW.
-        return dtw_distance(a, b, dist);
-    }
-    total / (n + m) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,23 +216,6 @@ mod tests {
         let d = dtw_distance(&a, &b, scalar);
         assert!(d <= 10.0 + 1e-12);
         assert!(d > 0.0);
-    }
-
-    #[test]
-    fn banded_matches_full_for_wide_band() {
-        let a: Vec<f64> = (0..30).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b: Vec<f64> = (0..25).map(|i| (i as f64 * 0.7 + 0.3).sin()).collect();
-        let full = dtw_distance(&a, &b, scalar);
-        let banded = dtw_distance_banded(&a, &b, 25, scalar);
-        assert!((full - banded).abs() < 1e-9, "full {full} vs banded {banded}");
-    }
-
-    #[test]
-    fn narrow_band_falls_back_rather_than_failing() {
-        let a = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        let b = [0.0, 5.0];
-        let d = dtw_distance_banded(&a, &b, 0, scalar);
-        assert!(d.is_finite());
     }
 
     /// `dist` for scalar sequences that honours its budget exactly.

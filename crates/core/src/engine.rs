@@ -90,10 +90,10 @@ pub struct QueryOptions {
     pub threads: usize,
     /// Early-abandon cascade scoring: skip the remaining distance kernels
     /// for a candidate the moment it is *proven* unable to enter the
-    /// top-k (see [`DescriptorArena::cascade_score`]). Exact — ranked
-    /// results are identical either way; `false` (the `--no-abandon`
-    /// debug flag) exists to measure the saving and to bisect suspected
-    /// bound bugs.
+    /// top-k (see [`crate::DescriptorArena::cascade_score`]). Exact —
+    /// ranked results are identical either way; `false` scores every
+    /// candidate in full, the reference the equivalence suites and the
+    /// benchmark's answer checks compare the default path against.
     pub abandon: bool,
 }
 

@@ -13,7 +13,7 @@
 //!   order is the concatenation of the segments in list order, which is
 //!   exactly the monolithic entry order — the invariant that keeps
 //!   segmented query results bit-identical to the single-arena path;
-//! - a [`SnapshotCell`] holds the *current* snapshot behind an atomic
+//! - a `SnapshotCell` holds the *current* snapshot behind an atomic
 //!   pointer. Readers pin and clone the `Arc` without ever taking a
 //!   lock; writers (which already serialise on the engine's commit
 //!   lock) swap in a fully built replacement and retire the old one

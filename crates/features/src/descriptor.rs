@@ -2,17 +2,16 @@
 //!
 //! The retrieval pipeline treats features uniformly: extract, measure a
 //! distance, serialise to the Oracle-style feature string and parse back.
-//! [`FeatureKind`] names the feature, [`Descriptor`] holds one value.
+//! [`FeatureKind`] names the feature, [`DescriptorRef`] borrows one value
+//! out of a [`crate::FeatureSet`].
 
 use crate::correlogram::AutoColorCorrelogram;
-use crate::error::{FeatureError, Result};
 use crate::gabor::GaborTexture;
 use crate::glcm::GlcmTexture;
 use crate::histogram::ColorHistogram;
 use crate::naive::NaiveSignature;
 use crate::region::RegionGrowing;
 use crate::tamura::TamuraTexture;
-use cbvr_imgproc::RgbImage;
 
 /// The seven features of the paper (Table 1 columns).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -84,105 +83,11 @@ impl std::fmt::Display for FeatureKind {
     }
 }
 
-/// One extracted descriptor of any kind.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Descriptor {
-    /// §4.5 simple color histogram.
-    ColorHistogram(ColorHistogram),
-    /// §4.3 GLCM texture statistics.
-    Glcm(GlcmTexture),
-    /// §4.4 Gabor filter-bank texture.
-    Gabor(GaborTexture),
-    /// Tamura texture.
-    Tamura(TamuraTexture),
-    /// §4.7 auto color correlogram.
-    Correlogram(AutoColorCorrelogram),
-    /// §4.6 naive 25-point signature.
-    Naive(NaiveSignature),
-    /// §4.8 region growing census.
-    Regions(RegionGrowing),
-}
-
-impl Descriptor {
-    /// Which feature this descriptor is.
-    pub fn kind(&self) -> FeatureKind {
-        match self {
-            Descriptor::ColorHistogram(_) => FeatureKind::ColorHistogram,
-            Descriptor::Glcm(_) => FeatureKind::Glcm,
-            Descriptor::Gabor(_) => FeatureKind::Gabor,
-            Descriptor::Tamura(_) => FeatureKind::Tamura,
-            Descriptor::Correlogram(_) => FeatureKind::Correlogram,
-            Descriptor::Naive(_) => FeatureKind::Naive,
-            Descriptor::Regions(_) => FeatureKind::Regions,
-        }
-    }
-
-    /// Extract the named feature from a frame.
-    pub fn extract(kind: FeatureKind, img: &RgbImage) -> Descriptor {
-        match kind {
-            FeatureKind::ColorHistogram => Descriptor::ColorHistogram(ColorHistogram::extract(img)),
-            FeatureKind::Glcm => Descriptor::Glcm(GlcmTexture::extract(img)),
-            FeatureKind::Gabor => Descriptor::Gabor(GaborTexture::extract(img)),
-            FeatureKind::Tamura => Descriptor::Tamura(TamuraTexture::extract(img)),
-            FeatureKind::Correlogram => Descriptor::Correlogram(AutoColorCorrelogram::extract(img)),
-            FeatureKind::Naive => Descriptor::Naive(NaiveSignature::extract(img)),
-            FeatureKind::Regions => Descriptor::Regions(RegionGrowing::extract(img)),
-        }
-    }
-
-    /// Native distance to another descriptor of the *same* kind.
-    ///
-    /// # Errors
-    /// Returns [`FeatureError::Mismatch`] when kinds differ.
-    pub fn distance(&self, other: &Descriptor) -> Result<f64> {
-        match (self, other) {
-            (Descriptor::ColorHistogram(a), Descriptor::ColorHistogram(b)) => Ok(a.distance(b)),
-            (Descriptor::Glcm(a), Descriptor::Glcm(b)) => Ok(a.distance(b)),
-            (Descriptor::Gabor(a), Descriptor::Gabor(b)) => Ok(a.distance(b)),
-            (Descriptor::Tamura(a), Descriptor::Tamura(b)) => Ok(a.distance(b)),
-            (Descriptor::Correlogram(a), Descriptor::Correlogram(b)) => Ok(a.distance(b)),
-            (Descriptor::Naive(a), Descriptor::Naive(b)) => Ok(a.distance(b)),
-            (Descriptor::Regions(a), Descriptor::Regions(b)) => Ok(a.distance(b)),
-            (a, b) => Err(FeatureError::Mismatch(format!(
-                "cannot compare {} with {}",
-                a.kind(),
-                b.kind()
-            ))),
-        }
-    }
-
-    /// The Oracle `VARCHAR2` serialisation (Fig. 8 formats).
-    pub fn to_feature_string(&self) -> String {
-        match self {
-            Descriptor::ColorHistogram(d) => d.to_feature_string(),
-            Descriptor::Glcm(d) => d.to_feature_string(),
-            Descriptor::Gabor(d) => d.to_feature_string(),
-            Descriptor::Tamura(d) => d.to_feature_string(),
-            Descriptor::Correlogram(d) => d.to_feature_string(),
-            Descriptor::Naive(d) => d.to_feature_string(),
-            Descriptor::Regions(d) => d.to_feature_string(),
-        }
-    }
-
-    /// Parse a feature string of the named kind.
-    pub fn parse(kind: FeatureKind, s: &str) -> Result<Descriptor> {
-        Ok(match kind {
-            FeatureKind::ColorHistogram => Descriptor::ColorHistogram(ColorHistogram::parse(s)?),
-            FeatureKind::Glcm => Descriptor::Glcm(GlcmTexture::parse(s)?),
-            FeatureKind::Gabor => Descriptor::Gabor(GaborTexture::parse(s)?),
-            FeatureKind::Tamura => Descriptor::Tamura(TamuraTexture::parse(s)?),
-            FeatureKind::Correlogram => Descriptor::Correlogram(AutoColorCorrelogram::parse(s)?),
-            FeatureKind::Naive => Descriptor::Naive(NaiveSignature::parse(s)?),
-            FeatureKind::Regions => Descriptor::Regions(RegionGrowing::parse(s)?),
-        })
-    }
-}
-
 /// A borrowed view of one feature descriptor.
 ///
 /// [`crate::FeatureSet::descriptor_ref`] yields this without cloning the
 /// payload (histograms and correlograms are hundreds of floats), so
-/// serialisation and comparison paths can dispatch by kind at zero copy.
+/// serialisation can dispatch by kind at zero copy.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum DescriptorRef<'a> {
     /// §4.5 simple color histogram.
@@ -227,63 +132,13 @@ impl<'a> DescriptorRef<'a> {
             DescriptorRef::Regions(d) => d.to_feature_string(),
         }
     }
-
-    /// Native distance to another borrowed descriptor of the *same* kind.
-    ///
-    /// # Errors
-    /// Returns [`FeatureError::Mismatch`] when kinds differ.
-    pub fn distance(&self, other: &DescriptorRef<'_>) -> Result<f64> {
-        match (self, other) {
-            (DescriptorRef::ColorHistogram(a), DescriptorRef::ColorHistogram(b)) => {
-                Ok(a.distance(b))
-            }
-            (DescriptorRef::Glcm(a), DescriptorRef::Glcm(b)) => Ok(a.distance(b)),
-            (DescriptorRef::Gabor(a), DescriptorRef::Gabor(b)) => Ok(a.distance(b)),
-            (DescriptorRef::Tamura(a), DescriptorRef::Tamura(b)) => Ok(a.distance(b)),
-            (DescriptorRef::Correlogram(a), DescriptorRef::Correlogram(b)) => Ok(a.distance(b)),
-            (DescriptorRef::Naive(a), DescriptorRef::Naive(b)) => Ok(a.distance(b)),
-            (DescriptorRef::Regions(a), DescriptorRef::Regions(b)) => Ok(a.distance(b)),
-            (a, b) => Err(FeatureError::Mismatch(format!(
-                "cannot compare {} with {}",
-                a.kind(),
-                b.kind()
-            ))),
-        }
-    }
-
-    /// Clone the payload into the owned [`Descriptor`] enum.
-    pub fn to_owned(&self) -> Descriptor {
-        match *self {
-            DescriptorRef::ColorHistogram(d) => Descriptor::ColorHistogram(d.clone()),
-            DescriptorRef::Glcm(d) => Descriptor::Glcm(*d),
-            DescriptorRef::Gabor(d) => Descriptor::Gabor(d.clone()),
-            DescriptorRef::Tamura(d) => Descriptor::Tamura(d.clone()),
-            DescriptorRef::Correlogram(d) => Descriptor::Correlogram(d.clone()),
-            DescriptorRef::Naive(d) => Descriptor::Naive(d.clone()),
-            DescriptorRef::Regions(d) => Descriptor::Regions(*d),
-        }
-    }
-}
-
-impl Descriptor {
-    /// A borrowed view of this owned descriptor.
-    pub fn as_ref(&self) -> DescriptorRef<'_> {
-        match self {
-            Descriptor::ColorHistogram(d) => DescriptorRef::ColorHistogram(d),
-            Descriptor::Glcm(d) => DescriptorRef::Glcm(d),
-            Descriptor::Gabor(d) => DescriptorRef::Gabor(d),
-            Descriptor::Tamura(d) => DescriptorRef::Tamura(d),
-            Descriptor::Correlogram(d) => DescriptorRef::Correlogram(d),
-            Descriptor::Naive(d) => DescriptorRef::Naive(d),
-            Descriptor::Regions(d) => DescriptorRef::Regions(d),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbvr_imgproc::Rgb;
+    use crate::FeatureSet;
+    use cbvr_imgproc::{Rgb, RgbImage};
 
     fn sample() -> RgbImage {
         RgbImage::from_fn(32, 32, |x, y| Rgb::new((x * 8) as u8, (y * 8) as u8, ((x + y) * 4) as u8))
@@ -300,49 +155,9 @@ mod tests {
 
     #[test]
     fn extract_reports_matching_kind() {
-        let img = sample();
+        let set = FeatureSet::extract(&sample());
         for k in FeatureKind::ALL {
-            let d = Descriptor::extract(k, &img);
-            assert_eq!(d.kind(), k);
-        }
-    }
-
-    #[test]
-    fn every_kind_string_round_trips() {
-        let img = sample();
-        for k in FeatureKind::ALL {
-            let d = Descriptor::extract(k, &img);
-            let s = d.to_feature_string();
-            let back = Descriptor::parse(k, &s).unwrap();
-            // Self-distance of the parsed value must be ~0 (float printing
-            // is exact via `{}` for f64, so this is strict for most kinds).
-            assert!(d.distance(&back).unwrap() < 1e-9, "{k}: {s}");
-        }
-    }
-
-    #[test]
-    fn mismatched_kinds_error() {
-        let img = sample();
-        let a = Descriptor::extract(FeatureKind::Glcm, &img);
-        let b = Descriptor::extract(FeatureKind::Gabor, &img);
-        let err = a.distance(&b).unwrap_err();
-        assert!(err.to_string().contains("glcm"));
-        assert!(err.to_string().contains("gabor"));
-    }
-
-    #[test]
-    fn parse_with_wrong_kind_fails() {
-        let img = sample();
-        let s = Descriptor::extract(FeatureKind::Glcm, &img).to_feature_string();
-        assert!(Descriptor::parse(FeatureKind::Gabor, &s).is_err());
-    }
-
-    #[test]
-    fn self_distance_zero_for_all_kinds() {
-        let img = sample();
-        for k in FeatureKind::ALL {
-            let d = Descriptor::extract(k, &img);
-            assert_eq!(d.distance(&d).unwrap(), 0.0, "{k}");
+            assert_eq!(set.descriptor_ref(k).kind(), k);
         }
     }
 

@@ -25,48 +25,6 @@ pub fn l2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
 }
 
-/// Chi-squared histogram distance: `Σ (x-y)² / (|x|+|y|)` over non-empty
-/// bins. The denominator uses absolute values so the measure is symmetric
-/// under sign flips (`chi2(-a, -b) == chi2(a, b)`) and never negative even
-/// on signed inputs; for the non-negative histograms the descriptors feed
-/// it, this is identical to the textbook `Σ (x-y)² / (x+y)`.
-pub fn chi2(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .filter(|(x, y)| x.abs() + y.abs() > 0.0)
-        .map(|(x, y)| (x - y) * (x - y) / (x.abs() + y.abs()))
-        .sum()
-}
-
-/// Histogram-intersection *dissimilarity*: `1 − Σ min(x̂, ŷ)` on the
-/// normalised inputs; 0 for identical distributions, 1 for disjoint.
-/// Returns 1 when either histogram is empty.
-pub fn intersection_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let sa: f64 = a.iter().sum();
-    let sb: f64 = b.iter().sum();
-    if sa <= 0.0 || sb <= 0.0 {
-        return 1.0;
-    }
-    let overlap: f64 = a.iter().zip(b).map(|(x, y)| (x / sa).min(y / sb)).sum();
-    (1.0 - overlap).max(0.0)
-}
-
-/// Cosine dissimilarity: `1 − cos(a, b)`, in `[0, 2]`. Returns 1 when a
-/// vector is all-zero or its norm is denormal (too small for the division
-/// to be meaningful — `dot / (na * nb)` can overflow to ±inf otherwise).
-pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na < f64::MIN_POSITIVE || nb < f64::MIN_POSITIVE {
-        return 1.0;
-    }
-    (1.0 - dot / (na * nb)).clamp(0.0, 2.0)
-}
-
 /// Jensen–Shannon divergence between two histograms (normalised
 /// internally), in `[0, ln 2]`. Symmetric and bounded, unlike KL.
 pub fn jensen_shannon(a: &[f64], b: &[f64]) -> f64 {
@@ -199,35 +157,6 @@ pub fn scaled_l1_f32(a: &[f32], b: &[f32], divisor: f64, cutoff: f64) -> Bounded
     BoundedDistance::done(d, len)
 }
 
-/// Bounded chi-squared with the symmetric `|x|+|y|` denominator. Every term
-/// is non-negative, so partial sums lower-bound the total.
-pub fn chi2_f32(a: &[f32], b: &[f32], cutoff: f64) -> BoundedDistance {
-    debug_assert_eq!(a.len(), b.len());
-    let len = a.len();
-    let mut sum = 0.0f64;
-    let mut done = 0usize;
-    while done < len {
-        let end = (done + CHECK_EVERY).min(len);
-        for i in done..end {
-            let x = a[i] as f64;
-            let y = b[i] as f64;
-            let denom = x.abs() + y.abs();
-            if denom > 0.0 {
-                let d = x - y;
-                sum += d * d / denom;
-            }
-        }
-        done = end;
-        if done < len && sum > cutoff {
-            return BoundedDistance::abandoned(done);
-        }
-    }
-    if sum > cutoff {
-        return BoundedDistance::abandoned(len);
-    }
-    BoundedDistance::done(sum, len)
-}
-
 /// Bounded Jensen–Shannon on raw (unnormalised) histograms whose masses the
 /// caller precomputed (`mass_f32` on each side, so the normalisation matches
 /// [`jensen_shannon`] bit for bit). Per-bin contributions are non-negative
@@ -327,55 +256,6 @@ pub fn regions_rel_f32(a: &[f32], b: &[f32]) -> BoundedDistance {
     BoundedDistance::done(sum / a.len().max(1) as f64, a.len())
 }
 
-/// Bounded histogram-intersection dissimilarity on raw histograms with
-/// precomputed masses. The lower bound tracks how much normalised mass is
-/// still unconsumed on each side: the remaining overlap can add at most
-/// `min(rem_a/sa, rem_b/sb)`, so `1 − overlap − min(…)` (minus a rounding
-/// slack) is a true lower bound of the final value.
-pub fn intersection_f32(
-    a: &[f32],
-    b: &[f32],
-    mass_a: f64,
-    mass_b: f64,
-    cutoff: f64,
-) -> BoundedDistance {
-    debug_assert_eq!(a.len(), b.len());
-    if mass_a <= 0.0 || mass_b <= 0.0 {
-        if 1.0 > cutoff {
-            return BoundedDistance::abandoned(0);
-        }
-        return BoundedDistance::done(1.0, 0);
-    }
-    let len = a.len();
-    let mut overlap = 0.0f64;
-    let mut ca = 0.0f64; // consumed raw mass on each side
-    let mut cb = 0.0f64;
-    let mut done = 0usize;
-    while done < len {
-        let end = (done + CHECK_EVERY).min(len);
-        for i in done..end {
-            let x = a[i] as f64;
-            let y = b[i] as f64;
-            overlap += (x / mass_a).min(y / mass_b);
-            ca += x;
-            cb += y;
-        }
-        done = end;
-        if done < len {
-            let rem = ((mass_a - ca) / mass_a).max(0.0).min(((mass_b - cb) / mass_b).max(0.0));
-            let lower = (1.0 - overlap - rem - 1e-12).max(0.0);
-            if lower > cutoff {
-                return BoundedDistance::abandoned(done);
-            }
-        }
-    }
-    let d = (1.0 - overlap).max(0.0);
-    if d > cutoff {
-        return BoundedDistance::abandoned(len);
-    }
-    BoundedDistance::done(d, len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,53 +275,16 @@ mod tests {
 
     #[test]
     fn identity_of_indiscernibles() {
-        for f in [l1, l2, chi2, intersection_distance, cosine_distance, jensen_shannon] {
+        for f in [l1, l2, jensen_shannon] {
             assert!(f(&A, &A).abs() < 1e-12);
         }
     }
 
     #[test]
     fn symmetry() {
-        for f in [l1, l2, chi2, intersection_distance, cosine_distance, jensen_shannon] {
+        for f in [l1, l2, jensen_shannon] {
             assert!((f(&A, &B) - f(&B, &A)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn intersection_disjoint_is_one() {
-        let a = [1.0, 0.0];
-        let b = [0.0, 1.0];
-        assert!((intersection_distance(&a, &b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn intersection_empty_histogram() {
-        let z = [0.0, 0.0];
-        assert_eq!(intersection_distance(&z, &A[..2]), 1.0);
-    }
-
-    #[test]
-    fn cosine_orthogonal_is_one() {
-        let a = [1.0, 0.0];
-        let b = [0.0, 5.0];
-        assert!((cosine_distance(&a, &b) - 1.0).abs() < 1e-12);
-        assert_eq!(cosine_distance(&[0.0, 0.0], &b), 1.0);
-    }
-
-    #[test]
-    fn cosine_scale_invariant() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [2.0, 4.0, 6.0];
-        assert!(cosine_distance(&a, &b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_denormal_norm_guarded() {
-        let tiny = [1e-320f64, 0.0];
-        let b = [1.0, 2.0];
-        assert_eq!(cosine_distance(&tiny, &b), 1.0);
-        assert_eq!(cosine_distance(&b, &tiny), 1.0);
-        assert!(cosine_distance(&tiny, &tiny).is_finite());
     }
 
     #[test]
@@ -450,25 +293,6 @@ mod tests {
         let b = [0.0, 1.0];
         let d = jensen_shannon(&a, &b);
         assert!((d - std::f64::consts::LN_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chi2_ignores_empty_bins() {
-        let a = [0.0, 1.0];
-        let b = [0.0, 3.0];
-        assert!((chi2(&a, &b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chi2_sign_symmetric() {
-        let a = [1.0, -2.0, 3.0];
-        let b = [-4.0, 3.0, 2.0];
-        let na: Vec<f64> = a.iter().map(|x| -x).collect();
-        let nb: Vec<f64> = b.iter().map(|x| -x).collect();
-        let d = chi2(&a, &b);
-        assert!(d >= 0.0);
-        assert!((d - chi2(&na, &nb)).abs() < 1e-12);
-        assert!((d - chi2(&b, &a)).abs() < 1e-12);
     }
 
     // ---- bounded f32 kernels ------------------------------------------
@@ -504,14 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_chi2_matches() {
-        let a: Vec<f64> = (0..40).map(|i| (i % 9) as f64).collect();
-        let b: Vec<f64> = (0..40).map(|i| (i % 4) as f64).collect();
-        let r = chi2_f32(&to_f32(&a), &to_f32(&b), f64::INFINITY);
-        assert_eq!(r.distance, Some(chi2(&a, &b)));
-    }
-
-    #[test]
     fn bounded_js_matches() {
         let a: Vec<f64> = (0..64).map(|i| (i % 11) as f64).collect();
         let b: Vec<f64> = (0..64).map(|i| ((i + 5) % 13) as f64).collect();
@@ -522,20 +338,6 @@ mod tests {
         let z = vec![0.0f32; 64];
         let r = jensen_shannon_f32(&z, &fb, 0.0, mass_f32(&fb), f64::INFINITY);
         assert_eq!(r.distance, Some(std::f64::consts::LN_2));
-    }
-
-    #[test]
-    fn bounded_intersection_matches() {
-        let a: Vec<f64> = (0..64).map(|i| (i % 6) as f64).collect();
-        let b: Vec<f64> = (0..64).map(|i| ((i + 2) % 8) as f64).collect();
-        let (fa, fb) = (to_f32(&a), to_f32(&b));
-        let r = intersection_f32(&fa, &fb, mass_f32(&fa), mass_f32(&fb), f64::INFINITY);
-        assert_eq!(r.distance, Some(intersection_distance(&a, &b)));
-        let full = r.distance.unwrap();
-        // Abandoning is sound: a cutoff below the true distance may abandon,
-        // a cutoff at the true distance must keep it.
-        let kept = intersection_f32(&fa, &fb, mass_f32(&fa), mass_f32(&fb), full);
-        assert_eq!(kept.distance, Some(full));
     }
 
     #[test]

@@ -8,8 +8,6 @@ pub enum FeatureError {
     /// A feature string (the Oracle `VARCHAR2` serialisation) failed to
     /// parse back into a descriptor.
     Parse(String),
-    /// Two descriptors of different kinds or shapes were compared.
-    Mismatch(String),
     /// Propagated image error.
     Image(cbvr_imgproc::ImgError),
 }
@@ -18,7 +16,6 @@ impl fmt::Display for FeatureError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FeatureError::Parse(m) => write!(f, "feature string parse error: {m}"),
-            FeatureError::Mismatch(m) => write!(f, "descriptor mismatch: {m}"),
             FeatureError::Image(e) => write!(f, "image error: {e}"),
         }
     }
@@ -49,6 +46,5 @@ mod tests {
     #[test]
     fn display_variants() {
         assert!(FeatureError::Parse("bad token".into()).to_string().contains("bad token"));
-        assert!(FeatureError::Mismatch("kinds".into()).to_string().contains("kinds"));
     }
 }

@@ -7,8 +7,8 @@
 //! per-kind.
 
 use crate::correlogram::AutoColorCorrelogram;
-use crate::descriptor::{Descriptor, DescriptorRef, FeatureKind};
-use crate::error::Result;
+use crate::descriptor::{DescriptorRef, FeatureKind};
+use crate::error::{FeatureError, Result};
 use crate::gabor::GaborTexture;
 use crate::glcm::GlcmTexture;
 use crate::histogram::ColorHistogram;
@@ -63,12 +63,6 @@ impl FeatureSet {
         }
     }
 
-    /// Clone one descriptor into the owned enum (convenience — the
-    /// serialisation and comparison paths use [`FeatureSet::descriptor_ref`]).
-    pub fn descriptor(&self, kind: FeatureKind) -> Descriptor {
-        self.descriptor_ref(kind).to_owned()
-    }
-
     /// Native per-kind distance between two feature sets.
     pub fn distance(&self, other: &FeatureSet, kind: FeatureKind) -> f64 {
         match kind {
@@ -104,17 +98,17 @@ impl FeatureSet {
         let mut naive = None;
         let mut regions = None;
         for (kind, s) in strings {
-            match Descriptor::parse(kind, s)? {
-                Descriptor::ColorHistogram(d) => histogram = Some(d),
-                Descriptor::Glcm(d) => glcm = Some(d),
-                Descriptor::Gabor(d) => gabor = Some(d),
-                Descriptor::Tamura(d) => tamura = Some(d),
-                Descriptor::Correlogram(d) => correlogram = Some(d),
-                Descriptor::Naive(d) => naive = Some(d),
-                Descriptor::Regions(d) => regions = Some(d),
+            match kind {
+                FeatureKind::ColorHistogram => histogram = Some(ColorHistogram::parse(s)?),
+                FeatureKind::Glcm => glcm = Some(GlcmTexture::parse(s)?),
+                FeatureKind::Gabor => gabor = Some(GaborTexture::parse(s)?),
+                FeatureKind::Tamura => tamura = Some(TamuraTexture::parse(s)?),
+                FeatureKind::Correlogram => correlogram = Some(AutoColorCorrelogram::parse(s)?),
+                FeatureKind::Naive => naive = Some(NaiveSignature::parse(s)?),
+                FeatureKind::Regions => regions = Some(RegionGrowing::parse(s)?),
             }
         }
-        let missing = |name: &str| crate::error::FeatureError::Parse(format!("missing {name} feature"));
+        let missing = |name: &str| FeatureError::Parse(format!("missing {name} feature"));
         Ok(FeatureSet {
             histogram: histogram.ok_or_else(|| missing("histogram"))?,
             glcm: glcm.ok_or_else(|| missing("glcm"))?,
@@ -144,46 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn extract_produces_consistent_descriptors() {
-        let img = sample(0);
-        let set = FeatureSet::extract(&img);
+    fn self_distance_zero_for_all_kinds() {
+        let set = FeatureSet::extract(&sample(0));
         for k in FeatureKind::ALL {
-            let standalone = Descriptor::extract(k, &img);
-            assert_eq!(set.descriptor(k), standalone, "{k}");
+            assert_eq!(set.distance(&set, k), 0.0, "{k}");
         }
-    }
-
-    #[test]
-    fn per_kind_distances_match_descriptor_distances() {
-        let a = FeatureSet::extract(&sample(0));
-        let b = FeatureSet::extract(&sample(90));
-        for k in FeatureKind::ALL {
-            let via_set = a.distance(&b, k);
-            let via_desc = a.descriptor(k).distance(&b.descriptor(k)).unwrap();
-            assert!((via_set - via_desc).abs() < 1e-12, "{k}");
-        }
-    }
-
-    #[test]
-    fn descriptor_ref_agrees_with_owned_descriptor() {
-        let a = FeatureSet::extract(&sample(0));
-        let b = FeatureSet::extract(&sample(90));
-        for k in FeatureKind::ALL {
-            assert_eq!(a.descriptor_ref(k).to_owned(), a.descriptor(k), "{k}");
-            assert_eq!(a.descriptor_ref(k).kind(), k);
-            assert_eq!(
-                a.descriptor_ref(k).to_feature_string(),
-                a.descriptor(k).to_feature_string(),
-                "{k}"
-            );
-            let via_ref = a.descriptor_ref(k).distance(&b.descriptor_ref(k)).unwrap();
-            assert!((via_ref - a.distance(&b, k)).abs() < 1e-12, "{k}");
-        }
-        // Mismatched kinds are rejected, as with owned descriptors.
-        assert!(a
-            .descriptor_ref(FeatureKind::Glcm)
-            .distance(&b.descriptor_ref(FeatureKind::Gabor))
-            .is_err());
     }
 
     #[test]
@@ -205,5 +164,20 @@ mod tests {
         strings.pop();
         let err = FeatureSet::from_feature_strings(strings.iter().map(|(k, s)| (*k, s.as_str())));
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn parse_with_wrong_kind_fails() {
+        let strings = FeatureSet::extract(&sample(2)).to_feature_strings();
+        let swapped = |kind| match kind {
+            FeatureKind::Glcm => FeatureKind::Gabor,
+            FeatureKind::Gabor => FeatureKind::Glcm,
+            other => other,
+        };
+        // Parsed in either order, whichever swapped string comes first
+        // is rejected by the other kind's parser.
+        let pairs = || strings.iter().map(|(k, s)| (swapped(*k), s.as_str()));
+        assert!(FeatureSet::from_feature_strings(pairs()).is_err());
+        assert!(FeatureSet::from_feature_strings(pairs().rev()).is_err());
     }
 }

@@ -61,14 +61,6 @@ impl ColorHistogram {
         distance::jensen_shannon(&a, &b)
     }
 
-    /// Alternative distance: histogram intersection (used by the ablation
-    /// bench to compare metrics).
-    pub fn intersection_distance(&self, other: &ColorHistogram) -> f64 {
-        let a: Vec<f64> = self.counts.iter().map(|&c| c as f64).collect();
-        let b: Vec<f64> = other.counts.iter().map(|&c| c as f64).collect();
-        distance::intersection_distance(&a, &b)
-    }
-
     /// Fig. 8 serialisation: `RGB 256 c0 c1 ... c255`.
     pub fn to_feature_string(&self) -> String {
         let mut s = String::with_capacity(BINS * 4 + 8);
@@ -165,11 +157,5 @@ mod tests {
         assert!(ColorHistogram::parse("RGB 256").is_err());
         let many = format!("RGB 256 {}", vec!["x"; 256].join(" "));
         assert!(ColorHistogram::parse(&many).is_err()); // non-numeric
-    }
-
-    #[test]
-    fn intersection_distance_is_zero_for_self() {
-        let h = ColorHistogram::extract(&flat(Rgb::new(5, 5, 5)));
-        assert!(h.intersection_distance(&h).abs() < 1e-12);
     }
 }

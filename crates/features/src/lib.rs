@@ -27,8 +27,9 @@
 //!   the paper stores in Oracle `VARCHAR2` columns (`SCH`, `GLCM`,
 //!   `GABOR`, `TAMURA`; Fig. 8 shows the formats), round-trippable.
 //!
-//! [`descriptor::Descriptor`] unifies them for the pipeline, and
-//! [`extract::FeatureSet`] bundles one of each per key frame.
+//! [`extract::FeatureSet`] bundles one of each per key frame and
+//! compares them per [`descriptor::FeatureKind`]; a
+//! [`descriptor::DescriptorRef`] borrows one of them by kind.
 //!
 //! Two *extension* descriptors implement the paper's §6 future work
 //! ("integrating more features") without disturbing the seven-feature
@@ -51,6 +52,6 @@ pub mod naive;
 pub mod region;
 pub mod tamura;
 
-pub use descriptor::{Descriptor, DescriptorRef, FeatureKind};
+pub use descriptor::{DescriptorRef, FeatureKind};
 pub use error::{FeatureError, Result};
 pub use extract::FeatureSet;

@@ -1,20 +1,15 @@
-//! Property tests for the distance kernels: the chi-squared symmetric
-//! denominator, the cosine denormal guard, and soundness of the bounded
-//! f32 query-path kernels (abandon ⇒ true distance exceeds the cutoff;
-//! no abandon ⇒ bit-identical to the unbounded kernel).
+//! Property tests for the distance kernels: soundness of the bounded f32
+//! query-path kernels (abandon ⇒ true distance exceeds the cutoff; no
+//! abandon ⇒ bit-identical to the unbounded kernel).
 
 use cbvr_features::distance::{
-    chi2, chi2_f32, cosine_distance, intersection_distance, intersection_f32, jensen_shannon,
-    jensen_shannon_f32, l2, l2_f32, mass_f32, naive_rgb_f32, rgb_diag, scaled_l1_f32,
+    jensen_shannon, jensen_shannon_f32, l2, l2_f32, mass_f32, naive_rgb_f32, rgb_diag,
+    scaled_l1_f32,
 };
 use proptest::prelude::*;
 
 fn arb_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..512.0, len)
-}
-
-fn arb_signed_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(-256.0f64..256.0, len)
 }
 
 fn pair(len: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -33,57 +28,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn chi2_is_symmetric_and_nonnegative(ab in (0usize..24).prop_flat_map(|n| {
-        (arb_signed_vec(n..n + 1), arb_signed_vec(n..n + 1))
-    })) {
-        let (a, b) = ab;
-        let d = chi2(&a, &b);
-        prop_assert!(d >= 0.0, "chi2 negative: {d}");
-        prop_assert!(d.is_finite());
-        prop_assert!((d - chi2(&b, &a)).abs() < 1e-9, "swap asymmetry");
-        let na: Vec<f64> = a.iter().map(|x| -x).collect();
-        let nb: Vec<f64> = b.iter().map(|x| -x).collect();
-        prop_assert!((d - chi2(&na, &nb)).abs() < 1e-9, "sign-flip asymmetry");
-    }
-
-    #[test]
-    fn chi2_matches_textbook_on_histograms(ab in (0usize..24).prop_flat_map(pair)) {
-        let (a, b) = ab;
-        // On non-negative inputs the symmetric denominator is the textbook one.
-        let textbook: f64 = a.iter().zip(&b)
-            .filter(|(x, y)| **x + **y > 0.0)
-            .map(|(x, y)| (x - y) * (x - y) / (x + y))
-            .sum();
-        prop_assert!((chi2(&a, &b) - textbook).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cosine_is_finite_and_bounded(ab in (1usize..24).prop_flat_map(|n| {
-        // Mixes exact zeros, denormal-range magnitudes and ordinary values.
-        fn tiny() -> impl Strategy<Value = f64> {
-            prop_oneof![
-                Just(0.0f64),
-                1e-320f64..1e-300,
-                -256.0f64..256.0,
-            ]
-        }
-        (proptest::collection::vec(tiny(), n..n + 1),
-         proptest::collection::vec(tiny(), n..n + 1))
-    })) {
-        let (a, b) = ab;
-        let d = cosine_distance(&a, &b);
-        prop_assert!(d.is_finite(), "cosine non-finite: {d}");
-        prop_assert!((0.0..=2.0).contains(&d), "cosine out of range: {d}");
-    }
-
-    #[test]
-    fn cosine_denormal_norm_returns_one(a in arb_vec(1..16)) {
-        let tiny: Vec<f64> = a.iter().map(|_| 1e-320).collect();
-        prop_assert_eq!(cosine_distance(&tiny, &a), 1.0);
-        prop_assert_eq!(cosine_distance(&a, &tiny), 1.0);
-    }
-
-    #[test]
     fn bounded_kernels_match_unbounded_at_infinite_cutoff(
         ab in (0usize..80).prop_flat_map(pair)
     ) {
@@ -92,14 +36,9 @@ proptest! {
         let (wa, wb) = (widen(&fa), widen(&fb));
         let (ma, mb) = (mass_f32(&fa), mass_f32(&fb));
         prop_assert_eq!(l2_f32(&fa, &fb, f64::INFINITY).distance, Some(l2(&wa, &wb)));
-        prop_assert_eq!(chi2_f32(&fa, &fb, f64::INFINITY).distance, Some(chi2(&wa, &wb)));
         prop_assert_eq!(
             jensen_shannon_f32(&fa, &fb, ma, mb, f64::INFINITY).distance,
             Some(jensen_shannon(&wa, &wb))
-        );
-        prop_assert_eq!(
-            intersection_f32(&fa, &fb, ma, mb, f64::INFINITY).distance,
-            Some(intersection_distance(&wa, &wb))
         );
     }
 
@@ -125,18 +64,6 @@ proptest! {
         if r.distance.is_none() {
             // JS partial terms can round ~1e-16 below exact; allow that slack.
             prop_assert!(full_js > cutoff - 1e-9, "js abandoned below true distance");
-        }
-        let full_int = intersection_f32(&fa, &fb, ma, mb, f64::INFINITY).distance.unwrap();
-        let cutoff = full_int * frac;
-        let r = intersection_f32(&fa, &fb, ma, mb, cutoff);
-        if r.distance.is_none() {
-            prop_assert!(full_int > cutoff - 1e-9, "intersection abandoned below true distance");
-        }
-        let full_chi = chi2_f32(&fa, &fb, f64::INFINITY).distance.unwrap();
-        let cutoff = full_chi * frac;
-        let r = chi2_f32(&fa, &fb, cutoff);
-        if r.distance.is_none() {
-            prop_assert!(full_chi > cutoff, "chi2 abandoned below true distance");
         }
     }
 
@@ -174,7 +101,9 @@ proptest! {
         let (fa, fb) = (to_f32(&a), to_f32(&b));
         for cutoff in [0.0, 0.1, f64::INFINITY] {
             prop_assert!(l2_f32(&fa, &fb, cutoff).elements as usize <= a.len());
-            prop_assert!(chi2_f32(&fa, &fb, cutoff).elements as usize <= a.len());
+            prop_assert!(scaled_l1_f32(&fa, &fb, 1.0, cutoff).elements as usize <= a.len());
+            let (ma, mb) = (mass_f32(&fa), mass_f32(&fb));
+            prop_assert!(jensen_shannon_f32(&fa, &fb, ma, mb, cutoff).elements as usize <= a.len());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests across all seven descriptors.
 
-use cbvr_features::{Descriptor, FeatureKind, FeatureSet};
+use cbvr_features::{FeatureKind, FeatureSet};
 use cbvr_imgproc::RgbImage;
 use proptest::prelude::*;
 
@@ -17,11 +17,12 @@ proptest! {
 
     #[test]
     fn every_descriptor_string_round_trips(img in arb_image()) {
-        for kind in FeatureKind::ALL {
-            let d = Descriptor::extract(kind, &img);
-            let s = d.to_feature_string();
-            let back = Descriptor::parse(kind, &s).unwrap();
-            prop_assert!(d.distance(&back).unwrap() < 1e-9, "{kind}: {s}");
+        let set = FeatureSet::extract(&img);
+        let strings = set.to_feature_strings();
+        let back =
+            FeatureSet::from_feature_strings(strings.iter().map(|(k, s)| (*k, s.as_str()))).unwrap();
+        for (kind, s) in &strings {
+            prop_assert!(set.distance(&back, *kind) < 1e-9, "{kind}: {s}");
         }
     }
 

@@ -2,19 +2,15 @@
 //!
 //! Key frames are grouped by their assigned [`RangeKey`]; at query time
 //! the query frame's range selects candidate buckets, pruning the feature
-//! search. Two pruning policies are provided:
-//!
-//! - [`RangeIndex::bucket_candidates`] — only the exact bucket (fastest,
-//!   lowest recall);
-//! - [`RangeIndex::overlap_candidates`] — every bucket whose range
-//!   overlaps the query's (the default: a level-1 stop like `[0,127]`
-//!   must still reach frames filed under `[0,63]`).
+//! search. [`RangeIndex::overlap_candidates`] returns every bucket whose
+//! range overlaps the query's: a level-1 stop like `[0,127]` must still
+//! reach frames filed under `[0,63]`.
 
 use crate::paper::RangeKey;
 use std::collections::BTreeMap;
 
-/// Aggregate statistics of an index (for Fig. 7 output and the ablation
-/// benches).
+/// Aggregate statistics of an index (for the diagnostics surface and
+/// Fig. 7 output).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexStats {
     /// Total items indexed.
@@ -63,11 +59,6 @@ impl<T: Clone> RangeIndex<T> {
         self.items += 1;
     }
 
-    /// Items filed under exactly `key`.
-    pub fn bucket_candidates(&self, key: RangeKey) -> Vec<T> {
-        self.buckets.get(&key).cloned().unwrap_or_default()
-    }
-
     /// Items filed under any range overlapping `key`, in bucket order.
     pub fn overlap_candidates(&self, key: RangeKey) -> Vec<T> {
         let mut out = Vec::new();
@@ -77,11 +68,6 @@ impl<T: Clone> RangeIndex<T> {
             }
         }
         out
-    }
-
-    /// Every indexed item, in bucket order (the no-index baseline).
-    pub fn all(&self) -> Vec<T> {
-        self.buckets.values().flatten().cloned().collect()
     }
 
     /// Items filed under any range overlapping `key`, sorted ascending.
@@ -97,11 +83,6 @@ impl<T: Clone> RangeIndex<T> {
         out
     }
 
-    /// Occupied buckets with their sizes, ordered by range.
-    pub fn occupancy(&self) -> Vec<(RangeKey, usize)> {
-        self.buckets.iter().map(|(k, v)| (*k, v.len())).collect()
-    }
-
     /// Visit every `(key, item)` pair in bucket order. This is what lets
     /// a caller holding several per-segment indexes fold them — with a
     /// per-item filter — into one [`BucketCounts`] view.
@@ -111,20 +92,6 @@ impl<T: Clone> RangeIndex<T> {
                 f(*k, item);
             }
         }
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> IndexStats {
-        let mut counts = BucketCounts::new();
-        counts.add_index(self, |_| true);
-        counts.stats()
-    }
-
-    /// Render the Fig. 7 indexing tree with per-node occupancy.
-    pub fn render_tree(&self) -> String {
-        let mut counts = BucketCounts::new();
-        counts.add_index(self, |_| true);
-        counts.render_tree()
     }
 }
 
@@ -216,15 +183,21 @@ mod tests {
         RangeKey { min, max }
     }
 
+    fn counts<T: Clone>(idx: &RangeIndex<T>) -> BucketCounts {
+        let mut counts = BucketCounts::new();
+        counts.add_index(idx, |_| true);
+        counts
+    }
+
     #[test]
-    fn insert_and_exact_lookup() {
+    fn insert_and_lookup() {
         let mut idx = RangeIndex::new();
         idx.insert(key(0, 63), "a");
         idx.insert(key(0, 63), "b");
         idx.insert(key(128, 255), "c");
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.bucket_candidates(key(0, 63)), vec!["a", "b"]);
-        assert_eq!(idx.bucket_candidates(key(64, 127)), Vec::<&str>::new());
+        assert_eq!(idx.overlap_candidates(key(0, 63)), vec!["a", "b"]);
+        assert_eq!(idx.overlap_candidates(key(64, 127)), Vec::<&str>::new());
     }
 
     #[test]
@@ -256,12 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn all_returns_everything() {
+    fn full_range_returns_everything() {
         let mut idx = RangeIndex::new();
         for i in 0..10 {
             idx.insert(key(32 * (i % 4) as u8, 32 * (i % 4) as u8 + 31), i);
         }
-        assert_eq!(idx.all().len(), 10);
+        assert_eq!(idx.overlap_candidates(key(0, 255)).len(), 10);
     }
 
     #[test]
@@ -271,7 +244,7 @@ mod tests {
         idx.insert(key(0, 63), "l1");
         idx.insert(key(0, 63), "l1b");
         idx.insert(key(0, 31), "l2");
-        let s = idx.stats();
+        let s = counts(&idx).stats();
         assert_eq!(s.items, 4);
         assert_eq!(s.buckets, 3);
         assert_eq!(s.max_bucket, 2);
@@ -282,10 +255,8 @@ mod tests {
     fn empty_index_behaviour() {
         let idx: RangeIndex<u32> = RangeIndex::new();
         assert!(idx.is_empty());
-        assert!(idx.bucket_candidates(key(0, 127)).is_empty());
         assert!(idx.overlap_candidates(key(0, 255)).is_empty());
-        assert!(idx.all().is_empty());
-        assert_eq!(idx.stats().buckets, 0);
+        assert_eq!(counts(&idx).stats().buckets, 0);
     }
 
     #[test]
@@ -294,7 +265,7 @@ mod tests {
         idx.insert(key(0, 63), 1);
         idx.insert(key(0, 63), 2);
         idx.insert(key(224, 255), 3);
-        let rendered = idx.render_tree();
+        let rendered = counts(&idx).render_tree();
         assert!(rendered.contains("0-63 [2]"), "{rendered}");
         assert!(rendered.contains("224-255 [1]"), "{rendered}");
         assert!(rendered.contains("0-255 (root)"));
@@ -321,8 +292,8 @@ mod tests {
         merged.add_index(&seg_a, |_| true);
         merged.add_index(&seg_b, |_| true);
         assert_eq!(merged.items(), 4);
-        assert_eq!(merged.stats(), mono.stats());
-        assert_eq!(merged.render_tree(), mono.render_tree());
+        assert_eq!(merged.stats(), counts(&mono).stats());
+        assert_eq!(merged.render_tree(), counts(&mono).render_tree());
     }
 
     #[test]
@@ -348,15 +319,5 @@ mod tests {
         let mut seen = Vec::new();
         idx.for_each_item(|k, &v| seen.push((k, v)));
         assert_eq!(seen, vec![(key(0, 31), "early"), (key(128, 191), "late")]);
-    }
-
-    #[test]
-    fn occupancy_is_sorted_by_range() {
-        let mut idx = RangeIndex::new();
-        idx.insert(key(128, 191), 0);
-        idx.insert(key(0, 31), 1);
-        let occ = idx.occupancy();
-        assert_eq!(occ[0].0, key(0, 31));
-        assert_eq!(occ[1].0, key(128, 191));
     }
 }

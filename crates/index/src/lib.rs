@@ -10,18 +10,15 @@
 //!
 //! - [`paper::paper_range`] is the exact pseudocode: three levels, its
 //!   threshold quirks included;
-//! - [`tree::RangeTree`] generalises it to any depth/threshold (used by
-//!   the ablation benches);
 //! - [`bucket::RangeIndex`] is the bucket store mapping ranges to frame
-//!   ids, with overlap-based candidate lookup and Fig. 7-style tree
-//!   rendering.
+//!   ids, with overlap-based candidate lookup;
+//! - [`bucket::BucketCounts`] folds one or more indexes into the
+//!   [`bucket::IndexStats`] and the Fig. 7-style tree rendering.
 #![warn(missing_docs)]
 
 
 pub mod bucket;
 pub mod paper;
-pub mod tree;
 
 pub use bucket::{BucketCounts, IndexStats, RangeIndex};
 pub use paper::{paper_range, RangeKey, FIRST_LEVEL_THRESHOLD, LOWER_LEVEL_THRESHOLD};
-pub use tree::{RangeTree, RangeTreeConfig};

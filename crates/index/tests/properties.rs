@@ -1,7 +1,7 @@
 //! Property tests for the range-finder index.
 
 use cbvr_imgproc::Histogram256;
-use cbvr_index::{paper_range, RangeIndex, RangeKey, RangeTree};
+use cbvr_index::{paper_range, BucketCounts, RangeIndex, RangeKey};
 use proptest::prelude::*;
 
 fn arb_histogram() -> impl Strategy<Value = Histogram256> {
@@ -18,14 +18,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn paper_tree_equals_paper_function(h in arb_histogram()) {
-        prop_assert_eq!(RangeTree::paper().assign(&h), paper_range(&h));
-    }
-
-    #[test]
     fn assignment_is_a_fig7_node(h in arb_histogram()) {
         let r = paper_range(&h);
-        let nodes = RangeTree::paper().possible_ranges();
+        // The 14 nodes below Fig. 7's root: 2 + 4 + 8 dyadic ranges.
+        let nodes = [
+            (0, 127), (128, 255),
+            (0, 63), (64, 127), (128, 191), (192, 255),
+            (0, 31), (32, 63), (64, 95), (96, 127),
+            (128, 159), (160, 191), (192, 223), (224, 255),
+        ]
+        .map(|(min, max)| RangeKey { min, max });
         prop_assert!(nodes.contains(&r), "{r} not a Fig. 7 node");
     }
 
@@ -51,20 +53,6 @@ proptest! {
     }
 
     #[test]
-    fn deeper_trees_never_widen(h in arb_histogram()) {
-        let shallow = RangeTree::new(cbvr_index::RangeTreeConfig { thresholds: vec![55.0, 60.0] })
-            .unwrap()
-            .assign(&h);
-        let deep = RangeTree::new(cbvr_index::RangeTreeConfig {
-            thresholds: vec![55.0, 60.0, 60.0, 60.0],
-        })
-        .unwrap()
-        .assign(&h);
-        prop_assert!(deep.width() <= shallow.width());
-        prop_assert!(shallow.contains(deep), "{shallow} should contain {deep}");
-    }
-
-    #[test]
     fn stats_items_equal_inserts(
         keys in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
     ) {
@@ -72,7 +60,9 @@ proptest! {
         for (i, (a, b)) in keys.iter().enumerate() {
             index.insert(RangeKey::new(*a, *b), i);
         }
-        prop_assert_eq!(index.stats().items, keys.len());
-        prop_assert_eq!(index.all().len(), keys.len());
+        let mut counts = BucketCounts::new();
+        counts.add_index(&index, |_| true);
+        prop_assert_eq!(counts.stats().items, keys.len());
+        prop_assert_eq!(index.overlap_candidates(RangeKey::new(0, 255)).len(), keys.len());
     }
 }

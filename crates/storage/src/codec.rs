@@ -50,24 +50,6 @@ impl RowWriter {
         self
     }
 
-    /// Append a count-prefixed `f32` slice (little-endian IEEE bits).
-    pub fn f32s(&mut self, v: &[f32]) -> &mut Self {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        self
-    }
-
-    /// Append a count-prefixed `f64` slice (little-endian IEEE bits).
-    pub fn f64s(&mut self, v: &[f64]) -> &mut Self {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        self
-    }
-
     /// Finish, returning the buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -140,30 +122,6 @@ impl<'a> RowReader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    /// Read a count-prefixed `f32` slice written by [`RowWriter::f32s`].
-    pub fn f32s(&mut self) -> Result<Vec<f32>> {
-        let count = self.u32()? as usize;
-        let raw = self.take(count.checked_mul(4).ok_or_else(|| {
-            StorageError::Corruption(format!("f32 slice count overflows: {count}"))
-        })?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .collect())
-    }
-
-    /// Read a count-prefixed `f64` slice written by [`RowWriter::f64s`].
-    pub fn f64s(&mut self) -> Result<Vec<f64>> {
-        let count = self.u32()? as usize;
-        let raw = self.take(count.checked_mul(8).ok_or_else(|| {
-            StorageError::Corruption(format!("f64 slice count overflows: {count}"))
-        })?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect())
-    }
-
     /// True when the whole buffer was consumed.
     pub fn at_end(&self) -> bool {
         self.pos == self.buf.len()
@@ -217,35 +175,6 @@ mod tests {
         // Re-read the bytes field as a string.
         let mut r = RowReader::new(&buf);
         assert!(r.str().is_err());
-    }
-
-    #[test]
-    fn float_slices_round_trip_bit_exact() {
-        let f32v = vec![0.0f32, -0.0, 1.5, f32::MIN_POSITIVE, f32::MAX, -3.25e-20];
-        let f64v = vec![0.0f64, -0.0, 2.5, f64::MIN_POSITIVE, f64::MAX, 1e-310];
-        let mut w = RowWriter::new();
-        w.f32s(&f32v).f64s(&f64v).f32s(&[]).f64s(&[]);
-        let buf = w.finish();
-        let mut r = RowReader::new(&buf);
-        let back32 = r.f32s().unwrap();
-        let back64 = r.f64s().unwrap();
-        assert!(back32.iter().zip(&f32v).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert!(back64.iter().zip(&f64v).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(r.f32s().unwrap(), Vec::<f32>::new());
-        assert_eq!(r.f64s().unwrap(), Vec::<f64>::new());
-        assert!(r.at_end());
-    }
-
-    #[test]
-    fn truncated_float_slices_are_detected() {
-        let mut w = RowWriter::new();
-        w.f32s(&[1.0, 2.0]).f64s(&[3.0]);
-        let buf = w.finish();
-        let mut r = RowReader::new(&buf[..buf.len() - 1]);
-        assert!(r.f32s().is_ok());
-        assert!(r.f64s().is_err());
-        let mut r = RowReader::new(&buf[..6]);
-        assert!(r.f32s().is_err());
     }
 
     #[test]

@@ -353,11 +353,10 @@ impl<B: Backend> AppState<B> {
             },
         };
         let use_index = request.param("no_index").is_none();
-        let abandon = request.param("no_abandon").is_none();
         let engine = &self.engine;
         let results = engine.query_frame(
             &frame,
-            &QueryOptions { k, weights, use_index, abandon, ..Default::default() },
+            &QueryOptions { k, weights, use_index, ..Default::default() },
         );
 
         if request.param("format") == Some("json") {

@@ -238,14 +238,18 @@ impl Response {
     }
 
     /// Serialise onto a writer (`Connection: close` semantics).
+    ///
+    /// The status line and headers go out in one `write_all`: `write!`
+    /// on an unbuffered socket issues one write per format piece, so a
+    /// client's first read could return a fragment like `HTTP/1.1 `.
     pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
-        write!(
-            writer,
+        let head = format!(
             "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status.line(),
             self.content_type,
             self.body.len()
-        )?;
+        );
+        writer.write_all(head.as_bytes())?;
         writer.write_all(&self.body)?;
         writer.flush()
     }
@@ -357,6 +361,38 @@ mod tests {
         assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(s.contains("Content-Length: 9\r\n"));
         assert!(s.ends_with("<p>hi</p>"));
+    }
+
+    /// Records every `write` call it receives, accepting each in full.
+    #[derive(Default)]
+    struct WriteLog {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn header_block_goes_out_in_one_write() {
+        let mut log = WriteLog::default();
+        Response::text(StatusCode::ServiceUnavailable, "busy\n")
+            .write_to(&mut log)
+            .unwrap();
+        let first = String::from_utf8(log.writes[0].clone()).unwrap();
+        assert_eq!(
+            first,
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 5\r\nConnection: close\r\n\r\n"
+        );
+        assert_eq!(log.writes[1..].concat(), b"busy\n");
     }
 
     #[test]
