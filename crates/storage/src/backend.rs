@@ -2,17 +2,16 @@
 //!
 //! The engine reads and writes two byte streams: the page file and the
 //! WAL. [`Backend`] abstracts them so the same engine runs on real files
-//! ([`FileBackend`]) and on memory with *fault injection*
-//! ([`MemBackend`]) — crash-recovery tests arm a fault after N writes and
-//! then verify that reopening the database replays or discards exactly
-//! the right state.
+//! ([`FileBackend`]) and on shared memory ([`MemBackend`]). Crash-recovery
+//! tests wrap a [`MemBackend`] in a [`crate::fault::FaultBackend`], arm a
+//! fault at the Nth I/O operation, and then verify that reopening the
+//! database replays or discards exactly the right state.
 
 use crate::error::{Result, StorageError};
 use std::sync::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A random-access, growable byte store.
@@ -30,8 +29,7 @@ pub trait Backend: Send {
     }
     /// Truncate to `len` bytes.
     fn truncate(&mut self, len: u64) -> Result<()>;
-    /// Durability barrier (fsync for files; fault-countable no-op in
-    /// memory).
+    /// Durability barrier (fsync for files; a no-op in memory).
     fn sync(&mut self) -> Result<()>;
 }
 
@@ -79,83 +77,23 @@ impl Backend for FileBackend {
     }
 }
 
-/// Shared fault trigger: errors every mutation once fewer than one write
-/// remains. Cloneable so a test can hold the trigger while the engine
-/// owns the backend.
-#[derive(Clone, Default)]
-pub struct FaultPlan {
-    remaining_writes: Arc<AtomicU64>,
-    armed: Arc<AtomicU64>,
-}
-
-impl FaultPlan {
-    /// No faults.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// Fail every write/sync after `n` more mutations succeed.
-    pub fn fail_after_writes(&self, n: u64) {
-        self.remaining_writes.store(n, Ordering::SeqCst);
-        self.armed.store(1, Ordering::SeqCst);
-    }
-
-    /// Disarm: all operations succeed again (the "reboot").
-    pub fn heal(&self) {
-        self.armed.store(0, Ordering::SeqCst);
-    }
-
-    fn consume(&self) -> Result<()> {
-        if self.armed.load(Ordering::SeqCst) == 0 {
-            return Ok(());
-        }
-        // Decrement-with-floor: when the budget is exhausted, fail.
-        loop {
-            let cur = self.remaining_writes.load(Ordering::SeqCst);
-            if cur == 0 {
-                return Err(StorageError::Io(std::io::Error::other(
-                    "injected fault: simulated crash",
-                )));
-            }
-            if self
-                .remaining_writes
-                .compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// In-memory backend with optional fault injection. The buffer is shared
-/// behind a mutex so a "reopened" backend (fresh [`MemBackend`] from
-/// [`MemBackend::share`]) sees exactly the bytes that survived the crash.
+/// In-memory backend. The buffer is shared behind a mutex so a
+/// "reopened" backend (fresh [`MemBackend`] from [`MemBackend::share`])
+/// sees exactly the bytes that survived the crash.
 pub struct MemBackend {
     data: Arc<Mutex<Vec<u8>>>,
-    faults: FaultPlan,
 }
 
 impl MemBackend {
-    /// Fresh empty store without faults.
+    /// Fresh empty store.
     pub fn new() -> MemBackend {
-        MemBackend { data: Arc::new(Mutex::new(Vec::new())), faults: FaultPlan::none() }
-    }
-
-    /// Fresh empty store wired to a fault plan.
-    pub fn with_faults(faults: FaultPlan) -> MemBackend {
-        MemBackend { data: Arc::new(Mutex::new(Vec::new())), faults }
+        MemBackend { data: Arc::new(Mutex::new(Vec::new())) }
     }
 
     /// Another handle onto the same bytes (simulates reopening the file
     /// after a crash).
     pub fn share(&self) -> MemBackend {
-        MemBackend { data: Arc::clone(&self.data), faults: self.faults.clone() }
-    }
-
-    /// The fault trigger for tests.
-    pub fn faults(&self) -> FaultPlan {
-        self.faults.clone()
+        MemBackend { data: Arc::clone(&self.data) }
     }
 }
 
@@ -188,7 +126,6 @@ impl Backend for MemBackend {
     }
 
     fn write_at(&mut self, offset: u64, buf: &[u8]) -> Result<()> {
-        self.faults.consume()?;
         let mut data = self.data.lock().map_err(|_| lock_poisoned())?;
         let start = offset as usize;
         let end = start + buf.len();
@@ -204,14 +141,12 @@ impl Backend for MemBackend {
     }
 
     fn truncate(&mut self, len: u64) -> Result<()> {
-        self.faults.consume()?;
         let mut data = self.data.lock().map_err(|_| lock_poisoned())?;
         data.truncate(len as usize);
         Ok(())
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.faults.consume()?;
         Ok(())
     }
 }
@@ -263,20 +198,6 @@ mod tests {
         let mut buf = [0u8; 3];
         b.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"xyz");
-    }
-
-    #[test]
-    fn fault_plan_fails_after_budget() {
-        let plan = FaultPlan::none();
-        let mut b = MemBackend::with_faults(plan.clone());
-        b.write_at(0, b"one").unwrap();
-        plan.fail_after_writes(2);
-        b.write_at(0, b"two").unwrap(); // budget 2 → 1
-        b.sync().unwrap(); // budget 1 → 0
-        assert!(b.write_at(0, b"boom").is_err());
-        assert!(b.sync().is_err());
-        plan.heal();
-        b.write_at(0, b"ok").unwrap();
     }
 
     #[test]

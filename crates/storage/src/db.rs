@@ -24,7 +24,7 @@
 //! Rows that outgrow a B+-tree cell spill transparently to the blob heap
 //! (tag byte `1` + blob ref instead of tag `0` + inline row).
 
-use crate::backend::{Backend, FaultPlan, FileBackend, MemBackend};
+use crate::backend::{Backend, FileBackend, MemBackend};
 use crate::btree::{BTree, MAX_VALUE_LEN};
 use crate::error::{Result, StorageError};
 use crate::heap::{free_blob, read_blob, write_blob, BlobRef};
@@ -101,21 +101,6 @@ impl CbvrDatabase<MemBackend> {
     /// Fresh in-memory database (tests, benches, examples).
     pub fn in_memory() -> Result<CbvrDatabase<MemBackend>> {
         Self::open(MemBackend::new(), MemBackend::new())
-    }
-
-    /// In-memory database with shared handles, for crash/recovery tests.
-    pub fn on_backends(data: MemBackend, wal: MemBackend) -> Result<CbvrDatabase<MemBackend>> {
-        Self::open(data, wal)
-    }
-
-    /// In-memory database wired to a fault plan on the data file.
-    pub fn in_memory_with_faults() -> Result<(CbvrDatabase<MemBackend>, FaultPlan, MemBackend, MemBackend)>
-    {
-        let data = MemBackend::new();
-        let wal = MemBackend::new();
-        let plan = data.faults();
-        let db = Self::open(data.share(), wal.share())?;
-        Ok((db, plan, data, wal))
     }
 }
 
@@ -752,6 +737,7 @@ pub struct DbStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultBackend, FaultInjector, FaultKind};
 
     fn video_record(name: &str, payload: usize) -> VideoRecord {
         VideoRecord {
@@ -799,11 +785,11 @@ mod tests {
         let data = MemBackend::new();
         let wal = MemBackend::new();
         {
-            let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+            let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
             assert_eq!(db.insert_video(&video_record("one", 10)).unwrap(), 1);
             assert_eq!(db.insert_video(&video_record("two", 10)).unwrap(), 2);
         }
-        let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+        let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
         assert_eq!(db.insert_video(&video_record("three", 10)).unwrap(), 3);
         assert_eq!(db.video_count().unwrap(), 3);
         assert_eq!(db.get_video(2).unwrap().v_name, "two");
@@ -895,7 +881,7 @@ mod tests {
         let data = MemBackend::new();
         let wal = MemBackend::new();
         {
-            let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+            let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
             db.run_batch(|db| {
                 let v = db.insert_video(&video_record("batched", 100))?;
                 for i in 0..3 {
@@ -905,7 +891,7 @@ mod tests {
             })
             .unwrap();
         }
-        let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+        let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
         assert_eq!(db.video_count().unwrap(), 1);
         assert_eq!(db.key_frame_count().unwrap(), 3);
     }
@@ -925,14 +911,21 @@ mod tests {
 
     #[test]
     fn data_fault_mid_batch_commits_degraded() {
-        let (mut db, faults, data, wal) = CbvrDatabase::in_memory_with_faults().unwrap();
+        let data = MemBackend::new();
+        let wal = MemBackend::new();
+        let faults = FaultInjector::new(0);
+        let mut db = CbvrDatabase::open(
+            FaultBackend::new(data.share(), faults.clone()),
+            FaultBackend::new(wal.share(), FaultInjector::new(0)),
+        )
+        .unwrap();
         db.insert_video(&video_record("safe", 100)).unwrap();
         // The data file dies during the commit's propagation phase. The
         // WAL record is already durable, so the batch IS committed: the
         // database degrades instead of failing the commit.
         let result: Result<u64> = db.run_batch(|db| {
             let v = db.insert_video(&video_record("doomed", 30_000))?;
-            faults.fail_after_writes(0);
+            faults.arm_after(1, FaultKind::Crash);
             Ok(v)
         });
         assert!(result.is_ok(), "WAL-durable commit must succeed");
@@ -942,7 +935,7 @@ mod tests {
         drop(db);
         faults.heal();
         // Recovery replays the WAL: both commits survive, bytes intact.
-        let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+        let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
         let videos = db.list_videos().unwrap();
         assert_eq!(videos.len(), 2, "both committed batches survive");
         assert!(videos.iter().any(|(_, name, _)| name == "safe"));
@@ -958,14 +951,14 @@ mod tests {
         let data = MemBackend::new();
         let wal = MemBackend::new();
         {
-            let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+            let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
             assert!(db.list_manifest().unwrap().is_empty(), "fresh db has no manifest");
             db.append_manifest_segment(ManifestSegment { min_i_id: 1, max_i_id: 4, rows: 4 })
                 .unwrap();
             db.append_manifest_segment(ManifestSegment { min_i_id: 5, max_i_id: 9, rows: 5 })
                 .unwrap();
         }
-        let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+        let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
         let segments = db.list_manifest().unwrap();
         assert_eq!(
             segments,
@@ -1115,7 +1108,7 @@ mod vacuum_tests {
             db.insert_key_frame(&kf_record(v)).unwrap();
             db.vacuum_into(data.share(), wal.share()).unwrap();
         }
-        let mut reopened = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+        let mut reopened = CbvrDatabase::open(data.share(), wal.share()).unwrap();
         assert_eq!(reopened.video_count().unwrap(), 1);
         assert_eq!(reopened.key_frame_count().unwrap(), 1);
     }

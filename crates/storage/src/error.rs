@@ -68,9 +68,8 @@ impl StorageError {
     }
 
     /// True when the error originated from the deterministic fault
-    /// injector ([`crate::fault::FaultInjector`] or the simpler
-    /// [`crate::backend::FaultPlan`]). Used by telemetry to separate
-    /// injected faults from organic I/O failures.
+    /// injector ([`crate::fault::FaultInjector`]). Used by telemetry to
+    /// separate injected faults from organic I/O failures.
     pub fn is_injected(&self) -> bool {
         match self {
             StorageError::Io(e) => e.to_string().contains("injected fault"),

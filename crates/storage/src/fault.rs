@@ -87,9 +87,8 @@ enum Decision {
     Dead(u64),
 }
 
-/// Shared, clonable trigger for a [`FaultBackend`]. The test holds one
-/// handle while the engine owns the backend, mirroring
-/// [`crate::backend::FaultPlan`] but operation-counted and seeded.
+/// Shared, clonable trigger for a [`FaultBackend`]: operation-counted and
+/// seeded. The test holds one handle while the engine owns the backend.
 #[derive(Clone)]
 pub struct FaultInjector {
     inner: Arc<Mutex<InjectorInner>>,
@@ -142,11 +141,6 @@ impl FaultInjector {
     /// Errors injected so far.
     pub fn injected(&self) -> u64 {
         self.lock().injected
-    }
-
-    /// The seed this injector derives fault shapes from.
-    pub fn seed(&self) -> u64 {
-        self.lock().seed
     }
 
     /// Count one operation and decide its fate.
@@ -319,8 +313,9 @@ impl<B: Backend> Backend for FaultBackend<B> {
 
 /// Attempts per I/O operation (1 initial + 2 retries).
 pub const RETRY_ATTEMPTS: u32 = 3;
-/// First backoff; doubles per retry. Kept tiny: callers hold no locks
-/// worth mentioning, and tests sweep thousands of operations.
+/// Backoff unit: retry `n` sleeps `n * RETRY_BASE` (linear). Kept tiny:
+/// callers hold no locks worth mentioning, and tests sweep thousands of
+/// operations.
 const RETRY_BASE: std::time::Duration = std::time::Duration::from_micros(100);
 
 /// Fault counters fed by [`with_retry`], merged into
@@ -341,8 +336,8 @@ impl FaultCounters {
     }
 }
 
-/// Run `op`, retrying up to [`RETRY_ATTEMPTS`] times with exponential
-/// backoff while the error is transient ([`StorageError::is_transient`]).
+/// Run `op`, retrying up to [`RETRY_ATTEMPTS`] times with linear backoff
+/// while the error is transient ([`StorageError::is_transient`]).
 /// `op` must be idempotent: callers pin offsets and buffers before the
 /// first attempt so a retry rewrites exactly the same bytes.
 pub fn with_retry<T>(counters: &mut FaultCounters, mut op: impl FnMut() -> Result<T>) -> Result<T> {

@@ -18,8 +18,9 @@
 //! table scans, BLOB streams, and durability:
 //!
 //! - [`page`] — 4 KiB pages with typed read/write cursors;
-//! - [`backend`] — the byte-level storage abstraction: real files or an
-//!   in-memory backend with fault injection for crash tests;
+//! - [`backend`] — the byte-level storage abstraction: real files or a
+//!   shared in-memory buffer (crash tests wrap it in
+//!   [`fault::FaultBackend`]);
 //! - [`wal`] — page-image write-ahead log: commits append full after
 //!   images, fsync, then propagate to the data file (no-steal / force,
 //!   torn-page safe);

@@ -86,23 +86,9 @@ pub struct Pager<B: Backend> {
 
 impl<B: Backend> Pager<B> {
     /// Open (or create) a paged store, running WAL recovery first.
-    pub fn open(mut data: B, wal_backend: B, capacity: usize) -> Result<Pager<B>> {
+    pub fn open(data: B, wal_backend: B, capacity: usize) -> Result<Pager<B>> {
         let mut wal = Wal::new(wal_backend);
-        let mut fault_counters = FaultCounters::default();
-
-        // Recovery: push committed images into the data file.
         let (images, replayed) = wal.recover_records()?;
-        if !images.is_empty() {
-            for (id, page) in &images {
-                let offset = *id as u64 * PAGE_SIZE as u64;
-                with_retry(&mut fault_counters, || data.write_at(offset, page.as_bytes()))
-                    .map_err(|e| e.with_context("replaying WAL image during open"))?;
-            }
-            with_retry(&mut fault_counters, || data.sync())
-                .map_err(|e| e.with_context("syncing replayed pages during open"))?;
-            wal.reset()?;
-        }
-
         let mut pager = Pager {
             data,
             wal,
@@ -120,9 +106,13 @@ impl<B: Backend> Pager<B> {
             },
             wal_pending: false,
             telemetry: StorageTelemetry { wal_replays: replayed, ..StorageTelemetry::default() },
-            fault_counters,
+            fault_counters: FaultCounters::default(),
         };
 
+        // Recovery: push committed images into the data file.
+        if !images.is_empty() {
+            pager.apply_images(&images)?;
+        }
         if pager.data.is_empty()? {
             // Fresh store: write the initial meta page durably.
             pager.meta_dirty = true;
@@ -340,35 +330,26 @@ impl<B: Backend> Pager<B> {
             return Ok(());
         }
         let (images, _) = self.wal.recover_records()?;
-        for (id, page) in &images {
-            let offset = *id as u64 * PAGE_SIZE as u64;
-            let Pager { data, fault_counters, .. } = self;
-            with_retry(fault_counters, || data.write_at(offset, page.as_bytes()))
-                .map_err(|e| e.with_context("propagating committed page"))?;
-        }
-        let Pager { data, fault_counters, .. } = self;
-        with_retry(fault_counters, || data.sync())
-            .map_err(|e| e.with_context("syncing propagated pages"))?;
-        self.wal.reset()?;
+        self.apply_images(&images)?;
         self.wal_pending = false;
         self.evict_if_needed();
         Ok(())
     }
 
-    /// Write the staged images directly (the fast path that skips
-    /// re-reading the WAL). The caller must already have appended them.
-    fn propagate(&mut self, images: &[(PageId, Page)]) -> Result<()> {
+    /// Write committed page images to the data file, sync it, then
+    /// truncate the WAL. The one path by which committed pages reach the
+    /// data file: open-time recovery, [`Pager::checkpoint`] and
+    /// [`Pager::commit`] all end here.
+    fn apply_images(&mut self, images: &[(PageId, Page)]) -> Result<()> {
+        let Pager { data, fault_counters, .. } = self;
         for (id, page) in images {
             let offset = *id as u64 * PAGE_SIZE as u64;
-            let Pager { data, fault_counters, .. } = self;
             with_retry(fault_counters, || data.write_at(offset, page.as_bytes()))
-                .map_err(|e| e.with_context("propagating committed page"))?;
+                .map_err(|e| e.with_context("writing committed page"))?;
         }
-        let Pager { data, fault_counters, .. } = self;
         with_retry(fault_counters, || data.sync())
-            .map_err(|e| e.with_context("syncing propagated pages"))?;
-        self.wal.reset()?;
-        Ok(())
+            .map_err(|e| e.with_context("syncing committed pages"))?;
+        self.wal.reset()
     }
 
     /// Durably commit all staged writes: WAL append+fsync → data
@@ -423,7 +404,7 @@ impl<B: Backend> Pager<B> {
             self.checkpoint()
         } else {
             self.wal_pending = true;
-            self.propagate(&images)
+            self.apply_images(&images)
         };
         match propagated {
             Ok(()) => {
@@ -470,6 +451,7 @@ impl<B: Backend> Pager<B> {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::fault::{FaultBackend, FaultInjector, FaultKind};
 
     fn open_mem() -> (Pager<MemBackend>, MemBackend, MemBackend) {
         let data = MemBackend::new();
@@ -554,28 +536,42 @@ mod tests {
         assert_eq!(pager.user_meta()[63], 0xCD);
     }
 
+    /// A pager over fault-wrapped handles onto `data` and `wal`, plus the
+    /// (disarmed) injectors of the data file and the WAL.
+    fn open_faulted(
+        data: &MemBackend,
+        wal: &MemBackend,
+    ) -> (Pager<FaultBackend<MemBackend>>, FaultInjector, FaultInjector) {
+        let (data_inj, wal_inj) = (FaultInjector::new(0), FaultInjector::new(0));
+        let pager = Pager::open(
+            FaultBackend::new(data.share(), data_inj.clone()),
+            FaultBackend::new(wal.share(), wal_inj.clone()),
+            16,
+        )
+        .unwrap();
+        (pager, data_inj, wal_inj)
+    }
+
     #[test]
     fn crash_before_data_write_recovers_from_wal() {
         let data = MemBackend::new();
         let wal = MemBackend::new();
-        let faults = data.faults();
-        {
-            let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
-            let id = pager.allocate().unwrap();
-            pager.write_page(id, page_of(42)).unwrap();
-            pager.commit().unwrap();
-            // Stage a second commit, then crash after the WAL lands but
-            // before any data-file write: the WAL fsync consumes no data
-            // backend writes, so fail the data backend immediately.
-            pager.write_page(id, page_of(43)).unwrap();
-            faults.fail_after_writes(0);
-            // The WAL fsync is the commit point: the commit succeeds and
-            // the pager degrades until the images can propagate.
-            pager.commit().unwrap();
-            assert!(pager.wal_pending(), "propagation failure must leave the pager degraded");
-            // The committed page stays readable from the pinned cache.
-            assert_eq!(pager.read_page(id).unwrap(), page_of(43));
-        }
+        let (mut pager, faults, _) = open_faulted(&data, &wal);
+        let id = pager.allocate().unwrap();
+        pager.write_page(id, page_of(42)).unwrap();
+        pager.commit().unwrap();
+        // Stage a second commit, then crash after the WAL lands but
+        // before any data-file write: the WAL fsync touches no data
+        // backend operation, so kill the data backend at its next one.
+        pager.write_page(id, page_of(43)).unwrap();
+        faults.arm_after(1, FaultKind::Crash);
+        // The WAL fsync is the commit point: the commit succeeds and
+        // the pager degrades until the images can propagate.
+        pager.commit().unwrap();
+        assert!(pager.wal_pending(), "propagation failure must leave the pager degraded");
+        // The committed page stays readable from the pinned cache.
+        assert_eq!(pager.read_page(id).unwrap(), page_of(43));
+        drop(pager);
         faults.heal();
         // Reopen: recovery must replay the committed WAL record.
         let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
@@ -586,11 +582,10 @@ mod tests {
     fn checkpoint_heals_a_degraded_pager_in_process() {
         let data = MemBackend::new();
         let wal = MemBackend::new();
-        let faults = data.faults();
-        let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
+        let (mut pager, faults, _) = open_faulted(&data, &wal);
         let id = pager.allocate().unwrap();
         pager.write_page(id, page_of(7)).unwrap();
-        faults.fail_after_writes(0);
+        faults.arm_after(1, FaultKind::Crash);
         pager.commit().unwrap();
         assert!(pager.wal_pending());
         // Still sick: checkpoint fails, degradation persists.
@@ -611,14 +606,13 @@ mod tests {
     fn abort_while_degraded_restores_the_committed_snapshot() {
         let data = MemBackend::new();
         let wal = MemBackend::new();
-        let faults = data.faults();
-        let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
+        let (mut pager, faults, _) = open_faulted(&data, &wal);
         let id = pager.allocate().unwrap();
         pager.write_page(id, page_of(1)).unwrap();
         let mut meta = [0u8; USER_META_LEN];
         meta[0] = 0x11;
         pager.set_user_meta(meta);
-        faults.fail_after_writes(0);
+        faults.arm_after(1, FaultKind::Crash);
         pager.commit().unwrap(); // durable in WAL, data file lags
         assert!(pager.wal_pending());
         // Stage more work, then abort it: the restore point must be the
@@ -637,22 +631,20 @@ mod tests {
     fn degraded_commits_accumulate_and_replay_in_order() {
         let data = MemBackend::new();
         let wal = MemBackend::new();
-        let faults = data.faults();
-        {
-            let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
-            let id = pager.allocate().unwrap();
-            pager.write_page(id, page_of(1)).unwrap();
-            pager.commit().unwrap();
-            faults.fail_after_writes(0);
-            // Two more commits while the data file is unreachable; the
-            // WAL keeps both records.
-            pager.write_page(id, page_of(2)).unwrap();
-            pager.commit().unwrap();
-            pager.write_page(id, page_of(3)).unwrap();
-            pager.commit().unwrap();
-            assert!(pager.wal_pending());
-            assert_eq!(pager.read_page(id).unwrap(), page_of(3));
-        }
+        let (mut pager, faults, _) = open_faulted(&data, &wal);
+        let id = pager.allocate().unwrap();
+        pager.write_page(id, page_of(1)).unwrap();
+        pager.commit().unwrap();
+        faults.arm_after(1, FaultKind::Crash);
+        // Two more commits while the data file is unreachable; the WAL
+        // keeps both records.
+        pager.write_page(id, page_of(2)).unwrap();
+        pager.commit().unwrap();
+        pager.write_page(id, page_of(3)).unwrap();
+        pager.commit().unwrap();
+        assert!(pager.wal_pending());
+        assert_eq!(pager.read_page(id).unwrap(), page_of(3));
+        drop(pager);
         faults.heal();
         let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
         assert_eq!(pager.read_page(1).unwrap(), page_of(3), "latest commit wins after replay");
@@ -662,17 +654,10 @@ mod tests {
     fn transient_data_faults_are_retried_and_counted() {
         let data = MemBackend::new();
         let wal = MemBackend::new();
-        // Use the operation-counted injector for a one-shot transient.
-        let inj = crate::fault::FaultInjector::new(0);
-        let mut pager = Pager::open(
-            crate::fault::FaultBackend::new(data.share(), inj.clone()),
-            crate::fault::FaultBackend::new(wal.share(), crate::fault::FaultInjector::new(0)),
-            16,
-        )
-        .unwrap();
+        let (mut pager, inj, _) = open_faulted(&data, &wal);
         let id = pager.allocate().unwrap();
         pager.write_page(id, page_of(5)).unwrap();
-        inj.arm_after(1, crate::fault::FaultKind::Transient);
+        inj.arm_after(1, FaultKind::Transient);
         pager.commit().unwrap();
         assert!(!pager.wal_pending(), "a retried transient must not degrade the pager");
         let t = pager.telemetry();
@@ -684,17 +669,15 @@ mod tests {
     fn crash_before_wal_sync_loses_only_the_torn_commit() {
         let data = MemBackend::new();
         let wal = MemBackend::new();
-        let wal_faults = wal.faults();
-        {
-            let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
-            let id = pager.allocate().unwrap();
-            pager.write_page(id, page_of(1)).unwrap();
-            pager.commit().unwrap();
-            pager.write_page(id, page_of(2)).unwrap();
-            // Crash during the WAL append itself.
-            wal_faults.fail_after_writes(0);
-            assert!(pager.commit().is_err());
-        }
+        let (mut pager, _, wal_faults) = open_faulted(&data, &wal);
+        let id = pager.allocate().unwrap();
+        pager.write_page(id, page_of(1)).unwrap();
+        pager.commit().unwrap();
+        pager.write_page(id, page_of(2)).unwrap();
+        // Crash during the WAL append itself.
+        wal_faults.arm_after(1, FaultKind::Crash);
+        assert!(pager.commit().is_err());
+        drop(pager);
         wal_faults.heal();
         let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
         assert_eq!(pager.read_page(1).unwrap(), page_of(1), "previous commit intact");

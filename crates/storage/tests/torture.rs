@@ -2,7 +2,9 @@
 //! periodic crash-and-recover cycles.
 
 use cbvr_storage::backend::MemBackend;
-use cbvr_storage::{CbvrDatabase, KeyFrameRecord, VideoRecord};
+use cbvr_storage::{
+    CbvrDatabase, FaultBackend, FaultInjector, FaultKind, KeyFrameRecord, VideoRecord,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -60,7 +62,7 @@ proptest! {
     fn random_workload_matches_model(ops in proptest::collection::vec(arb_op(), 1..40)) {
         let data = MemBackend::new();
         let wal = MemBackend::new();
-        let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+        let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
 
         // Model: video id → (name, video size, key-frame ids).
         let mut model: BTreeMap<u64, (String, usize, Vec<u64>)> = BTreeMap::new();
@@ -107,7 +109,7 @@ proptest! {
                         "one WAL commit per autocommitted op"
                     );
                     drop(db);
-                    db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+                    db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
                     // Every commit fully checkpointed before the clean
                     // close, so a clean reopen must replay nothing.
                     prop_assert_eq!(db.telemetry().wal_replays, 0);
@@ -157,8 +159,15 @@ fn replay_counter_matches_injected_crashes() {
     const CRASHES: u64 = 5;
     let data = MemBackend::new();
     let wal = MemBackend::new();
-    let faults = data.faults();
-    let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+    let faults = FaultInjector::new(0);
+    let open = || {
+        CbvrDatabase::open(
+            FaultBackend::new(data.share(), faults.clone()),
+            FaultBackend::new(wal.share(), FaultInjector::new(0)),
+        )
+        .unwrap()
+    };
+    let mut db = open();
     assert_eq!(db.telemetry().wal_replays, 0, "fresh store has nothing to replay");
 
     let mut replays_total = 0u64;
@@ -171,7 +180,7 @@ fn replay_counter_matches_injected_crashes() {
         // write fails — the classic torn checkpoint. The WAL fsync is the
         // commit point, so the insert succeeds and the db degrades; the
         // WAL keeps the stranded record for the reboot to replay.
-        faults.fail_after_writes(0);
+        faults.arm_after(1, FaultKind::Crash);
         let crashed = video_record(cycle * 2 + 2, 400);
         db.insert_video(&crashed).unwrap();
         assert!(db.is_degraded(), "data-file fault must degrade the db");
@@ -179,7 +188,7 @@ fn replay_counter_matches_injected_crashes() {
         faults.heal();
 
         // Reboot: recovery replays exactly the one stranded record.
-        db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+        db = open();
         let t = db.telemetry();
         assert_eq!(t.wal_replays, 1, "cycle {cycle}: one crash, one replayed record");
         replays_total += t.wal_replays;
@@ -196,7 +205,7 @@ fn replay_counter_matches_injected_crashes() {
 
     // A final clean close/open cycle replays nothing.
     drop(db);
-    let mut db = CbvrDatabase::on_backends(data.share(), wal.share()).unwrap();
+    let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
     assert_eq!(db.telemetry().wal_replays, 0);
     assert_eq!(db.video_count().unwrap(), 2 * CRASHES as usize);
 }

@@ -410,6 +410,7 @@ mod tests {
     use super::*;
     use cbvr_core::{ingest_video, IngestConfig};
     use cbvr_storage::backend::MemBackend;
+    use cbvr_storage::{FaultBackend, FaultInjector, FaultKind};
     use cbvr_video::{Category, GeneratorConfig, VideoGenerator};
     use std::collections::BTreeMap;
 
@@ -579,7 +580,12 @@ mod tests {
 
     #[test]
     fn health_reports_degradation_and_self_heals() {
-        let (mut db, faults, _data, _wal) = CbvrDatabase::in_memory_with_faults().unwrap();
+        let faults = FaultInjector::new(0);
+        let mut db = CbvrDatabase::open(
+            FaultBackend::new(MemBackend::new(), faults.clone()),
+            FaultBackend::new(MemBackend::new(), FaultInjector::new(0)),
+        )
+        .unwrap();
         let generator = VideoGenerator::new(GeneratorConfig {
             width: 32,
             height: 24,
@@ -600,7 +606,7 @@ mod tests {
         // the ingest succeeds and the database degrades.
         {
             let mut db = app.db.lock().unwrap();
-            faults.fail_after_writes(0);
+            faults.arm_after(1, FaultKind::Crash);
             let clip = generator.generate(Category::News, 2).unwrap();
             ingest_video(&mut db, "news_1", &clip, &IngestConfig::default()).unwrap();
             assert!(db.is_degraded(), "data-file fault must degrade the db");
