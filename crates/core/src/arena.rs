@@ -1,10 +1,9 @@
 //! Columnar descriptor arena + exact early-abandon cascade scoring.
 //!
-//! The seed engine stored one heap-allocated [`FeatureSet`] per catalog
-//! entry and the candidate scan pointer-chased seven descriptors per
-//! candidate, always paying the full Gabor/correlogram/histogram kernel
-//! cost even for candidates that could never enter the top-k. This module
-//! replaces that layout with a structure-of-arrays arena:
+//! The arena is the catalog's only stored form of a row's descriptors:
+//! sealing a segment vectorizes each [`FeatureSet`] once and drops it.
+//! Ranking, calibration and compaction all read the same rows, laid out
+//! as a structure of arrays:
 //!
 //! - one contiguous, 64-byte-aligned `f32` slab per feature kind, with a
 //!   fixed per-entry stride (`entry i`'s vector is `slab[i*dim..(i+1)*dim]`),
@@ -210,6 +209,33 @@ fn prebound(kind: FeatureKind, stat_a: f64, stat_b: f64) -> f64 {
     raw * (1.0 - BOUND_SLOP)
 }
 
+/// One stored row: an arena and an entry index in it.
+pub(crate) type Row<'a> = (&'a DescriptorArena, usize);
+
+/// The kind's native distance between rows `a` and `b`, or `None` once
+/// its kernel proves it exceeds `cutoff`. The one distance definition:
+/// ranking calls it with the query as `a`, calibration with two catalog
+/// rows and an infinite cutoff.
+pub(crate) fn stage_distance(kind: FeatureKind, a: Row, b: Row, cutoff: f64) -> BoundedDistance {
+    let (av, bv) = (a.0.slice(kind, a.1), b.0.slice(kind, b.1));
+    match kind {
+        FeatureKind::ColorHistogram => {
+            let k = kind as usize;
+            jensen_shannon_f32(av, bv, a.0.stats[k][a.1], b.0.stats[k][b.1], cutoff)
+        }
+        FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => l2_f32(av, bv, cutoff),
+        FeatureKind::Correlogram => scaled_l1_f32(av, bv, kind_dim(kind) as f64, cutoff),
+        FeatureKind::Naive => naive_rgb_f32(av, bv, cutoff),
+        FeatureKind::Regions => {
+            let r = regions_rel_f32(av, bv);
+            match r.distance {
+                Some(d) if d > cutoff => BoundedDistance { distance: None, elements: r.elements },
+                _ => r,
+            }
+        }
+    }
+}
+
 /// Columnar storage for every catalog entry's descriptors: seven aligned
 /// `f32` slabs (one per kind, fixed stride) plus per-entry bound stats.
 pub struct DescriptorArena {
@@ -244,7 +270,8 @@ impl DescriptorArena {
         self.len == 0
     }
 
-    /// Total bytes of slab storage (the `query.arena.bytes` gauge).
+    /// Total bytes of slab storage (what each build adds to the
+    /// cumulative `query.arena.bytes` counter).
     pub fn bytes(&self) -> usize {
         let slabs: usize = self.data.iter().map(AlignedF32::bytes).sum();
         let stats: usize = self.stats.iter().map(|s| s.len() * std::mem::size_of::<f64>()).sum();
@@ -264,39 +291,20 @@ impl DescriptorArena {
         self.len += 1;
     }
 
+    /// Append a copy of `src`'s entry `i`: its slab slices and bound
+    /// stats as stored, without vectorizing again.
+    pub(crate) fn push_row(&mut self, src: &DescriptorArena, i: usize) {
+        for kind in FeatureKind::ALL {
+            self.data[kind as usize].extend_from_slice(src.slice(kind, i));
+            self.stats[kind as usize].push(src.stats[kind as usize][i]);
+        }
+        self.len += 1;
+    }
+
     /// Entry `i`'s vector for `kind`.
     pub fn slice(&self, kind: FeatureKind, i: usize) -> &[f32] {
         let dim = kind_dim(kind);
         &self.data[kind as usize].as_slice()[i * dim..(i + 1) * dim]
-    }
-
-    /// The kind's native distance between `query` and entry `i`, or `None`
-    /// once its kernel proves it exceeds `cutoff`.
-    fn stage_distance(
-        &self,
-        kind: FeatureKind,
-        query: &QueryVectors,
-        i: usize,
-        cutoff: f64,
-    ) -> BoundedDistance {
-        let k = kind as usize;
-        let qv = query.vecs[k].as_slice();
-        let ev = self.slice(kind, i);
-        match kind {
-            FeatureKind::ColorHistogram => {
-                jensen_shannon_f32(qv, ev, query.stats[k], self.stats[k][i], cutoff)
-            }
-            FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => l2_f32(qv, ev, cutoff),
-            FeatureKind::Correlogram => scaled_l1_f32(qv, ev, kind_dim(kind) as f64, cutoff),
-            FeatureKind::Naive => naive_rgb_f32(qv, ev, cutoff),
-            FeatureKind::Regions => {
-                let r = regions_rel_f32(qv, ev);
-                match r.distance {
-                    Some(d) if d > cutoff => BoundedDistance { distance: None, elements: r.elements },
-                    _ => r,
-                }
-            }
-        }
     }
 
     /// A lower bound of entry `i`'s *distance* `1 − score` from `query`,
@@ -320,11 +328,11 @@ impl DescriptorArena {
         for stage in &plan.stages {
             let k = stage.kind as usize;
             let d = if LOWER_BOUND_KINDS.contains(&stage.kind) {
-                let r = self.stage_distance(stage.kind, query, i, f64::INFINITY);
+                let r = stage_distance(stage.kind, (&query.0, 0), (self, i), f64::INFINITY);
                 tally.elements += r.elements as u64;
                 r.distance.expect("an infinite cutoff never abandons")
             } else {
-                prebound(stage.kind, query.stats[k], self.stats[k][i])
+                prebound(stage.kind, query.0.stats[k][0], self.stats[k][i])
             };
             gap += stage.frac * (1.0 - similarity_for_scale(stage.scale, d).clamp(0.0, 1.0));
         }
@@ -378,11 +386,11 @@ impl DescriptorArena {
             } else {
                 stage.scale * (1.0 / sim_crit - 1.0) * (1.0 + BOUND_SLOP)
             };
-            if prebound(stage.kind, query.stats[k], self.stats[k][i]) > cutoff {
+            if prebound(stage.kind, query.0.stats[k][0], self.stats[k][i]) > cutoff {
                 tally.abandoned[k] += 1;
                 return None;
             }
-            let r = self.stage_distance(stage.kind, query, i, cutoff);
+            let r = stage_distance(stage.kind, (&query.0, 0), (self, i), cutoff);
             tally.elements += r.elements as u64;
             let Some(d) = r.distance else {
                 tally.abandoned[k] += 1;
@@ -397,23 +405,17 @@ impl DescriptorArena {
     }
 }
 
-/// The query's side of the arena: one quantised vector and bound statistic
-/// per kind, produced by the same [`vectorize_into`] the catalog uses.
-pub struct QueryVectors {
-    vecs: [Vec<f32>; KINDS],
-    stats: [f64; KINDS],
-}
+/// The query's side of the arena: the query's feature set as the one row
+/// of its own arena, quantised by the same [`vectorize_into`] the catalog
+/// uses.
+pub struct QueryVectors(DescriptorArena);
 
 impl QueryVectors {
     /// Quantise one feature set.
     pub fn from_set(set: &FeatureSet) -> QueryVectors {
-        let mut vecs: [Vec<f32>; KINDS] = std::array::from_fn(|_| Vec::new());
-        let mut stats = [0.0f64; KINDS];
-        for kind in FeatureKind::ALL {
-            vectorize_into(kind, set, &mut vecs[kind as usize]);
-            stats[kind as usize] = bound_stat(kind, &vecs[kind as usize]);
-        }
-        QueryVectors { vecs, stats }
+        let mut arena = DescriptorArena::new();
+        arena.push(set);
+        QueryVectors(arena)
     }
 }
 

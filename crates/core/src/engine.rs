@@ -18,7 +18,7 @@ use crate::error::Result;
 use crate::ingest::extract_feature_sets_parallel;
 use crate::pool::{ExecPool, TopK, THREADS_AUTO};
 use crate::score::ScoreCalibration;
-use crate::segment::{CatalogSnapshot, EntryRef, Segment, SnapshotCell};
+use crate::segment::{live_rows, CatalogRow, CatalogSnapshot, EntryRef, Segment, SnapshotCell};
 use crate::telemetry::{Counter, Gauge, Histogram, Registry};
 use crate::weights::FeatureWeights;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,11 +28,13 @@ use cbvr_imgproc::{Histogram256, RgbImage};
 use cbvr_index::{paper_range, RangeKey};
 use cbvr_keyframe::{extract_keyframes, KeyframeConfig};
 use cbvr_storage::backend::Backend;
-use cbvr_storage::{CbvrDatabase, ManifestSegment};
+use cbvr_storage::{CbvrDatabase, KeyFrameRow, ManifestSegment};
 use cbvr_video::Video;
 use std::collections::{BTreeSet, HashMap};
 
-/// One catalog entry: a key frame's identity, range and features.
+/// One catalog entry as ingest hands it over: a key frame's identity,
+/// range and features. Sealing stores the features as arena rows and
+/// drops the set (see [`CatalogRow`]).
 #[derive(Clone, Debug)]
 pub struct CatalogEntry {
     /// `KEY_FRAMES` primary key.
@@ -43,6 +45,24 @@ pub struct CatalogEntry {
     pub range: RangeKey,
     /// All seven descriptors.
     pub features: FeatureSet,
+}
+
+impl CatalogEntry {
+    /// Parse a stored `KEY_FRAMES` row's feature strings back into an
+    /// entry.
+    pub fn from_key_frame(row: &KeyFrameRow) -> Result<CatalogEntry> {
+        let features = FeatureSet::from_feature_strings([
+            (FeatureKind::ColorHistogram, row.sch.as_str()),
+            (FeatureKind::Glcm, row.glcm.as_str()),
+            (FeatureKind::Gabor, row.gabor.as_str()),
+            (FeatureKind::Tamura, row.tamura.as_str()),
+            (FeatureKind::Correlogram, row.acc.as_str()),
+            (FeatureKind::Naive, row.naive.as_str()),
+            (FeatureKind::Regions, row.srg.as_str()),
+        ])?;
+        let range = RangeKey::new(row.min, row.max);
+        Ok(CatalogEntry { i_id: row.i_id, v_id: row.v_id, range, features })
+    }
 }
 
 /// Query-frame preprocessing applied before feature extraction.
@@ -372,24 +392,8 @@ impl QueryEngine {
             rows.push(row.clone());
             true
         })?;
-        let mut entries = Vec::with_capacity(rows.len());
-        for row in rows {
-            let features = FeatureSet::from_feature_strings([
-                (FeatureKind::ColorHistogram, row.sch.as_str()),
-                (FeatureKind::Glcm, row.glcm.as_str()),
-                (FeatureKind::Gabor, row.gabor.as_str()),
-                (FeatureKind::Tamura, row.tamura.as_str()),
-                (FeatureKind::Correlogram, row.acc.as_str()),
-                (FeatureKind::Naive, row.naive.as_str()),
-                (FeatureKind::Regions, row.srg.as_str()),
-            ])?;
-            entries.push(CatalogEntry {
-                i_id: row.i_id,
-                v_id: row.v_id,
-                range: RangeKey::new(row.min, row.max),
-                features,
-            });
-        }
+        let entries: Vec<CatalogEntry> =
+            rows.iter().map(CatalogEntry::from_key_frame).collect::<Result<_>>()?;
         let manifest = db.list_manifest()?;
         let names = db
             .list_videos()?
@@ -407,23 +411,15 @@ impl QueryEngine {
 
     /// Build from pre-partitioned entry groups, one sealed segment per
     /// non-empty group. The snapshot is the concatenation of the groups
-    /// in order, and calibration samples that concatenation — so any
-    /// split of the same catalog yields bit-identical query results.
+    /// in order, and calibration samples the sealed rows in that order —
+    /// so any split of the same catalog yields bit-identical query
+    /// results.
     pub fn from_segmented(
         groups: Vec<Vec<CatalogEntry>>,
         video_names: HashMap<u64, String>,
     ) -> QueryEngine {
-        let refs: Vec<&FeatureSet> = groups.iter().flatten().map(|e| &e.features).collect();
-        let calibration = ScoreCalibration::from_catalog(&refs);
-        let mut next_id = 0u64;
-        let mut segments = Vec::new();
-        for group in groups {
-            if group.is_empty() {
-                continue;
-            }
-            segments.push(Arc::new(Segment::seal(next_id, group)));
-            next_id += 1;
-        }
+        let next_seg_id = AtomicU64::new(0);
+        let (segments, calibration) = seal_groups(groups, &next_seg_id);
         let snapshot =
             CatalogSnapshot::assemble(segments, BTreeSet::new(), video_names, calibration);
         let metrics = EngineMetrics::on(Registry::global().clone());
@@ -432,7 +428,7 @@ impl QueryEngine {
         QueryEngine {
             snapshot: SnapshotCell::new(Arc::new(snapshot)),
             commit: Mutex::new(()),
-            next_seg_id: AtomicU64::new(next_id),
+            next_seg_id,
             metrics,
         }
     }
@@ -454,22 +450,13 @@ impl QueryEngine {
     }
 
     /// Rebuild the published snapshot from the database in place (the web
-    /// admin's reload). The scan and parse run off the commit lock;
-    /// queries keep serving the old snapshot until the one-pointer
-    /// publish. Returns the number of live entries loaded.
+    /// admin's reload). The scan, parse, seal and calibration run off the
+    /// commit lock; queries keep serving the old snapshot until the
+    /// one-pointer publish. Returns the number of live entries loaded.
     pub fn reload_from_database<B: Backend>(&self, db: &mut CbvrDatabase<B>) -> Result<usize> {
         let (groups, names) = Self::load_groups(db)?;
-        let refs: Vec<&FeatureSet> = groups.iter().flatten().map(|e| &e.features).collect();
-        let calibration = ScoreCalibration::from_catalog(&refs);
+        let (segments, calibration) = seal_groups(groups, &self.next_seg_id);
         let _commit = self.commit_guard();
-        let mut segments = Vec::new();
-        for group in groups {
-            if group.is_empty() {
-                continue;
-            }
-            let id = self.next_seg_id.fetch_add(1, Ordering::Relaxed);
-            segments.push(Arc::new(Segment::seal(id, group)));
-        }
         let snapshot = CatalogSnapshot::assemble(segments, BTreeSet::new(), names, calibration);
         self.metrics.arena_bytes.add(snapshot.arena_bytes() as u64);
         let live = snapshot.live();
@@ -504,15 +491,11 @@ impl QueryEngine {
         self.len() == 0
     }
 
-    /// Fetch the `i`-th live entry in global catalog order. Returns a
-    /// clone: the row is owned by an immutable snapshot that may be
-    /// retired at any time.
-    pub fn entry(&self, i: usize) -> CatalogEntry {
-        self.snapshot
-            .load()
-            .live_entry(i)
-            .cloned()
-            .expect("entry index out of bounds")
+    /// The `i`-th live row's keys in global catalog order. Its stored
+    /// features are read from the database
+    /// ([`CatalogEntry::from_key_frame`]).
+    pub fn entry(&self, i: usize) -> CatalogRow {
+        self.snapshot.load().live_entry(i).expect("entry index out of bounds")
     }
 
     /// Video ids with at least one live key frame.
@@ -615,7 +598,7 @@ impl QueryEngine {
                         threshold,
                         &mut tally,
                     ) {
-                        let e = &seg.entries()[r.row as usize];
+                        let e = &seg.rows()[r.row as usize];
                         local.push(FrameMatch { i_id: e.i_id, v_id: e.v_id, score });
                     }
                 }
@@ -774,7 +757,7 @@ impl QueryEngine {
         let mut names = snap.video_names().clone();
         let mut tombstones = snap.tombstones().clone();
         let mut resurrected = BTreeSet::new();
-        for e in seg.entries() {
+        for e in seg.rows() {
             names.insert(e.v_id, name.to_string());
             // Re-adding a previously removed id brings it back; its rows
             // must then be exactly the ones added now, so the old masked
@@ -787,20 +770,15 @@ impl QueryEngine {
         let mut segments = Vec::with_capacity(snap.segments().len() + 1);
         for old in snap.segments() {
             if resurrected.is_empty()
-                || !old.entries().iter().any(|e| resurrected.contains(&e.v_id))
+                || !old.rows().iter().any(|e| resurrected.contains(&e.v_id))
             {
                 segments.push(Arc::clone(old));
                 continue;
             }
-            let kept: Vec<CatalogEntry> = old
-                .entries()
-                .iter()
-                .filter(|e| !resurrected.contains(&e.v_id))
-                .cloned()
-                .collect();
-            if !kept.is_empty() {
-                let id = self.next_seg_id.fetch_add(1, Ordering::Relaxed);
-                let rebuilt = Segment::seal(id, kept);
+            let id = self.next_seg_id.fetch_add(1, Ordering::Relaxed);
+            let kept = live_rows(std::slice::from_ref(old), &resurrected);
+            let rebuilt = Segment::copy_rows(id, kept);
+            if !rebuilt.is_empty() {
                 self.metrics.arena_bytes.add(rebuilt.arena().bytes() as u64);
                 segments.push(Arc::new(rebuilt));
             }
@@ -844,29 +822,26 @@ impl QueryEngine {
     /// recomputing the calibration from the live entries (in global
     /// order, so it equals a from-scratch rebuild's calibration).
     ///
-    /// The heavy work — cloning live rows, recalibrating, sealing the
-    /// merged segment's arena and index — runs *off* the commit lock;
-    /// queries and ingests proceed throughout. The publish step rebases
-    /// over segments appended while the merge ran: the new snapshot is
-    /// the merged segment followed by every segment that was not part of
-    /// the base, preserving global order for those appended rows.
+    /// The heavy work — copying the live arena rows into the merged
+    /// segment, building its index, recalibrating — runs *off* the
+    /// commit lock; queries and ingests proceed throughout. The publish
+    /// step rebases over segments appended while the merge ran: the new
+    /// snapshot is the merged segment followed by every segment that was
+    /// not part of the base, preserving global order for those appended
+    /// rows.
     pub fn compact(&self) -> CompactionReport {
         let _timer = self.metrics.registry.timer(&self.metrics.compaction);
         let base = self.snapshot.load();
         let base_ids: BTreeSet<u64> = base.segments().iter().map(|s| s.id()).collect();
         let segments_before = base.segments().len();
-        let merged_entries = base.live_entries_cloned();
-        let rows_dropped = base.rows() - merged_entries.len();
-        let refs: Vec<&FeatureSet> = merged_entries.iter().map(|e| &e.features).collect();
-        let calibration = ScoreCalibration::from_catalog(&refs);
-        let merged = (!merged_entries.is_empty()).then(|| {
-            let seg = Segment::seal(
-                self.next_seg_id.fetch_add(1, Ordering::Relaxed),
-                merged_entries,
-            );
+        let rows_dropped = base.rows() - base.live();
+        let merged = (base.live() > 0).then(|| {
+            let id = self.next_seg_id.fetch_add(1, Ordering::Relaxed);
+            let seg = Segment::copy_rows(id, live_rows(base.segments(), base.tombstones()));
             self.metrics.arena_bytes.add(seg.arena().bytes() as u64);
             Arc::new(seg)
         });
+        let calibration = ScoreCalibration::from_segments(merged.as_slice(), &BTreeSet::new());
 
         let _commit = self.commit_guard();
         let current = self.snapshot.load();
@@ -881,7 +856,7 @@ impl QueryEngine {
         // segment; one fully compacted away needs no tombstone).
         let present: BTreeSet<u64> = segments
             .iter()
-            .flat_map(|s| s.entries().iter().map(|e| e.v_id))
+            .flat_map(|s| s.rows().iter().map(|e| e.v_id))
             .collect();
         let tombstones: BTreeSet<u64> = current
             .tombstones()
@@ -908,7 +883,7 @@ impl QueryEngine {
     pub fn recalibrate(&self) {
         let _commit = self.commit_guard();
         let snap = self.snapshot.load();
-        let calibration = ScoreCalibration::from_catalog(&snap.live_feature_refs());
+        let calibration = ScoreCalibration::from_segments(snap.segments(), snap.tombstones());
         let next = CatalogSnapshot::assemble(
             snap.segments().to_vec(),
             snap.tombstones().clone(),
@@ -926,11 +901,7 @@ impl QueryEngine {
             .map(|s| SegmentStats {
                 id: s.id(),
                 rows: s.len(),
-                live_rows: s
-                    .entries()
-                    .iter()
-                    .filter(|e| !snap.tombstones().contains(&e.v_id))
-                    .count(),
+                live_rows: live_rows(std::slice::from_ref(s), snap.tombstones()).count(),
                 arena_bytes: s.arena().bytes(),
             })
             .collect()
@@ -966,6 +937,21 @@ impl QueryEngine {
     pub fn index_stats(&self) -> cbvr_index::IndexStats {
         self.snapshot.load().bucket_counts().stats()
     }
+}
+
+/// Seal each non-empty group as one segment, ids drawn from `next_id`,
+/// and calibrate over the sealed rows in group order.
+fn seal_groups(
+    groups: Vec<Vec<CatalogEntry>>,
+    next_id: &AtomicU64,
+) -> (Vec<Arc<Segment>>, ScoreCalibration) {
+    let segments: Vec<Arc<Segment>> = groups
+        .into_iter()
+        .filter(|g| !g.is_empty())
+        .map(|g| Arc::new(Segment::seal(next_id.fetch_add(1, Ordering::Relaxed), g)))
+        .collect();
+    let calibration = ScoreCalibration::from_segments(&segments, &BTreeSet::new());
+    (segments, calibration)
 }
 
 /// Group a flat `i_id`-ordered catalog scan into segment groups along the
@@ -1012,14 +998,18 @@ mod tests {
         .unwrap()
     }
 
-    fn populated_engine() -> &'static (QueryEngine, Vec<(u64, Category)>) {
+    type Fixture = (QueryEngine, Vec<(u64, Category)>, Vec<CatalogEntry>);
+
+    /// The engine over six ingested clips, their labels, and every stored
+    /// row read back from the database in catalog order.
+    fn populated() -> &'static Fixture {
         // Ingestion is expensive; build one shared fixture for the suite.
-        static FIXTURE: std::sync::OnceLock<(QueryEngine, Vec<(u64, Category)>)> =
-            std::sync::OnceLock::new();
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
         FIXTURE.get_or_init(|| {
             let mut db = cbvr_storage::CbvrDatabase::in_memory().unwrap();
             let g = generator();
             let mut labels = Vec::new();
+            let mut entries = Vec::new();
             for (i, category) in [Category::Sports, Category::Movie, Category::ELearning]
                 .iter()
                 .enumerate()
@@ -1030,10 +1020,19 @@ mod tests {
                     let report =
                         ingest_video(&mut db, &name, &video, &IngestConfig::default()).unwrap();
                     labels.push((report.v_id, *category));
+                    for &i_id in &report.keyframe_ids {
+                        let row = db.get_key_frame(i_id).unwrap();
+                        entries.push(CatalogEntry::from_key_frame(&row).unwrap());
+                    }
                 }
             }
-            (QueryEngine::from_database(&mut db).unwrap(), labels)
+            (QueryEngine::from_database(&mut db).unwrap(), labels, entries)
         })
+    }
+
+    fn populated_engine() -> (&'static QueryEngine, &'static [(u64, Category)]) {
+        let (engine, labels, _) = populated();
+        (engine, labels)
     }
 
     #[test]
@@ -1048,10 +1047,11 @@ mod tests {
 
     #[test]
     fn self_query_ranks_own_keyframe_first() {
-        let (engine, _) = populated_engine();
+        let (engine, _, entries) = populated();
         // Query with a catalog key frame's own features: its entry must
         // score 1.0 and rank first.
-        let e = engine.entry(0);
+        let e = &entries[0];
+        assert_eq!(engine.entry(0).i_id, e.i_id);
         let results = engine.query_features(&e.features, e.range, &QueryOptions::default());
         assert_eq!(results[0].i_id, e.i_id);
         assert!((results[0].score - 1.0).abs() < 1e-9);
@@ -1143,8 +1143,8 @@ mod tests {
 
     #[test]
     fn single_feature_weights_change_ranking_scores() {
-        let (engine, _) = populated_engine();
-        let e = engine.entry(1);
+        let (engine, _, entries) = populated();
+        let e = &entries[1];
         let combined = engine.query_features(&e.features, e.range, &QueryOptions::default());
         let histogram_only = engine.query_features(
             &e.features,
@@ -1190,26 +1190,11 @@ mod tests {
         // Ingest a second video, then add it incrementally.
         let v2 = g.generate(Category::Movie, 2).unwrap();
         let report = ingest_video(&mut db, "two", &v2, &IngestConfig::default()).unwrap();
-        let mut fresh_entries = Vec::new();
-        for &i_id in &report.keyframe_ids {
-            let row = db.get_key_frame(i_id).unwrap();
-            let features = cbvr_features::FeatureSet::from_feature_strings([
-                (FeatureKind::ColorHistogram, row.sch.as_str()),
-                (FeatureKind::Glcm, row.glcm.as_str()),
-                (FeatureKind::Gabor, row.gabor.as_str()),
-                (FeatureKind::Tamura, row.tamura.as_str()),
-                (FeatureKind::Correlogram, row.acc.as_str()),
-                (FeatureKind::Naive, row.naive.as_str()),
-                (FeatureKind::Regions, row.srg.as_str()),
-            ])
-            .unwrap();
-            fresh_entries.push(CatalogEntry {
-                i_id,
-                v_id: row.v_id,
-                range: RangeKey::new(row.min, row.max),
-                features,
-            });
-        }
+        let fresh_entries = report
+            .keyframe_ids
+            .iter()
+            .map(|&i_id| CatalogEntry::from_key_frame(&db.get_key_frame(i_id).unwrap()).unwrap())
+            .collect();
         engine.add_video("two", fresh_entries);
 
         let rebuilt = QueryEngine::from_database(&mut db).unwrap();
@@ -1225,9 +1210,9 @@ mod tests {
 
     #[test]
     fn incremental_remove_excludes_video() {
-        let (engine, labels) = populated_engine();
+        let (_, labels, entries) = populated();
         let engine = QueryEngine::from_catalog(
-            (0..engine.len()).map(|i| engine.entry(i)).collect(),
+            entries.clone(),
             labels
                 .iter()
                 .map(|(v, c)| (*v, c.name().to_string()))
@@ -1304,14 +1289,9 @@ mod tests {
         labels.iter().map(|(v, c)| (*v, c.name().to_string())).collect()
     }
 
-    fn fixture_entries(engine: &QueryEngine) -> Vec<CatalogEntry> {
-        (0..engine.len()).map(|i| engine.entry(i)).collect()
-    }
-
     #[test]
     fn segment_split_returns_bit_identical_results() {
-        let (engine, labels) = populated_engine();
-        let entries = fixture_entries(engine);
+        let (engine, labels, entries) = populated();
         let mid = entries.len() / 2;
         let split = QueryEngine::from_segmented(
             vec![entries[..mid].to_vec(), entries[mid..].to_vec()],
@@ -1322,7 +1302,7 @@ mod tests {
         // Same calibration (sampled over the same global order) and the
         // exact same ranked matches, scores included.
         assert_eq!(split.calibration(), engine.calibration());
-        let probe = engine.entry(3);
+        let probe = &entries[3];
         for use_index in [false, true] {
             let opts = QueryOptions { k: 10, use_index, ..Default::default() };
             assert_eq!(
@@ -1332,10 +1312,38 @@ mod tests {
         }
     }
 
+    /// Every live row of `a` equals the same-position live row of `b`:
+    /// keys, and each kind's arena slice by `to_bits`.
+    fn assert_rows_bit_identical(a: &QueryEngine, b: &QueryEngine) {
+        let (sa, sb) = (a.snapshot.load(), b.snapshot.load());
+        let ra: Vec<_> = live_rows(sa.segments(), sa.tombstones()).collect();
+        let rb: Vec<_> = live_rows(sb.segments(), sb.tombstones()).collect();
+        assert_eq!(ra.len(), rb.len());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (&(x, i), &(y, j)) in ra.iter().zip(&rb) {
+            assert_eq!(x.rows()[i], y.rows()[j]);
+            for kind in FeatureKind::ALL {
+                let (u, v) = (x.arena().slice(kind, i), y.arena().slice(kind, j));
+                assert_eq!(bits(u), bits(v), "{kind} row {i}");
+            }
+        }
+    }
+
+    /// A full-scan frame query's `(i_id, score bits)` for each probe.
+    fn score_bits(engine: &QueryEngine, probes: &[CatalogEntry]) -> Vec<Vec<(u64, u64)>> {
+        let opts = QueryOptions { k: 100, use_index: false, ..Default::default() };
+        probes
+            .iter()
+            .map(|p| {
+                let found = engine.query_features(&p.features, p.range, &opts);
+                found.iter().map(|m| (m.i_id, m.score.to_bits())).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn compaction_drops_tombstones_and_matches_rebuild_calibration() {
-        let (engine, labels) = populated_engine();
-        let entries = fixture_entries(engine);
+        let (_, labels, entries) = populated();
         let mid = entries.len() / 2;
         let seg = QueryEngine::from_segmented(
             vec![entries[..mid].to_vec(), entries[mid..].to_vec()],
@@ -1356,36 +1364,44 @@ mod tests {
         assert_eq!(rows_after, rows_before - removed);
 
         // Post-compaction state equals a from-scratch rebuild over the
-        // survivors: same calibration, same ranked results bit-for-bit.
+        // survivors: same calibration, the copied arena rows and the
+        // ranked results bit-for-bit.
         let survivors: Vec<CatalogEntry> =
             entries.iter().filter(|e| e.v_id != victim).cloned().collect();
         let mut names = fixture_names(labels);
         names.remove(&victim);
         let rebuilt = QueryEngine::from_catalog(survivors, names);
         assert_eq!(seg.calibration(), rebuilt.calibration());
-        let probe = engine.entry(0);
-        let opts = QueryOptions { k: 100, use_index: false, ..Default::default() };
-        assert_eq!(
-            seg.query_features(&probe.features, probe.range, &opts),
-            rebuilt.query_features(&probe.features, probe.range, &opts),
-        );
+        assert_rows_bit_identical(&seg, &rebuilt);
+        assert_eq!(score_bits(&seg, &entries[..3]), score_bits(&rebuilt, &entries[..3]));
     }
 
     #[test]
     fn readding_a_removed_video_resurrects_it() {
-        let (engine, labels) = populated_engine();
-        let entries = fixture_entries(engine);
+        let (_, labels, entries) = populated();
         let seg = QueryEngine::from_catalog(entries.clone(), fixture_names(labels));
         let victim = labels[0].0;
-        let victim_entries: Vec<CatalogEntry> =
-            entries.iter().filter(|e| e.v_id == victim).cloned().collect();
+        let (victim_entries, others): (Vec<CatalogEntry>, Vec<CatalogEntry>) =
+            entries.iter().cloned().partition(|e| e.v_id == victim);
         let removed = seg.remove_video(victim);
         assert_eq!(removed, victim_entries.len());
-        seg.add_video("returned", victim_entries);
+        seg.add_video("returned", victim_entries.clone());
         assert_eq!(seg.len(), entries.len());
         assert_eq!(seg.tombstone_count(), 0);
         assert!(seg.video_ids().contains(&victim));
         assert_eq!(seg.video_name(victim).as_deref(), Some("returned"));
+
+        // The purge copied the other videos' rows out of the shared
+        // segment; the catalog now equals a fresh build of the same
+        // entries in the same order, once recalibrated.
+        seg.recalibrate();
+        let fresh = QueryEngine::from_catalog(
+            others.into_iter().chain(victim_entries).collect(),
+            fixture_names(labels),
+        );
+        assert_eq!(seg.calibration(), fresh.calibration());
+        assert_rows_bit_identical(&seg, &fresh);
+        assert_eq!(score_bits(&seg, &entries[..3]), score_bits(&fresh, &entries[..3]));
     }
 
     #[test]

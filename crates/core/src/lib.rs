@@ -58,7 +58,7 @@ pub use feedback::adapt_weights;
 pub use error::{CoreError, Result};
 pub use ingest::{ingest_video, IngestConfig, IngestReport};
 pub use pool::{ExecPool, THREADS_AUTO};
-pub use segment::{CatalogSnapshot, EntryRef, Segment};
+pub use segment::{CatalogRow, CatalogSnapshot, EntryRef, Segment};
 pub use telemetry::{Clock, Counter, Gauge, Histogram, MonotonicClock, Registry, Span, TestClock};
 pub use weights::FeatureWeights;
 

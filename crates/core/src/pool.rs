@@ -5,7 +5,7 @@
 //! [`crate::engine::QueryEngine::query_feature_sequence`], per-frame
 //! feature extraction in [`crate::ingest::extract_feature_sets_parallel`]
 //! and the per-kind calibration sampling in
-//! [`crate::score::ScoreCalibration::from_catalog`] — is an independent
+//! [`crate::score::ScoreCalibration::from_segments`] — is an independent
 //! loop over an index range. This module runs such loops across a fixed
 //! set of persistent worker threads.
 //!

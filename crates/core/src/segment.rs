@@ -4,9 +4,10 @@
 //! range index) and made every reader and writer contend for it. This
 //! module is the LSM/search-engine commit shape that replaces it:
 //!
-//! - a [`Segment`] is a *sealed* slice of the catalog — its own entry
-//!   vector, its own columnar [`DescriptorArena`] slabs, its own
-//!   per-segment [`RangeIndex`]. Once sealed it is never mutated;
+//! - a [`Segment`] is a *sealed* slice of the catalog — its row keys
+//!   ([`CatalogRow`]), its own columnar [`DescriptorArena`] slabs (the
+//!   rows' only stored descriptors), its own per-segment [`RangeIndex`].
+//!   Once sealed it is never mutated;
 //! - a [`CatalogSnapshot`] is an immutable list of sealed segments plus
 //!   the video-name map, the tombstone set (videos removed since the
 //!   segments were sealed) and the score calibration. The global row
@@ -26,34 +27,68 @@
 use crate::arena::DescriptorArena;
 use crate::engine::CatalogEntry;
 use crate::score::ScoreCalibration;
-use cbvr_features::FeatureSet;
 use cbvr_index::{BucketCounts, RangeIndex, RangeKey};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// One sealed row's keys: its key frame, its video and its range. The
+/// row's descriptors live in its segment's arena at the same row number.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CatalogRow {
+    /// `KEY_FRAMES` primary key.
+    pub i_id: u64,
+    /// Owning video.
+    pub v_id: u64,
+    /// Range-finder key (`MIN`/`MAX`).
+    pub range: RangeKey,
+}
 
 /// A sealed, immutable slice of the catalog: the rows of one ingest
 /// batch (or one compaction merge), their columnar descriptor slabs and
 /// their private range tree.
 pub struct Segment {
     id: u64,
-    entries: Vec<CatalogEntry>,
+    rows: Vec<CatalogRow>,
     arena: DescriptorArena,
     index: RangeIndex<usize>,
 }
 
 impl Segment {
-    /// Seal `entries` into an immutable segment: build the local range
-    /// index and push every descriptor into a fresh arena. Entry order
-    /// is preserved — it becomes part of the snapshot's global order.
+    fn empty(id: u64) -> Segment {
+        Segment { id, rows: Vec::new(), arena: DescriptorArena::new(), index: RangeIndex::new() }
+    }
+
+    /// Append `row` (its descriptors already pushed into the arena).
+    fn push_row(&mut self, row: CatalogRow) {
+        self.index.insert(row.range, self.rows.len());
+        self.rows.push(row);
+    }
+
+    /// Seal `entries` into an immutable segment: push every descriptor
+    /// into a fresh arena, dropping each entry's feature set once its row
+    /// is stored, and build the local range index. Entry order is
+    /// preserved — it becomes part of the snapshot's global order.
     pub fn seal(id: u64, entries: Vec<CatalogEntry>) -> Segment {
-        let mut index = RangeIndex::new();
-        let mut arena = DescriptorArena::new();
-        for (i, e) in entries.iter().enumerate() {
-            index.insert(e.range, i);
-            arena.push(&e.features);
+        let mut seg = Segment::empty(id);
+        for e in entries {
+            seg.arena.push(&e.features);
+            seg.push_row(CatalogRow { i_id: e.i_id, v_id: e.v_id, range: e.range });
         }
-        Segment { id, entries, arena, index }
+        seg
+    }
+
+    /// Seal copies of existing `(segment, local row)` rows, in order. Each
+    /// row's slab slices and bound stats are copied as stored
+    /// ([`DescriptorArena::push_row`]), so a copy scores bit-identically
+    /// to its source.
+    pub(crate) fn copy_rows<'a>(id: u64, src: impl Iterator<Item = (&'a Segment, usize)>) -> Self {
+        let mut seg = Segment::empty(id);
+        for (from, i) in src {
+            seg.arena.push_row(from.arena(), i);
+            seg.push_row(from.rows[i]);
+        }
+        seg
     }
 
     /// Segment identity (unique within one engine; compaction mints new
@@ -64,17 +99,17 @@ impl Segment {
 
     /// Rows in the segment (including rows of tombstoned videos).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// True when the segment holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.is_empty()
     }
 
-    /// The sealed entries, in segment-local order.
-    pub fn entries(&self) -> &[CatalogEntry] {
-        &self.entries
+    /// The sealed row keys, in segment-local order.
+    pub fn rows(&self) -> &[CatalogRow] {
+        &self.rows
     }
 
     /// The segment's columnar descriptor slabs.
@@ -86,6 +121,19 @@ impl Segment {
     pub fn index(&self) -> &RangeIndex<usize> {
         &self.index
     }
+}
+
+/// Every row of `segments` whose video is not in `tombstones`, as
+/// `(segment, local row)` pairs in global order.
+pub(crate) fn live_rows<'a>(
+    segments: &'a [Arc<Segment>],
+    tombstones: &'a BTreeSet<u64>,
+) -> impl Iterator<Item = (&'a Segment, usize)> + 'a {
+    segments.iter().flat_map(move |seg| {
+        let seg: &Segment = seg;
+        let live = move |&i: &usize| !tombstones.contains(&seg.rows[i].v_id);
+        (0..seg.len()).filter(live).map(move |i| (seg, i))
+    })
 }
 
 /// Address of one row inside a snapshot: which segment, which local row.
@@ -143,7 +191,7 @@ impl CatalogSnapshot {
         let mut video_sequences: Vec<(u64, Vec<EntryRef>)> = Vec::new();
         let mut video_slots: HashMap<u64, usize> = HashMap::new();
         for (s, seg) in segments.iter().enumerate() {
-            for (row, e) in seg.entries().iter().enumerate() {
+            for (row, e) in seg.rows().iter().enumerate() {
                 if tombstones.contains(&e.v_id) {
                     continue;
                 }
@@ -210,34 +258,17 @@ impl CatalogSnapshot {
         &self.calibration
     }
 
-    /// The entry at `r`.
-    pub fn entry(&self, r: EntryRef) -> &CatalogEntry {
-        &self.segments[r.segment as usize].entries()[r.row as usize]
-    }
-
-    /// The `i`-th *live* entry in global order, if in bounds.
-    pub fn live_entry(&self, i: usize) -> Option<&CatalogEntry> {
+    /// The `i`-th *live* row in global order, if in bounds.
+    pub fn live_entry(&self, i: usize) -> Option<CatalogRow> {
         if self.tombstones.is_empty() {
             if i >= self.rows {
                 return None;
             }
             // offsets is ascending; find the segment whose span holds i.
             let s = self.offsets.partition_point(|&o| o <= i) - 1;
-            return Some(&self.segments[s].entries()[i - self.offsets[s]]);
+            return Some(self.segments[s].rows()[i - self.offsets[s]]);
         }
-        let mut seen = 0usize;
-        for seg in &self.segments {
-            for e in seg.entries() {
-                if self.tombstones.contains(&e.v_id) {
-                    continue;
-                }
-                if seen == i {
-                    return Some(e);
-                }
-                seen += 1;
-            }
-        }
-        None
+        live_rows(&self.segments, &self.tombstones).nth(i).map(|(seg, row)| seg.rows[row])
     }
 
     /// Candidate rows for a query range, in global order — the
@@ -253,41 +284,11 @@ impl CatalogSnapshot {
                 (0..seg.len()).collect()
             };
             for local in locals {
-                if !self.tombstones.is_empty()
-                    && self.tombstones.contains(&seg.entries()[local].v_id)
+                if !self.tombstones.is_empty() && self.tombstones.contains(&seg.rows()[local].v_id)
                 {
                     continue;
                 }
                 out.push(EntryRef { segment: s as u32, row: local as u32 });
-            }
-        }
-        out
-    }
-
-    /// Borrowed feature sets of every live entry, in global order — the
-    /// input [`ScoreCalibration::from_catalog`] expects, in the order
-    /// that makes a recalibration bit-identical to a from-scratch build.
-    pub fn live_feature_refs(&self) -> Vec<&FeatureSet> {
-        let mut refs = Vec::with_capacity(self.live);
-        for seg in &self.segments {
-            for e in seg.entries() {
-                if !self.tombstones.contains(&e.v_id) {
-                    refs.push(&e.features);
-                }
-            }
-        }
-        refs
-    }
-
-    /// Clones of every live entry in global order (the compaction merge
-    /// input).
-    pub fn live_entries_cloned(&self) -> Vec<CatalogEntry> {
-        let mut out = Vec::with_capacity(self.live);
-        for seg in &self.segments {
-            for e in seg.entries() {
-                if !self.tombstones.contains(&e.v_id) {
-                    out.push(e.clone());
-                }
             }
         }
         out
@@ -298,10 +299,8 @@ impl CatalogSnapshot {
     pub fn bucket_counts(&self) -> BucketCounts {
         let mut counts = BucketCounts::new();
         for seg in &self.segments {
-            let entries = seg.entries();
-            counts.add_index(seg.index(), |&local| {
-                !self.tombstones.contains(&entries[local].v_id)
-            });
+            let rows = seg.rows();
+            counts.add_index(seg.index(), |&local| !self.tombstones.contains(&rows[local].v_id));
         }
         counts
     }
@@ -387,6 +386,7 @@ impl Drop for SnapshotCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbvr_features::FeatureSet;
 
     fn snapshot(tag: u64) -> Arc<CatalogSnapshot> {
         let entries = Vec::new();
@@ -395,7 +395,7 @@ mod tests {
             vec![seg],
             BTreeSet::new(),
             HashMap::new(),
-            ScoreCalibration::from_catalog(&[]),
+            ScoreCalibration::default(),
         ))
     }
 
@@ -427,7 +427,7 @@ mod tests {
             segments,
             BTreeSet::from([5]),
             HashMap::new(),
-            ScoreCalibration::from_catalog(&[]),
+            ScoreCalibration::default(),
         );
         let at = |segment, row| EntryRef { segment, row };
         assert_eq!(

@@ -48,17 +48,20 @@ fn entry_from_frame(i_id: u64, v_id: u64, frame: &RgbImage) -> CatalogEntry {
     }
 }
 
-fn random_catalog(seed: u64, n: usize) -> (QueryEngine, FeatureSet, RangeKey) {
+/// A random `n`-row catalog, its rows' feature sets in catalog order,
+/// and a probe frame's features and range.
+fn random_catalog(seed: u64, n: usize) -> (QueryEngine, Vec<FeatureSet>, FeatureSet, RangeKey) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut entries = Vec::with_capacity(n);
     for i in 0..n {
         let frame = random_frame(&mut rng);
         entries.push(entry_from_frame(i as u64 + 1, (i as u64 % 3) + 1, &frame));
     }
+    let sets = entries.iter().map(|e| e.features.clone()).collect();
     let engine = QueryEngine::from_catalog(entries, HashMap::new());
     let probe = random_frame(&mut rng);
     let range = paper_range(&Histogram256::of_rgb_luma(&probe));
-    (engine, FeatureSet::extract(&probe), range)
+    (engine, sets, FeatureSet::extract(&probe), range)
 }
 
 /// Distinct base frames a clip catalog's rows are drawn from.
@@ -171,7 +174,7 @@ proptest! {
         n in 4usize..=20,
     ) {
         force_parallel_pool();
-        let (engine, probe, range) = random_catalog(seed, n);
+        let (engine, _, probe, range) = random_catalog(seed, n);
         for weights in &weight_profiles(seed) {
             for use_index in [false, true] {
                 for k in [0, 1, n / 2, n, n + 7] {
@@ -208,7 +211,7 @@ proptest! {
         // Reference ranking computed entry-by-entry from the public
         // combined_similarity (f64, no arena): the cascade's scores must
         // agree to float-noise tolerance and rank identically.
-        let (engine, probe, range) = random_catalog(seed, n);
+        let (engine, sets, probe, range) = random_catalog(seed, n);
         let weights = FeatureWeights::default();
         let got = engine.query_features(
             &probe, range, &options(n, 1, false, &weights, true),
@@ -216,8 +219,7 @@ proptest! {
         prop_assert_eq!(got.len(), n);
         let mut reference: Vec<(u64, f64)> = (0..n)
             .map(|i| {
-                let e = engine.entry(i);
-                (e.i_id, engine.combined_similarity(&probe, &e.features, &weights))
+                (engine.entry(i).i_id, engine.combined_similarity(&probe, &sets[i], &weights))
             })
             .collect();
         reference.sort_by(|a, b| {

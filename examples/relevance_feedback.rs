@@ -6,6 +6,7 @@
 //! cargo run --release --example relevance_feedback
 //! ```
 
+use cbvr::core::engine::CatalogEntry;
 use cbvr::core::feedback::adapt_weights;
 use cbvr::prelude::*;
 
@@ -65,9 +66,9 @@ fn main() {
         .iter()
         .map(|m| {
             let relevant = category_of(&engine.video_name(m.v_id).unwrap()) == "movie";
-            // Re-extract the marked key frame's features from the stored row.
-            let i = (0..engine.len()).find(|&i| engine.entry(i).i_id == m.i_id).unwrap();
-            (relevant, engine.entry(i).features.clone())
+            // Read the marked key frame's features from its stored row.
+            let row = db.get_key_frame(m.i_id).expect("stored key frame");
+            (relevant, CatalogEntry::from_key_frame(&row).expect("stored features").features)
         })
         .collect();
     let relevant: Vec<&FeatureSet> =
