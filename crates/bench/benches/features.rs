@@ -1,6 +1,8 @@
 //! Per-extractor throughput: the cost column behind Table 1's feature
 //! set. One group per feature, at 64×48, 128×96 and 160×120 frames
-//! (160×120 is the size of generated clips and web query frames).
+//! (160×120 is the size of generated clips and web query frames), plus
+//! `morphology_chain`, the §4.8 dilate-erode-erode-dilate pass that region
+//! growing runs on the binarised frame.
 
 use cbvr_features::correlogram::AutoColorCorrelogram;
 use cbvr_features::gabor::GaborTexture;
@@ -10,6 +12,8 @@ use cbvr_features::naive::NaiveSignature;
 use cbvr_features::region::RegionGrowing;
 use cbvr_features::tamura::TamuraTexture;
 use cbvr_features::FeatureSet;
+use cbvr_imgproc::morph::paper_morphology_chain;
+use cbvr_imgproc::threshold::binarize_fuzzy;
 use cbvr_imgproc::RgbImage;
 use cbvr_video::{Category, GeneratorConfig, VideoGenerator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -52,6 +56,12 @@ fn bench_features(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("region_growing", &label), &img, |b, img| {
             b.iter(|| RegionGrowing::extract(img))
         });
+        let binary = binarize_fuzzy(&img.to_gray());
+        group.bench_with_input(
+            BenchmarkId::new("morphology_chain", &label),
+            &binary,
+            |b, binary| b.iter(|| paper_morphology_chain(binary)),
+        );
         group.bench_with_input(BenchmarkId::new("full_set", &label), &img, |b, img| {
             b.iter(|| FeatureSet::extract(img))
         });

@@ -187,6 +187,9 @@ struct EngineMetrics {
     registry: Arc<Registry>,
     frame_requests: Arc<Counter>,
     frame_candidates: Arc<Counter>,
+    /// `query.frame.extract_nanos` — extracting a query frame's features
+    /// in [`QueryEngine::query_frame`] (preprocessing excluded).
+    frame_extract: Arc<Histogram>,
     frame_scan: Arc<Histogram>,
     frame_score: Arc<Histogram>,
     frame_merge: Arc<Histogram>,
@@ -233,6 +236,7 @@ impl EngineMetrics {
         EngineMetrics {
             frame_requests: registry.counter("query.frame.requests"),
             frame_candidates: registry.counter("query.frame.candidates"),
+            frame_extract: registry.histogram("query.frame.extract_nanos"),
             frame_scan: registry.histogram("query.frame.scan_nanos"),
             frame_score: registry.histogram("query.frame.score_nanos"),
             frame_merge: registry.histogram("query.frame.merge_nanos"),
@@ -532,7 +536,10 @@ impl QueryEngine {
             prepared = options.preprocess.apply(frame);
             &prepared
         };
-        let features = FeatureSet::extract(frame);
+        let features = {
+            let _extract = self.metrics.registry.timer(&self.metrics.frame_extract);
+            FeatureSet::extract(frame)
+        };
         let range = paper_range(&Histogram256::of_rgb_luma(frame));
         self.query_features(&features, range, options)
     }

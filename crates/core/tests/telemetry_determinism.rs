@@ -241,6 +241,27 @@ fn engine_edge_cases_are_identical_and_telemetry_consistent() {
 }
 
 #[test]
+fn frame_queries_time_extraction_once_per_request() {
+    let _serial = pool_lock();
+    let (engine, registry, probe, range) = test_engine(19, 12);
+    let extract = registry.histogram("query.frame.extract_nanos");
+    let frame = random_frame(&mut rand::rngs::StdRng::seed_from_u64(23));
+
+    // Pre-extracted features skip the extraction stage entirely.
+    engine.query_features(&probe, range, &options(3, 1));
+    assert_eq!(extract.count(), 0);
+
+    // Every query-by-frame records one sample, whether or not it scores.
+    engine.query_frame(&frame, &options(3, 1));
+    engine.query_frame(&frame, &options(0, THREADS_AUTO));
+    assert_eq!(extract.count(), 2);
+    assert_eq!(registry.counter("query.frame.requests").get(), 3);
+    // TestClock never advanced: the recorded durations are exactly 0.
+    assert_eq!(extract.sum(), 0);
+    assert_eq!(extract.p99(), 0);
+}
+
+#[test]
 fn empty_catalog_is_graceful_and_counted() {
     let mut engine = QueryEngine::from_catalog(Vec::new(), HashMap::new());
     let registry = Arc::new(Registry::with_clock(Arc::new(TestClock::new())));

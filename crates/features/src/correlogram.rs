@@ -28,7 +28,7 @@
 //! order the pseudocode prints.
 
 use crate::error::{FeatureError, Result};
-use cbvr_imgproc::{rgb_to_hsv, RgbImage};
+use cbvr_imgproc::{rgb_to_hsv, Rgb, RgbImage};
 
 /// Number of quantised HSV colors.
 pub const COLOR_BINS: usize = 64;
@@ -57,56 +57,78 @@ pub struct AutoColorCorrelogram {
 
 impl AutoColorCorrelogram {
     /// Extract from a frame.
+    ///
+    /// Every count is an integer, so the order they are gathered in
+    /// cannot change the result:
+    ///
+    /// - offsets `o` and `-o` pair the same pixels, so same-color pairs
+    ///   are counted over half of each ring and doubled;
+    /// - per distance, each pixel's matches accumulate row-wise in a `u8`
+    ///   vector, then one scatter per pixel adds them to its color;
+    /// - a pixel at least [`MAX_DISTANCE`] from every edge has all `8d`
+    ///   ring neighbours inside the raster; only the border band's valid
+    ///   neighbours are counted explicitly.
     pub fn extract(img: &RgbImage) -> AutoColorCorrelogram {
-        let (w, h) = img.dimensions();
-        let (wi, hi) = (w as i64, h as i64);
+        let (w, h) = (img.width() as usize, img.height() as usize);
 
         // Quantise all pixels once.
-        let mut quant = vec![0u8; (w * h) as usize];
-        for (x, y, p) in img.enumerate_pixels() {
-            let (hh, ss, vv) = rgb_to_hsv(p);
-            quant[(y * w + x) as usize] = quantize_hsv(hh, ss, vv);
-        }
-        let at = |x: i64, y: i64| quant[(y * wi + x) as usize];
+        let quant: Vec<u8> = img
+            .as_raw()
+            .chunks_exact(3)
+            .map(|p| {
+                let (hh, ss, vv) = rgb_to_hsv(Rgb::new(p[0], p[1], p[2]));
+                quantize_hsv(hh, ss, vv)
+            })
+            .collect();
 
         let mut same_counts = vec![0u64; DIM];
-        let mut valid_counts = vec![0u64; DIM];
-        for y in 0..hi {
-            for x in 0..wi {
-                let color = at(x, y) as usize;
-                for d in 1..=MAX_DISTANCE as i64 {
-                    let mut same = 0u64;
-                    let mut valid = 0u64;
-                    let mut visit = |nx: i64, ny: i64| {
-                        if nx >= 0 && ny >= 0 && nx < wi && ny < hi {
-                            valid += 1;
-                            if at(nx, ny) as usize == color {
-                                same += 1;
-                            }
-                        }
-                    };
-                    // Chessboard ring at distance exactly d: top and bottom
-                    // rows plus left and right columns.
-                    for dx in -d..=d {
-                        visit(x + dx, y - d);
-                        visit(x + dx, y + d);
-                    }
-                    for dy in (-d + 1)..d {
-                        visit(x - d, y + dy);
-                        visit(x + d, y + dy);
-                    }
-                    let slot = color * MAX_DISTANCE + (d as usize - 1);
-                    same_counts[slot] += same;
-                    valid_counts[slot] += valid;
-                }
+        let mut matches = vec![0u8; w * h];
+        for d in 1..=MAX_DISTANCE {
+            matches.fill(0);
+            for (dx, dy) in half_ring(d as i64) {
+                count_matches(&quant, w, dx, dy, &mut matches);
+            }
+            for (&c, &m) in quant.iter().zip(&matches) {
+                same_counts[c as usize * MAX_DISTANCE + d - 1] += m as u64;
             }
         }
 
-        // Conditional probability per (color, distance).
+        // Pixels at least MAX_DISTANCE from every edge see all 8d ring
+        // neighbours; the band nearer an edge is counted explicitly.
+        let mut interior = [0u64; COLOR_BINS];
+        for &c in &quant {
+            interior[c as usize] += 1;
+        }
+        let mut valid_counts = vec![0u64; DIM];
+        for (y, row) in quant.chunks_exact(w).enumerate() {
+            let (left, right) = if y < MAX_DISTANCE || y + MAX_DISTANCE >= h {
+                (0..w, w..w)
+            } else {
+                (
+                    0..MAX_DISTANCE.min(w),
+                    w.saturating_sub(MAX_DISTANCE).max(MAX_DISTANCE)..w,
+                )
+            };
+            for x in left.chain(right) {
+                let c = row[x] as usize;
+                interior[c] -= 1;
+                for d in 1..=MAX_DISTANCE {
+                    valid_counts[c * MAX_DISTANCE + d - 1] += ring_in_raster(x, y, d, w, h);
+                }
+            }
+        }
+        for (c, &n) in interior.iter().enumerate() {
+            for d in 1..=MAX_DISTANCE {
+                valid_counts[c * MAX_DISTANCE + d - 1] += 8 * d as u64 * n;
+            }
+        }
+
+        // Conditional probability per (color, distance); each half-ring
+        // match is one pair, seen from both of its pixels.
         let mut values = vec![0.0f64; DIM];
         for i in 0..DIM {
             if valid_counts[i] > 0 {
-                values[i] = same_counts[i] as f64 / valid_counts[i] as f64;
+                values[i] = (2 * same_counts[i]) as f64 / valid_counts[i] as f64;
             }
         }
         AutoColorCorrelogram { values }
@@ -164,10 +186,48 @@ impl AutoColorCorrelogram {
     }
 }
 
+/// The chessboard ring at distance `d`, one offset of each `±o` pair:
+/// `dy > 0`, or `dy == 0` and `dx > 0` (`4d` offsets).
+fn half_ring(d: i64) -> impl Iterator<Item = (i64, i64)> {
+    (0..=d)
+        .flat_map(move |dy| (-d..=d).map(move |dx| (dx, dy)))
+        .filter(move |&(dx, dy)| dx.abs().max(dy) == d && (dy > 0 || dx > 0))
+}
+
+/// Add 1 to `matches[p]` for every pixel `p` whose neighbour `p + (dx, dy)`
+/// (`dy >= 0`) lies inside the raster and has the same color.
+fn count_matches(quant: &[u8], w: usize, dx: i64, dy: i64, matches: &mut [u8]) {
+    // Columns `x` with `x + dx` inside the raster.
+    let (lo, hi) = ((-dx).max(0), w as i64 - dx.max(0));
+    if lo >= hi {
+        return;
+    }
+    let (dy, lo, hi) = (dy as usize, lo as usize, hi as usize);
+    let h = quant.len() / w;
+    for y in 0..h.saturating_sub(dy) {
+        let here = &quant[y * w + lo..y * w + hi];
+        let start = ((y + dy) * w + lo) as i64 + dx;
+        let there = &quant[start as usize..][..hi - lo];
+        for ((m, a), b) in matches[y * w + lo..y * w + hi]
+            .iter_mut()
+            .zip(here)
+            .zip(there)
+        {
+            *m += (a == b) as u8;
+        }
+    }
+}
+
+/// In-raster pixels of the ring at distance `d` around `(x, y)`: the
+/// `(2d+1)²` square minus the `(2d-1)²` square, each clipped to the raster.
+fn ring_in_raster(x: usize, y: usize, d: usize, w: usize, h: usize) -> u64 {
+    let span = |v: usize, r: usize, n: usize| ((v + r).min(n - 1) + 1 - v.saturating_sub(r)) as u64;
+    span(x, d, w) * span(y, d, h) - span(x, d - 1, w) * span(y, d - 1, h)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbvr_imgproc::Rgb;
 
     #[test]
     fn quantisation_has_64_cells() {

@@ -19,6 +19,7 @@
 
 use crate::error::{FeatureError, Result};
 use cbvr_imgproc::{GrayImage, RgbImage};
+use std::ops::Range;
 
 /// Directionality histogram bins.
 pub const DIR_BINS: usize = 16;
@@ -26,8 +27,11 @@ pub const DIR_BINS: usize = 16;
 pub const DIM: usize = 2 + DIR_BINS;
 /// Maximum window exponent for coarseness (windows up to 2^5 = 32 px).
 const MAX_K: u32 = 5;
-/// Prewitt gradient magnitude threshold for directionality voting.
-const DIR_THRESHOLD: f64 = 12.0;
+/// Rows of coarseness computed per pass over the window tables.
+const COARSENESS_STRIP: usize = 64;
+/// Directionality votes only where the Prewitt magnitude
+/// `(|dh| + |dv|) / 2` reaches 12, i.e. where `|dh| + |dv|` reaches 24.
+const DIR_THRESHOLD_L1: i32 = 24;
 
 /// The Tamura descriptor.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,31 +44,31 @@ pub struct TamuraTexture {
     pub directionality: Vec<f64>,
 }
 
-/// Summed-area table for O(1) window means.
+/// Summed-area table for O(1) window sums. Entries are integers below
+/// 2^53, so the table, and every window sum taken from it, is exact in
+/// `f64`.
 struct Integral {
     w: usize,
-    data: Vec<u64>,
+    data: Vec<f64>,
 }
 
 impl Integral {
     fn new(img: &GrayImage) -> Integral {
-        let (w, h) = (img.width() as usize, img.height() as usize);
-        let mut data = vec![0u64; (w + 1) * (h + 1)];
-        for y in 0..h {
-            for x in 0..w {
-                let v = img.get(x as u32, y as u32).0 as u64;
-                data[(y + 1) * (w + 1) + (x + 1)] =
-                    v + data[y * (w + 1) + (x + 1)] + data[(y + 1) * (w + 1) + x] - data[y * (w + 1) + x];
+        let w = img.width() as usize + 1;
+        let mut data = vec![0.0f64; w * (img.height() as usize + 1)];
+        for (y, row) in img.as_raw().chunks_exact(w - 1).enumerate() {
+            let mut run = 0u64;
+            for (x, &v) in row.iter().enumerate() {
+                run += v as u64;
+                data[(y + 1) * w + x + 1] = data[y * w + x + 1] + run as f64;
             }
         }
-        Integral { w: w + 1, data }
+        Integral { w, data }
     }
 
-    /// Sum over the half-open rectangle `[x0, x1) × [y0, y1)`.
-    fn sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> u64 {
-        self.data[y1 * self.w + x1] + self.data[y0 * self.w + x0]
-            - self.data[y0 * self.w + x1]
-            - self.data[y1 * self.w + x0]
+    /// Prefix sums of the rows above `y`, one entry per column boundary.
+    fn row(&self, y: usize) -> &[f64] {
+        &self.data[y * self.w..(y + 1) * self.w]
     }
 }
 
@@ -140,48 +144,109 @@ impl TamuraTexture {
 }
 
 /// Per-pixel best window size, averaged (Tamura F_crs).
+///
+/// For each window exponent `k` (window side `2^k`, `half = 2^(k-1)`)
+/// the pixel at `(x, y)` compares the means of the windows centred at
+/// `(x ± half, y)` and at `(x, y ± half)`, each clamped to the raster (a
+/// window wholly outside it has mean 0). For each strip of rows, one
+/// padded table per `k` holds every such mean, so the pixel loop reads
+/// four entries per `k`. Each entry is the window's exact integer sum
+/// divided by its area, as a per-pixel evaluation computes it; the
+/// winner is the first `k` with the strictly largest difference, and the
+/// winning sizes are integers summed exactly, so the result is
+/// bit-identical to the per-pixel loop.
 fn coarseness(gray: &GrayImage) -> f64 {
     let (w, h) = (gray.width() as usize, gray.height() as usize);
     if w < 4 || h < 4 {
         return 0.0;
     }
     let integral = Integral::new(gray);
-    let mean_at = |x: i64, y: i64, half: i64| -> f64 {
-        // Window of side 2*half centred near (x, y), clamped to the raster.
-        let x0 = (x - half).clamp(0, w as i64) as usize;
-        let y0 = (y - half).clamp(0, h as i64) as usize;
-        let x1 = (x + half).clamp(0, w as i64) as usize;
-        let y1 = (y + half).clamp(0, h as i64) as usize;
-        let area = ((x1 - x0) * (y1 - y0)) as f64;
-        if area == 0.0 {
-            0.0
-        } else {
-            integral.sum(x0, y0, x1, y1) as f64 / area
-        }
-    };
-
     let mut sum_best = 0.0f64;
-    let n = (w * h) as f64;
-    for y in 0..h as i64 {
-        for x in 0..w as i64 {
-            let mut best_e = -1.0f64;
-            let mut best_size = 2.0f64;
-            for k in 1..=MAX_K {
-                let half = 1i64 << (k - 1); // window side 2^k
-                // Horizontal and vertical mean differences between
-                // neighbouring non-overlapping windows.
-                let eh = (mean_at(x + half, y, half) - mean_at(x - half, y, half)).abs();
-                let ev = (mean_at(x, y + half, half) - mean_at(x, y - half, half)).abs();
-                let e = eh.max(ev);
-                if e > best_e {
-                    best_e = e;
-                    best_size = (1u64 << k) as f64;
+    // Strips of rows bound the tables' size on large frames.
+    for y0 in (0..h).step_by(COARSENESS_STRIP) {
+        let rows = COARSENESS_STRIP.min(h - y0);
+        let mut best_e = vec![-1.0f64; rows * w];
+        let mut best_size = vec![2.0f64; rows * w];
+        for k in 1..=MAX_K {
+            let half = 1usize << (k - 1);
+            let size = (1u64 << k) as f64;
+            let means = window_means(&integral, w, h, half, y0..y0 + rows + 2 * half);
+            let pw = w + 2 * half;
+            let best_rows = best_e
+                .chunks_exact_mut(w)
+                .zip(best_size.chunks_exact_mut(w));
+            for (y, (best_e, best_size)) in best_rows.enumerate() {
+                let row = |dy: usize, dx: usize| &means[(y + dy) * pw + dx..][..w];
+                let horizontal = row(half, 0).iter().zip(row(half, 2 * half));
+                let vertical = row(0, half).iter().zip(row(2 * half, half));
+                let best = best_e.iter_mut().zip(best_size.iter_mut());
+                for ((best_e, best_size), ((l, r), (u, d))) in best.zip(horizontal.zip(vertical)) {
+                    // Horizontal and vertical mean differences between
+                    // neighbouring non-overlapping windows.
+                    let eh = (r - l).abs();
+                    let ev = (d - u).abs();
+                    let e = eh.max(ev);
+                    let better = e > *best_e;
+                    *best_e = if better { e } else { *best_e };
+                    *best_size = if better { size } else { *best_size };
                 }
             }
-            sum_best += best_size;
+        }
+        sum_best += best_size.iter().sum::<f64>();
+    }
+    sum_best / (w * h) as f64
+}
+
+/// Means of the `2·half`-sided windows centred at `(cx, cy)` for every
+/// `cx ∈ [-half, w + half)` and for the centres `cy = j - half` of the
+/// padded rows `j` in `rows`, each clamped to the raster; row-major,
+/// `(cx, cy)` stored at column `cx + half` of row `j - rows.start`.
+fn window_means(
+    integral: &Integral,
+    w: usize,
+    h: usize,
+    half: usize,
+    rows: Range<usize>,
+) -> Vec<f64> {
+    let side = 2 * half;
+    let pw = w + side;
+    // Clamped `[c - half, c + half)` bounds of the window centred at
+    // padded index `i` (centre `c = i - half`), along an axis of `n`.
+    let clamp = |i: usize, n: usize| (i.saturating_sub(side).min(n), i.min(n));
+    // Padded columns whose window lies wholly inside the raster.
+    let inner = if side <= w { side..w + 1 } else { 0..0 };
+    let mut means = vec![0.0f64; pw * rows.len()];
+    for (j, out) in rows.zip(means.chunks_exact_mut(pw)) {
+        let (y0, y1) = clamp(j, h);
+        let (top, bottom) = (integral.row(y0), integral.row(y1));
+        let mean = |x0: usize, x1: usize| {
+            let area = ((x1 - x0) * (y1 - y0)) as f64;
+            if area == 0.0 {
+                0.0
+            } else {
+                (bottom[x1] + top[x0] - top[x1] - bottom[x0]) / area
+            }
+        };
+        for i in (0..inner.start).chain(inner.end..pw) {
+            let (x0, x1) = clamp(i, w);
+            out[i] = mean(x0, x1);
+        }
+        if y1 > y0 && !inner.is_empty() {
+            let area = (side * (y1 - y0)) as f64;
+            let (lo, hi) = (inner.start - side, inner.end - side);
+            let corners = bottom[inner.clone()]
+                .iter()
+                .zip(&top[lo..hi])
+                .zip(&top[inner.clone()]);
+            for (m, (((&b1, &t0), &t1), &b0)) in out[inner.clone()]
+                .iter_mut()
+                .zip(corners.zip(&bottom[lo..hi]))
+            {
+                *m = (b1 + t0 - t1 - b0) / area;
+            }
         }
     }
-    sum_best / n
+    means
 }
 
 /// Tamura F_con: `σ / κ^{1/4}`.
@@ -206,37 +271,41 @@ fn contrast(gray: &GrayImage) -> f64 {
 }
 
 /// Tamura F_dir: 16-bin orientation histogram of strong Prewitt gradients.
+///
+/// The Prewitt sums are exact integers, so they are computed in `i32`
+/// and the magnitude test `(|dh| + |dv|) / 2 >= 12` becomes
+/// `|dh| + |dv| >= 24`; `atan2` and the binning see the same `f64`
+/// operands as before.
 fn directionality(gray: &GrayImage) -> Vec<f64> {
-    let (w, h) = gray.dimensions();
-    let mut hist = vec![0.0f64; DIR_BINS];
-    if w < 3 || h < 3 {
-        return hist;
-    }
-    let at = |x: u32, y: u32| gray.get(x, y).0 as f64;
-    for y in 1..h - 1 {
-        for x in 1..w - 1 {
-            // Prewitt operators.
-            let dh = (at(x + 1, y - 1) + at(x + 1, y) + at(x + 1, y + 1))
-                - (at(x - 1, y - 1) + at(x - 1, y) + at(x - 1, y + 1));
-            let dv = (at(x - 1, y + 1) + at(x, y + 1) + at(x + 1, y + 1))
-                - (at(x - 1, y - 1) + at(x, y - 1) + at(x + 1, y - 1));
-            let magnitude = (dh.abs() + dv.abs()) / 2.0;
-            if magnitude < DIR_THRESHOLD {
-                continue;
+    let (w, h) = (gray.width() as usize, gray.height() as usize);
+    let mut votes = [0u32; DIR_BINS];
+    if w >= 3 && h >= 3 {
+        let rows: Vec<&[u8]> = gray.as_raw().chunks_exact(w).collect();
+        for win in rows.windows(3) {
+            let at = |r: usize, x: usize| win[r][x] as i32;
+            for x in 1..w - 1 {
+                // Prewitt operators.
+                let dh = (at(0, x + 1) + at(1, x + 1) + at(2, x + 1))
+                    - (at(0, x - 1) + at(1, x - 1) + at(2, x - 1));
+                let dv = (at(2, x - 1) + at(2, x) + at(2, x + 1))
+                    - (at(0, x - 1) + at(0, x) + at(0, x + 1));
+                if dh.abs() + dv.abs() < DIR_THRESHOLD_L1 {
+                    continue;
+                }
+                // Orientation folded into [0, π).
+                let mut theta = (dv as f64).atan2(dh as f64) + std::f64::consts::FRAC_PI_2;
+                if theta < 0.0 {
+                    theta += std::f64::consts::PI;
+                }
+                if theta >= std::f64::consts::PI {
+                    theta -= std::f64::consts::PI;
+                }
+                let bin = ((theta / std::f64::consts::PI) * DIR_BINS as f64) as usize;
+                votes[bin.min(DIR_BINS - 1)] += 1;
             }
-            // Orientation folded into [0, π).
-            let mut theta = dv.atan2(dh) + std::f64::consts::FRAC_PI_2;
-            if theta < 0.0 {
-                theta += std::f64::consts::PI;
-            }
-            if theta >= std::f64::consts::PI {
-                theta -= std::f64::consts::PI;
-            }
-            let bin = ((theta / std::f64::consts::PI) * DIR_BINS as f64) as usize;
-            hist[bin.min(DIR_BINS - 1)] += 1.0;
         }
     }
-    hist
+    votes.iter().map(|&v| v as f64).collect()
 }
 
 #[cfg(test)]

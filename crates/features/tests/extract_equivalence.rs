@@ -1,0 +1,377 @@
+//! Bit-identity pin for the Tamura, autocorrelogram and region-growing
+//! (morphology) extractors.
+//!
+//! Each oracle is the straightforward per-pixel form of its extractor:
+//! Tamura evaluates every clamped window mean through the integral image
+//! at every pixel and sums votes and sizes in `f64`; the correlogram walks
+//! every chessboard ring around every pixel, bounds-checking each
+//! neighbour; morphology applies an offset list built from the paper's
+//! 5×5 mask, reading outside the raster as background. The production
+//! extractors must match them to the last bit (`f64::to_bits`) on every
+//! value. The oracles exist only here.
+
+use cbvr_features::correlogram::{self, quantize_hsv, AutoColorCorrelogram};
+use cbvr_features::region::{RegionConfig, RegionGrowing};
+use cbvr_features::tamura::{self, TamuraTexture};
+use cbvr_imgproc::threshold::binarize_fuzzy;
+use cbvr_imgproc::{morph, rgb_to_hsv, Gray, GrayImage, RgbImage};
+use cbvr_video::{Category, GeneratorConfig, VideoGenerator};
+use proptest::prelude::*;
+
+mod oracle {
+    use super::*;
+
+    const MAX_K: u32 = 5;
+    const DIR_THRESHOLD: f64 = 12.0;
+
+    struct Integral {
+        w: usize,
+        data: Vec<u64>,
+    }
+
+    impl Integral {
+        fn new(img: &GrayImage) -> Integral {
+            let (w, h) = (img.width() as usize, img.height() as usize);
+            let mut data = vec![0u64; (w + 1) * (h + 1)];
+            for y in 0..h {
+                for x in 0..w {
+                    let v = img.get(x as u32, y as u32).0 as u64;
+                    data[(y + 1) * (w + 1) + (x + 1)] =
+                        v + data[y * (w + 1) + (x + 1)] + data[(y + 1) * (w + 1) + x]
+                            - data[y * (w + 1) + x];
+                }
+            }
+            Integral { w: w + 1, data }
+        }
+
+        fn sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> u64 {
+            self.data[y1 * self.w + x1] + self.data[y0 * self.w + x0]
+                - self.data[y0 * self.w + x1]
+                - self.data[y1 * self.w + x0]
+        }
+    }
+
+    fn coarseness(gray: &GrayImage) -> f64 {
+        let (w, h) = (gray.width() as usize, gray.height() as usize);
+        if w < 4 || h < 4 {
+            return 0.0;
+        }
+        let integral = Integral::new(gray);
+        let mean_at = |x: i64, y: i64, half: i64| -> f64 {
+            let x0 = (x - half).clamp(0, w as i64) as usize;
+            let y0 = (y - half).clamp(0, h as i64) as usize;
+            let x1 = (x + half).clamp(0, w as i64) as usize;
+            let y1 = (y + half).clamp(0, h as i64) as usize;
+            let area = ((x1 - x0) * (y1 - y0)) as f64;
+            if area == 0.0 {
+                0.0
+            } else {
+                integral.sum(x0, y0, x1, y1) as f64 / area
+            }
+        };
+        let mut sum_best = 0.0f64;
+        let n = (w * h) as f64;
+        for y in 0..h as i64 {
+            for x in 0..w as i64 {
+                let mut best_e = -1.0f64;
+                let mut best_size = 2.0f64;
+                for k in 1..=MAX_K {
+                    let half = 1i64 << (k - 1);
+                    let eh = (mean_at(x + half, y, half) - mean_at(x - half, y, half)).abs();
+                    let ev = (mean_at(x, y + half, half) - mean_at(x, y - half, half)).abs();
+                    let e = eh.max(ev);
+                    if e > best_e {
+                        best_e = e;
+                        best_size = (1u64 << k) as f64;
+                    }
+                }
+                sum_best += best_size;
+            }
+        }
+        sum_best / n
+    }
+
+    fn contrast(gray: &GrayImage) -> f64 {
+        let n = gray.pixel_count() as f64;
+        let mean = gray.pixels().map(|p| p.0 as f64).sum::<f64>() / n;
+        let mut m2 = 0.0;
+        let mut m4 = 0.0;
+        for p in gray.pixels() {
+            let d = p.0 as f64 - mean;
+            let d2 = d * d;
+            m2 += d2;
+            m4 += d2 * d2;
+        }
+        m2 /= n;
+        m4 /= n;
+        if m2 <= 0.0 {
+            return 0.0;
+        }
+        let kurtosis = m4 / (m2 * m2);
+        m2.sqrt() / kurtosis.powf(0.25)
+    }
+
+    fn directionality(gray: &GrayImage) -> Vec<f64> {
+        let (w, h) = gray.dimensions();
+        let mut hist = vec![0.0f64; tamura::DIR_BINS];
+        if w < 3 || h < 3 {
+            return hist;
+        }
+        let at = |x: u32, y: u32| gray.get(x, y).0 as f64;
+        for y in 1..h - 1 {
+            for x in 1..w - 1 {
+                let dh = (at(x + 1, y - 1) + at(x + 1, y) + at(x + 1, y + 1))
+                    - (at(x - 1, y - 1) + at(x - 1, y) + at(x - 1, y + 1));
+                let dv = (at(x - 1, y + 1) + at(x, y + 1) + at(x + 1, y + 1))
+                    - (at(x - 1, y - 1) + at(x, y - 1) + at(x + 1, y - 1));
+                let magnitude = (dh.abs() + dv.abs()) / 2.0;
+                if magnitude < DIR_THRESHOLD {
+                    continue;
+                }
+                let mut theta = dv.atan2(dh) + std::f64::consts::FRAC_PI_2;
+                if theta < 0.0 {
+                    theta += std::f64::consts::PI;
+                }
+                if theta >= std::f64::consts::PI {
+                    theta -= std::f64::consts::PI;
+                }
+                let bin = ((theta / std::f64::consts::PI) * tamura::DIR_BINS as f64) as usize;
+                hist[bin.min(tamura::DIR_BINS - 1)] += 1.0;
+            }
+        }
+        hist
+    }
+
+    /// All 18 Tamura values in feature-string order.
+    pub fn tamura(img: &RgbImage) -> Vec<f64> {
+        let gray = img.to_gray();
+        let mut values = vec![coarseness(&gray), contrast(&gray)];
+        values.extend(directionality(&gray));
+        values
+    }
+
+    pub fn correlogram(img: &RgbImage) -> Vec<f64> {
+        use correlogram::{DIM, MAX_DISTANCE};
+        let (w, h) = img.dimensions();
+        let (wi, hi) = (w as i64, h as i64);
+        let mut quant = vec![0u8; (w * h) as usize];
+        for (x, y, p) in img.enumerate_pixels() {
+            let (hh, ss, vv) = rgb_to_hsv(p);
+            quant[(y * w + x) as usize] = quantize_hsv(hh, ss, vv);
+        }
+        let at = |x: i64, y: i64| quant[(y * wi + x) as usize];
+        let mut same_counts = vec![0u64; DIM];
+        let mut valid_counts = vec![0u64; DIM];
+        for y in 0..hi {
+            for x in 0..wi {
+                let color = at(x, y) as usize;
+                for d in 1..=MAX_DISTANCE as i64 {
+                    let mut same = 0u64;
+                    let mut valid = 0u64;
+                    let mut visit = |nx: i64, ny: i64| {
+                        if nx >= 0 && ny >= 0 && nx < wi && ny < hi {
+                            valid += 1;
+                            if at(nx, ny) as usize == color {
+                                same += 1;
+                            }
+                        }
+                    };
+                    for dx in -d..=d {
+                        visit(x + dx, y - d);
+                        visit(x + dx, y + d);
+                    }
+                    for dy in (-d + 1)..d {
+                        visit(x - d, y + dy);
+                        visit(x + d, y + dy);
+                    }
+                    let slot = color * MAX_DISTANCE + (d as usize - 1);
+                    same_counts[slot] += same;
+                    valid_counts[slot] += valid;
+                }
+            }
+        }
+        let mut values = vec![0.0f64; DIM];
+        for i in 0..DIM {
+            if valid_counts[i] > 0 {
+                values[i] = same_counts[i] as f64 / valid_counts[i] as f64;
+            }
+        }
+        values
+    }
+
+    /// The §4.8 element as an offset list, decoded from its 5×5 mask.
+    fn paper_element() -> Vec<(i64, i64)> {
+        #[rustfmt::skip]
+        let mask = [
+            0, 0, 0, 0, 0,
+            0, 1, 1, 1, 0,
+            0, 1, 1, 1, 0,
+            0, 1, 1, 1, 0,
+            0, 0, 0, 0, 0u8,
+        ];
+        mask.iter()
+            .enumerate()
+            .filter(|(_, &m)| m != 0)
+            .map(|(i, _)| ((i % 5) as i64 - 2, (i / 5) as i64 - 2))
+            .collect()
+    }
+
+    fn is_fg(img: &GrayImage, x: i64, y: i64) -> bool {
+        if x < 0 || y < 0 || x >= img.width() as i64 || y >= img.height() as i64 {
+            false
+        } else {
+            img.get(x as u32, y as u32).0 != 0
+        }
+    }
+
+    fn apply(img: &GrayImage, all: bool) -> GrayImage {
+        let se = paper_element();
+        let (w, h) = img.dimensions();
+        GrayImage::from_fn(w, h, |x, y| {
+            let hit = |&(dx, dy): &(i64, i64)| is_fg(img, x as i64 + dx, y as i64 + dy);
+            let on = if all {
+                se.iter().all(hit)
+            } else {
+                se.iter().any(hit)
+            };
+            Gray(if on { 255 } else { 0 })
+        })
+        .expect("same nonzero dims")
+    }
+
+    pub fn dilate(img: &GrayImage) -> GrayImage {
+        apply(img, false)
+    }
+
+    pub fn erode(img: &GrayImage) -> GrayImage {
+        apply(img, true)
+    }
+
+    pub fn morphology_chain(img: &GrayImage) -> GrayImage {
+        dilate(&erode(&erode(&dilate(img))))
+    }
+
+    pub fn regions(img: &RgbImage) -> RegionGrowing {
+        let binary = morphology_chain(&binarize_fuzzy(&img.to_gray()));
+        RegionGrowing::label(&binary, RegionConfig::default())
+    }
+}
+
+/// Every value must match the oracle bit for bit; report the first miss.
+fn assert_bit_identical(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: dimensionality");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{what}: value {i} differs: {g:e} vs oracle {w:e}"
+        );
+    }
+}
+
+fn tamura_values(img: &RgbImage) -> Vec<f64> {
+    let t = TamuraTexture::extract(img);
+    let mut values = vec![t.coarseness, t.contrast];
+    values.extend(&t.directionality);
+    assert_eq!(values.len(), tamura::DIM);
+    values
+}
+
+fn assert_extractors_match(img: &RgbImage, what: &str) {
+    assert_bit_identical(
+        &tamura_values(img),
+        &oracle::tamura(img),
+        &format!("{what} tamura"),
+    );
+    let acc = AutoColorCorrelogram::extract(img);
+    assert_eq!(acc.values().len(), correlogram::DIM);
+    assert_bit_identical(
+        acc.values(),
+        &oracle::correlogram(img),
+        &format!("{what} correlogram"),
+    );
+    assert_eq!(
+        RegionGrowing::extract(img),
+        oracle::regions(img),
+        "{what}: regions"
+    );
+}
+
+/// Rasters with sides 1..=80 (below 9 the whole raster is the
+/// correlogram's border band; below 32 every coarseness window is
+/// clamped). Channels keep their top `bits` bits, so few-color rasters
+/// with long same-color runs and flat patches are drawn as often as noise.
+fn arb_rgb() -> impl Strategy<Value = RgbImage> {
+    (1u32..=80, 1u32..=80, 1u32..=8).prop_flat_map(|(w, h, bits)| {
+        proptest::collection::vec(any::<u8>(), (w * h * 3) as usize).prop_map(move |data| {
+            let mask = !(0xffu16 >> bits) as u8;
+            RgbImage::from_raw(w, h, data.into_iter().map(|v| v & mask).collect())
+                .expect("exact length")
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn extractors_match_per_pixel_oracles(img in arb_rgb()) {
+        let (w, h) = img.dimensions();
+        assert_extractors_match(&img, &format!("{w}x{h} raster"));
+    }
+
+    #[test]
+    fn morphology_matches_offset_list_oracle(img in arb_rgb()) {
+        // Raw gray levels, not just 0/255: any non-zero value is foreground.
+        let gray = img.to_gray();
+        prop_assert_eq!(morph::dilate(&gray), oracle::dilate(&gray));
+        prop_assert_eq!(morph::erode(&gray), oracle::erode(&gray));
+        prop_assert_eq!(morph::close(&gray), oracle::erode(&oracle::dilate(&gray)));
+        prop_assert_eq!(morph::open(&gray), oracle::dilate(&oracle::erode(&gray)));
+        let binary = binarize_fuzzy(&gray);
+        prop_assert_eq!(morph::paper_morphology_chain(&binary), oracle::morphology_chain(&binary));
+    }
+}
+
+#[test]
+fn edge_shapes_match_per_pixel_oracles() {
+    // Sides around the correlogram's 4-pixel band and the coarseness
+    // windows (2..32), pinned so they never depend on the random draw.
+    for (w, h) in [
+        (1, 1),
+        (1, 9),
+        (9, 1),
+        (3, 3),
+        (4, 4),
+        (8, 9),
+        (9, 8),
+        (17, 33),
+        (33, 17),
+        (64, 48),
+    ] {
+        let img = RgbImage::from_fn(w, h, |x, y| {
+            let v = ((x * 37 + y * 91 + x * y) % 256) as u8;
+            cbvr_imgproc::Rgb::new(v, v / 2 + (x % 2) as u8 * 100, 255 - v)
+        })
+        .expect("nonzero size");
+        assert_extractors_match(&img, &format!("{w}x{h} raster"));
+    }
+}
+
+#[test]
+fn generated_frames_match_per_pixel_oracles() {
+    let generator = VideoGenerator::new(GeneratorConfig {
+        width: 160,
+        height: 120,
+        ..GeneratorConfig::default()
+    })
+    .expect("valid config");
+    for category in Category::ALL {
+        let video = generator.generate(category, 11).expect("generation");
+        let last = video.frame_count() - 1;
+        for index in [0, last / 2, last] {
+            let frame = video.frame(index).expect("frame in range");
+            assert_extractors_match(frame, &format!("{category:?} frame {index}"));
+        }
+    }
+}

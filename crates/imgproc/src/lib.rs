@@ -17,7 +17,7 @@
 //!   (the key-frame extractor rescales with `InterpolationNearest`);
 //! - [`filter`] — 2-D convolution, Gaussian and Sobel kernels;
 //! - [`morph`] — binary dilation and erosion with the paper's 5×5
-//!   cross-of-ones structuring element (§4.8 step 4);
+//!   structuring element, a 3×3 box (§4.8 step 4);
 //! - [`threshold`] — fuzzy-minimum and Otsu binarisation
 //!   (`getMinFuzzinessThreshold` in §4.8 step 3.G–J);
 //! - [`hist`] — 256-bin luminance and per-band histograms;

@@ -12,115 +12,108 @@
 //! 0 0 0 0 0
 //! ```
 //!
-//! which is effectively a 3×3 box. Images are treated as binary: any
-//! non-zero intensity is foreground.
+//! which is a 3×3 box, the only element this module applies. Images are
+//! treated as binary: any non-zero intensity is foreground, outside the
+//! raster counts as background, and outputs are 0/255.
+//!
+//! The box is separable: a pixel's 3×3 neighbourhood is three horizontal
+//! 3-runs stacked vertically, so each operation is a row pass followed by
+//! a column pass over the raw buffer, with background padding at the
+//! borders.
 
-use crate::error::{ImgError, Result};
 use crate::image::GrayImage;
-use crate::pixel::Gray;
 
-/// A binary structuring element: a set of `(dx, dy)` offsets.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StructuringElement {
-    offsets: Vec<(i32, i32)>,
+#[derive(Clone, Copy)]
+enum Pass {
+    Dilate,
+    Erode,
 }
 
-impl StructuringElement {
-    /// Build from a row-major 0/1 mask with odd side length.
-    pub fn from_mask(side: usize, mask: &[u8]) -> Result<Self> {
-        if side.is_multiple_of(2) || side * side != mask.len() {
-            return Err(ImgError::Dimensions(format!(
-                "structuring element must be an odd square; side {side}, len {}",
-                mask.len()
-            )));
-        }
-        let r = (side / 2) as i32;
-        let offsets: Vec<(i32, i32)> = mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m != 0)
-            .map(|(i, _)| ((i % side) as i32 - r, (i / side) as i32 - r))
-            .collect();
-        if offsets.is_empty() {
-            return Err(ImgError::Dimensions("empty structuring element".into()));
-        }
-        Ok(StructuringElement { offsets })
-    }
-
-    /// The paper's §4.8 kernel: a 3×3 box embedded in a 5×5 mask.
-    pub fn paper_5x5() -> StructuringElement {
-        #[rustfmt::skip]
-        let mask = [
-            0, 0, 0, 0, 0,
-            0, 1, 1, 1, 0,
-            0, 1, 1, 1, 0,
-            0, 1, 1, 1, 0,
-            0, 0, 0, 0, 0u8,
-        ];
-        StructuringElement::from_mask(5, &mask).expect("static mask")
-    }
-
-    /// Full 3×3 box.
-    pub fn box3() -> StructuringElement {
-        StructuringElement::from_mask(3, &[1u8; 9]).expect("static mask")
-    }
-
-    fn hits(&self) -> &[(i32, i32)] {
-        &self.offsets
-    }
+/// Binary dilation: a pixel becomes foreground when *any* pixel of its
+/// 3×3 neighbourhood is foreground.
+pub fn dilate(img: &GrayImage) -> GrayImage {
+    apply(img, &[Pass::Dilate])
 }
 
-fn is_fg(img: &GrayImage, x: i64, y: i64) -> bool {
-    // Outside the raster counts as background.
-    if x < 0 || y < 0 || x >= img.width() as i64 || y >= img.height() as i64 {
-        false
-    } else {
-        img.get(x as u32, y as u32).0 != 0
-    }
-}
-
-/// Binary dilation: a pixel becomes foreground when *any* neighbour under
-/// the element is foreground.
-pub fn dilate(img: &GrayImage, se: &StructuringElement) -> GrayImage {
-    let (w, h) = img.dimensions();
-    GrayImage::from_fn(w, h, |x, y| {
-        let any = se.hits().iter().any(|&(dx, dy)| is_fg(img, x as i64 + dx as i64, y as i64 + dy as i64));
-        Gray(if any { 255 } else { 0 })
-    })
-    .expect("same nonzero dims")
-}
-
-/// Binary erosion: a pixel stays foreground only when *all* neighbours
-/// under the element are foreground.
-pub fn erode(img: &GrayImage, se: &StructuringElement) -> GrayImage {
-    let (w, h) = img.dimensions();
-    GrayImage::from_fn(w, h, |x, y| {
-        let all = se.hits().iter().all(|&(dx, dy)| is_fg(img, x as i64 + dx as i64, y as i64 + dy as i64));
-        Gray(if all { 255 } else { 0 })
-    })
-    .expect("same nonzero dims")
+/// Binary erosion: a pixel stays foreground only when *all* pixels of its
+/// 3×3 neighbourhood are foreground (and inside the raster).
+pub fn erode(img: &GrayImage) -> GrayImage {
+    apply(img, &[Pass::Erode])
 }
 
 /// Closing: dilation followed by erosion (fills small holes).
-pub fn close(img: &GrayImage, se: &StructuringElement) -> GrayImage {
-    erode(&dilate(img, se), se)
+pub fn close(img: &GrayImage) -> GrayImage {
+    apply(img, &[Pass::Dilate, Pass::Erode])
 }
 
 /// Opening: erosion followed by dilation (removes small specks).
-pub fn open(img: &GrayImage, se: &StructuringElement) -> GrayImage {
-    dilate(&erode(img, se), se)
+pub fn open(img: &GrayImage) -> GrayImage {
+    apply(img, &[Pass::Erode, Pass::Dilate])
 }
 
 /// The exact §4.8 preprocessing chain: dilate, erode, erode, dilate
-/// (closing then opening) with the paper's 5×5 element.
+/// (closing then opening) with the paper's element.
 pub fn paper_morphology_chain(img: &GrayImage) -> GrayImage {
-    let se = StructuringElement::paper_5x5();
-    open(&close(img, &se), &se)
+    apply(img, &[Pass::Dilate, Pass::Erode, Pass::Erode, Pass::Dilate])
+}
+
+fn apply(img: &GrayImage, passes: &[Pass]) -> GrayImage {
+    let (w, h) = img.dimensions();
+    let mut mask: Vec<u8> = img
+        .as_raw()
+        .iter()
+        .map(|&v| if v != 0 { 255 } else { 0 })
+        .collect();
+    let mut rows = vec![0u8; mask.len()];
+    for pass in passes {
+        match pass {
+            Pass::Dilate => box3(&mut mask, &mut rows, w as usize, |a, b| a | b),
+            Pass::Erode => box3(&mut mask, &mut rows, w as usize, |a, b| a & b),
+        }
+    }
+    GrayImage::from_raw(w, h, mask).expect("same dims and length")
+}
+
+/// Reduce every 3×3 neighbourhood of the 0/255 `mask` with `op`, in
+/// place: a row pass into `rows`, then a column pass back into `mask`.
+/// Background (0) pads every border.
+fn box3(mask: &mut [u8], rows: &mut [u8], w: usize, op: impl Fn(u8, u8) -> u8) {
+    let mut padded = vec![0u8; w + 2];
+    for (src, dst) in mask.chunks_exact(w).zip(rows.chunks_exact_mut(w)) {
+        padded[1..=w].copy_from_slice(src);
+        for (((d, &l), &c), &r) in dst
+            .iter_mut()
+            .zip(&padded)
+            .zip(&padded[1..])
+            .zip(&padded[2..])
+        {
+            *d = op(op(l, c), r);
+        }
+    }
+    let background = vec![0u8; w];
+    let h = mask.len() / w;
+    for (y, dst) in mask.chunks_exact_mut(w).enumerate() {
+        let above = if y > 0 {
+            &rows[(y - 1) * w..y * w]
+        } else {
+            &background
+        };
+        let below = if y + 1 < h {
+            &rows[(y + 1) * w..(y + 2) * w]
+        } else {
+            &background
+        };
+        let centre = &rows[y * w..(y + 1) * w];
+        for (((d, &a), &c), &b) in dst.iter_mut().zip(above).zip(centre).zip(below) {
+            *d = op(op(a, c), b);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pixel::Gray;
 
     fn binary(w: u32, h: u32, fg: &[(u32, u32)]) -> GrayImage {
         let mut img = GrayImage::new(w, h).unwrap();
@@ -135,21 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_element_is_3x3_box() {
-        assert_eq!(StructuringElement::paper_5x5(), StructuringElement::box3());
-    }
-
-    #[test]
-    fn mask_validation() {
-        assert!(StructuringElement::from_mask(2, &[1; 4]).is_err());
-        assert!(StructuringElement::from_mask(3, &[1; 8]).is_err());
-        assert!(StructuringElement::from_mask(3, &[0; 9]).is_err());
-    }
-
-    #[test]
     fn dilate_grows_single_pixel_to_box() {
         let img = binary(7, 7, &[(3, 3)]);
-        let out = dilate(&img, &StructuringElement::box3());
+        let out = dilate(&img);
         assert_eq!(fg_count(&out), 9);
         assert_eq!(out.get(2, 2), Gray(255));
         assert_eq!(out.get(4, 4), Gray(255));
@@ -159,7 +140,7 @@ mod tests {
     #[test]
     fn erode_removes_single_pixel() {
         let img = binary(7, 7, &[(3, 3)]);
-        let out = erode(&img, &StructuringElement::box3());
+        let out = erode(&img);
         assert_eq!(fg_count(&out), 0);
     }
 
@@ -172,7 +153,7 @@ mod tests {
             }
         }
         let img = binary(7, 7, &fg);
-        let opened = open(&img, &StructuringElement::box3());
+        let opened = open(&img);
         // A 5×5 blob survives opening with a 3×3 element.
         assert_eq!(fg_count(&opened), 25);
     }
@@ -188,7 +169,7 @@ mod tests {
             }
         }
         let img = binary(7, 7, &fg);
-        let closed = close(&img, &StructuringElement::box3());
+        let closed = close(&img);
         assert_eq!(closed.get(3, 3), Gray(255), "hole should be filled");
     }
 
@@ -210,7 +191,7 @@ mod tests {
     fn outside_raster_is_background() {
         // Full-frame foreground: erosion must shave the border.
         let img = GrayImage::filled(5, 5, Gray(255)).unwrap();
-        let out = erode(&img, &StructuringElement::box3());
+        let out = erode(&img);
         assert_eq!(out.get(0, 0), Gray(0));
         assert_eq!(out.get(2, 2), Gray(255));
     }

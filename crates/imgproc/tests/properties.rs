@@ -3,7 +3,7 @@
 use cbvr_imgproc::codec::{bmp, pgm, ppm};
 use cbvr_imgproc::geom::{self, Interpolation};
 use cbvr_imgproc::hist::Histogram256;
-use cbvr_imgproc::morph::{self, StructuringElement};
+use cbvr_imgproc::morph;
 use cbvr_imgproc::threshold;
 use cbvr_imgproc::{rgb_to_hsv, GrayImage, Gray, Rgb, RgbImage};
 use proptest::prelude::*;
@@ -85,9 +85,8 @@ proptest! {
     fn dilation_is_extensive_erosion_antiextensive(img in arb_gray_image(12)) {
         // Binarise first so morphology sees a clean mask.
         let bin = threshold::binarize(&img, 127);
-        let se = StructuringElement::box3();
-        let dilated = morph::dilate(&bin, &se);
-        let eroded = morph::erode(&bin, &se);
+        let dilated = morph::dilate(&bin);
+        let eroded = morph::erode(&bin);
         for ((_, _, orig), ((_, _, dil), (_, _, ero))) in bin
             .enumerate_pixels()
             .zip(dilated.enumerate_pixels().zip(eroded.enumerate_pixels()))
@@ -105,9 +104,8 @@ proptest! {
     #[test]
     fn closing_is_idempotent(img in arb_gray_image(10)) {
         let bin = threshold::binarize(&img, 127);
-        let se = StructuringElement::box3();
-        let once = morph::close(&bin, &se);
-        let twice = morph::close(&once, &se);
+        let once = morph::close(&bin);
+        let twice = morph::close(&once);
         prop_assert_eq!(once, twice);
     }
 

@@ -121,6 +121,26 @@ fn metrics_includes_engine_and_storage_counters() {
 }
 
 #[test]
+fn frame_query_extraction_is_timed_in_metrics() {
+    let (state, _) = test_state();
+    let mut keyframe = get("/keyframe");
+    keyframe.query = vec![("id".to_string(), "1".to_string())];
+    let keyframe = state.handle(&keyframe);
+    assert_eq!(keyframe.status, StatusCode::Ok);
+    let mut query = get("/query");
+    query.method = Method::Post;
+    query.query = vec![("k".to_string(), "3".to_string())];
+    query.body = keyframe.body;
+    assert_eq!(state.handle(&query).status, StatusCode::Ok);
+
+    let body = String::from_utf8(state.handle(&get("/metrics")).body).unwrap();
+    assert_eq!(metric(&body, "query.frame.requests"), Some(1));
+    assert_eq!(metric(&body, "query.frame.extract_nanos.count"), Some(1));
+    // TestClock never advanced: the recorded duration is exactly 0.
+    assert_eq!(metric(&body, "query.frame.extract_nanos.sum"), Some(0));
+}
+
+#[test]
 fn repeated_snapshots_are_byte_identical_when_idle() {
     let (state, _) = test_state();
     state.handle(&get("/"));
@@ -145,7 +165,11 @@ fn repeated_snapshots_are_byte_identical_when_idle() {
 fn backpressure_rejections_surface_in_metrics() {
     use std::io::{Read, Write};
     use std::net::TcpStream;
+    use std::sync::mpsc;
     use std::time::Duration;
+
+    // Only bounds a hang; a loaded machine is slow, but never this slow.
+    const DEADLINE: Duration = Duration::from_secs(60);
 
     let (state, _) = test_state();
     let server = Server::start_with(
@@ -155,29 +179,41 @@ fn backpressure_rejections_surface_in_metrics() {
     )
     .unwrap();
 
-    // Park the only handler on a half-sent request.
+    // The only handler dequeues `busy` first and stays parked on its
+    // half-sent request until we finish it. The queue holds one
+    // connection, so at most one flood connection is ever queued: of the
+    // two, at least one is answered 503, and nothing else can be answered
+    // while `busy` is parked. No sleep and no short read timeout is needed
+    // for that, whenever the handler actually parks.
     let mut busy = TcpStream::connect(server.addr()).unwrap();
     write!(busy, "GET / HTTP/1.1\r\n").unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    let (tx, responses) = mpsc::channel();
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let mut c = TcpStream::connect(server.addr()).unwrap();
+            write!(c, "GET / HTTP/1.1\r\n\r\n").unwrap();
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let _ = c.read_to_end(&mut out);
+                let _ = tx.send(String::from_utf8_lossy(&out).into_owned());
+            })
+        })
+        .collect();
+    let first = responses.recv_timeout(DEADLINE).expect("bounded queue never pushed back");
+    assert!(first.starts_with("HTTP/1.1 503"), "answered while the handler was parked: {first}");
 
-    // Flood until the bounded queue answers a real 503.
-    let mut held = Vec::new();
-    let mut got_503 = false;
-    for _ in 0..10 {
-        let mut c = TcpStream::connect(server.addr()).unwrap();
-        write!(c, "GET / HTTP/1.1\r\n\r\n").unwrap();
-        c.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
-        let mut buf = [0u8; 128];
-        match c.read(&mut buf) {
-            Ok(n) if n > 0 => {
-                assert!(String::from_utf8_lossy(&buf[..n]).starts_with("HTTP/1.1 503"));
-                got_503 = true;
-                break;
-            }
-            _ => held.push(c),
-        }
+    // Unblock the handler and let every connection finish: the queued
+    // one, if any, is served now. Once all have answered, the accept
+    // thread has handled each of them, so the counters are settled.
+    write!(busy, "\r\n").unwrap();
+    busy.set_read_timeout(Some(DEADLINE)).unwrap();
+    let mut out = Vec::new();
+    busy.read_to_end(&mut out).unwrap();
+    responses.recv_timeout(DEADLINE).expect("the other flood connection is answered");
+    for reader in readers {
+        reader.join().unwrap();
     }
-    assert!(got_503, "bounded queue never pushed back");
 
     // The rejection went through the real accept-loop path and must be
     // visible both on the server handle and in the registry.
@@ -186,11 +222,7 @@ fn backpressure_rejections_surface_in_metrics() {
     assert_eq!(rejected, server.rejected_count());
     assert!(state.telemetry().counter("web.status.5xx").get() >= rejected);
 
-    // Unblock the handler and confirm /metrics itself reports it.
-    write!(busy, "\r\n").unwrap();
-    let mut out = Vec::new();
-    busy.read_to_end(&mut out).unwrap();
-    drop(held);
+    // /metrics itself reports it.
     let body = String::from_utf8(state.handle(&get("/metrics")).body).unwrap();
     assert!(metric(&body, "web.backpressure.rejected").unwrap() >= 1);
     server.stop();
