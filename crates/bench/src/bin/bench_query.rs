@@ -17,9 +17,16 @@
 //!
 //! A serial clip sweep runs DTW clip queries over a catalog of contiguous
 //! 1–8 key-frame videos with abandon off and on, reading the exact
-//! `query.clip.elements` counter (kernel elements, lower-bound pass
+//! `query.clip.elements` counter (kernel elements, the bound tier's
 //! included); `--smoke` also **fails** unless abandon-on visits ≤ 50% of
 //! the abandon-off elements.
+//!
+//! Both sweeps report the bound tier apart: its elements
+//! (`query.scan.tier_elements`, `query.clip.tier_elements`) beside the
+//! exact kernels', and the share of the frame candidates
+//! (`query.scan.tier_candidates`) and DTW cells (`query.clip.tier_cells`)
+//! it rejects before any exact kernel runs. `--smoke` **fails** unless the
+//! tier rejects at least half of the frame candidates it sees.
 //!
 //! The run also performs a query-during-ingest sweep over the segmented
 //! catalog — query latency measured idle vs racing a writer thread that
@@ -71,6 +78,43 @@ struct Run {
     elements: u64,
     survivors: u64,
     abandoned: u64,
+    tier: Tier,
+}
+
+/// The bound tier's work in one run: kernel elements, and the frame
+/// candidates or DTW cells it checked and rejected.
+#[derive(Clone, Copy, Default)]
+struct Tier {
+    elements: u64,
+    seen: u64,
+    rejected: u64,
+}
+
+impl Tier {
+    /// Counter deltas of the tier's counters under `prefix` (`query.scan`
+    /// or `query.clip`) since `before`.
+    fn read(registry: &Registry, prefix: &str, seen: &str, before: Tier) -> Tier {
+        let get = |name: &str| registry.counter(&format!("{prefix}.{name}")).get();
+        Tier {
+            elements: get("tier_elements") - before.elements,
+            seen: get(seen) - before.seen,
+            rejected: get("tier_rejects") - before.rejected,
+        }
+    }
+
+    fn reject_share(&self) -> f64 {
+        if self.seen == 0 {
+            return 0.0;
+        }
+        self.rejected as f64 / self.seen as f64
+    }
+
+    fn to_json(self) -> String {
+        format!(
+            "{{\"elements\": {}, \"seen\": {}, \"rejected\": {}}}",
+            self.elements, self.seen, self.rejected
+        )
+    }
 }
 
 impl Run {
@@ -94,7 +138,7 @@ impl Run {
                 "{{\"size\": {}, \"threads\": {}, \"abandon\": {}, ",
                 "\"wall_ns\": {}, \"ns_per_candidate\": {:.2}, ",
                 "\"candidates\": {}, \"elements\": {}, \"survivors\": {}, ",
-                "\"abandoned\": {}, \"abandoned_fraction\": {:.4}}}"
+                "\"abandoned\": {}, \"abandoned_fraction\": {:.4}, \"tier\": {}}}"
             ),
             self.size,
             self.threads,
@@ -106,6 +150,7 @@ impl Run {
             self.survivors,
             self.abandoned,
             self.abandoned_fraction(),
+            self.tier.to_json(),
         )
     }
 }
@@ -118,6 +163,7 @@ struct ClipRun {
     wall_ns: u64,
     elements: u64,
     abandoned: u64,
+    tier: Tier,
 }
 
 impl ClipRun {
@@ -126,7 +172,7 @@ impl ClipRun {
             concat!(
                 "{{\"size\": {}, \"videos\": {}, \"abandon\": {}, \"queries\": {}, ",
                 "\"wall_ns_per_query\": {}, \"elements_per_query\": {}, ",
-                "\"abandoned_per_query\": {:.1}}}"
+                "\"abandoned_per_query\": {:.1}, \"tier\": {}}}"
             ),
             self.size,
             self.videos,
@@ -135,6 +181,7 @@ impl ClipRun {
             self.wall_ns / self.queries as u64,
             self.elements / self.queries as u64,
             self.abandoned as f64 / self.queries as f64,
+            self.tier.to_json(),
         )
     }
 }
@@ -175,15 +222,19 @@ fn clip_sweep(bases: &[CatalogEntry], queries: &[Vec<FeatureSet>], size: usize) 
             wall_ns: start.elapsed().as_nanos() as u64,
             elements: registry.counter("query.clip.elements").get(),
             abandoned: registry.counter("query.abandon.dtw").get(),
+            tier: Tier::read(&registry, "query.clip", "tier_cells", Tier::default()),
         };
         eprintln!(
-            "clip size={:>6} videos={} abandon={:<5} wall/query={:>10}ns elements/query={:>10} abandoned/query={:.1}",
+            "clip size={:>6} videos={} abandon={:<5} wall/query={:>10}ns elements/query={:>10} (tier {:>9}) abandoned/query={:.1} tier rejects {}/{} cells",
             run.size,
             run.videos,
             run.abandon,
             run.wall_ns / run.queries as u64,
             run.elements / run.queries as u64,
+            run.tier.elements / run.queries as u64,
             run.abandoned as f64 / run.queries as f64,
+            run.tier.rejected,
+            run.tier.seen,
         );
         runs.push(run);
         rankings.push(results);
@@ -458,6 +509,7 @@ fn main() {
                 let el0 = registry.counter("query.scan.elements").get();
                 let sv0 = registry.counter("query.scan.survivors").get();
                 let ab0 = abandon_total(&registry);
+                let tier0 = Tier::read(&registry, "query.scan", "tier_candidates", Tier::default());
                 let start = Instant::now();
                 let results = engine.query_features(&probe, probe_range, &options);
                 let wall_ns = start.elapsed().as_nanos() as u64;
@@ -471,16 +523,20 @@ fn main() {
                     elements: registry.counter("query.scan.elements").get() - el0,
                     survivors: registry.counter("query.scan.survivors").get() - sv0,
                     abandoned: abandon_total(&registry) - ab0,
+                    tier: Tier::read(&registry, "query.scan", "tier_candidates", tier0),
                 };
                 eprintln!(
-                    "size={:>6} threads={} abandon={:<5} wall={:>9}ns ns/cand={:>8.1} elements={:>10} abandoned={:.1}%",
+                    "size={:>6} threads={} abandon={:<5} wall={:>9}ns ns/cand={:>8.1} elements={:>10} (tier {:>9}) abandoned={:.1}% tier rejects {}/{}",
                     run.size,
                     run.threads,
                     run.abandon,
                     run.wall_ns,
                     run.ns_per_candidate(),
                     run.elements,
+                    run.tier.elements,
                     run.abandoned_fraction() * 100.0,
+                    run.tier.rejected,
+                    run.tier.seen,
                 );
                 runs.push(run);
             }
@@ -501,37 +557,60 @@ fn main() {
     concurrency_sweep(&bases, &probe, probe_range, smoke, &out_concurrency);
 
     // CI gate: the serial cascade must visit ≤ 70% of the full scan's
-    // distance-kernel elements on the 10k catalog (≥30% reduction).
-    let elements_at = |abandon: bool| {
+    // distance-kernel elements on the 10k catalog (≥30% reduction), the
+    // bound tier's included.
+    let serial = |abandon: bool| {
         runs.iter()
             .find(|r| r.size == 10_240 && r.threads == 1 && r.abandon == abandon)
-            .map(|r| r.elements)
             .expect("10k serial run present")
     };
-    let full = elements_at(false);
-    let cascade = elements_at(true);
+    let full = serial(false).elements;
+    let cascade = serial(true).elements;
     let ratio = cascade as f64 / full as f64;
     eprintln!(
         "10k serial element ratio: cascade {cascade} / full {full} = {ratio:.3} (gate: <= 0.70)"
     );
+    // Tier gate: the bound tier must reject at least half of the frame
+    // candidates it bounds, or it costs more than it saves.
+    let tier = serial(true).tier;
+    let tier_share = tier.reject_share();
+    eprintln!(
+        "10k serial frame tier: rejected {} / {} candidates = {tier_share:.3} (gate: >= 0.50); elements: tier {} + exact {}",
+        tier.rejected,
+        tier.seen,
+        tier.elements,
+        cascade - tier.elements,
+    );
     // Clip gate: the bounded DTW must visit ≤ 50% of the plain DTW's
-    // kernel elements (bound pass included) on the 10k catalog.
-    let clip_elements_at = |abandon: bool| {
+    // kernel elements (bound tier included) on the 10k catalog.
+    let clip_at = |abandon: bool| {
         clip_runs
             .iter()
             .find(|r| r.size == 10_240 && r.abandon == abandon)
-            .map(|r| r.elements)
             .expect("10k clip run present")
     };
-    let clip_full = clip_elements_at(false);
-    let clip_bounded = clip_elements_at(true);
+    let clip_full = clip_at(false).elements;
+    let clip_bounded = clip_at(true).elements;
     let clip_ratio = clip_bounded as f64 / clip_full as f64;
     eprintln!(
         "10k serial clip element ratio: bounded {clip_bounded} / full {clip_full} = {clip_ratio:.3} (gate: <= 0.50)"
     );
+    let clip_tier = clip_at(true).tier;
+    eprintln!(
+        "10k serial clip tier: rejected {} / {} DTW cells = {:.3}; elements: tier {} + exact {}",
+        clip_tier.rejected,
+        clip_tier.seen,
+        clip_tier.reject_share(),
+        clip_tier.elements,
+        clip_bounded - clip_tier.elements,
+    );
     let mut failed = false;
     if smoke && ratio > 0.70 {
         eprintln!("FAIL: cascade element reduction below the 30% acceptance floor");
+        failed = true;
+    }
+    if smoke && tier_share < 0.50 {
+        eprintln!("FAIL: the bound tier rejects fewer than half of the frame candidates it sees");
         failed = true;
     }
     if smoke && clip_ratio > 0.50 {

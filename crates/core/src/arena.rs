@@ -9,24 +9,37 @@
 //!   fixed per-entry stride (`entry i`'s vector is `slab[i*dim..(i+1)*dim]`),
 //!   so the scan streams each feature column linearly;
 //! - per-entry *bound statistics* (vector mass for the histogram kinds, L2
-//!   norm for the Euclidean kinds) precomputed at build time, powering O(1)
-//!   triangle-inequality pre-bounds before any kernel runs.
+//!   norm for the Euclidean kinds) precomputed at build time: the
+//!   Jensen–Shannon kernels normalise by the histogram mass, and the bound
+//!   tier's first stage bounds every distance from them in O(1).
 //!
-//! On top sits the **cascade**: features are scored cheapest-first
-//! ([`CASCADE_ORDER`]), a running *upper bound* of the candidate's final
-//! weighted score is maintained, and the candidate is abandoned the moment
-//! the bound falls below the current k-th-best score threshold. Both the
-//! abandonment and the per-kernel partial-sum cutoffs are exact (see
-//! [`DescriptorArena::cascade_score`]): a surviving candidate's score is
-//! bit-identical to the no-abandon scan, and an abandoned candidate is
-//! *proven* unable to enter the top-k, so ranked results are identical at
-//! every thread count and every `abandon` setting.
+//! In front of it sits the **bound tier** ([`DescriptorArena::tier`] for a
+//! frame candidate, `TierCells` for a clip video's DTW cells): certified
+//! lower bounds of every stage distance, first from the bound statistics
+//! in O(1), then from the reassociated `f32` kernels of
+//! `cbvr_features::distance` (`*_lower_f32`), cheapest kind first. The tier
+//! rejects frame candidates and clip DTW cells whose bound already proves
+//! them out of the top-k, and hands the survivors' per-kind bounds to the
+//! cascade.
+//!
+//! The **cascade** scores the survivors exactly: features are scored
+//! cheapest-first ([`CASCADE_ORDER`]), a running *upper bound* of the
+//! candidate's final weighted score is maintained, and the candidate is
+//! abandoned the moment the bound falls below the current k-th-best score
+//! threshold. Both the abandonment and the per-kernel partial-sum cutoffs
+//! are exact (see [`DescriptorArena::cascade_score`]): a surviving
+//! candidate's score is bit-identical to the no-abandon scan, and an
+//! abandoned candidate is *proven* unable to enter the top-k, so ranked
+//! results are identical at every thread count and every `abandon`
+//! setting.
 
+use crate::dtw::{cheapest_path, cheapest_paths, DtwScratch};
 use crate::score::{similarity_for_scale, ScoreCalibration};
 use crate::weights::FeatureWeights;
 use cbvr_features::distance::{
-    jensen_shannon_f32, l2_f32, l2_norm_f32, mass_f32, naive_rgb_f32, regions_rel_f32, rgb_diag,
-    scaled_l1_f32, BoundedDistance,
+    jensen_shannon_f32, jensen_shannon_lower_f32, l2_f32, l2_lower_f32, l2_norm_f32, mass_f32,
+    naive_rgb_f32, naive_rgb_lower_f32, regions_rel_f32, rgb_diag, scaled_l1_f32,
+    scaled_l1_lower_f32, BoundedDistance,
 };
 use cbvr_features::{FeatureKind, FeatureSet};
 
@@ -51,12 +64,6 @@ pub const CASCADE_ORDER: [FeatureKind; 7] = [
     FeatureKind::Correlogram,
     FeatureKind::ColorHistogram,
 ];
-
-/// The cheap head of [`CASCADE_ORDER`] whose kernels
-/// [`DescriptorArena::lower_gap`] runs: 86 elements per entry against 587
-/// for the other three kinds, which it bounds in O(1) instead.
-pub const LOWER_BOUND_KINDS: [FeatureKind; 4] =
-    [FeatureKind::Regions, FeatureKind::Glcm, FeatureKind::Tamura, FeatureKind::Gabor];
 
 /// Number of feature kinds (arena columns).
 pub const KINDS: usize = FeatureKind::ALL.len();
@@ -189,21 +196,23 @@ fn bound_stat(kind: FeatureKind, v: &[f32]) -> f64 {
     }
 }
 
-/// O(1) lower bound of the kind's native distance from the two vectors'
-/// bound statistics, deflated by `BOUND_SLOP` so statistic rounding can
-/// never make it exceed the true distance:
+/// The tier's first stage: an O(1) lower bound of the kind's native
+/// distance from the two vectors' bound statistics, deflated by
+/// `BOUND_SLOP` so statistic rounding can never make it exceed the true
+/// distance:
 ///
 /// - L2 kinds: reverse triangle inequality, `|‖a‖ − ‖b‖| ≤ ‖a − b‖`;
 /// - correlogram (scaled L1): `|Σa − Σb| ≤ Σ|a−b|`, then `/ dim`;
 /// - naive signature: the sum of per-point RGB norms dominates the full
 ///   75-dim L2 norm (ℓ1 of norms ≥ ℓ2), which dominates `|Δnorm|`;
 /// - histogram (Jensen–Shannon) and regions: no useful O(1) bound → 0.
-fn prebound(kind: FeatureKind, stat_a: f64, stat_b: f64) -> f64 {
-    let delta = (stat_a - stat_b).abs();
+fn stat_bound(kind: FeatureKind, a: Row, b: Row) -> f64 {
+    let k = kind as usize;
+    let delta = (a.0.stats[k][a.1] - b.0.stats[k][b.1]).abs();
     let raw = match kind {
         FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => delta,
         FeatureKind::Correlogram => delta / kind_dim(FeatureKind::Correlogram) as f64,
-        FeatureKind::Naive => delta / (25.0 * rgb_diag()),
+        FeatureKind::Naive => delta / ((kind_dim(FeatureKind::Naive) / 3) as f64 * rgb_diag()),
         FeatureKind::ColorHistogram | FeatureKind::Regions => 0.0,
     };
     raw * (1.0 - BOUND_SLOP)
@@ -232,6 +241,83 @@ pub(crate) fn stage_distance(kind: FeatureKind, a: Row, b: Row, cutoff: f64) -> 
                 Some(d) if d > cutoff => BoundedDistance { distance: None, elements: r.elements },
                 _ => r,
             }
+        }
+    }
+}
+
+/// Lower bounds of one candidate's stage distances, indexed by the kind's
+/// discriminant; 0 for a kind the tier did not bound.
+pub type KindBounds = [f64; KINDS];
+
+/// The tier's kernel bound of the kind's native distance between rows `a`
+/// and `b`: never above the float result of `stage_distance(kind, a, b,
+/// ∞)`. The `*_lower_f32` kernels certify that for the six costly kinds;
+/// the 3-element region vector runs its exact kernel.
+pub(crate) fn stage_bound(kind: FeatureKind, a: Row, b: Row) -> f64 {
+    let (av, bv) = (a.0.slice(kind, a.1), b.0.slice(kind, b.1));
+    match kind {
+        FeatureKind::ColorHistogram => {
+            let k = kind as usize;
+            jensen_shannon_lower_f32(av, bv, a.0.stats[k][a.1], b.0.stats[k][b.1])
+        }
+        FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => l2_lower_f32(av, bv),
+        FeatureKind::Correlogram => scaled_l1_lower_f32(av, bv, kind_dim(kind) as f64),
+        FeatureKind::Naive => naive_rgb_lower_f32(av, bv),
+        FeatureKind::Regions => regions_rel_f32(av, bv).distance.expect("regions never abandon"),
+    }
+}
+
+/// A stage's share of the distance `1 − score` when its distance is `d`:
+/// `frac·(1 − s(d)) = frac·d/(scale + d)`, which grows with `d`, so a
+/// lower bound of `d` gives a lower bound of the share.
+fn stage_gap(stage: &CascadeStage, d: f64) -> f64 {
+    stage.frac * (d / (stage.scale + d))
+}
+
+/// A summed tier gap, deflated by `BOUND_SLOP` and `SCORE_EPS`: the exact
+/// distance is `1 − combine(…)`, summed in another order. At or above
+/// `1 − threshold` it proves the score strictly below `threshold`.
+fn certified(gap: f64) -> f64 {
+    gap * (1.0 - BOUND_SLOP) - SCORE_EPS
+}
+
+/// One candidate's running tier state: its per-kind distance bounds and
+/// the summed share of the distance `1 − score` they imply.
+#[derive(Clone, Copy)]
+struct TierState {
+    bounds: KindBounds,
+    gap: f64,
+}
+
+impl TierState {
+    /// The first stage: every active kind's [`stat_bound`], no element
+    /// visited.
+    fn from_stats(plan: &CascadePlan, a: Row, b: Row) -> TierState {
+        let mut state = TierState { bounds: [0.0; KINDS], gap: 0.0 };
+        for stage in &plan.stages {
+            let d = stat_bound(stage.kind, a, b);
+            state.bounds[stage.kind as usize] = d;
+            state.gap += stage_gap(stage, d);
+        }
+        state
+    }
+
+    /// The certified lower bound of the distance `1 − score`.
+    fn lower(&self) -> f64 {
+        certified(self.gap).max(0.0)
+    }
+
+    /// Apply the stage's kernel bound: raise its kind's bound when that is
+    /// higher, keeping the gap in step. Every raise adds a non-negative
+    /// amount, so the running gap only grows and is the sum of the final
+    /// shares to within a few ulps.
+    fn tighten(&mut self, stage: &CascadeStage, a: Row, b: Row, tally: &mut CascadeTally) {
+        let k = stage.kind as usize;
+        let d = stage_bound(stage.kind, a, b);
+        tally.tier_elements += kind_dim(stage.kind) as u64;
+        if d > self.bounds[k] {
+            self.gap += stage_gap(stage, d) - stage_gap(stage, self.bounds[k]);
+            self.bounds[k] = d;
         }
     }
 }
@@ -307,43 +393,54 @@ impl DescriptorArena {
         &self.data[kind as usize].as_slice()[i * dim..(i + 1) * dim]
     }
 
-    /// A lower bound of entry `i`'s *distance* `1 − score` from `query`,
-    /// paying only for the cheap head of the cascade
-    /// ([`LOWER_BOUND_KINDS`]: 86 of 673 elements, ~46% of the default
-    /// weight) — the clip DTW prunes cells with it before any expensive
-    /// kernel runs. The distance is `Σₖ fracₖ(1 − sₖ)` over every active
-    /// stage. Each term is bounded from below by running the cheap kernels
-    /// to the end and, for the other kinds, by the O(1) norm/mass
-    /// `prebound` of their distance (similarity falls as distance grows).
-    /// The result is deflated by `BOUND_SLOP` and `SCORE_EPS`, since the
-    /// exact distance is computed as `1 − combine(…)` in a different order.
-    pub fn lower_gap(
+    /// The bound tier for one frame candidate: `None` when it proves entry
+    /// `i`'s score strictly below `threshold`, else the per-kind distance
+    /// bounds that [`DescriptorArena::cascade_score`] abandons on.
+    ///
+    /// The first stage bounds every kind from the bound statistics; then
+    /// each stage's kernel bound raises its kind's, cheapest first. The
+    /// candidate is rejected as soon as the summed share of `1 − score`
+    /// they imply, deflated for rounding, exceeds `1 − threshold`, before
+    /// any exact kernel runs. Below a positive threshold nothing can be
+    /// rejected (every gap is below 1), so the tier does no work and
+    /// returns zero bounds.
+    pub fn tier(
         &self,
         query: &QueryVectors,
         i: usize,
         plan: &CascadePlan,
+        threshold: f64,
         tally: &mut CascadeTally,
-    ) -> f64 {
-        let mut gap = 0.0f64;
-        for stage in &plan.stages {
-            let k = stage.kind as usize;
-            let d = if LOWER_BOUND_KINDS.contains(&stage.kind) {
-                let r = stage_distance(stage.kind, (&query.0, 0), (self, i), f64::INFINITY);
-                tally.elements += r.elements as u64;
-                r.distance.expect("an infinite cutoff never abandons")
-            } else {
-                prebound(stage.kind, query.0.stats[k][0], self.stats[k][i])
-            };
-            gap += stage.frac * (1.0 - similarity_for_scale(stage.scale, d).clamp(0.0, 1.0));
+    ) -> Option<KindBounds> {
+        if threshold <= 0.0 || plan.stages.is_empty() {
+            return Some([0.0; KINDS]);
         }
-        (gap * (1.0 - BOUND_SLOP) - SCORE_EPS).max(0.0)
+        let (q, r) = ((&query.0, 0), (self, i));
+        let beyond = 1.0 - threshold;
+        tally.tier_seen += 1;
+        let mut state = TierState::from_stats(plan, q, r);
+        let mut last = plan.stages[0].kind;
+        for stage in &plan.stages {
+            if state.lower() > beyond {
+                break;
+            }
+            state.tighten(stage, q, r, tally);
+            last = stage.kind;
+        }
+        if state.lower() > beyond {
+            tally.tier_rejected += 1;
+            tally.abandoned[last as usize] += 1;
+            return None;
+        }
+        Some(state.bounds)
     }
 
     /// Score entry `i` against `query`, abandoning as soon as the entry is
     /// *proven* unable to reach `threshold` (the caller's current k-th
     /// best score; pass `f64::NEG_INFINITY` to disable abandonment — the
     /// kernels then run to completion and the result is the exact full
-    /// score).
+    /// score). `bounds` are lower bounds of the stage distances from the
+    /// tier (zeros when it did not run).
     ///
     /// Exactness argument. Let `fracₖ = wₖ / Σw` and `sₖ ∈ [0, 1]` the
     /// per-kind similarities; the final score is `Σ fracₖ·sₖ`. After
@@ -351,21 +448,23 @@ impl DescriptorArena {
     /// `Σ_{k∈S} fracₖ·sₖ + Σ_{k∉S} fracₖ`, an upper bound of the final
     /// score (remaining stages can at best contribute their full
     /// fraction). Abandonment triggers only when `ub ≤ threshold −`
-    /// `SCORE_EPS`, or when a kernel proves the *current* stage alone
-    /// must lose more than the remaining slack (its distance exceeds the
-    /// stage's critical cutoff, computed by inverting the similarity map
-    /// and inflated by `BOUND_SLOP`). Either way the candidate's true
-    /// score is strictly below the threshold, so it cannot displace any
-    /// kept top-k item nor win a tie (ties sit *at* the threshold and are
-    /// protected by the epsilon margin). Surviving candidates run every
-    /// kernel to completion on the identical accumulation sequence, so
-    /// their scores are bit-identical with abandonment on or off.
+    /// `SCORE_EPS`, or when the stage's tier bound or its kernel proves
+    /// the *current* stage alone must lose more than the remaining slack
+    /// (its distance exceeds the stage's critical cutoff, computed by
+    /// inverting the similarity map and inflated by `BOUND_SLOP`). Either
+    /// way the candidate's true score is strictly below the threshold, so
+    /// it cannot displace any kept top-k item nor win a tie (ties sit *at*
+    /// the threshold and are protected by the epsilon margin). Surviving
+    /// candidates run every kernel to completion on the identical
+    /// accumulation sequence, so their scores are bit-identical with
+    /// abandonment on or off.
     pub fn cascade_score(
         &self,
         query: &QueryVectors,
         i: usize,
         plan: &CascadePlan,
         threshold: f64,
+        bounds: &KindBounds,
         tally: &mut CascadeTally,
     ) -> Option<f64> {
         let mut sims = [0.0f64; KINDS];
@@ -386,7 +485,7 @@ impl DescriptorArena {
             } else {
                 stage.scale * (1.0 / sim_crit - 1.0) * (1.0 + BOUND_SLOP)
             };
-            if prebound(stage.kind, query.0.stats[k][0], self.stats[k][i]) > cutoff {
+            if bounds[k] > cutoff {
                 tally.abandoned[k] += 1;
                 return None;
             }
@@ -402,6 +501,109 @@ impl DescriptorArena {
         }
         tally.survivors += 1;
         Some(plan.weights.combine(|kind| sims[kind as usize]))
+    }
+}
+
+/// Bound elements per cell between two path checks of [`TierCells::fill`].
+const CHECK_ELEMENTS: usize = 64;
+
+/// Reusable scratch for the clip path's bound tier: one cell per (query
+/// frame, row) pair of the video being aligned, row-major by query frame.
+/// It holds `80·n·m` bytes for an `n`-frame query against an `m`-row
+/// video and is reused across the videos of one pool chunk, so its size
+/// follows the longest video a chunk aligns, never the catalog.
+#[derive(Default)]
+pub(crate) struct TierCells {
+    states: Vec<TierState>,
+    lower: Vec<f64>,
+    through: Vec<f64>,
+}
+
+impl TierCells {
+    /// Bound every cell of one video: first from the bound statistics,
+    /// then stage by stage, kind-major — for each stage, each query
+    /// frame's vector of that kind against each row, so one kernel and one
+    /// query vector stay hot across the video's rows. Returns `false` as
+    /// soon as the cheapest warping path over the bounds so far exceeds
+    /// `limit` (the DTW's cost limit): the video is then proven out of the
+    /// top-k.
+    ///
+    /// The path is checked before the first stage, then whenever
+    /// [`CHECK_ELEMENTS`] per cell have been bounded since, and after each
+    /// query frame's cells of a stage at least that costly, so a video
+    /// proven out mid-stage skips the rest of it. A cell that every path
+    /// within the limit avoids ([`cheapest_paths`]) is one the DTW never
+    /// scores — its exact predecessors cost at least their bounds — so its
+    /// bound is not tightened further. With an infinite limit nothing can
+    /// be pruned, so nothing is bounded: every bound is 0.
+    pub(crate) fn fill(
+        &mut self,
+        query: &[QueryVectors],
+        rows: &[Row],
+        plan: &CascadePlan,
+        limit: f64,
+        scratch: &mut DtwScratch,
+        tally: &mut CascadeTally,
+    ) -> bool {
+        let (n, m) = (query.len(), rows.len());
+        self.states.clear();
+        self.lower.clear();
+        if !limit.is_finite() || n * m == 0 {
+            self.states.resize(n * m, TierState { bounds: [0.0; KINDS], gap: 0.0 });
+            self.lower.resize(n * m, 0.0);
+            return true;
+        }
+        for q in query {
+            for &row in rows {
+                let state = TierState::from_stats(plan, (&q.0, 0), row);
+                self.states.push(state);
+                self.lower.push(state.lower());
+            }
+        }
+        // Path checks cost about as much as bounding a few dozen elements
+        // per cell, so they run only once that much bounding has piled up
+        // since the last one, and after each query frame within a stage at
+        // least that costly.
+        let mut pending = CHECK_ELEMENTS;
+        for stage in &plan.stages {
+            let dim = kind_dim(stage.kind);
+            if pending >= CHECK_ELEMENTS {
+                if cheapest_paths(n, m, &self.lower, &mut self.through, scratch) > limit {
+                    return false;
+                }
+                pending = 0;
+            }
+            for (qi, q) in query.iter().enumerate() {
+                for (j, &row) in rows.iter().enumerate() {
+                    let c = qi * m + j;
+                    if self.through[c] > limit {
+                        continue;
+                    }
+                    self.states[c].tighten(stage, (&q.0, 0), row, tally);
+                    self.lower[c] = self.states[c].lower();
+                }
+                if dim >= CHECK_ELEMENTS
+                    && qi + 1 < n
+                    && cheapest_paths(n, m, &self.lower, &mut self.through, scratch) > limit
+                {
+                    return false;
+                }
+            }
+            pending += dim;
+        }
+        cheapest_path(n, m, &self.lower, scratch) <= limit
+    }
+
+    /// Per-cell lower bounds of the cell distance `1 − score` after
+    /// [`TierCells::fill`]: the DTW's lower matrix, and the test that
+    /// rejects a cell whose bound exceeds its budget.
+    pub(crate) fn lower(&self) -> &[f64] {
+        &self.lower
+    }
+
+    /// Cell `c`'s per-kind distance bounds, for the cascade.
+    pub(crate) fn bounds(&self, c: usize) -> &KindBounds {
+        &self.states[c].bounds
     }
 }
 
@@ -469,13 +671,21 @@ impl CascadePlan {
 /// per chunk (plain integers on the hot path, atomics once per chunk).
 #[derive(Clone, Default)]
 pub struct CascadeTally {
-    /// Distance-kernel elements visited (the cost unit the acceptance
-    /// criterion measures).
+    /// Exact distance-kernel elements visited (the cost unit the
+    /// acceptance criterion measures).
     pub elements: u64,
+    /// Bound-tier kernel elements visited.
+    pub tier_elements: u64,
+    /// Frame candidates or DTW cells the tier checked against a
+    /// threshold.
+    pub tier_seen: u64,
+    /// Of those, the ones the tier rejected before any exact kernel.
+    pub tier_rejected: u64,
     /// Candidates that survived the full cascade.
     pub survivors: u64,
-    /// Candidates abandoned per kind (indexed by discriminant): at the
-    /// stage's threshold check, its pre-bound, or inside its kernel.
+    /// Candidates abandoned per kind (indexed by discriminant): by the
+    /// tier after this stage's bound, at the stage's threshold check, on
+    /// its tier bound, or inside its kernel.
     pub abandoned: [u64; KINDS],
 }
 
@@ -509,7 +719,7 @@ mod tests {
     fn full_score(arena: &DescriptorArena, q: &QueryVectors, i: usize, plan: &CascadePlan) -> f64 {
         let mut tally = CascadeTally::default();
         arena
-            .cascade_score(q, i, plan, f64::NEG_INFINITY, &mut tally)
+            .cascade_score(q, i, plan, f64::NEG_INFINITY, &[0.0; KINDS], &mut tally)
             .expect("no threshold: the cascade cannot abandon")
     }
 
@@ -555,20 +765,115 @@ mod tests {
         let thr = sorted[1];
         let mut tally = CascadeTally::default();
         for (i, &expect) in full.iter().enumerate() {
-            match arena.cascade_score(&q, i, &plan, thr, &mut tally) {
+            let scored = arena
+                .tier(&q, i, &plan, thr, &mut tally)
+                .and_then(|bounds| arena.cascade_score(&q, i, &plan, thr, &bounds, &mut tally));
+            match scored {
                 Some(got) => assert_eq!(got, expect, "entry {i}"),
                 None => assert!(expect < thr, "entry {i} abandoned at score {expect} ≥ {thr}"),
             }
         }
         assert!(tally.survivors >= 2, "the top-2 must survive");
+        assert_eq!(tally.tier_seen, 8);
         let full_elements: u64 =
             FeatureKind::ALL.iter().map(|&k| 8 * kind_dim(k) as u64).sum();
         assert!(tally.elements <= full_elements);
+        assert!(tally.tier_elements <= full_elements);
+    }
+
+    /// A two-row arena from raw vectors, one `(a, b)` pair per kind.
+    fn raw_pair(mut vectors: impl FnMut(FeatureKind) -> (Vec<f32>, Vec<f32>)) -> DescriptorArena {
+        let mut arena = DescriptorArena::new();
+        for kind in FeatureKind::ALL {
+            let (a, b) = vectors(kind);
+            for v in [a, b] {
+                assert_eq!(v.len(), kind_dim(kind));
+                arena.stats[kind as usize].push(bound_stat(kind, &v));
+                arena.data[kind as usize].extend_from_slice(&v);
+            }
+        }
+        arena.len = 2;
+        arena
     }
 
     #[test]
-    fn lower_gap_bounds_the_exact_distance() {
+    fn tight_tier_bounds_never_exceed_the_exact_distances() {
+        use rand::{Rng, SeedableRng};
+        // Rows where the bounds are (nearly) equalities in the reals, so
+        // only their deflations keep them below the kernels' float
+        // results: collinear rows (`b = c·a`, `c` a power of two, exact
+        // in f32) for the reverse triangle inequality and the metric
+        // kernels, and near-uniform two-bin histograms for Pinsker.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x57a7);
+        let regions_only = CascadePlan::new(
+            &FeatureWeights::single(FeatureKind::Regions),
+            &ScoreCalibration::default(),
+        );
+        for _ in 0..256 {
+            let c = [0.25f32, 0.5, 2.0, 4.0][rng.gen_range(0..4usize)];
+            let eps = rng.gen_range(3e-3f32..0.02);
+            let arena = raw_pair(|kind| {
+                if kind == FeatureKind::ColorHistogram {
+                    let mut a = vec![0.0f32; kind_dim(kind)];
+                    let mut b = a.clone();
+                    (a[0], a[1], b[0], b[1]) = (0.5 + eps, 0.5 - eps, 0.5 - eps, 0.5 + eps);
+                    return (a, b);
+                }
+                let a: Vec<f32> =
+                    (0..kind_dim(kind)).map(|_| rng.gen_range(1.0f32..255.0)).collect();
+                let b = if kind == FeatureKind::Regions {
+                    // Its bound is exact anyway: vary the distance instead.
+                    (0..kind_dim(kind)).map(|_| rng.gen_range(1.0f32..255.0)).collect()
+                } else {
+                    a.iter().map(|x| x * c).collect()
+                };
+                (a, b)
+            });
+            let (a, b) = ((&arena, 0), (&arena, 1));
+            for kind in FeatureKind::ALL {
+                let exact = stage_distance(kind, a, b, f64::INFINITY)
+                    .distance
+                    .expect("an infinite cutoff never abandons");
+                let stat = stat_bound(kind, a, b);
+                let kernel = stage_bound(kind, a, b);
+                assert!(stat <= exact, "{kind} statistic: {stat} > {exact} (c = {c})");
+                assert!(kernel <= exact, "{kind} kernel: {kernel} > {exact} (c = {c})");
+                // Tight: a bound inflated by 0.1% would exceed the exact
+                // distance.
+                assert!(kernel * 1.001 > exact, "{kind} kernel: {kernel} vs {exact}");
+            }
+            // The regions stage's bound is its exact distance: only the
+            // certified deflation keeps the tier's gap below `1 − score`.
+            let q = QueryVectors({
+                let mut row = DescriptorArena::new();
+                row.push_row(&arena, 0);
+                row
+            });
+            let mut tier = TierState::from_stats(&regions_only, a, b);
+            tier.tighten(&regions_only.stages[0], a, b, &mut CascadeTally::default());
+            let exact = 1.0 - full_score(&arena, &q, 1, &regions_only);
+            assert!(tier.lower() <= exact, "regions: {} > {exact}", tier.lower());
+        }
+    }
+
+    #[test]
+    fn tier_bounds_never_exceed_the_exact_distances() {
         let (arena, sets) = build(8);
+        for a in 0..arena.len() {
+            for b in 0..arena.len() {
+                for kind in FeatureKind::ALL {
+                    let bound = stage_bound(kind, (&arena, a), (&arena, b));
+                    let exact = stage_distance(kind, (&arena, a), (&arena, b), f64::INFINITY)
+                        .distance
+                        .expect("an infinite cutoff never abandons");
+                    assert!(bound >= 0.0 && bound <= exact, "{kind} {a}/{b}: {bound} > {exact}");
+                    if a == b {
+                        assert_eq!(bound, 0.0, "{kind} self pair");
+                    }
+                }
+            }
+        }
+        let rows: Vec<Row> = (0..arena.len()).map(|i| (&arena, i)).collect();
         for weights in [
             FeatureWeights::default(),
             FeatureWeights::uniform(),
@@ -576,32 +881,58 @@ mod tests {
             FeatureWeights::single(FeatureKind::ColorHistogram),
         ] {
             let plan = CascadePlan::new(&weights, &ScoreCalibration::default());
-            for (qi, s) in sets.iter().enumerate() {
-                let q = QueryVectors::from_set(s);
+            let query: Vec<QueryVectors> = sets.iter().map(QueryVectors::from_set).collect();
+            let mut cells = TierCells::default();
+            let mut scratch = DtwScratch::default();
+            let mut tally = CascadeTally::default();
+            assert!(cells.fill(&query, &rows, &plan, f64::MAX, &mut scratch, &mut tally));
+            let stage_elements: u64 = plan.stages.iter().map(|st| kind_dim(st.kind) as u64).sum();
+            assert_eq!(tally.tier_elements, 64 * stage_elements, "every cell, every stage");
+            for (qi, q) in query.iter().enumerate() {
                 for i in 0..arena.len() {
-                    let mut tally = CascadeTally::default();
-                    let lower = arena.lower_gap(&q, i, &plan, &mut tally);
-                    let exact = 1.0 - full_score(&arena, &q, i, &plan);
+                    let c = qi * arena.len() + i;
+                    let exact = 1.0 - full_score(&arena, q, i, &plan);
+                    // The cell's bound, and the one its per-kind bounds
+                    // give: both below the exact distance.
+                    let cell = cells.lower()[c];
+                    assert!(cell >= 0.0 && cell <= exact, "{cell} > {exact}");
+                    let bounds = cells.bounds(c);
+                    let lower: f64 = certified(
+                        plan.stages.iter().map(|st| stage_gap(st, bounds[st.kind as usize])).sum(),
+                    )
+                    .max(0.0);
                     assert!(lower >= 0.0 && lower <= exact, "{lower} > {exact} ({qi}/{i})");
                     if i == qi {
                         assert_eq!(lower, 0.0, "self pair");
                     }
-                    // Only the cheap head's kernels run.
-                    let cheap: usize = plan
-                        .stages
-                        .iter()
-                        .filter(|st| LOWER_BOUND_KINDS.contains(&st.kind))
-                        .map(|st| kind_dim(st.kind))
-                        .sum();
-                    assert_eq!(tally.elements, cheap as u64);
+                    // The frame tier rejects a candidate whose cell bound
+                    // exceeds the threshold's gap.
+                    let thr = 1.0 - lower * 0.999;
+                    let mut t = CascadeTally::default();
+                    if thr > 0.0 && thr < 1.0 && lower > 0.0 {
+                        assert!(arena.tier(q, i, &plan, thr, &mut t).is_none(), "{qi}/{i}");
+                    }
                 }
             }
+            // An infinite limit bounds nothing.
+            let mut tally = CascadeTally::default();
+            assert!(cells.fill(&query, &rows, &plan, f64::INFINITY, &mut scratch, &mut tally));
+            assert_eq!(tally.tier_elements, 0);
+            assert!(cells.lower().iter().all(|&l| l == 0.0));
         }
-        // The cheap head carries a real share of the default weight.
+        // The tier carries a real share of the default weight.
         let plan = CascadePlan::new(&FeatureWeights::default(), &ScoreCalibration::default());
-        let q = QueryVectors::from_set(&sets[0]);
+        let q = [QueryVectors::from_set(&sets[0])];
+        let mut cells = TierCells::default();
+        let mut scratch = DtwScratch::default();
         let mut tally = CascadeTally::default();
-        assert!((1..arena.len()).any(|i| arena.lower_gap(&q, i, &plan, &mut tally) > 0.0));
+        assert!(cells.fill(&q, &rows, &plan, f64::MAX, &mut scratch, &mut tally));
+        assert!(cells.lower()[1..].iter().all(|&l| l > 0.0));
+        // A limit below the cheapest path stops at the first stage whose
+        // bounds prove it, long before the costly kinds.
+        let mut tally = CascadeTally::default();
+        assert!(!cells.fill(&q, &rows, &plan, 0.0, &mut scratch, &mut tally));
+        assert!(tally.tier_elements <= 8 * (3 + 5 + 18 + 60), "{}", tally.tier_elements);
     }
 
     #[test]
@@ -611,10 +942,12 @@ mod tests {
         let q = QueryVectors::from_set(&sets[0]);
         let mut tally = CascadeTally::default();
         for i in 0..6 {
+            assert_eq!(arena.tier(&q, i, &plan, f64::NEG_INFINITY, &mut tally), Some([0.0; KINDS]));
             assert!(arena
-                .cascade_score(&q, i, &plan, f64::NEG_INFINITY, &mut tally)
+                .cascade_score(&q, i, &plan, f64::NEG_INFINITY, &[0.0; KINDS], &mut tally)
                 .is_some());
         }
+        assert_eq!((tally.tier_seen, tally.tier_elements), (0, 0));
         assert_eq!(tally.abandoned, [0; KINDS]);
         assert_eq!(tally.survivors, 6);
     }

@@ -44,30 +44,126 @@ pub fn dtw_distance<T>(a: &[T], b: &[T], mut dist: impl FnMut(&T, &T) -> f64) ->
 /// vastly more than the reassociation error of a few dozen additions.
 const CUTOFF_SLOP: f64 = 1e-9;
 
-/// [`dtw_distance`] that proves videos out of a top-k without paying for
-/// every cell: returns `None` only when the normalised distance exceeds
-/// `cutoff`, and otherwise the exact distance, bit-identical to
-/// [`dtw_distance`] under `dist`'s unbudgeted cost.
+/// The total-cost limit [`dtw_distance_bounded`] prunes against when
+/// aligning `n` against `m` elements under `cutoff`: `cutoff·(n + m)`,
+/// inflated by `CUTOFF_SLOP`. Infinite means nothing is pruned.
+pub fn cost_limit(cutoff: f64, n: usize, m: usize) -> f64 {
+    cutoff * (n + m) as f64 * (1.0 + CUTOFF_SLOP)
+}
+
+/// Reusable buffers of [`dtw_distance_bounded`]: two DP rows and the
+/// `n×m` future-cost matrix. One scratch serves any number of
+/// alignments, one at a time; it grows to the largest it has seen.
+#[derive(Default)]
+pub struct DtwScratch {
+    prev: Vec<f64>,
+    cur: Vec<f64>,
+    fut: Vec<f64>,
+}
+
+/// For each cell of `cost` (an `n×m` row-major matrix, `n, m ≥ 1`), the
+/// cheapest total of `cost` over any warping path from `(0, 0)` to
+/// `(n-1, m-1)` through that cell, stored in `through`; returns the
+/// cheapest whole-path total. When `cost` lower-bounds the exact cell
+/// costs, a cell whose `through` exceeds [`dtw_distance_bounded`]'s limit
+/// is one it never scores: that lets a caller stop tightening the bounds
+/// of such cells, or give up on the alignment when no cell is left.
+pub(crate) fn cheapest_paths(
+    n: usize,
+    m: usize,
+    cost: &[f64],
+    through: &mut Vec<f64>,
+    scratch: &mut DtwScratch,
+) -> f64 {
+    let DtwScratch { prev, cur, fut } = scratch;
+    fut.clear();
+    fut.resize(n * m, 0.0);
+    let whole = backward(n, m, cost, prev, cur, Some(fut));
+    // Forward pass: `prev[j]` / `cur[j + 1]` hold the cheapest total up to
+    // and including cell (i-1, j) / (i, j); index 0 is an ∞ sentinel.
+    for row in [&mut *prev, &mut *cur] {
+        row.clear();
+        row.resize(m + 1, f64::INFINITY);
+    }
+    through.clear();
+    for i in 0..n {
+        cur[0] = f64::INFINITY;
+        for j in 0..m {
+            let before = if i == 0 && j == 0 { 0.0 } else { prev[j].min(prev[j + 1]).min(cur[j]) };
+            cur[j + 1] = before + cost[i * m + j];
+            through.push(cur[j + 1] + fut[i * m + j]);
+        }
+        std::mem::swap(prev, cur);
+    }
+    whole
+}
+
+/// The cheapest whole-path total of [`cheapest_paths`] alone: one
+/// backward pass.
+pub(crate) fn cheapest_path(n: usize, m: usize, cost: &[f64], scratch: &mut DtwScratch) -> f64 {
+    backward(n, m, cost, &mut scratch.prev, &mut scratch.cur, None)
+}
+
+/// One backward pass over `cost`: returns the cheapest whole-path total
+/// and, given `fut`, stores each cell's cheapest total *after* it there.
+/// `below[j]` / `here[j]` hold the cheapest total from cell `(i+1, j)` /
+/// `(i, j)` inclusive; index `m` is a permanent ∞ sentinel.
+fn backward(
+    n: usize,
+    m: usize,
+    cost: &[f64],
+    below: &mut Vec<f64>,
+    here: &mut Vec<f64>,
+    mut fut: Option<&mut Vec<f64>>,
+) -> f64 {
+    debug_assert_eq!(cost.len(), n * m);
+    for row in [&mut *below, &mut *here] {
+        row.clear();
+        row.resize(m + 1, f64::INFINITY);
+    }
+    for i in (0..n).rev() {
+        for j in (0..m).rev() {
+            let after = if i == n - 1 && j == m - 1 {
+                0.0
+            } else {
+                below[j].min(here[j + 1]).min(below[j + 1])
+            };
+            if let Some(fut) = fut.as_deref_mut() {
+                fut[i * m + j] = after;
+            }
+            here[j] = cost[i * m + j] + after;
+        }
+        std::mem::swap(below, here);
+    }
+    below[0]
+}
+
+/// [`dtw_distance`] that proves sequences out of a top-k without paying
+/// for every cell: returns `None` only when the normalised distance
+/// exceeds `cutoff`, and otherwise the exact distance, bit-identical to
+/// [`dtw_distance`] under `dist`'s unbudgeted cost. The sequences are
+/// given by their lengths `n` and `m`; cells are addressed `(i, j)`.
 ///
 /// The caller supplies two cell costs:
 ///
-/// - `lower(a, b)` — a cheap lower bound of the exact cost (`≤` it in
-///   float, not just in the reals);
-/// - `dist(a, b, budget)` — the exact cost, or `None` when it is proven
+/// - `lower[i*m + j]` — a lower bound of the exact cost (`≤` it in
+///   float, not just in the reals); read only when the limit below is
+///   finite, so it may be empty otherwise;
+/// - `dist(i, j, budget)` — the exact cost, or `None` when it is proven
 ///   to exceed `budget` (a returned value is always the exact cost, even
 ///   above `budget`; `budget = ∞` must never return `None`).
 ///
-/// With `L = cutoff·(n + m)` (inflated by `CUTOFF_SLOP`), one backward
-/// pass over the `n×m` lower matrix yields `fut(i, j)`, the cheapest
-/// lower-bound cost of the cells any path visits after `(i, j)` — a true
-/// bound, since every continuation still crosses each later row and
-/// column. If the cheapest whole path under `lower` exceeds `L` the
-/// alignment is abandoned without one exact cell. Otherwise each cell
-/// takes `best`, the minimum of its three predecessors: when
-/// `best + fut > L` no path through it can stay within the limit, so it is
-/// set to `∞` unscored; else `dist` runs with `budget = L − best − fut`, and
-/// a cell it rejects (or whose value plus `fut` exceeds `L`) is set to `∞`.
-/// After each row the strict prefix-row abandon applies as in plain DTW.
+/// With `L =` [`cost_limit`]`(cutoff, n, m)`, one backward pass over the
+/// lower matrix yields `fut(i, j)`, the cheapest lower-bound cost of the
+/// cells any path visits after `(i, j)` — a true bound, since every
+/// continuation still crosses each later row and column. If the cheapest
+/// whole path under `lower` exceeds `L` the alignment is abandoned without
+/// one exact cell. Otherwise each cell takes `best`, the minimum of its
+/// three predecessors: when `best + fut > L` no path through it can stay
+/// within the limit, so it is set to `∞` unscored; else `dist` runs with
+/// `budget = L − best − fut`, and a cell it rejects (or whose value plus
+/// `fut` exceeds `L`) is set to `∞`. After each row the strict prefix-row
+/// abandon applies as in plain DTW.
 ///
 /// Why this is exact: if the final distance is `≤ cutoff`, every cell on
 /// the optimal path satisfies `best + cost + fut ≤ L`, so it is never
@@ -79,18 +175,14 @@ const CUTOFF_SLOP: f64 = 1e-9;
 /// Ties at exactly `cutoff` are kept (strict `>`), so a caller passing the
 /// current k-th best distance preserves tie-breaks. With `cutoff = ∞` the
 /// lower pass is skipped and every cell is scored with an infinite budget.
-///
-/// The two sequences may have different element types — the clip query
-/// path aligns query feature vectors against catalog row addresses.
-pub fn dtw_distance_bounded<A, B>(
-    a: &[A],
-    b: &[B],
+pub fn dtw_distance_bounded(
+    n: usize,
+    m: usize,
     cutoff: f64,
-    mut lower: impl FnMut(&A, &B) -> f64,
-    mut dist: impl FnMut(&A, &B, f64) -> Option<f64>,
+    lower: &[f64],
+    mut dist: impl FnMut(usize, usize, f64) -> Option<f64>,
+    scratch: &mut DtwScratch,
 ) -> Option<f64> {
-    let n = a.len();
-    let m = b.len();
     let finish = |d: f64| if d > cutoff { None } else { Some(d) };
     match (n, m) {
         (0, 0) => return finish(0.0),
@@ -98,36 +190,21 @@ pub fn dtw_distance_bounded<A, B>(
         _ => {}
     }
     let denom = (n + m) as f64;
-    let limit = cutoff * denom * (1.0 + CUTOFF_SLOP);
+    let limit = cost_limit(cutoff, n, m);
     let bounded = limit.is_finite();
-    let mut prev_cost = vec![f64::INFINITY; m + 1];
-    let mut cur_cost = vec![f64::INFINITY; m + 1];
+    let DtwScratch { prev: prev_cost, cur: cur_cost, fut } = scratch;
     // fut[i*m + j]: cheapest lower-bound cost of the cells after (i, j) on
     // any path to (n-1, m-1). Only built (and read) when bounded.
-    let mut fut = Vec::new();
     if bounded {
+        fut.clear();
         fut.resize(n * m, 0.0f64);
-        // The two DP rows serve the backward pass first: below[j] / here[j]
-        // is the cheapest lower-bound cost from cell (i+1, j) / (i, j)
-        // inclusive; index m is a permanent ∞ sentinel.
-        let (below, here) = (&mut prev_cost, &mut cur_cost);
-        for i in (0..n).rev() {
-            for j in (0..m).rev() {
-                let after = if i == n - 1 && j == m - 1 {
-                    0.0
-                } else {
-                    below[j].min(here[j + 1]).min(below[j + 1])
-                };
-                fut[i * m + j] = after;
-                here[j] = lower(&a[i], &b[j]) + after;
-            }
-            std::mem::swap(below, here);
-        }
-        if below[0] > limit {
+        if backward(n, m, lower, prev_cost, cur_cost, Some(fut)) > limit {
             return None;
         }
-        prev_cost.fill(f64::INFINITY);
-        cur_cost.fill(f64::INFINITY);
+    }
+    for row in [&mut *prev_cost, &mut *cur_cost] {
+        row.clear();
+        row.resize(m + 1, f64::INFINITY);
     }
     prev_cost[0] = 0.0;
     for i in 1..=n {
@@ -135,13 +212,13 @@ pub fn dtw_distance_bounded<A, B>(
         for j in 1..=m {
             let best = prev_cost[j - 1].min(prev_cost[j]).min(cur_cost[j - 1]);
             cur_cost[j] = if !bounded {
-                dist(&a[i - 1], &b[j - 1], f64::INFINITY).map_or(f64::INFINITY, |d| best + d)
+                dist(i - 1, j - 1, f64::INFINITY).map_or(f64::INFINITY, |d| best + d)
             } else {
                 let after = fut[(i - 1) * m + (j - 1)];
                 if best + after > limit {
                     f64::INFINITY
                 } else {
-                    match dist(&a[i - 1], &b[j - 1], limit - best - after) {
+                    match dist(i - 1, j - 1, limit - best - after) {
                         Some(d) if best + d + after <= limit => best + d,
                         _ => f64::INFINITY,
                     }
@@ -152,7 +229,7 @@ pub fn dtw_distance_bounded<A, B>(
         if row_min / denom > cutoff {
             return None;
         }
-        std::mem::swap(&mut prev_cost, &mut cur_cost);
+        std::mem::swap(prev_cost, cur_cost);
     }
     finish(prev_cost[m] / denom)
 }
@@ -224,26 +301,43 @@ mod tests {
         (d <= budget).then_some(d)
     }
 
+    /// [`dtw_distance_bounded`] over two scalar sequences, with the lower
+    /// matrix tabulated from `lower` and `dist` called on the elements.
+    fn bounded_on(
+        a: &[f64],
+        b: &[f64],
+        cutoff: f64,
+        lower: impl Fn(&f64, &f64) -> f64,
+        mut dist: impl FnMut(&f64, &f64, f64) -> Option<f64>,
+    ) -> Option<f64> {
+        let table: Vec<f64> = a.iter().flat_map(|x| b.iter().map(|y| lower(x, y))).collect();
+        dtw_distance_bounded(
+            a.len(),
+            b.len(),
+            cutoff,
+            &table,
+            |i, j, budget| dist(&a[i], &b[j], budget),
+            &mut DtwScratch::default(),
+        )
+    }
+
     #[test]
     fn bounded_matches_full_at_infinite_cutoff() {
         let a: Vec<f64> = (0..20).map(|i| (i as f64 * 0.9).sin() * 3.0).collect();
         let b: Vec<f64> = (0..17).map(|i| (i as f64 * 1.1).cos() * 2.0).collect();
         let full = dtw_distance(&a, &b, scalar);
-        let mut lower_calls = 0;
+        // An unbounded alignment never reads the lower matrix: empty.
         let bounded = dtw_distance_bounded(
-            &a,
-            &b,
+            a.len(),
+            b.len(),
             f64::INFINITY,
-            |_, _| {
-                lower_calls += 1;
-                0.0
-            },
-            budgeted,
+            &[],
+            |i, j, budget| budgeted(&a[i], &b[j], budget),
+            &mut DtwScratch::default(),
         );
         assert_eq!(bounded.map(f64::to_bits), Some(full.to_bits()), "must be bit-identical");
-        assert_eq!(lower_calls, 0, "an unbounded alignment skips the lower pass");
         // A cutoff exactly at the distance keeps it (strict >).
-        assert_eq!(dtw_distance_bounded(&a, &b, full, scalar, budgeted), Some(full));
+        assert_eq!(bounded_on(&a, &b, full, scalar, budgeted), Some(full));
     }
 
     #[test]
@@ -256,12 +350,12 @@ mod tests {
         assert!(full > 0.0);
         for frac in [0.0, 0.25, 0.5, 0.9, 1.0, 1.5] {
             let cutoff = full * frac;
-            match dtw_distance_bounded(&a, &b, cutoff, scalar, budgeted) {
+            match bounded_on(&a, &b, cutoff, scalar, budgeted) {
                 None => assert!(full > cutoff, "abandoned below the true distance"),
                 Some(d) => assert_eq!(d, full, "survivor must be exact"),
             }
         }
-        assert_eq!(dtw_distance_bounded(&a, &b, full * 2.0, scalar, budgeted), Some(full));
+        assert_eq!(bounded_on(&a, &b, full * 2.0, scalar, budgeted), Some(full));
     }
 
     #[test]
@@ -271,7 +365,7 @@ mod tests {
         let near = [0.0; 15];
         let far = [100.0; 15];
         let mut exact_calls = 0;
-        let got = dtw_distance_bounded(&near, &far, 1.0, scalar, |x, y, budget| {
+        let got = bounded_on(&near, &far, 1.0, scalar, |x, y, budget| {
             exact_calls += 1;
             budgeted(x, y, budget)
         });
@@ -280,10 +374,16 @@ mod tests {
         // With no lower bound the cells are pruned by budget instead, and
         // the first row already proves the abandon.
         let mut exact_calls = 0;
-        let got = dtw_distance_bounded(&near, &far, 1.0, |_, _| 0.0, |x, y, budget| {
-            exact_calls += 1;
-            budgeted(x, y, budget)
-        });
+        let got = bounded_on(
+            &near,
+            &far,
+            1.0,
+            |_, _| 0.0,
+            |x, y, budget| {
+                exact_calls += 1;
+                budgeted(x, y, budget)
+            },
+        );
         assert_eq!(got, None);
         assert!(exact_calls <= far.len(), "{exact_calls} exact cells");
     }
@@ -292,13 +392,10 @@ mod tests {
     fn bounded_empty_cases() {
         let s = [1.0];
         let none = |_: &f64, _: &f64| 0.0;
-        assert_eq!(dtw_distance_bounded::<f64, f64>(&[], &[], 0.0, none, budgeted), Some(0.0));
+        assert_eq!(bounded_on(&[], &[], 0.0, none, budgeted), Some(0.0));
         // Empty-vs-nonempty is ∞: kept only under an infinite cutoff.
-        assert_eq!(dtw_distance_bounded(&[], &s, 5.0, none, budgeted), None);
-        assert_eq!(
-            dtw_distance_bounded(&s, &[], f64::INFINITY, none, budgeted),
-            Some(f64::INFINITY)
-        );
+        assert_eq!(bounded_on(&[], &s, 5.0, none, budgeted), None);
+        assert_eq!(bounded_on(&s, &[], f64::INFINITY, none, budgeted), Some(f64::INFINITY));
     }
 
     /// A random `n×m` cost matrix with exact zeros and repeated values (so
@@ -340,13 +437,19 @@ mod tests {
             let rows: Vec<usize> = (0..n).collect();
             let cols: Vec<usize> = (0..m).collect();
             let full = dtw_distance(&rows, &cols, |&i, &j| cost[i][j]);
-            let bounded = |cutoff: f64| {
+            let table: Vec<f64> = lower.concat();
+            // One scratch serves every alignment below, a transposed one
+            // of another shape included, as the engine reuses one per
+            // pool chunk.
+            let mut scratch = DtwScratch::default();
+            let mut bounded = |cutoff: f64| {
                 dtw_distance_bounded(
-                    &rows,
-                    &cols,
+                    n,
+                    m,
                     cutoff,
-                    |&i, &j| lower[i][j],
-                    |&i, &j, budget| (cost[i][j] <= budget).then_some(cost[i][j]),
+                    &table,
+                    |i, j, budget| (cost[i][j] <= budget).then_some(cost[i][j]),
+                    &mut scratch,
                 )
             };
             let unbounded = bounded(f64::INFINITY);
@@ -365,6 +468,19 @@ mod tests {
             }
             // A tie at exactly the cutoff is always kept.
             prop_assert_eq!(bounded(full).map(f64::to_bits), Some(full.to_bits()));
+            // The transposed alignment has the same distance (DTW is
+            // symmetric), through the same, now stale, scratch.
+            let transposed: Vec<f64> =
+                (0..m).flat_map(|j| (0..n).map(|i| lower[i][j]).collect::<Vec<_>>()).collect();
+            let flipped = dtw_distance_bounded(
+                m,
+                n,
+                full,
+                &transposed,
+                |j, i, budget| (cost[i][j] <= budget).then_some(cost[i][j]),
+                &mut scratch,
+            );
+            prop_assert_eq!(flipped.map(f64::to_bits), Some(full.to_bits()));
         }
     }
 

@@ -12,13 +12,13 @@
 //!   dynamic-programming similarity) and rank videos;
 //! - **query by metadata** — substring match on video names.
 
-use crate::arena::{CascadePlan, CascadeTally, QueryVectors, KINDS};
-use crate::dtw::dtw_distance_bounded;
+use crate::arena::{CascadePlan, CascadeTally, QueryVectors, TierCells, KINDS};
+use crate::dtw::{cost_limit, dtw_distance_bounded, DtwScratch};
 use crate::error::Result;
 use crate::ingest::extract_feature_sets_parallel;
 use crate::pool::{ExecPool, TopK, THREADS_AUTO};
 use crate::score::ScoreCalibration;
-use crate::segment::{live_rows, CatalogRow, CatalogSnapshot, EntryRef, Segment, SnapshotCell};
+use crate::segment::{live_rows, CatalogRow, CatalogSnapshot, Segment, SnapshotCell};
 use crate::telemetry::{Counter, Gauge, Histogram, Registry};
 use crate::weights::FeatureWeights;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,8 +210,20 @@ struct EngineMetrics {
     /// the bounded DTW (lower-bound pass, pruned cells or a dead row).
     abandon_dtw: Arc<Counter>,
     /// `query.clip.elements` — distance-kernel elements visited by clip
-    /// DTW, the lower-bound pass included.
+    /// DTW, the bound tier's included.
     clip_elements: Arc<Counter>,
+    /// `query.scan.tier_elements` / `query.clip.tier_elements` — the
+    /// bound tier's share of the element counters above.
+    scan_tier_elements: Arc<Counter>,
+    clip_tier_elements: Arc<Counter>,
+    /// `query.scan.tier_candidates` / `query.scan.tier_rejects` — frame
+    /// candidates the tier checked against a threshold, and rejected.
+    scan_tier_seen: Arc<Counter>,
+    scan_tier_rejected: Arc<Counter>,
+    /// `query.clip.tier_cells` / `query.clip.tier_rejects` — DTW cells
+    /// the tier checked against their budget, and rejected.
+    clip_tier_seen: Arc<Counter>,
+    clip_tier_rejected: Arc<Counter>,
     /// `catalog.snapshot.swaps` — snapshots published since start.
     snapshot_swaps: Arc<Counter>,
     /// `catalog.segments` — sealed segments in the current snapshot.
@@ -249,6 +261,12 @@ impl EngineMetrics {
             abandon_kind: slots.map(|s| s.expect("every kind registered")),
             abandon_dtw: registry.counter("query.abandon.dtw"),
             clip_elements: registry.counter("query.clip.elements"),
+            scan_tier_elements: registry.counter("query.scan.tier_elements"),
+            clip_tier_elements: registry.counter("query.clip.tier_elements"),
+            scan_tier_seen: registry.counter("query.scan.tier_candidates"),
+            scan_tier_rejected: registry.counter("query.scan.tier_rejects"),
+            clip_tier_seen: registry.counter("query.clip.tier_cells"),
+            clip_tier_rejected: registry.counter("query.clip.tier_rejects"),
             snapshot_swaps: registry.counter("catalog.snapshot.swaps"),
             segments: registry.gauge("catalog.segments"),
             tombstones: registry.gauge("catalog.tombstones"),
@@ -268,17 +286,31 @@ impl EngineMetrics {
     /// Fold one chunk's cascade tally into the counters (once per chunk,
     /// so the hot loop touches plain integers only).
     fn flush_tally(&self, tally: &CascadeTally) {
-        if tally.elements > 0 {
-            self.scan_elements.add(tally.elements);
+        add_nonzero(&self.scan_elements, tally.elements + tally.tier_elements);
+        add_nonzero(&self.scan_tier_elements, tally.tier_elements);
+        add_nonzero(&self.scan_tier_seen, tally.tier_seen);
+        add_nonzero(&self.scan_tier_rejected, tally.tier_rejected);
+        add_nonzero(&self.scan_survivors, tally.survivors);
+        for (counter, &n) in self.abandon_kind.iter().zip(&tally.abandoned) {
+            add_nonzero(counter, n);
         }
-        if tally.survivors > 0 {
-            self.scan_survivors.add(tally.survivors);
-        }
-        for (k, &n) in tally.abandoned.iter().enumerate() {
-            if n > 0 {
-                self.abandon_kind[k].add(n);
-            }
-        }
+    }
+
+    /// Fold one clip chunk's tally in: its elements, tier work included,
+    /// and the tier's cell counts (per-kind abandons are frame-only).
+    fn flush_clip_tally(&self, tally: &CascadeTally) {
+        add_nonzero(&self.clip_elements, tally.elements + tally.tier_elements);
+        add_nonzero(&self.clip_tier_elements, tally.tier_elements);
+        add_nonzero(&self.clip_tier_seen, tally.tier_seen);
+        add_nonzero(&self.clip_tier_rejected, tally.tier_rejected);
+    }
+}
+
+/// Add `n` to `counter` unless it is 0 (a chunk that did no such work
+/// leaves the atomic untouched).
+fn add_nonzero(counter: &Counter, n: u64) {
+    if n > 0 {
+        counter.add(n);
     }
 }
 
@@ -598,13 +630,13 @@ impl QueryEngine {
                         f64::NEG_INFINITY
                     };
                     let seg = snap.segment(r.segment);
-                    if let Some(score) = seg.arena().cascade_score(
-                        &query,
-                        r.row as usize,
-                        &plan,
-                        threshold,
-                        &mut tally,
-                    ) {
+                    let (arena, row) = (seg.arena(), r.row as usize);
+                    let Some(bounds) = arena.tier(&query, row, &plan, threshold, &mut tally) else {
+                        continue;
+                    };
+                    if let Some(score) =
+                        arena.cascade_score(&query, row, &plan, threshold, &bounds, &mut tally)
+                    {
                         let e = &seg.rows()[r.row as usize];
                         local.push(FrameMatch { i_id: e.i_id, v_id: e.v_id, score });
                     }
@@ -664,9 +696,10 @@ impl QueryEngine {
         // One DTW per video, chunk size 1: alignments dominate the cost
         // and vary with sequence length, so fine-grained stealing
         // balances them. Each alignment is a bounded DTW against the best
-        // known k-th-best distance: cells are pruned by the cheap
-        // `lower_gap` bound and scored by the cascade under the remaining
-        // budget (a cell distance `d ≤ budget` is a score `≥ 1 − budget`).
+        // known k-th-best distance: the bound tier bounds every cell
+        // (`TierCells`, kind-major over the video's rows), and cells whose
+        // bound fits the remaining budget are scored by the cascade (a
+        // cell distance `d ≤ budget` is a score `≥ 1 − budget`).
         // Abandoned videos are provably outside the top-k and survivors
         // keep their exact distance bits, so results match the no-abandon
         // path exactly. Videos are walked in arena order, so a serial
@@ -678,30 +711,56 @@ impl QueryEngine {
             ExecPool::global().run(videos.len(), 1, options.threads, |chunk_range| {
                 let mut local = TopK::new(options.k, rank_video_matches);
                 let mut abandoned = 0u64;
-                let mut bound_tally = CascadeTally::default();
                 let mut tally = CascadeTally::default();
-                for (v_id, rows) in &videos[chunk_range] {
+                let mut cells = TierCells::default();
+                let mut scratch = DtwScratch::default();
+                let mut rows = Vec::new();
+                for (v_id, refs) in &videos[chunk_range] {
                     let cutoff = if options.abandon {
                         local.worst().map(|m| m.distance).unwrap_or(f64::INFINITY).min(ceil.get())
                     } else {
                         f64::INFINITY
                     };
-                    let aligned = dtw_distance_bounded(
-                        &query_vecs,
-                        rows,
-                        cutoff,
-                        |qv, r: &EntryRef| {
-                            let arena = snap.segment(r.segment).arena();
-                            arena.lower_gap(qv, r.row as usize, &plan, &mut bound_tally)
-                        },
-                        |qv, r: &EntryRef, budget| {
-                            let arena = snap.segment(r.segment).arena();
-                            let threshold = 1.0 - budget;
-                            arena
-                                .cascade_score(qv, r.row as usize, &plan, threshold, &mut tally)
-                                .map(|score| 1.0 - score)
-                        },
+                    rows.clear();
+                    rows.extend(
+                        refs.iter().map(|r| (snap.segment(r.segment).arena(), r.row as usize)),
                     );
+                    let (n, m) = (query_vecs.len(), rows.len());
+                    let limit = cost_limit(cutoff, n, m);
+                    let proven_out =
+                        !cells.fill(&query_vecs, &rows, &plan, limit, &mut scratch, &mut tally);
+                    let aligned = if proven_out {
+                        None
+                    } else {
+                        dtw_distance_bounded(
+                            n,
+                            m,
+                            cutoff,
+                            cells.lower(),
+                            |i, j, budget| {
+                                let c = i * m + j;
+                                if budget < f64::INFINITY {
+                                    tally.tier_seen += 1;
+                                    if cells.lower()[c] > budget {
+                                        tally.tier_rejected += 1;
+                                        return None;
+                                    }
+                                }
+                                let (arena, row) = rows[j];
+                                arena
+                                    .cascade_score(
+                                        &query_vecs[i],
+                                        row,
+                                        &plan,
+                                        1.0 - budget,
+                                        cells.bounds(c),
+                                        &mut tally,
+                                    )
+                                    .map(|score| 1.0 - score)
+                            },
+                            &mut scratch,
+                        )
+                    };
                     match aligned {
                         Some(distance) => local.push(VideoMatch { v_id: *v_id, distance }),
                         None => abandoned += 1,
@@ -716,10 +775,7 @@ impl QueryEngine {
                 if abandoned > 0 {
                     self.metrics.abandon_dtw.add(abandoned);
                 }
-                let elements = bound_tally.elements + tally.elements;
-                if elements > 0 {
-                    self.metrics.clip_elements.add(elements);
-                }
+                self.metrics.flush_clip_tally(&tally);
             });
         }
         let _rank = self.metrics.registry.timer(&self.metrics.clip_rank);

@@ -1,19 +1,22 @@
-//! The early-abandon cascade must be invisible in results: for every
-//! catalog, weight profile, `k` regime and thread count, `abandon: true`
-//! returns *exactly* the matches (ids AND bit-identical scores) of the
-//! naive full scan (`abandon: false`), which in turn matches a
-//! per-entry [`QueryEngine::combined_similarity`] reference ranking.
+//! The bound tier and the early-abandon cascade must be invisible in
+//! results: for every catalog, weight profile, `k` regime and thread
+//! count, `abandon: true` returns *exactly* the matches (ids AND
+//! bit-identical scores) of the naive full scan (`abandon: false`), which
+//! in turn matches a per-entry [`QueryEngine::combined_similarity`]
+//! reference ranking. Each property also checks, through the engine's
+//! counters, that the tier really ran and rejected work.
 //! Randomised via proptest so the pin covers the whole input space, not
 //! a handful of hand-picked frames.
 
 use cbvr_core::engine::CatalogEntry;
-use cbvr_core::{FeatureWeights, QueryEngine, QueryOptions, THREADS_AUTO};
+use cbvr_core::{FeatureWeights, QueryEngine, QueryOptions, Registry, THREADS_AUTO};
 use cbvr_features::{FeatureKind, FeatureSet};
 use cbvr_imgproc::{Histogram256, Rgb, RgbImage};
 use cbvr_index::{paper_range, RangeKey};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Force real helper threads even on a single-core host, so parallel
 /// runs genuinely race chunk claims and shared-threshold updates.
@@ -174,7 +177,9 @@ proptest! {
         n in 4usize..=20,
     ) {
         force_parallel_pool();
-        let (engine, _, probe, range) = random_catalog(seed, n);
+        let (mut engine, _, probe, range) = random_catalog(seed, n);
+        let registry = Arc::new(Registry::new());
+        engine.set_telemetry(Arc::clone(&registry));
         for weights in &weight_profiles(seed) {
             for use_index in [false, true] {
                 for k in [0, 1, n / 2, n, n + 7] {
@@ -182,7 +187,7 @@ proptest! {
                     let naive = engine.query_features(
                         &probe, range, &options(k, 1, use_index, weights, false),
                     );
-                    for threads in [1, 4, THREADS_AUTO] {
+                    for threads in [1, 2, 4, THREADS_AUTO] {
                         for abandon in [false, true] {
                             let got = engine.query_features(
                                 &probe, range,
@@ -200,6 +205,11 @@ proptest! {
                 }
             }
         }
+        // The tier bounded candidates and rejected some before any exact
+        // kernel ran, so the equalities above cover its pruning.
+        let tier = |name: &str| registry.counter(&format!("query.scan.{name}")).get();
+        prop_assert!(tier("tier_candidates") > 0 && tier("tier_elements") > 0);
+        prop_assert!(tier("tier_rejects") > 0, "the tier never rejected a candidate");
     }
 
     #[test]
@@ -262,10 +272,15 @@ proptest! {
             (1..=4).map(|len| clip_query(&mut rng, &pool, len)).collect();
         queries.push(copied.clone());
         queries.push(copied.into_iter().chain(clip_query(&mut rng, &[], 1)).collect());
-        let mut layouts = vec![("one segment", QueryEngine::from_catalog(entries.clone(), HashMap::new()))];
+        let registry = Arc::new(Registry::new());
+        let mut single = QueryEngine::from_catalog(entries.clone(), HashMap::new());
+        single.set_telemetry(Arc::clone(&registry));
+        let mut layouts = vec![("one segment", single)];
         // The same rows cut into segments (a cut may split a video), with
         // one video tombstoned.
-        let segmented = QueryEngine::from_segmented(random_split(&entries, &mut rng), HashMap::new());
+        let mut segmented =
+            QueryEngine::from_segmented(random_split(&entries, &mut rng), HashMap::new());
+        segmented.set_telemetry(Arc::clone(&registry));
         let ids = segmented.video_ids();
         prop_assert!(segmented.remove_video(ids[rng.gen_range(0..ids.len())]) > 0);
         layouts.push(("segmented + tombstone", segmented));
@@ -282,7 +297,7 @@ proptest! {
                             query, &options(k, 1, true, weights, false),
                         );
                         prop_assert_eq!(naive.len(), k.min(nvid));
-                        for threads in [1, 4] {
+                        for threads in [1, 2, 4] {
                             for abandon in [false, true] {
                                 let got = engine.query_feature_sequence(
                                     query, &options(k, threads, true, weights, abandon),
@@ -300,6 +315,14 @@ proptest! {
                 }
             }
         }
+        // The tier bounded DTW cells and proved videos out or rejected
+        // cells, so the equalities above cover its pruning.
+        let clip = |name: &str| registry.counter(&format!("query.clip.{name}")).get();
+        prop_assert!(clip("tier_elements") > 0, "the clip tier never bounded a cell");
+        prop_assert!(
+            registry.counter("query.abandon.dtw").get() > 0 || clip("tier_rejects") > 0,
+            "the clip tier never pruned"
+        );
     }
 }
 

@@ -239,6 +239,146 @@ pub fn naive_rgb_f32(a: &[f32], b: &[f32], cutoff: f64) -> BoundedDistance {
     BoundedDistance::done(d, a.len())
 }
 
+// ---------------------------------------------------------------------------
+// Lower-bound f32 kernels: cheap, certified floors of the bounded kernels.
+// ---------------------------------------------------------------------------
+//
+// Each `*_lower_f32` kernel returns a value that never exceeds the float
+// result of its exact counterpart above, for every finite input. They
+// compute in `f32` over `BOUND_LANES` independent accumulators, which
+// reassociates the sum — forbidden in an exact kernel, whose result must
+// keep its bits, but harmless in a bound once the bound is deflated by
+// the worst rounding any summation order can cause:
+//
+// - relative: a sum of n non-negative terms, in any order, each term the
+//   result of at most a few more rounded operations, is at most
+//   `(1 + 2⁻²⁴)^(n+3)` times the real sum. With n ≤ 256 that factor stays
+//   below `1 + 2⁻¹⁶`, so multiplying by `1 − BOUND_REL = 1 − 2⁻¹⁵` lands
+//   below the real sum, which the exact `f64` kernel misses by ~n·2⁻⁵³;
+// - absolute: squares and products that underflow into the subnormal
+//   range round by up to 2⁻¹⁵⁰ each, with no relative guarantee, and the
+//   mass-normalised L1 loses ~2⁻²² to cancellation; the kernels subtract
+//   a fixed term for each (see their docs).
+//
+// A result that is not finite (a difference overflowed `f32`) bounds
+// nothing and is returned as 0.
+
+/// Independent `f32` accumulators per bound kernel: four SSE or two AVX
+/// registers, which the compiler keeps in registers and vectorizes.
+const BOUND_LANES: usize = 16;
+
+/// Relative deflation of every bound kernel: `2⁻¹⁵`, twice the
+/// `(n + 3)·2⁻²⁴` rounding of an f32 sum of n ≤ 256 terms.
+const BOUND_REL: f64 = 1.0 / 32_768.0;
+
+/// Longest vector the bound kernels are certified for (`BOUND_REL`); a
+/// longer one panics.
+pub const BOUND_MAX_LEN: usize = 256;
+
+/// `Σ f(aᵢ, bᵢ)` in `f32`, reassociated over `BOUND_LANES` lanes.
+#[inline(always)]
+fn lane_sum(a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) -> f32 {
+    debug_assert_eq!(a.len(), b.len());
+    assert!(a.len() <= BOUND_MAX_LEN, "bound kernels are certified up to {BOUND_MAX_LEN}");
+    let (ca, ra) = a.as_chunks::<BOUND_LANES>();
+    let (cb, rb) = b.as_chunks::<BOUND_LANES>();
+    let mut acc = [0.0f32; BOUND_LANES];
+    for (x, y) in ca.iter().zip(cb) {
+        for k in 0..BOUND_LANES {
+            acc[k] += f(x[k], y[k]);
+        }
+    }
+    for (k, (&x, &y)) in ra.iter().zip(rb).enumerate() {
+        acc[k] += f(x, y);
+    }
+    acc.iter().sum()
+}
+
+/// `s · (1 − BOUND_REL) − abs`, clamped at 0; 0 for a non-finite `s`.
+#[inline]
+fn deflate(s: f32, abs: f64) -> f64 {
+    if !s.is_finite() {
+        return 0.0;
+    }
+    (s as f64 * (1.0 - BOUND_REL) - abs).max(0.0)
+}
+
+/// Squares below 2⁻¹²⁶ round by up to 2⁻¹⁵⁰ each: 256 of them stay
+/// under 2⁻¹⁴⁰.
+const SQUARE_UNDERFLOW: f64 = 1.0 / (1u128 << 127) as f64 / (1u64 << 13) as f64;
+
+/// Lower bound of [`l2_f32`]'s distance.
+pub fn l2_lower_f32(a: &[f32], b: &[f32]) -> f64 {
+    let s = lane_sum(a, b, |x, y| {
+        let d = x - y;
+        d * d
+    });
+    deflate(s, SQUARE_UNDERFLOW).sqrt()
+}
+
+/// Lower bound of [`scaled_l1_f32`]'s distance. Differences and sums of
+/// subnormals are exact, so no absolute term is needed.
+pub fn scaled_l1_lower_f32(a: &[f32], b: &[f32], divisor: f64) -> f64 {
+    debug_assert!(divisor > 0.0);
+    deflate(lane_sum(a, b, |x, y| (x - y).abs()), 0.0) / divisor
+}
+
+/// Per-point square roots of underflowed squares are off by up to
+/// `√(3·2⁻¹⁵⁰) < 2⁻⁷⁴` each: 85 points stay under 2⁻⁶⁷.
+const ROOT_UNDERFLOW: f64 = 1.0 / (1u128 << 67) as f64;
+
+/// Lower bound of [`naive_rgb_f32`]'s distance: the per-point RGB norms
+/// in `f32`, summed over `BOUND_LANES` point lanes.
+pub fn naive_rgb_lower_f32(a: &[f32], b: &[f32]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    debug_assert_eq!(a.len() % 3, 0);
+    assert!(a.len() <= BOUND_MAX_LEN, "bound kernels are certified up to {BOUND_MAX_LEN}");
+    let points = a.len() / 3;
+    if points == 0 {
+        return 0.0;
+    }
+    let (pa, _) = a.as_chunks::<3>();
+    let (pb, _) = b.as_chunks::<3>();
+    let mut acc = [0.0f32; BOUND_LANES];
+    for (p, (x, y)) in pa.iter().zip(pb).enumerate() {
+        let (dr, dg, db) = (x[0] - y[0], x[1] - y[1], x[2] - y[2]);
+        acc[p % BOUND_LANES] += (dr * dr + dg * dg + db * db).sqrt();
+    }
+    let s: f32 = acc.iter().sum();
+    deflate(s, ROOT_UNDERFLOW) / (points as f64 * rgb_diag())
+}
+
+/// The mass-normalised L1's absolute slack, `2⁻¹⁹`. Each term
+/// `|aᵢ·(1/mₐ) − bᵢ·(1/m_b)|` is off by up to `~2⁻²³·(pᵢ + qᵢ)` (the
+/// reciprocal and the product each round once in `f32`), and
+/// `Σ(pᵢ + qᵢ) = 2`, so cancellation costs at most `~2⁻²²` however close
+/// the histograms are. The other `η ≈ 2⁻¹⁹ − 2⁻²²` of slack leaves
+/// `L1² − L1_bound² ≥ η²`, so the bound `L1_bound²/8` stays at least
+/// `η²/8 ≈ 3e-13` below Pinsker's `L1²/8`: more than the exact kernel's
+/// own rounding of its ~2n signed `f64` terms, ~(n + 10)·2⁻⁵² ≈ 6e-14
+/// for n = 256.
+const L1_CANCELLATION: f64 = 1.0 / (1u64 << 19) as f64;
+
+/// Lower bound of [`jensen_shannon_f32`]'s divergence by Pinsker's
+/// inequality. With `p = a/mₐ`, `q = b/m_b` and `m = (p + q)/2`, each
+/// half of JS is a KL divergence to `m`, and Pinsker gives
+/// `KL(p‖m) ≥ ‖p − m‖₁²/2 = ‖p − q‖₁²/8` in nats (the kernel uses `ln`,
+/// weights ½ and no square root), so `JS ≥ ‖p − q‖₁²/8`. The L1 is
+/// computed in `f32` lanes from the reciprocal masses and deflated by
+/// `BOUND_REL` and `L1_CANCELLATION`. Inputs must be non-negative, as
+/// histogram counts are.
+pub fn jensen_shannon_lower_f32(a: &[f32], b: &[f32], mass_a: f64, mass_b: f64) -> f64 {
+    if mass_a <= 0.0 || mass_b <= 0.0 {
+        return 0.0;
+    }
+    let (ra, rb) = ((1.0 / mass_a) as f32, (1.0 / mass_b) as f32);
+    if !(ra.is_normal() && rb.is_normal()) {
+        return 0.0;
+    }
+    let l1 = deflate(lane_sum(a, b, |x, y| (x * ra - y * rb).abs()), L1_CANCELLATION);
+    l1 * l1 / 8.0
+}
+
 /// Region-statistics distance over a 3-element slab (regions, holes, major
 /// regions): mean relative difference. Too cheap to bother abandoning — it
 /// is the first cascade stage — so this always returns a distance.
