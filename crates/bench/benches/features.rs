@@ -1,6 +1,7 @@
 //! Per-extractor throughput: the cost column behind Table 1's feature
 //! set. One group per feature, at 64×48, 128×96 and 160×120 frames
 //! (160×120 is the size of generated clips and web query frames), plus
+//! `to_gray`, the luma conversion four of the extractors start from, and
 //! `morphology_chain`, the §4.8 dilate-erode-erode-dilate pass that region
 //! growing runs on the binarised frame.
 
@@ -35,6 +36,9 @@ fn bench_features(c: &mut Criterion) {
     for (w, h) in [(64u32, 48u32), (128, 96), (160, 120)] {
         let img = frame(w, h);
         let label = format!("{w}x{h}");
+        group.bench_with_input(BenchmarkId::new("to_gray", &label), &img, |b, img| {
+            b.iter(|| img.to_gray())
+        });
         group.bench_with_input(BenchmarkId::new("histogram", &label), &img, |b, img| {
             b.iter(|| ColorHistogram::extract(img))
         });

@@ -36,7 +36,7 @@
 //! - the 30-kernel bank is built once, by the same construction, in a
 //!   process-wide [`OnceLock`];
 //! - the gray raster is copied once per frame into an edge-clamped `f64`
-//!   buffer with a `MAX_RADIUS` border (plus `TILE - 1` columns of
+//!   buffer with a `MAX_RADIUS` border (plus `MAX_TILE - 1` columns of
 //!   slack on the right), so a tap reads a plain slice element with the
 //!   same value `get_clamped` would return;
 //! - loops are interchanged so `TILE` adjacent output pixels of a row
@@ -50,6 +50,29 @@
 //! folding symmetric taps, separable or FFT filtering, pairwise or
 //! parallel reductions of the mean/std — changes the last bits of the
 //! descriptors and is ruled out by that contract.
+//!
+//! # Kernel paths
+//!
+//! The loop above is one `#[inline(always)]` body, generic over `TILE`,
+//! compiled twice: a portable path with 8-pixel tiles (baseline x86-64
+//! has SSE2, two `f64` lanes per register), and on x86-64 a
+//! `#[target_feature(enable = "avx2")]` path with 16-pixel tiles (four
+//! lanes per register). The process picks one on first use, with
+//! `is_x86_feature_detected!("avx2")`. Both return the same bits:
+//!
+//! - each vector lane is one output pixel, so widening the registers
+//!   changes how many pixels run at once, never the order of one
+//!   pixel's multiplies and adds;
+//! - Rust does not contract `a * b + c` into a fused multiply-add unless
+//!   `mul_add` is written, and the AVX2 path does not enable `fma`;
+//! - `sqrt` is correctly rounded by IEEE 754 in every instruction set,
+//!   and the mean/std sums stay sequential scalar loops.
+//!
+//! So a catalog written on an AVX2 host is byte-compatible with one
+//! written without AVX2. There is no AVX-512 path, to keep exactly two
+//! instantiations; no `fma`, because it changes the bits; and no global
+//! `-C target-cpu`, which would recompile every other crate too and
+//! make binaries that fault on CPUs without the feature.
 
 use crate::error::{FeatureError, Result};
 use cbvr_imgproc::geom::{self, Interpolation};
@@ -68,8 +91,9 @@ pub const GABOR_MAX_SIDE: u32 = 64;
 const F_MAX: f64 = 0.4;
 /// Radius cap of every kernel in the bank (the padded raster's border).
 const MAX_RADIUS: usize = 10;
-/// Adjacent output pixels of a row evaluated together.
-const TILE: usize = 8;
+/// The widest tile any kernel path evaluates (the padded raster's
+/// right-hand slack is `MAX_TILE - 1` columns).
+const MAX_TILE: usize = 16;
 
 /// One complex Gabor kernel (separately stored real/imaginary taps,
 /// row-major over `(dy, dx)`).
@@ -113,8 +137,18 @@ impl GaborKernel {
     }
 
     /// Mean and std of the response magnitude over the raster, using
-    /// `magnitudes` as scratch.
-    fn response_stats(&self, raster: &PaddedRaster, magnitudes: &mut Vec<f64>) -> (f64, f64) {
+    /// `magnitudes` as scratch, `TILE` adjacent output pixels of a row per
+    /// pass over the taps. This is the one kernel body; each lane of a
+    /// tile is one pixel with its own multiply-then-add sequence, so every
+    /// `TILE`, and every register width it compiles to, gives the same
+    /// bits.
+    #[inline(always)]
+    fn response_stats<const TILE: usize>(
+        &self,
+        raster: &PaddedRaster,
+        magnitudes: &mut Vec<f64>,
+    ) -> (f64, f64) {
+        const { assert!(TILE <= MAX_TILE) };
         let (w, h) = (raster.width, raster.height);
         let n = w * h;
         let side = 2 * self.radius + 1;
@@ -149,6 +183,40 @@ impl GaborKernel {
     }
 }
 
+/// The AVX2 instantiation: 16-pixel tiles in 256-bit registers. AVX2
+/// only; FMA stays off, and Rust never fuses `a * b + c` on its own.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn response_stats_avx2(
+    kernel: &GaborKernel,
+    raster: &PaddedRaster,
+    magnitudes: &mut Vec<f64>,
+) -> (f64, f64) {
+    kernel.response_stats::<16>(raster, magnitudes)
+}
+
+/// Which instantiation of the kernel body runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum KernelPath {
+    /// Baseline x86-64 (SSE2) or any other target: 8-pixel tiles.
+    Portable,
+    /// 16-pixel tiles compiled for AVX2; only valid where it is detected.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+/// The kernel path for this process, detected once on first use.
+fn kernel_path() -> KernelPath {
+    static PATH: OnceLock<KernelPath> = OnceLock::new();
+    *PATH.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return KernelPath::Avx2;
+        }
+        KernelPath::Portable
+    })
+}
+
 /// The 30-filter bank, ordered `(scale, orientation)`; built on first use.
 fn bank() -> &'static [GaborKernel] {
     static BANK: OnceLock<Vec<GaborKernel>> = OnceLock::new();
@@ -166,7 +234,7 @@ fn bank() -> &'static [GaborKernel] {
 }
 
 /// A gray raster as `f64`, edge-clamped out to `MAX_RADIUS` on every
-/// side plus `TILE - 1` extra columns on the right, so every tap of
+/// side plus `MAX_TILE - 1` extra columns on the right, so every tap of
 /// every tile is an in-bounds read of the value `get_clamped` returns.
 /// (`GrayImage` is never empty, so the clamps have a pixel to land on.)
 struct PaddedRaster {
@@ -179,7 +247,7 @@ struct PaddedRaster {
 impl PaddedRaster {
     fn new(gray: &GrayImage) -> PaddedRaster {
         let (width, height) = (gray.width() as usize, gray.height() as usize);
-        let stride = width + 2 * MAX_RADIUS + TILE - 1;
+        let stride = width + 2 * MAX_RADIUS + MAX_TILE - 1;
         let rows = height + 2 * MAX_RADIUS;
         let raw = gray.as_raw();
         let mut data = Vec::with_capacity(stride * rows);
@@ -199,6 +267,22 @@ impl PaddedRaster {
     }
 }
 
+/// The gray raster the bank sees for an RGB frame: converted to gray and
+/// downscaled to at most [`GABOR_MAX_SIDE`] per side.
+fn bank_input(img: &RgbImage) -> GrayImage {
+    let gray = img.to_gray();
+    let (w, h) = gray.dimensions();
+    let long = w.max(h);
+    if long > GABOR_MAX_SIDE {
+        let scale = GABOR_MAX_SIDE as f64 / long as f64;
+        let nw = ((w as f64 * scale).round() as u32).max(1);
+        let nh = ((h as f64 * scale).round() as u32).max(1);
+        geom::resize(&gray, nw, nh, Interpolation::Nearest).expect("nonzero target")
+    } else {
+        gray
+    }
+}
+
 /// The §4.4 Gabor texture descriptor: 60 values.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GaborTexture {
@@ -209,27 +293,29 @@ impl GaborTexture {
     /// Extract from an RGB frame (converted to gray, downscaled to at most
     /// [`GABOR_MAX_SIDE`] per side).
     pub fn extract(img: &RgbImage) -> GaborTexture {
-        let gray = img.to_gray();
-        let (w, h) = gray.dimensions();
-        let long = w.max(h);
-        let gray = if long > GABOR_MAX_SIDE {
-            let scale = GABOR_MAX_SIDE as f64 / long as f64;
-            let nw = ((w as f64 * scale).round() as u32).max(1);
-            let nh = ((h as f64 * scale).round() as u32).max(1);
-            geom::resize(&gray, nw, nh, Interpolation::Nearest).expect("nonzero target")
-        } else {
-            gray
-        };
-        Self::extract_gray(&gray)
+        Self::extract_gray(&bank_input(img))
     }
 
     /// Extract from an already-prepared gray image (no rescaling).
     pub fn extract_gray(gray: &GrayImage) -> GaborTexture {
+        Self::extract_gray_on(gray, kernel_path())
+    }
+
+    /// [`GaborTexture::extract_gray`] on an explicit kernel path.
+    fn extract_gray_on(gray: &GrayImage, path: KernelPath) -> GaborTexture {
         let raster = PaddedRaster::new(gray);
         let mut magnitudes = Vec::with_capacity(raster.width * raster.height);
         let mut features = Vec::with_capacity(DIM);
         for kernel in bank() {
-            let (mean, std) = kernel.response_stats(&raster, &mut magnitudes);
+            let (mean, std) = match path {
+                KernelPath::Portable => kernel.response_stats::<8>(&raster, &mut magnitudes),
+                // SAFETY: `KernelPath::Avx2` is only produced where
+                // `is_x86_feature_detected!("avx2")` holds.
+                #[cfg(target_arch = "x86_64")]
+                KernelPath::Avx2 => unsafe {
+                    response_stats_avx2(kernel, &raster, &mut magnitudes)
+                },
+            };
             // The pseudocode divides both stats by imageSize; the stats
             // above are already per-pixel means, so they are directly
             // size-comparable. Scale to keep magnitudes tame.
@@ -409,5 +495,82 @@ mod tests {
         let gray = GrayImage::from_fn(16, 16, |x, _| Gray((x * 16) as u8)).unwrap();
         let g = GaborTexture::extract_gray(&gray);
         assert_eq!(g.features().len(), DIM);
+    }
+
+    /// Both kernel paths agree to the last bit: proptest rasters with
+    /// sides 1..=80, every width 1..=33 (each 16-pixel tail, plus one
+    /// and two full tiles) and generated 160×120 frames of every
+    /// category. Runs wherever AVX2 is detected; elsewhere there is only
+    /// one path to run.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_and_portable_paths_agree_to_the_bit() {
+        use cbvr_video::{Category, GeneratorConfig, VideoGenerator};
+        use proptest::prelude::*;
+        use proptest::test_runner::rng_for;
+
+        if !is_x86_feature_detected!("avx2") {
+            eprintln!("AVX2 not detected: only the portable path exists here");
+            return;
+        }
+        let assert_paths_agree = |gray: &GrayImage, what: &str| {
+            let portable = GaborTexture::extract_gray_on(gray, KernelPath::Portable);
+            let avx2 = GaborTexture::extract_gray_on(gray, KernelPath::Avx2);
+            for (i, (p, a)) in portable.features().iter().zip(avx2.features()).enumerate() {
+                assert_eq!(
+                    p.to_bits(),
+                    a.to_bits(),
+                    "{what}: value {i}: portable {p:e} vs AVX2 {a:e}"
+                );
+            }
+        };
+
+        let rasters = (1u32..=80, 1u32..=80).prop_flat_map(|(w, h)| {
+            proptest::collection::vec(any::<u8>(), (w * h) as usize)
+                .prop_map(move |data| GrayImage::from_raw(w, h, data).expect("exact length"))
+        });
+        let mut rng = rng_for("gabor::avx2_and_portable_paths_agree_to_the_bit");
+        for _ in 0..24 {
+            let gray = rasters.new_value(&mut rng);
+            let (w, h) = gray.dimensions();
+            assert_paths_agree(&gray, &format!("{w}x{h} raster"));
+        }
+
+        for w in 1..=33 {
+            let gray =
+                GrayImage::from_fn(w, 5, |x, y| Gray(((x * 37 + y * 91 + x * y) % 256) as u8))
+                    .unwrap();
+            assert_paths_agree(&gray, &format!("{w}x5 raster"));
+        }
+
+        let generator = VideoGenerator::new(GeneratorConfig {
+            width: 160,
+            height: 120,
+            ..GeneratorConfig::default()
+        })
+        .unwrap();
+        for category in Category::ALL {
+            let video = generator.generate(category, 7).unwrap();
+            let last = video.frame_count() - 1;
+            for index in [0, last / 2, last] {
+                let gray = bank_input(video.frame(index).unwrap());
+                assert_paths_agree(&gray, &format!("{category:?} frame {index}"));
+            }
+        }
+    }
+
+    /// A host that reports AVX2 runs the AVX2 path, so the fast path
+    /// cannot fall out of use without a failing test.
+    #[test]
+    fn dispatcher_takes_the_avx2_path_where_detected() {
+        #[cfg(target_arch = "x86_64")]
+        let want = if is_x86_feature_detected!("avx2") {
+            KernelPath::Avx2
+        } else {
+            KernelPath::Portable
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let want = KernelPath::Portable;
+        assert_eq!(kernel_path(), want);
     }
 }

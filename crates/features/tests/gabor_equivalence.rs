@@ -144,8 +144,9 @@ proptest! {
 
 #[test]
 fn edge_shapes_match_direct_convolution() {
-    // Widths around the 8-pixel tile and sides below the radius-10 kernel,
-    // pinned explicitly so they never depend on the random draw.
+    // Widths around the 8- and 16-pixel tiles and sides below the
+    // radius-10 kernel, pinned explicitly so they never depend on the
+    // random draw.
     for (w, h) in [
         (1, 1),
         (1, 23),
@@ -155,6 +156,9 @@ fn edge_shapes_match_direct_convolution() {
         (9, 21),
         (15, 16),
         (17, 5),
+        (31, 4),
+        (32, 2),
+        (33, 9),
         (64, 48),
     ] {
         let gray = GrayImage::from_fn(w, h, |x, y| Gray(((x * 37 + y * 91 + x * y) % 256) as u8))

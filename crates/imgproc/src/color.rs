@@ -14,12 +14,22 @@
 
 use crate::pixel::Rgb;
 
+/// `x.round()` (half away from zero) for `0.0 <= x < 2^24`, without the
+/// libm call `f32::round` makes on baseline x86-64. The fraction
+/// `x - trunc(x)` is exact in `f32` over that range, so comparing it
+/// with one half rounds exactly as `f32::round` does.
+#[inline]
+fn round_nonneg(x: f32) -> u32 {
+    let i = x as u32;
+    i + ((x - i as f32) >= 0.5) as u32
+}
+
 /// Luma with the paper's band-combine weights, rounded to nearest.
 ///
 /// `luma = 0.299 R + 0.587 G + 0.114 B`
 #[inline]
 pub fn luma_u8(r: u8, g: u8, b: u8) -> u8 {
-    (0.299 * r as f32 + 0.587 * g as f32 + 0.114 * b as f32).round() as u8
+    round_nonneg(0.299 * r as f32 + 0.587 * g as f32 + 0.114 * b as f32) as u8
 }
 
 /// Convert one RGB pixel to grayscale intensity.
@@ -52,7 +62,7 @@ pub fn rgb_to_hsv(p: Rgb) -> (u16, u8, u8) {
             240.0 + 60.0 * ((r - g) as f32 / delta as f32)
         };
         let hue = if hue < 0.0 { hue + 360.0 } else { hue };
-        (hue.round() as u16) % 360
+        (round_nonneg(hue) % 360) as u16
     };
     (h, s, v)
 }
@@ -131,6 +141,32 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every RGB triple: luma and hue round exactly as the `f32::round`
+    /// forms they replaced (kept here as the oracle).
+    #[test]
+    fn libm_free_rounding_matches_f32_round_on_every_color() {
+        for rgb in 0u32..1 << 24 {
+            let [r, g, b, _] = rgb.to_le_bytes();
+            let luma = 0.299 * r as f32 + 0.587 * g as f32 + 0.114 * b as f32;
+            assert_eq!(luma_u8(r, g, b), luma.round() as u8, "luma of ({r}, {g}, {b})");
+            let (ri, gi, bi) = (r as i32, g as i32, b as i32);
+            let (max, min) = (ri.max(gi).max(bi), ri.min(gi).min(bi));
+            let delta = (max - min) as f32;
+            let hue = if delta == 0.0 {
+                0.0
+            } else if max == ri {
+                60.0 * ((gi - bi) as f32 / delta)
+            } else if max == gi {
+                120.0 + 60.0 * ((bi - ri) as f32 / delta)
+            } else {
+                240.0 + 60.0 * ((ri - gi) as f32 / delta)
+            };
+            let hue = if hue < 0.0 { hue + 360.0 } else { hue };
+            let oracle = (hue.round() as u16) % 360;
+            assert_eq!(rgb_to_hsv(Rgb::new(r, g, b)).0, oracle, "hue of ({r}, {g}, {b})");
         }
     }
 

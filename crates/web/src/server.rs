@@ -66,7 +66,8 @@ impl Server {
         let shutdown_flag = Arc::clone(&shutdown);
         let rejected = Arc::new(AtomicU64::new(0));
         let rejected_count = Arc::clone(&rejected);
-        // Resolved once; the accept loop records rejections lock-free.
+        // Resolved once; the accept loop records lock-free.
+        let accepted_counter = state.telemetry().counter("web.connections.accepted");
         let rejected_counter = state.telemetry().counter("web.backpressure.rejected");
         let rejected_status = state.telemetry().counter(crate::app::status_class_metric(
             StatusCode::ServiceUnavailable,
@@ -98,6 +99,9 @@ impl Server {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Past the shutdown check: this connection is queued or
+                // answered 503, never dropped unanswered.
+                accepted_counter.inc();
                 match queue.try_send(stream) {
                     Ok(()) => {}
                     Err(TrySendError::Full(stream)) => {
@@ -174,12 +178,16 @@ fn serve_connection<B: Backend>(state: Arc<AppState<B>>, stream: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbvr_core::telemetry::Registry;
     use cbvr_core::{ingest_video, IngestConfig};
+    use cbvr_storage::backend::MemBackend;
     use cbvr_storage::CbvrDatabase;
     use cbvr_video::{Category, GeneratorConfig, VideoGenerator};
     use std::io::{Read, Write};
 
-    fn running_server_with(config: &ServerConfig) -> Server {
+    /// One ingested clip, recording into a registry of its own (the
+    /// global one is shared by every test in the process).
+    fn test_state() -> Arc<AppState<MemBackend>> {
         let mut db = CbvrDatabase::in_memory().unwrap();
         let generator = VideoGenerator::new(GeneratorConfig {
             width: 48,
@@ -192,8 +200,11 @@ mod tests {
         .unwrap();
         let clip = generator.generate(Category::Sports, 1).unwrap();
         ingest_video(&mut db, "over_http", &clip, &IngestConfig::default()).unwrap();
-        let state = AppState::new(db).unwrap();
-        Server::start_with(state, "127.0.0.1:0", config).unwrap()
+        AppState::with_registry(db, Arc::new(Registry::new())).unwrap()
+    }
+
+    fn running_server_with(config: &ServerConfig) -> Server {
+        Server::start_with(test_state(), "127.0.0.1:0", config).unwrap()
     }
 
     fn running_server() -> Server {
@@ -320,15 +331,19 @@ mod tests {
 
     #[test]
     fn stop_drains_queued_connections_before_joining() {
-        use std::time::Duration;
-        let server = running_server_with(&ServerConfig { workers: 1, queue_capacity: 8 });
+        use std::time::{Duration, Instant};
+        // Only bounds a hang; a loaded machine is slow, but never this slow.
+        const DEADLINE: Duration = Duration::from_secs(60);
+        let state = test_state();
+        let accepted = state.telemetry().counter("web.connections.accepted");
+        let config = ServerConfig { workers: 1, queue_capacity: 8 };
+        let server = Server::start_with(state, "127.0.0.1:0", &config).unwrap();
         let addr = server.addr();
 
         // Park the only handler on a half-sent request, then queue a few
         // complete requests behind it.
         let mut busy = TcpStream::connect(addr).unwrap();
         write!(busy, "GET / HTTP/1.1\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(100));
         let clients: Vec<TcpStream> = (0..3)
             .map(|_| {
                 let mut c = TcpStream::connect(addr).unwrap();
@@ -336,8 +351,13 @@ mod tests {
                 c
             })
             .collect();
-        // Give the accept thread time to move all three into the queue.
-        std::thread::sleep(Duration::from_millis(200));
+        // Wait until the accept thread has taken all four connections past
+        // its shutdown check: from then on each one is queued or served.
+        let start = Instant::now();
+        while accepted.get() < 4 {
+            assert!(start.elapsed() < DEADLINE, "accepted {} of 4 connections", accepted.get());
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         // Release the handler and stop: every accepted connection must
         // still get an answer, because stop() only closes the queue —
@@ -355,6 +375,8 @@ mod tests {
                 "accepted connection dropped during stop"
             );
         }
+        // stop()'s wake-up connection is not counted.
+        assert_eq!(accepted.get(), 4);
     }
 
     #[test]

@@ -225,5 +225,8 @@ fn backpressure_rejections_surface_in_metrics() {
     // /metrics itself reports it.
     let body = String::from_utf8(state.handle(&get("/metrics")).body).unwrap();
     assert!(metric(&body, "web.backpressure.rejected").unwrap() >= 1);
+    // All three connections went through the accept loop, the rejected
+    // ones included.
+    assert_eq!(metric(&body, "web.connections.accepted"), Some(3));
     server.stop();
 }
