@@ -24,7 +24,7 @@ fn bench_codecs(c: &mut Criterion) {
     group.sample_size(10);
     for category in [Category::Cartoon, Category::Sports, Category::Movie] {
         let video = clip(category);
-        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta, FrameCodec::MotionComp] {
+        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta] {
             let label = format!("{}/{codec:?}", category.name());
             group.bench_with_input(BenchmarkId::new("encode", &label), &video, |b, v| {
                 b.iter(|| encode_vsc(v, codec))
@@ -44,7 +44,7 @@ fn bench_codecs(c: &mut Criterion) {
         let video = clip(category);
         let raw = encode_vsc(&video, FrameCodec::Raw).len();
         eprint!("  {:<8}", category.name());
-        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta, FrameCodec::MotionComp] {
+        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta] {
             let n = encode_vsc(&video, codec).len();
             eprint!(" {codec:?}={n} ({:.0}%)", 100.0 * n as f64 / raw as f64);
         }

@@ -1,9 +1,6 @@
-//! §4.1 key-frame extraction cost vs cut density and the two run
-//! strategies.
+//! §4.1 key-frame extraction cost vs cut density.
 
-use cbvr_keyframe::{
-    extract_keyframes, extract_keyframes_adaptive, AdaptiveConfig, KeyframeConfig, Strategy,
-};
+use cbvr_keyframe::{extract_keyframes, KeyframeConfig};
 use cbvr_video::{Category, GeneratorConfig, Video, VideoGenerator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -34,20 +31,6 @@ fn bench_keyframe(c: &mut Criterion) {
         );
     }
 
-    // Adaptive shot-boundary detection vs the fixed threshold.
-    let video = clip(6, 8);
-    group.bench_with_input(BenchmarkId::new("adaptive", "6cuts_x8f"), &video, |b, v| {
-        b.iter(|| extract_keyframes_adaptive(v, &AdaptiveConfig::default()))
-    });
-
-    // Strategy comparison on one clip.
-    let video = clip(6, 8);
-    for (name, strategy) in [("first_of_run", Strategy::FirstOfRun), ("middle_of_run", Strategy::MiddleOfRun)] {
-        let config = KeyframeConfig { strategy, ..KeyframeConfig::default() };
-        group.bench_with_input(BenchmarkId::new("strategy", name), &video, |b, v| {
-            b.iter(|| extract_keyframes(v, &config))
-        });
-    }
     group.finish();
 }
 

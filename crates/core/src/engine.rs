@@ -65,34 +65,6 @@ impl CatalogEntry {
     }
 }
 
-/// Query-frame preprocessing applied before feature extraction.
-///
-/// Query images arrive with arbitrary exposure; normalising them closes
-/// part of the gap to catalog footage. `None` is the paper's behaviour.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum QueryPreprocess {
-    /// Use the frame as submitted.
-    #[default]
-    None,
-    /// Luma histogram equalisation ([`cbvr_imgproc::enhance::equalize_rgb`]).
-    Equalize,
-    /// 1% contrast stretch ([`cbvr_imgproc::enhance::stretch_contrast_rgb`]).
-    StretchContrast,
-}
-
-impl QueryPreprocess {
-    /// Apply to a frame.
-    pub fn apply(self, frame: &RgbImage) -> RgbImage {
-        match self {
-            QueryPreprocess::None => frame.clone(),
-            QueryPreprocess::Equalize => cbvr_imgproc::enhance::equalize_rgb(frame),
-            QueryPreprocess::StretchContrast => {
-                cbvr_imgproc::enhance::stretch_contrast_rgb(frame, 0.01)
-            }
-        }
-    }
-}
-
 /// Query parameters.
 #[derive(Clone, Debug)]
 pub struct QueryOptions {
@@ -102,8 +74,6 @@ pub struct QueryOptions {
     pub weights: FeatureWeights,
     /// Prune candidates through the range index before scoring.
     pub use_index: bool,
-    /// Normalisation applied to the query frame before extraction.
-    pub preprocess: QueryPreprocess,
     /// Concurrent participants for scoring and DTW on the shared
     /// [`ExecPool`] ([`THREADS_AUTO`] = all cores). Results are
     /// identical for every value — `1` is the bit-exact serial path.
@@ -123,7 +93,6 @@ impl Default for QueryOptions {
             k: 20,
             weights: FeatureWeights::default(),
             use_index: true,
-            preprocess: QueryPreprocess::None,
             threads: THREADS_AUTO,
             abandon: true,
         }
@@ -188,7 +157,7 @@ struct EngineMetrics {
     frame_requests: Arc<Counter>,
     frame_candidates: Arc<Counter>,
     /// `query.frame.extract_nanos` — extracting a query frame's features
-    /// in [`QueryEngine::query_frame`] (preprocessing excluded).
+    /// in [`QueryEngine::query_frame`].
     frame_extract: Arc<Histogram>,
     frame_scan: Arc<Histogram>,
     frame_score: Arc<Histogram>,
@@ -561,13 +530,6 @@ impl QueryEngine {
 
     /// Query by example frame.
     pub fn query_frame(&self, frame: &RgbImage, options: &QueryOptions) -> Vec<FrameMatch> {
-        let prepared;
-        let frame = if options.preprocess == QueryPreprocess::None {
-            frame
-        } else {
-            prepared = options.preprocess.apply(frame);
-            &prepared
-        };
         let features = {
             let _extract = self.metrics.registry.timer(&self.metrics.frame_extract);
             FeatureSet::extract(frame)
@@ -1297,46 +1259,6 @@ mod tests {
             &QueryOptions { k: 100, use_index: false, ..Default::default() },
         );
         assert!(results.iter().all(|m| m.v_id != victim));
-    }
-
-    #[test]
-    fn preprocessing_recovers_gamma_shifted_queries() {
-        let (engine, labels) = populated_engine();
-        let g = generator();
-        // A heavily darkened query (gamma 2.6): the raw histogram shifts
-        // far from the catalog; contrast stretching pulls it back.
-        let probe = g.generate(Category::ELearning, 321).unwrap();
-        let dark = cbvr_imgproc::enhance::gamma_rgb(probe.frame(0).unwrap(), 2.6);
-        let category_of = |v_id: u64| labels.iter().find(|(v, _)| *v == v_id).unwrap().1;
-
-        let raw = engine.query_frame(
-            &dark,
-            &QueryOptions { k: 5, use_index: false, ..Default::default() },
-        );
-        let stretched = engine.query_frame(
-            &dark,
-            &QueryOptions {
-                k: 5,
-                use_index: false,
-                preprocess: QueryPreprocess::StretchContrast,
-                ..Default::default()
-            },
-        );
-        let hits = |r: &[FrameMatch]| {
-            r.iter().filter(|m| category_of(m.v_id) == Category::ELearning).count()
-        };
-        assert!(
-            hits(&stretched) >= hits(&raw),
-            "stretching should not hurt: {} vs {}",
-            hits(&stretched),
-            hits(&raw)
-        );
-        // Equalisation also runs without panicking and returns results.
-        let eq = engine.query_frame(
-            &dark,
-            &QueryOptions { k: 5, preprocess: QueryPreprocess::Equalize, ..Default::default() },
-        );
-        assert!(!eq.is_empty());
     }
 
     #[test]

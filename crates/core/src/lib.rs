@@ -51,8 +51,7 @@ pub mod weights;
 
 pub use arena::{CascadePlan, CascadeTally, DescriptorArena, QueryVectors, CASCADE_ORDER};
 pub use engine::{
-    CompactionReport, FrameMatch, QueryEngine, QueryOptions, QueryPreprocess, SegmentStats,
-    VideoMatch,
+    CompactionReport, FrameMatch, QueryEngine, QueryOptions, SegmentStats, VideoMatch,
 };
 pub use feedback::adapt_weights;
 pub use error::{CoreError, Result};

@@ -164,7 +164,6 @@ fn options(
         use_index,
         weights: weights.clone(),
         abandon,
-        ..QueryOptions::default()
     }
 }
 

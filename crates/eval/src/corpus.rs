@@ -55,7 +55,7 @@ impl Default for CorpusConfig {
             // footage; the synthetic corpus has milder in-shot motion, so
             // a lower threshold keeps roughly one key frame per shot
             // instead of merging visually-close shots.
-            keyframe: KeyframeConfig { threshold: 450.0, ..KeyframeConfig::default() },
+            keyframe: KeyframeConfig { threshold: 450.0 },
             threads: 4,
         }
     }

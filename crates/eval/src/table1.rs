@@ -87,7 +87,7 @@ pub struct Table1Report {
 /// makes every query's texture look like the sports category's grass
 /// noise, biasing texture features below chance at the top ranks.
 pub fn degrade_query(frame: &cbvr_imgproc::RgbImage, seed: u64) -> cbvr_imgproc::RgbImage {
-    use cbvr_imgproc::geom::{crop, resize_rgb, Interpolation};
+    use cbvr_imgproc::geom::{crop, resize};
     let (w, h) = frame.dimensions();
     let bx = w / 16;
     let by = h / 16;
@@ -95,8 +95,7 @@ pub fn degrade_query(frame: &cbvr_imgproc::RgbImage, seed: u64) -> cbvr_imgproc:
     // Nearest-neighbour resampling: bilinear would smooth the whole
     // query, systematically dragging its texture statistics toward the
     // smoothest catalog categories.
-    let mut restored =
-        resize_rgb(&cropped, w, h, Interpolation::Nearest).expect("original size is nonzero");
+    let mut restored = resize(&cropped, w, h).expect("original size is nonzero");
     cbvr_imgproc::draw::speckle(&mut restored, 3, seed.wrapping_mul(0x9E37_79B9));
     restored
 }

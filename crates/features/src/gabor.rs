@@ -75,7 +75,7 @@
 //! make binaries that fault on CPUs without the feature.
 
 use crate::error::{FeatureError, Result};
-use cbvr_imgproc::geom::{self, Interpolation};
+use cbvr_imgproc::geom;
 use cbvr_imgproc::{GrayImage, RgbImage};
 use std::sync::OnceLock;
 
@@ -277,7 +277,7 @@ fn bank_input(img: &RgbImage) -> GrayImage {
         let scale = GABOR_MAX_SIDE as f64 / long as f64;
         let nw = ((w as f64 * scale).round() as u32).max(1);
         let nh = ((h as f64 * scale).round() as u32).max(1);
-        geom::resize(&gray, nw, nh, Interpolation::Nearest).expect("nonzero target")
+        geom::resize(&gray, nw, nh).expect("nonzero target")
     } else {
         gray
     }

@@ -30,24 +30,17 @@
 //! [`extract::FeatureSet`] bundles one of each per key frame and
 //! compares them per [`descriptor::FeatureKind`]; a
 //! [`descriptor::DescriptorRef`] borrows one of them by kind.
-//!
-//! Two *extension* descriptors implement the paper's §6 future work
-//! ("integrating more features") without disturbing the seven-feature
-//! set: [`edge::EdgeHistogram`] (MPEG-7-style shape) and
-//! [`motion::MotionActivity`] (clip-level motion statistics).
 #![warn(missing_docs)]
 
 
 pub mod correlogram;
 pub mod descriptor;
-pub mod edge;
 pub mod distance;
 pub mod error;
 pub mod extract;
 pub mod gabor;
 pub mod glcm;
 pub mod histogram;
-pub mod motion;
 pub mod naive;
 pub mod region;
 pub mod tamura;

@@ -11,7 +11,7 @@
 //! [`NaiveSignature::parse`] reads that format back.
 
 use crate::error::{FeatureError, Result};
-use cbvr_imgproc::geom::{self, Interpolation};
+use cbvr_imgproc::geom;
 use cbvr_imgproc::{Rgb, RgbImage};
 
 /// Canvas side the frame is rescaled to before sampling.
@@ -38,8 +38,7 @@ impl NaiveSignature {
     /// (the pseudocode's `InterpolationNearest`) and average around each
     /// grid point.
     pub fn extract(img: &RgbImage) -> NaiveSignature {
-        let scaled = geom::resize_rgb(img, BASE_SIZE, BASE_SIZE, Interpolation::Nearest)
-            .expect("fixed nonzero target");
+        let scaled = geom::resize(img, BASE_SIZE, BASE_SIZE).expect("fixed nonzero target");
         let mut signature = Vec::with_capacity(GRID * GRID);
         for gy in 0..GRID {
             for gx in 0..GRID {

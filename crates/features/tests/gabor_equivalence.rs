@@ -8,7 +8,7 @@
 //! sequential mean/std reductions. It exists only here, as the oracle.
 
 use cbvr_features::gabor::{GaborTexture, DIM, GABOR_MAX_SIDE, ORIENTATIONS, SCALES};
-use cbvr_imgproc::geom::{self, Interpolation};
+use cbvr_imgproc::geom;
 use cbvr_imgproc::{Gray, GrayImage, RgbImage};
 use cbvr_video::{Category, GeneratorConfig, VideoGenerator};
 use proptest::prelude::*;
@@ -103,7 +103,7 @@ mod oracle {
             let scale = GABOR_MAX_SIDE as f64 / long as f64;
             let nw = ((w as f64 * scale).round() as u32).max(1);
             let nh = ((h as f64 * scale).round() as u32).max(1);
-            geom::resize(&gray, nw, nh, Interpolation::Nearest).expect("nonzero target")
+            geom::resize(&gray, nw, nh).expect("nonzero target")
         } else {
             gray
         };

@@ -15,7 +15,7 @@ pub mod ppm;
 pub mod vjp;
 
 use crate::error::{ImgError, Result};
-use crate::image::{GrayImage, RgbImage};
+use crate::image::RgbImage;
 
 /// Supported on-disk image container formats.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -76,15 +76,6 @@ pub fn encode(img: &RgbImage, format: ImageFormat) -> Vec<u8> {
     }
 }
 
-/// Decode a grayscale image (PGM directly, anything else via luma).
-pub fn decode_gray_auto(data: &[u8]) -> Result<GrayImage> {
-    match ImageFormat::sniff(data) {
-        Some(ImageFormat::Pgm) => pgm::decode(data),
-        Some(_) => Ok(decode_auto(data)?.to_gray()),
-        None => Err(ImgError::Decode("unrecognised image magic".into())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,14 +111,14 @@ mod tests {
     fn pgm_round_trip_is_luma() {
         let img = sample();
         let bytes = encode(&img, ImageFormat::Pgm);
-        let back = decode_gray_auto(&bytes).unwrap();
+        let back = decode_auto(&bytes).unwrap().to_gray();
         assert_eq!(back, img.to_gray());
     }
 
     #[test]
     fn decode_garbage_fails() {
         assert!(decode_auto(b"not an image at all").is_err());
-        assert!(decode_gray_auto(&[]).is_err());
+        assert!(decode_auto(&[]).is_err());
     }
 
     #[test]

@@ -56,33 +56,6 @@ pub fn fill_circle(img: &mut RgbImage, cx: i32, cy: i32, radius: u32, color: Rgb
     }
 }
 
-/// Draw a line with Bresenham's algorithm; clips at the raster border.
-pub fn draw_line(img: &mut RgbImage, x0: i32, y0: i32, x1: i32, y1: i32, color: Rgb) {
-    let (mut x, mut y) = (x0, y0);
-    let dx = (x1 - x0).abs();
-    let dy = -(y1 - y0).abs();
-    let sx = if x0 < x1 { 1 } else { -1 };
-    let sy = if y0 < y1 { 1 } else { -1 };
-    let mut err = dx + dy;
-    loop {
-        if x >= 0 && y >= 0 && (x as u32) < img.width() && (y as u32) < img.height() {
-            img.put(x as u32, y as u32, color);
-        }
-        if x == x1 && y == y1 {
-            break;
-        }
-        let e2 = 2 * err;
-        if e2 >= dy {
-            err += dy;
-            x += sx;
-        }
-        if e2 <= dx {
-            err += dx;
-            y += sy;
-        }
-    }
-}
-
 /// Paint a vertical gradient from `top` (row 0) to `bottom` (last row).
 pub fn vertical_gradient(img: &mut RgbImage, top: Rgb, bottom: Rgb) {
     let h = img.height();
@@ -90,18 +63,6 @@ pub fn vertical_gradient(img: &mut RgbImage, top: Rgb, bottom: Rgb) {
         let t = if h == 1 { 0.0 } else { y as f32 / (h - 1) as f32 };
         let c = top.lerp(bottom, t);
         for x in 0..img.width() {
-            img.put(x, y, c);
-        }
-    }
-}
-
-/// Paint a horizontal gradient from `left` (column 0) to `right`.
-pub fn horizontal_gradient(img: &mut RgbImage, left: Rgb, right: Rgb) {
-    let w = img.width();
-    for x in 0..w {
-        let t = if w == 1 { 0.0 } else { x as f32 / (w - 1) as f32 };
-        let c = left.lerp(right, t);
-        for y in 0..img.height() {
             img.put(x, y, c);
         }
     }
@@ -256,20 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn line_endpoints_painted() {
-        let mut im = img(8, 8);
-        draw_line(&mut im, 0, 0, 7, 7, Rgb::WHITE);
-        assert_eq!(im.get(0, 0), Rgb::WHITE);
-        assert_eq!(im.get(7, 7), Rgb::WHITE);
-        assert_eq!(im.get(3, 3), Rgb::WHITE);
-        assert_eq!(im.get(0, 7), Rgb::BLACK);
-        // Off-screen segment clips without panicking.
-        draw_line(&mut im, -5, 3, 20, 3, Rgb::WHITE);
-        assert_eq!(im.get(0, 3), Rgb::WHITE);
-        assert_eq!(im.get(7, 3), Rgb::WHITE);
-    }
-
-    #[test]
     fn gradient_endpoints() {
         let mut im = img(3, 5);
         vertical_gradient(&mut im, Rgb::BLACK, Rgb::WHITE);
@@ -277,11 +224,6 @@ mod tests {
         assert_eq!(im.get(2, 4), Rgb::WHITE);
         let mid = im.get(1, 2);
         assert!(mid.r > 100 && mid.r < 160, "midpoint {mid:?}");
-
-        let mut im2 = img(5, 3);
-        horizontal_gradient(&mut im2, Rgb::new(255, 0, 0), Rgb::new(0, 0, 255));
-        assert_eq!(im2.get(0, 0), Rgb::new(255, 0, 0));
-        assert_eq!(im2.get(4, 2), Rgb::new(0, 0, 255));
     }
 
     #[test]

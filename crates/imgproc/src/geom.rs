@@ -1,56 +1,25 @@
-//! Geometric transforms: rescale, crop and flips.
+//! Geometric transforms: rescale and crop.
 //!
 //! The key-frame extractor (§4.1) and the naive signature (§4.6) rescale
 //! frames to a fixed 300×300 raster using JAI's `InterpolationNearest`;
-//! [`resize`] reproduces that, and additionally offers bilinear sampling
-//! for the synthetic generator's smooth zooms.
+//! [`resize`] reproduces that.
 
 use crate::error::{ImgError, Result};
 use crate::image::Image;
-use crate::pixel::{Pixel, Rgb};
+use crate::pixel::Pixel;
 
-/// Sampling strategy for [`resize`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
-pub enum Interpolation {
-    /// Nearest-neighbour (the paper's `InterpolationNearest`).
-    #[default]
-    Nearest,
-    /// Bilinear, RGB only (grayscale uses nearest as a fallback).
-    Bilinear,
-}
-
-/// Resize `img` to `new_w × new_h`.
+/// Resize `img` to `new_w × new_h` by nearest-neighbour sampling (the
+/// paper's `InterpolationNearest`), sampling each output pixel's centre.
 ///
 /// # Errors
 /// Returns [`ImgError::Dimensions`] when a target side is zero.
-pub fn resize<P: Pixel>(img: &Image<P>, new_w: u32, new_h: u32, interp: Interpolation) -> Result<Image<P>> {
+pub fn resize<P: Pixel>(img: &Image<P>, new_w: u32, new_h: u32) -> Result<Image<P>> {
     if new_w == 0 || new_h == 0 {
         return Err(ImgError::Dimensions(format!("cannot resize to {new_w}x{new_h}")));
     }
     if (new_w, new_h) == img.dimensions() {
         return Ok(img.clone());
     }
-    match interp {
-        Interpolation::Nearest => resize_nearest(img, new_w, new_h),
-        Interpolation::Bilinear => resize_nearest(img, new_w, new_h),
-    }
-}
-
-/// Resize an RGB image with true bilinear sampling.
-pub fn resize_rgb(img: &Image<Rgb>, new_w: u32, new_h: u32, interp: Interpolation) -> Result<Image<Rgb>> {
-    if new_w == 0 || new_h == 0 {
-        return Err(ImgError::Dimensions(format!("cannot resize to {new_w}x{new_h}")));
-    }
-    if (new_w, new_h) == img.dimensions() {
-        return Ok(img.clone());
-    }
-    match interp {
-        Interpolation::Nearest => resize_nearest(img, new_w, new_h),
-        Interpolation::Bilinear => resize_bilinear_rgb(img, new_w, new_h),
-    }
-}
-
-fn resize_nearest<P: Pixel>(img: &Image<P>, new_w: u32, new_h: u32) -> Result<Image<P>> {
     let (w, h) = img.dimensions();
     let sx = w as f64 / new_w as f64;
     let sy = h as f64 / new_h as f64;
@@ -58,25 +27,6 @@ fn resize_nearest<P: Pixel>(img: &Image<P>, new_w: u32, new_h: u32) -> Result<Im
         let src_x = ((x as f64 + 0.5) * sx) as u32;
         let src_y = ((y as f64 + 0.5) * sy) as u32;
         img.get(src_x.min(w - 1), src_y.min(h - 1))
-    })
-}
-
-fn resize_bilinear_rgb(img: &Image<Rgb>, new_w: u32, new_h: u32) -> Result<Image<Rgb>> {
-    let (w, h) = img.dimensions();
-    let sx = w as f64 / new_w as f64;
-    let sy = h as f64 / new_h as f64;
-    Image::from_fn(new_w, new_h, |x, y| {
-        let fx = ((x as f64 + 0.5) * sx - 0.5).max(0.0);
-        let fy = ((y as f64 + 0.5) * sy - 0.5).max(0.0);
-        let x0 = fx.floor() as u32;
-        let y0 = fy.floor() as u32;
-        let x1 = (x0 + 1).min(w - 1);
-        let y1 = (y0 + 1).min(h - 1);
-        let tx = (fx - x0 as f64) as f32;
-        let ty = (fy - y0 as f64) as f32;
-        let top = img.get(x0, y0).lerp(img.get(x1, y0), tx);
-        let bottom = img.get(x0, y1).lerp(img.get(x1, y1), tx);
-        top.lerp(bottom, ty)
     })
 }
 
@@ -98,69 +48,23 @@ pub fn crop<P: Pixel>(img: &Image<P>, x: u32, y: u32, w: u32, h: u32) -> Result<
     Image::from_fn(w, h, |cx, cy| img.get(x + cx, y + cy))
 }
 
-/// Mirror horizontally (left-right).
-pub fn flip_horizontal<P: Pixel>(img: &Image<P>) -> Image<P> {
-    let (w, h) = img.dimensions();
-    Image::from_fn(w, h, |x, y| img.get(w - 1 - x, y)).expect("same nonzero dims")
-}
-
-/// Mirror vertically (top-bottom).
-pub fn flip_vertical<P: Pixel>(img: &Image<P>) -> Image<P> {
-    let (w, h) = img.dimensions();
-    Image::from_fn(w, h, |x, y| img.get(x, h - 1 - y)).expect("same nonzero dims")
-}
-
-/// Rotate 90° clockwise (width and height swap).
-pub fn rotate90<P: Pixel>(img: &Image<P>) -> Image<P> {
-    let (w, h) = img.dimensions();
-    Image::from_fn(h, w, |x, y| img.get(y, h - 1 - x)).expect("same nonzero dims")
-}
-
-/// Rotate 180°.
-pub fn rotate180<P: Pixel>(img: &Image<P>) -> Image<P> {
-    let (w, h) = img.dimensions();
-    Image::from_fn(w, h, |x, y| img.get(w - 1 - x, h - 1 - y)).expect("same nonzero dims")
-}
-
-/// Rotate 270° clockwise (= 90° counter-clockwise).
-pub fn rotate270<P: Pixel>(img: &Image<P>) -> Image<P> {
-    let (w, h) = img.dimensions();
-    Image::from_fn(h, w, |x, y| img.get(w - 1 - y, x)).expect("same nonzero dims")
-}
-
-/// Translate the image content by `(dx, dy)` pixels, filling vacated area
-/// with `fill`. Used by the synthetic generator to pan scenes.
-pub fn translate<P: Pixel>(img: &Image<P>, dx: i32, dy: i32, fill: P) -> Image<P> {
-    let (w, h) = img.dimensions();
-    Image::from_fn(w, h, |x, y| {
-        let sx = x as i64 - dx as i64;
-        let sy = y as i64 - dy as i64;
-        if sx >= 0 && sy >= 0 && (sx as u32) < w && (sy as u32) < h {
-            img.get(sx as u32, sy as u32)
-        } else {
-            fill
-        }
-    })
-    .expect("same nonzero dims")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::{GrayImage, RgbImage};
+    use crate::image::GrayImage;
     use crate::pixel::Gray;
 
     #[test]
     fn resize_identity_is_clone() {
         let img = GrayImage::from_fn(4, 4, |x, y| Gray((x + y) as u8)).unwrap();
-        let out = resize(&img, 4, 4, Interpolation::Nearest).unwrap();
+        let out = resize(&img, 4, 4).unwrap();
         assert_eq!(out, img);
     }
 
     #[test]
     fn nearest_upscale_replicates() {
         let img = GrayImage::from_fn(2, 1, |x, _| Gray(if x == 0 { 0 } else { 255 })).unwrap();
-        let out = resize(&img, 4, 2, Interpolation::Nearest).unwrap();
+        let out = resize(&img, 4, 2).unwrap();
         assert_eq!(out.get(0, 0), Gray(0));
         assert_eq!(out.get(1, 0), Gray(0));
         assert_eq!(out.get(2, 1), Gray(255));
@@ -170,7 +74,7 @@ mod tests {
     #[test]
     fn nearest_downscale_samples() {
         let img = GrayImage::from_fn(4, 4, |x, y| Gray((y * 4 + x) as u8 * 10)).unwrap();
-        let out = resize(&img, 2, 2, Interpolation::Nearest).unwrap();
+        let out = resize(&img, 2, 2).unwrap();
         assert_eq!(out.dimensions(), (2, 2));
         // Centre-of-cell sampling picks pixel (1,1) for output (0,0).
         assert_eq!(out.get(0, 0), Gray(50));
@@ -179,27 +83,8 @@ mod tests {
     #[test]
     fn zero_target_rejected() {
         let img = GrayImage::new(4, 4).unwrap();
-        assert!(resize(&img, 0, 4, Interpolation::Nearest).is_err());
-        assert!(resize(&img, 4, 0, Interpolation::Bilinear).is_err());
-    }
-
-    #[test]
-    fn bilinear_rgb_midpoint() {
-        let img = RgbImage::from_fn(2, 1, |x, _| {
-            if x == 0 { Rgb::new(0, 0, 0) } else { Rgb::new(200, 100, 50) }
-        })
-        .unwrap();
-        let out = resize_rgb(&img, 4, 1, Interpolation::Bilinear).unwrap();
-        // Middle samples interpolate between the two endpoints.
-        let mid = out.get(1, 0);
-        assert!(mid.r > 0 && mid.r < 200, "interpolated value, got {mid:?}");
-    }
-
-    #[test]
-    fn bilinear_constant_image_stays_constant() {
-        let img = RgbImage::filled(5, 5, Rgb::new(40, 80, 120)).unwrap();
-        let out = resize_rgb(&img, 13, 7, Interpolation::Bilinear).unwrap();
-        assert!(out.pixels().all(|p| p == Rgb::new(40, 80, 120)));
+        assert!(resize(&img, 0, 4).is_err());
+        assert!(resize(&img, 4, 0).is_err());
     }
 
     #[test]
@@ -217,47 +102,5 @@ mod tests {
         assert!(crop(&img, 3, 3, 3, 3).is_err());
         assert!(crop(&img, 0, 0, 0, 1).is_err());
         assert!(crop(&img, u32::MAX, 0, 1, 1).is_err());
-    }
-
-    #[test]
-    fn flips_are_involutions() {
-        let img = GrayImage::from_fn(4, 3, |x, y| Gray((x * 7 + y * 3) as u8)).unwrap();
-        assert_eq!(flip_horizontal(&flip_horizontal(&img)), img);
-        assert_eq!(flip_vertical(&flip_vertical(&img)), img);
-        assert_eq!(flip_horizontal(&img).get(0, 0), img.get(3, 0));
-        assert_eq!(flip_vertical(&img).get(0, 0), img.get(0, 2));
-    }
-
-    #[test]
-    fn rotations_compose_to_identity() {
-        let img = GrayImage::from_fn(5, 3, |x, y| Gray((y * 5 + x) as u8)).unwrap();
-        assert_eq!(rotate180(&rotate180(&img)), img);
-        assert_eq!(rotate90(&rotate270(&img)), img);
-        assert_eq!(rotate270(&rotate90(&img)), img);
-        assert_eq!(rotate90(&rotate90(&img)), rotate180(&img));
-        // Dimensions swap on quarter turns.
-        assert_eq!(rotate90(&img).dimensions(), (3, 5));
-    }
-
-    #[test]
-    fn rotate90_moves_corners_correctly() {
-        let mut img = GrayImage::new(3, 2).unwrap();
-        img.put(0, 0, Gray(1)); // top-left
-        img.put(2, 0, Gray(2)); // top-right
-        let r = rotate90(&img);
-        // Top-left goes to top-right after a clockwise quarter turn.
-        assert_eq!(r.get(1, 0), Gray(1));
-        assert_eq!(r.get(1, 2), Gray(2));
-    }
-
-    #[test]
-    fn translate_shifts_and_fills() {
-        let img = GrayImage::from_fn(3, 3, |x, y| Gray((y * 3 + x) as u8 + 1)).unwrap();
-        let t = translate(&img, 1, 0, Gray(0));
-        assert_eq!(t.get(0, 0), Gray(0)); // vacated
-        assert_eq!(t.get(1, 0), Gray(1)); // old (0,0)
-        let t2 = translate(&img, -1, -1, Gray(99));
-        assert_eq!(t2.get(0, 0), img.get(1, 1));
-        assert_eq!(t2.get(2, 2), Gray(99));
     }
 }

@@ -72,16 +72,6 @@ impl Histogram256 {
         self.bins[lo as usize..=hi as usize].iter().sum()
     }
 
-    /// Fraction of total mass in `lo..=hi`; 0 when the histogram is empty.
-    pub fn mass_fraction(&self, lo: u8, hi: u8) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.mass(lo, hi) as f64 / total as f64
-        }
-    }
-
     /// Mean intensity; 0 when empty.
     pub fn mean(&self) -> f64 {
         let total = self.total();
@@ -90,23 +80,6 @@ impl Histogram256 {
         }
         let weighted: u64 = self.bins.iter().enumerate().map(|(i, &c)| i as u64 * c).sum();
         weighted as f64 / total as f64
-    }
-
-    /// Normalised bins (probability mass function). All zeros when empty.
-    pub fn pmf(&self) -> Vec<f64> {
-        let total = self.total();
-        if total == 0 {
-            return vec![0.0; 256];
-        }
-        self.bins.iter().map(|&c| c as f64 / total as f64).collect()
-    }
-
-    /// Histogram-intersection similarity with another histogram, in
-    /// `[0, 1]` after per-histogram normalisation.
-    pub fn intersection(&self, other: &Histogram256) -> f64 {
-        let pa = self.pmf();
-        let pb = other.pmf();
-        pa.iter().zip(&pb).map(|(a, b)| a.min(*b)).sum()
     }
 }
 
@@ -143,7 +116,6 @@ mod tests {
         assert_eq!(h.mass(0, 255), 6);
         // Reversed bounds are normalised.
         assert_eq!(h.mass(127, 0), 4);
-        assert!((h.mass_fraction(0, 127) - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -151,8 +123,6 @@ mod tests {
         let h = Histogram256::new();
         assert_eq!(h.total(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.mass_fraction(0, 255), 0.0);
-        assert!(h.pmf().iter().all(|&p| p == 0.0));
     }
 
     #[test]
@@ -161,24 +131,5 @@ mod tests {
         h.record(0);
         h.record(100);
         assert_eq!(h.mean(), 50.0);
-    }
-
-    #[test]
-    fn pmf_sums_to_one() {
-        let img = GrayImage::from_fn(16, 16, |x, y| Gray((x * y) as u8)).unwrap();
-        let h = Histogram256::of_gray(&img);
-        let sum: f64 = h.pmf().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn intersection_bounds() {
-        let a = Histogram256::of_gray(&GrayImage::filled(4, 4, Gray(10)).unwrap());
-        let b = Histogram256::of_gray(&GrayImage::filled(4, 4, Gray(200)).unwrap());
-        assert_eq!(a.intersection(&a), 1.0);
-        assert_eq!(a.intersection(&b), 0.0);
-        let half = GrayImage::from_fn(4, 4, |x, _| Gray(if x < 2 { 10 } else { 200 })).unwrap();
-        let c = Histogram256::of_gray(&half);
-        assert!((a.intersection(&c) - 0.5).abs() < 1e-12);
     }
 }

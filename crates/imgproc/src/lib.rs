@@ -13,17 +13,14 @@
 //!   on the compression format, only on decoded pixels);
 //! - [`color`] — RGB ↔ HSV conversion and the paper's exact luma weights
 //!   `{0.114, 0.587, 0.299}` (the JAI band-combine matrix in §4.3 / §4.8);
-//! - [`geom`] — nearest-neighbour and bilinear rescaling, crop, flips
-//!   (the key-frame extractor rescales with `InterpolationNearest`);
-//! - [`filter`] — 2-D convolution, Gaussian and Sobel kernels;
+//! - [`geom`] — nearest-neighbour rescaling and crop (the key-frame
+//!   extractor rescales with `InterpolationNearest`);
 //! - [`morph`] — binary dilation and erosion with the paper's 5×5
 //!   structuring element, a 3×3 box (§4.8 step 4);
-//! - [`threshold`] — fuzzy-minimum and Otsu binarisation
+//! - [`threshold`] — fuzzy-minimum binarisation
 //!   (`getMinFuzzinessThreshold` in §4.8 step 3.G–J);
-//! - [`hist`] — 256-bin luminance and per-band histograms;
-//! - [`draw`] — rendering primitives used by the synthetic video generator;
-//! - [`enhance`] — histogram equalisation, gamma and contrast stretching
-//!   (query normalisation and degradation variants).
+//! - [`hist`] — 256-bin luminance histograms;
+//! - [`draw`] — rendering primitives used by the synthetic video generator.
 //!
 //! Everything operates on 8-bit channels, matching the paper's `0xff &
 //! pixel[i]` arithmetic.
@@ -33,9 +30,7 @@
 pub mod codec;
 pub mod color;
 pub mod draw;
-pub mod enhance;
 pub mod error;
-pub mod filter;
 pub mod geom;
 pub mod hist;
 pub mod image;
@@ -46,7 +41,6 @@ pub mod threshold;
 pub use codec::{decode_auto, ImageFormat};
 pub use color::{hsv_to_rgb, luma_u8, rgb_to_gray, rgb_to_hsv};
 pub use error::{ImgError, Result};
-pub use geom::Interpolation;
 pub use hist::Histogram256;
 pub use image::{GrayImage, Image, RgbImage};
 pub use pixel::{Gray, Pixel, Rgb};

@@ -5,8 +5,7 @@
 //! minimising Huang's measure of fuzziness: for each candidate threshold
 //! the image is split into two classes; each pixel's membership to its
 //! class decreases with its distance from the class mean, and Shannon's
-//! entropy of the memberships scores the split. We implement that, plus
-//! Otsu's method as a conventional baseline.
+//! entropy of the memberships scores the split.
 
 use crate::hist::Histogram256;
 use crate::image::GrayImage;
@@ -73,43 +72,6 @@ pub fn min_fuzziness_threshold(hist: &Histogram256) -> u8 {
     best_t
 }
 
-/// Otsu's between-class-variance threshold. Returns 0 for an empty
-/// histogram.
-pub fn otsu_threshold(hist: &Histogram256) -> u8 {
-    let total = hist.total();
-    if total == 0 {
-        return 0;
-    }
-    let bins = hist.bins();
-    let sum_all: f64 = bins.iter().enumerate().map(|(i, &c)| i as f64 * c as f64).sum();
-
-    let mut w0 = 0f64;
-    let mut sum0 = 0f64;
-    // Degenerate (single-intensity) histograms have no split; report the
-    // occupied bin itself, matching the fuzzy threshold's convention.
-    let mut best_t = bins.iter().position(|&c| c > 0).unwrap_or(0) as u8;
-    let mut best_var = -1f64;
-    for (t, &count) in bins.iter().enumerate() {
-        w0 += count as f64;
-        if w0 == 0.0 {
-            continue;
-        }
-        let w1 = total as f64 - w0;
-        if w1 == 0.0 {
-            break;
-        }
-        sum0 += t as f64 * count as f64;
-        let mu0 = sum0 / w0;
-        let mu1 = (sum_all - sum0) / w1;
-        let var = w0 * w1 * (mu0 - mu1) * (mu0 - mu1);
-        if var > best_var {
-            best_var = var;
-            best_t = t as u8;
-        }
-    }
-    best_t
-}
-
 /// Binarise: pixels strictly above `threshold` become 255, the rest 0.
 pub fn binarize(img: &GrayImage, threshold: u8) -> GrayImage {
     let (w, h) = img.dimensions();
@@ -144,13 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn otsu_separates_bimodal() {
-        let img = bimodal(30, 200, 60, 40);
-        let t = otsu_threshold(&Histogram256::of_gray(&img));
-        assert!((30..200).contains(&t), "otsu {t}");
-    }
-
-    #[test]
     fn constant_image_thresholds_degenerate() {
         let img = GrayImage::filled(4, 4, Gray(77)).unwrap();
         let h = Histogram256::of_gray(&img);
@@ -165,7 +120,6 @@ mod tests {
     fn empty_histogram_is_zero() {
         let h = Histogram256::new();
         assert_eq!(min_fuzziness_threshold(&h), 0);
-        assert_eq!(otsu_threshold(&h), 0);
     }
 
     #[test]

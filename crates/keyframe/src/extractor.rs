@@ -4,29 +4,17 @@ use cbvr_features::naive::NaiveSignature;
 use cbvr_imgproc::RgbImage;
 use cbvr_video::Video;
 
-/// Which frame of a run of similar frames becomes the key frame.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
-pub enum Strategy {
-    /// The paper's choice: "take 1st as key-frame".
-    #[default]
-    FirstOfRun,
-    /// The run's middle frame — avoids shot-transition blur.
-    MiddleOfRun,
-}
-
 /// Extraction parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KeyframeConfig {
     /// Similarity threshold on the raw signature distance; the paper uses
     /// `dist > 800.0` as the cut test.
     pub threshold: f64,
-    /// Run representative selection.
-    pub strategy: Strategy,
 }
 
 impl Default for KeyframeConfig {
     fn default() -> Self {
-        KeyframeConfig { threshold: 800.0, strategy: Strategy::FirstOfRun }
+        KeyframeConfig { threshold: 800.0 }
     }
 }
 
@@ -66,9 +54,9 @@ pub fn extract_keyframes(video: &Video, config: &KeyframeConfig) -> Vec<Keyframe
 /// array", already sorted).
 ///
 /// Runs of consecutive frames whose pairwise distance to the run anchor
-/// stays within `threshold` collapse to one representative; the first
-/// frame beyond the threshold starts the next run. An empty input yields
-/// no key frames.
+/// stays within `threshold` collapse to their first frame ("take 1st as
+/// key-frame"); the first frame beyond the threshold starts the next run.
+/// An empty input yields no key frames.
 pub fn extract_keyframes_from_frames(frames: &[RgbImage], config: &KeyframeConfig) -> Vec<Keyframe> {
     if frames.is_empty() {
         return Vec::new();
@@ -88,11 +76,7 @@ pub fn extract_keyframes_from_frames(frames: &[RgbImage], config: &KeyframeConfi
         {
             run_end += 1;
         }
-        let pick = match config.strategy {
-            Strategy::FirstOfRun => run_start,
-            Strategy::MiddleOfRun => run_start + (run_end - run_start) / 2,
-        };
-        keyframes.push(Keyframe { index: pick, frame: frames[pick].clone() });
+        keyframes.push(Keyframe { index: run_start, frame: frames[run_start].clone() });
         run_start = run_end;
     }
     keyframes
@@ -140,20 +124,9 @@ mod tests {
     }
 
     #[test]
-    fn middle_of_run_strategy() {
-        let mut frames = vec![flat(10); 5];
-        frames.extend(vec![flat(240); 4]);
-        let config = KeyframeConfig { strategy: Strategy::MiddleOfRun, ..Default::default() };
-        let kfs = extract_keyframes_from_frames(&frames, &config);
-        assert_eq!(kfs.len(), 2);
-        assert_eq!(kfs[0].index, 2); // middle of 0..5
-        assert_eq!(kfs[1].index, 7); // middle of 5..9
-    }
-
-    #[test]
     fn threshold_zero_keeps_every_distinct_frame() {
         let frames: Vec<RgbImage> = (0..4).map(|i| flat(i * 60)).collect();
-        let config = KeyframeConfig { threshold: 0.0, ..Default::default() };
+        let config = KeyframeConfig { threshold: 0.0 };
         let kfs = extract_keyframes_from_frames(&frames, &config);
         assert_eq!(kfs.len(), 4);
     }
@@ -161,7 +134,7 @@ mod tests {
     #[test]
     fn huge_threshold_keeps_only_first() {
         let frames: Vec<RgbImage> = (0..6).map(|i| flat(i * 40)).collect();
-        let config = KeyframeConfig { threshold: f64::INFINITY, ..Default::default() };
+        let config = KeyframeConfig { threshold: f64::INFINITY };
         let kfs = extract_keyframes_from_frames(&frames, &config);
         assert_eq!(kfs.len(), 1);
     }

@@ -11,20 +11,11 @@
 //! Euclidean RGB distance between mean colors. [`signature_distance`]
 //! computes exactly that, and the default [`KeyframeConfig::threshold`]
 //! is the paper's 800.0.
-//!
-//! Beyond the paper's first-of-run strategy, [`Strategy::MiddleOfRun`]
-//! picks the run's central frame (a common refinement that avoids
-//! transition blur at shot starts), and [`adaptive`] replaces the global
-//! threshold with a local-statistics shot-boundary detector that catches
-//! low-contrast cuts the fixed 800.0 misses.
 #![warn(missing_docs)]
 
-
-pub mod adaptive;
 mod extractor;
 
-pub use adaptive::{detect_shot_boundaries, extract_keyframes_adaptive, AdaptiveConfig};
 pub use extractor::{
     extract_keyframes, extract_keyframes_from_frames, signature_distance, Keyframe,
-    KeyframeConfig, Strategy,
+    KeyframeConfig,
 };

@@ -26,10 +26,6 @@ pub enum FrameCodec {
     /// Temporal delta against the previous frame, RLE-compressed.
     /// The first frame of a stream is always intra-coded (plain RLE).
     Delta,
-    /// Motion-compensated prediction (16×16 block matching) with a
-    /// lossless RLE-coded residual; see [`crate::mc`]. Beats `Delta` on
-    /// panning and object motion.
-    MotionComp,
 }
 
 impl FrameCodec {
@@ -39,7 +35,6 @@ impl FrameCodec {
             FrameCodec::Raw => 0,
             FrameCodec::Rle => 1,
             FrameCodec::Delta => 2,
-            FrameCodec::MotionComp => 3,
         }
     }
 
@@ -49,7 +44,6 @@ impl FrameCodec {
             0 => Ok(FrameCodec::Raw),
             1 => Ok(FrameCodec::Rle),
             2 => Ok(FrameCodec::Delta),
-            3 => Ok(FrameCodec::MotionComp),
             other => Err(VideoError::FrameCodec(format!("unknown codec id {other}"))),
         }
     }
@@ -119,7 +113,6 @@ pub fn encode_frame(codec: FrameCodec, frame: &RgbImage, prev: Option<&RgbImage>
                 rle_encode(&residual)
             }
         },
-        FrameCodec::MotionComp => crate::mc::encode_frame_mc(frame, prev),
     }
 }
 
@@ -154,9 +147,6 @@ pub fn decode_frame(
                     .map(|(&res, &old)| old.wrapping_add(res))
                     .collect(),
             }
-        }
-        FrameCodec::MotionComp => {
-            return crate::mc::decode_frame_mc(payload, width, height, prev);
         }
     };
     RgbImage::from_raw(width, height, raw).map_err(|e| VideoError::FrameCodec(e.to_string()))
@@ -206,7 +196,7 @@ mod tests {
     #[test]
     fn every_codec_round_trips_first_frame() {
         let f = gradient_frame(17, 9, 0);
-        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta, FrameCodec::MotionComp] {
+        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta] {
             let enc = encode_frame(codec, &f, None);
             let dec = decode_frame(codec, &enc, 17, 9, None).unwrap();
             assert_eq!(dec, f, "{codec:?}");
@@ -248,25 +238,17 @@ mod tests {
     }
 
     #[test]
-    fn motion_comp_round_trips_sequence() {
-        let frames: Vec<RgbImage> = (0..4).map(|i| gradient_frame(40, 24, i * 30)).collect();
-        let mut prev: Option<&RgbImage> = None;
-        let mut decoded_prev: Option<RgbImage> = None;
-        for f in &frames {
-            let enc = encode_frame(FrameCodec::MotionComp, f, prev);
-            let dec =
-                decode_frame(FrameCodec::MotionComp, &enc, 40, 24, decoded_prev.as_ref()).unwrap();
-            assert_eq!(&dec, f);
-            prev = Some(f);
-            decoded_prev = Some(dec);
-        }
-    }
-
-    #[test]
     fn wire_ids_round_trip() {
-        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta, FrameCodec::MotionComp] {
+        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta] {
             assert_eq!(FrameCodec::from_wire_id(codec.wire_id()).unwrap(), codec);
         }
         assert!(FrameCodec::from_wire_id(99).is_err());
+        // Id 3 was the retired motion-compensated codec; no writer
+        // produces it, so it is unknown like any other id.
+        assert!(FrameCodec::from_wire_id(3).is_err());
+        let video = crate::Video::new(25, vec![gradient_frame(8, 6, 0); 2]).unwrap();
+        let mut bytes = crate::encode_vsc(&video, FrameCodec::Delta);
+        bytes[20] = 3; // the header's codec wire id
+        assert!(crate::decode_vsc(&bytes).is_err());
     }
 }

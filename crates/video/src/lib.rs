@@ -23,7 +23,6 @@
 pub mod codec;
 pub mod container;
 pub mod error;
-pub mod mc;
 pub mod quality;
 pub mod synth;
 pub mod video;

@@ -2,7 +2,6 @@
 
 use cbvr_imgproc::RgbImage;
 use cbvr_video::codec::{decode_frame, encode_frame, rle_decode, rle_encode, FrameCodec};
-use cbvr_video::mc::{decode_frame_mc, encode_frame_mc};
 use cbvr_video::{decode_vsc, encode_vsc, Video};
 use proptest::prelude::*;
 
@@ -29,7 +28,7 @@ proptest! {
 
     #[test]
     fn vsc_round_trips_arbitrary_videos(video in arb_video()) {
-        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta, FrameCodec::MotionComp] {
+        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta] {
             let bytes = encode_vsc(&video, codec);
             prop_assert_eq!(decode_vsc(&bytes).unwrap(), video.clone());
         }
@@ -37,18 +36,11 @@ proptest! {
 
     #[test]
     fn frame_codecs_round_trip_pairs(a in arb_frame(20, 14), b in arb_frame(20, 14)) {
-        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta, FrameCodec::MotionComp] {
+        for codec in [FrameCodec::Raw, FrameCodec::Rle, FrameCodec::Delta] {
             let enc = encode_frame(codec, &b, Some(&a));
             let dec = decode_frame(codec, &enc, 20, 14, Some(&a)).unwrap();
             prop_assert_eq!(&dec, &b);
         }
-    }
-
-    #[test]
-    fn mc_is_lossless_for_arbitrary_content(a in arb_frame(33, 17), b in arb_frame(33, 17)) {
-        // Odd dimensions force partial blocks; MC must stay exact.
-        let enc = encode_frame_mc(&b, Some(&a));
-        prop_assert_eq!(decode_frame_mc(&enc, 33, 17, Some(&a)).unwrap(), b);
     }
 
     #[test]
@@ -61,7 +53,7 @@ proptest! {
 
     #[test]
     fn corrupted_byte_never_panics(video in arb_video(), pos in any::<prop::sample::Index>(), val in any::<u8>()) {
-        let mut bytes = encode_vsc(&video, FrameCodec::MotionComp);
+        let mut bytes = encode_vsc(&video, FrameCodec::Delta);
         let i = pos.index(bytes.len());
         bytes[i] = val;
         let _ = decode_vsc(&bytes); // Ok or Err, no panic

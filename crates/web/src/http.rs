@@ -112,16 +112,16 @@ pub fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'+' => out.push(b' '),
-            b'%' if i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 2;
-                    }
-                    None => out.push(b'%'),
+            // Both bytes must be hex digits: `from_str_radix` alone would
+            // also accept a sign, decoding "%+5" to 0x05.
+            b'%' => match bytes.get(i + 1..i + 3) {
+                Some(h) if h.iter().all(u8::is_ascii_hexdigit) => {
+                    let hex = std::str::from_utf8(h).expect("hex digits are ASCII");
+                    out.push(u8::from_str_radix(hex, 16).expect("two hex digits fit in a byte"));
+                    i += 2;
                 }
-            }
+                _ => out.push(b'%'),
+            },
             b => out.push(b),
         }
         i += 1;
@@ -342,6 +342,10 @@ mod tests {
         assert_eq!(percent_decode("%41%42"), "AB");
         assert_eq!(percent_decode("100%"), "100%"); // dangling % passes through
         assert_eq!(percent_decode("%zz"), "%zz");
+        // A sign is not a hex digit: the `%` stays literal and `+` is a space.
+        assert_eq!(percent_decode("%+5"), "% 5");
+        assert_eq!(percent_decode("%+f"), "% f");
+        assert_eq!(percent_decode("%4"), "%4");
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn main() {
     // Lower key-frame threshold: the default 800 collapses smooth movie
     // clips to a single key frame, leaving retrieval nothing to rank.
     let config = IngestConfig {
-        keyframe: KeyframeConfig { threshold: 350.0, ..KeyframeConfig::default() },
+        keyframe: KeyframeConfig { threshold: 350.0 },
         ..IngestConfig::default()
     };
     for category in Category::ALL {

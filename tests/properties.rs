@@ -49,7 +49,7 @@ proptest! {
         threshold in 0.0f64..3000.0,
     ) {
         let clip = generator(40, 30).generate(category, seed).unwrap();
-        let config = KeyframeConfig { threshold, ..KeyframeConfig::default() };
+        let config = KeyframeConfig { threshold };
         let kfs = extract_keyframes(&clip, &config);
         prop_assert!(!kfs.is_empty(), "at least one key frame always survives");
         prop_assert!(kfs.len() <= clip.frame_count());
