@@ -1,9 +1,8 @@
-//! §4.2 range-finder: assignment cost and candidate lookup vs the linear
-//! scan it replaces (ablation A1's latency side).
+//! §4.2 range-finder: the cost of assigning one frame's range key.
 
 use cbvr_imgproc::{Gray, GrayImage, Histogram256};
-use cbvr_index::{paper_range, RangeIndex, RangeKey};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use cbvr_index::paper_range;
+use criterion::{criterion_group, criterion_main, Criterion};
 
 fn histogram(seed: u64) -> Histogram256 {
     let img = GrayImage::from_fn(64, 64, |x, y| {
@@ -24,22 +23,6 @@ fn bench_index(c: &mut Criterion) {
     let h = histogram(1);
     group.bench_function("paper_range_assign", |b| b.iter(|| paper_range(&h)));
 
-    for n in [1_000usize, 10_000] {
-        // Build an index of n items spread over the realistic buckets.
-        let mut index = RangeIndex::new();
-        for i in 0..n {
-            let key = paper_range(&histogram(i as u64));
-            index.insert(key, i as u32);
-        }
-        let probe = RangeKey::new(96, 127);
-        group.bench_with_input(BenchmarkId::new("overlap_lookup", n), &index, |b, idx| {
-            b.iter(|| idx.overlap_candidates(probe))
-        });
-        // The whole 0–255 axis overlaps every bucket: the unpruned scan.
-        group.bench_with_input(BenchmarkId::new("full_scan_baseline", n), &index, |b, idx| {
-            b.iter(|| idx.overlap_candidates(RangeKey::new(0, 255)))
-        });
-    }
     group.finish();
 }
 

@@ -356,14 +356,15 @@ pub struct SegmentStats {
 
 /// The in-memory retrieval engine.
 ///
-/// The catalog lives in immutable sealed [`Segment`]s referenced by an
-/// atomically swapped [`CatalogSnapshot`]: queries load the snapshot once
-/// (wait-free, no lock) and run entirely against it, so ingest, removal
-/// and compaction never block the read path. Mutations serialise on a
-/// small commit lock, build a *new* snapshot, and publish it with one
-/// pointer swap. A snapshot is the concatenation of its segments in list
-/// order, which keeps every result bit-identical to the old monolithic
-/// engine for any segment layout and any thread count.
+/// The catalog lives in immutable sealed [`Segment`]s referenced by a
+/// published [`CatalogSnapshot`]: queries load the snapshot once (holding
+/// the cell's read guard only to clone an `Arc`) and run entirely against
+/// it, so ingest, removal and compaction never block a query in flight.
+/// Mutations serialise on a small commit lock, build a *new* snapshot,
+/// and publish it with one `Arc` swap. A snapshot is the concatenation
+/// of its segments in list order, which keeps every result bit-identical
+/// to the old monolithic engine for any segment layout and any thread
+/// count.
 pub struct QueryEngine {
     snapshot: SnapshotCell,
     /// Serialises mutations (ingest appends, tombstoning, compaction
@@ -376,22 +377,11 @@ pub struct QueryEngine {
     metrics: EngineMetrics,
 }
 
-/// Manifest-aligned entry groups plus the video-name map, as loaded
-/// from a database scan.
-type CatalogGroups = (Vec<Vec<CatalogEntry>>, HashMap<u64, String>);
-
 impl QueryEngine {
     /// Build from a database: scan `KEY_FRAMES`, parse feature strings,
-    /// group rows into segments along the WAL manifest, index and
-    /// calibrate.
+    /// group rows into segments along the WAL manifest (global `i_id`
+    /// order is preserved across group boundaries), seal and calibrate.
     pub fn from_database<B: Backend>(db: &mut CbvrDatabase<B>) -> Result<QueryEngine> {
-        let (groups, names) = Self::load_groups(db)?;
-        Ok(Self::from_segmented(groups, names))
-    }
-
-    /// Scan the catalog out of the database as manifest-aligned segment
-    /// groups (global `i_id` order is preserved across group boundaries).
-    fn load_groups<B: Backend>(db: &mut CbvrDatabase<B>) -> Result<CatalogGroups> {
         let mut rows = Vec::new();
         db.scan_key_frames(|row| {
             rows.push(row.clone());
@@ -405,7 +395,7 @@ impl QueryEngine {
             .into_iter()
             .map(|(v_id, name, _)| (v_id, name))
             .collect();
-        Ok((partition_by_manifest(entries, &manifest), names))
+        Ok(Self::from_segmented(partition_by_manifest(entries, &manifest), names))
     }
 
     /// Build directly from entries (the evaluation harness skips the
@@ -423,8 +413,14 @@ impl QueryEngine {
         groups: Vec<Vec<CatalogEntry>>,
         video_names: HashMap<u64, String>,
     ) -> QueryEngine {
-        let next_seg_id = AtomicU64::new(0);
-        let (segments, calibration) = seal_groups(groups, &next_seg_id);
+        let segments: Vec<Arc<Segment>> = groups
+            .into_iter()
+            .filter(|g| !g.is_empty())
+            .enumerate()
+            .map(|(id, g)| Arc::new(Segment::seal(id as u64, g)))
+            .collect();
+        let next_seg_id = AtomicU64::new(segments.len() as u64);
+        let calibration = ScoreCalibration::from_segments(&segments, &BTreeSet::new());
         let snapshot =
             CatalogSnapshot::assemble(segments, BTreeSet::new(), video_names, calibration);
         let metrics = EngineMetrics::on(Registry::global().clone());
@@ -452,21 +448,6 @@ impl QueryEngine {
         self.metrics.observe_snapshot(&snapshot);
         self.snapshot.swap(Arc::new(snapshot));
         self.metrics.snapshot_swaps.inc();
-    }
-
-    /// Rebuild the published snapshot from the database in place (the web
-    /// admin's reload). The scan, parse, seal and calibration run off the
-    /// commit lock; queries keep serving the old snapshot until the
-    /// one-pointer publish. Returns the number of live entries loaded.
-    pub fn reload_from_database<B: Backend>(&self, db: &mut CbvrDatabase<B>) -> Result<usize> {
-        let (groups, names) = Self::load_groups(db)?;
-        let (segments, calibration) = seal_groups(groups, &self.next_seg_id);
-        let _commit = self.commit_guard();
-        let snapshot = CatalogSnapshot::assemble(segments, BTreeSet::new(), names, calibration);
-        self.metrics.arena_bytes.add(snapshot.arena_bytes() as u64);
-        let live = snapshot.live();
-        self.publish(snapshot);
-        Ok(live)
     }
 
     /// Redirect this engine's telemetry into `registry` (tests inject a
@@ -547,8 +528,9 @@ impl QueryEngine {
         options: &QueryOptions,
     ) -> Vec<FrameMatch> {
         self.metrics.frame_requests.inc();
-        // One snapshot load serves the whole query: no lock is taken and
-        // concurrent ingest/compaction cannot change what this query sees.
+        // One snapshot load serves the whole query: the commit lock is
+        // never taken and concurrent ingest/compaction cannot change what
+        // this query sees.
         let snap = self.snapshot.load();
         let candidates = {
             let _scan = self.metrics.registry.timer(&self.metrics.frame_scan);
@@ -943,8 +925,8 @@ impl QueryEngine {
     }
 
     /// Run `f` while holding the commit lock (test hook: proves queries
-    /// complete while a mutation is mid-commit, i.e. the read path takes
-    /// no engine-wide lock).
+    /// complete while a mutation is mid-commit, i.e. the read path never
+    /// takes the commit lock).
     #[doc(hidden)]
     pub fn with_commit_locked<R>(&self, f: impl FnOnce() -> R) -> R {
         let _commit = self.commit_guard();
@@ -962,21 +944,6 @@ impl QueryEngine {
     pub fn index_stats(&self) -> cbvr_index::IndexStats {
         self.snapshot.load().bucket_counts().stats()
     }
-}
-
-/// Seal each non-empty group as one segment, ids drawn from `next_id`,
-/// and calibrate over the sealed rows in group order.
-fn seal_groups(
-    groups: Vec<Vec<CatalogEntry>>,
-    next_id: &AtomicU64,
-) -> (Vec<Arc<Segment>>, ScoreCalibration) {
-    let segments: Vec<Arc<Segment>> = groups
-        .into_iter()
-        .filter(|g| !g.is_empty())
-        .map(|g| Arc::new(Segment::seal(next_id.fetch_add(1, Ordering::Relaxed), g)))
-        .collect();
-    let calibration = ScoreCalibration::from_segments(&segments, &BTreeSet::new());
-    (segments, calibration)
 }
 
 /// Group a flat `i_id`-ordered catalog scan into segment groups along the

@@ -24,11 +24,12 @@
 //! - [`score`] — distance→similarity calibration so heterogeneous
 //!   feature distances combine on a common scale;
 //! - [`weights`] — per-feature weights for the combined ranking;
-//! - [`segment`] — immutable sealed catalog segments and the atomically
-//!   swapped [`segment::CatalogSnapshot`] the engine serves queries
-//!   from: readers are lock-free, mutations serialise on a small commit
-//!   lock, and a background compaction merges small segments and drops
-//!   tombstoned rows;
+//! - [`segment`] — immutable sealed catalog segments and the published
+//!   [`segment::CatalogSnapshot`] the engine serves queries from:
+//!   readers never take the commit lock (they hold the snapshot cell's
+//!   read guard only to clone an `Arc`), mutations serialise on that
+//!   small commit lock, and a background compaction merges small
+//!   segments and drops tombstoned rows;
 //! - [`pool`] — the shared work-stealing execution pool every parallel
 //!   path (scoring, DTW, extraction, calibration) runs on;
 //! - [`telemetry`] — deterministic counters, latency histograms and

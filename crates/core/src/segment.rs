@@ -1,24 +1,25 @@
-//! Immutable catalog segments and the lock-free snapshot they publish.
+//! Immutable catalog segments and the snapshot they publish.
 //!
 //! The monolithic engine kept one mutable catalog (entries + arena +
 //! range index) and made every reader and writer contend for it. This
 //! module is the LSM/search-engine commit shape that replaces it:
 //!
 //! - a [`Segment`] is a *sealed* slice of the catalog — its row keys
-//!   ([`CatalogRow`]), its own columnar [`DescriptorArena`] slabs (the
-//!   rows' only stored descriptors), its own per-segment [`RangeIndex`].
-//!   Once sealed it is never mutated;
+//!   ([`CatalogRow`], each carrying its own `MIN`/`MAX` range key) and
+//!   its own columnar [`DescriptorArena`] slabs (the rows' only stored
+//!   descriptors). Once sealed it is never mutated;
 //! - a [`CatalogSnapshot`] is an immutable list of sealed segments plus
 //!   the video-name map, the tombstone set (videos removed since the
 //!   segments were sealed) and the score calibration. The global row
 //!   order is the concatenation of the segments in list order, which is
 //!   exactly the monolithic entry order — the invariant that keeps
-//!   segmented query results bit-identical to the single-arena path;
-//! - a `SnapshotCell` holds the *current* snapshot behind an atomic
-//!   pointer. Readers pin and clone the `Arc` without ever taking a
-//!   lock; writers (which already serialise on the engine's commit
-//!   lock) swap in a fully built replacement and retire the old one
-//!   once no reader can still be inside the pin window.
+//!   segmented query results bit-identical to the single-arena path.
+//!   Range pruning filters each row by its own key in that order;
+//! - a `SnapshotCell` holds the *current* snapshot in a
+//!   `RwLock<Arc<_>>`. Readers hold the read guard only to clone the
+//!   `Arc`; writers (which already serialise on the engine's commit
+//!   lock) swap in a fully built replacement under the write guard and
+//!   drop the old `Arc` after releasing it.
 //!
 //! Queries therefore run against one coherent snapshot end to end: an
 //! ingest, remove or compaction publishing mid-query cannot tear the
@@ -27,10 +28,9 @@
 use crate::arena::DescriptorArena;
 use crate::engine::CatalogEntry;
 use crate::score::ScoreCalibration;
-use cbvr_index::{BucketCounts, RangeIndex, RangeKey};
+use cbvr_index::{BucketCounts, RangeKey};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// One sealed row's keys: its key frame, its video and its range. The
 /// row's descriptors live in its segment's arena at the same row number.
@@ -45,35 +45,27 @@ pub struct CatalogRow {
 }
 
 /// A sealed, immutable slice of the catalog: the rows of one ingest
-/// batch (or one compaction merge), their columnar descriptor slabs and
-/// their private range tree.
+/// batch (or one compaction merge) and their columnar descriptor slabs.
 pub struct Segment {
     id: u64,
     rows: Vec<CatalogRow>,
     arena: DescriptorArena,
-    index: RangeIndex<usize>,
 }
 
 impl Segment {
     fn empty(id: u64) -> Segment {
-        Segment { id, rows: Vec::new(), arena: DescriptorArena::new(), index: RangeIndex::new() }
-    }
-
-    /// Append `row` (its descriptors already pushed into the arena).
-    fn push_row(&mut self, row: CatalogRow) {
-        self.index.insert(row.range, self.rows.len());
-        self.rows.push(row);
+        Segment { id, rows: Vec::new(), arena: DescriptorArena::new() }
     }
 
     /// Seal `entries` into an immutable segment: push every descriptor
     /// into a fresh arena, dropping each entry's feature set once its row
-    /// is stored, and build the local range index. Entry order is
-    /// preserved — it becomes part of the snapshot's global order.
+    /// is stored. Entry order is preserved — it becomes part of the
+    /// snapshot's global order.
     pub fn seal(id: u64, entries: Vec<CatalogEntry>) -> Segment {
         let mut seg = Segment::empty(id);
         for e in entries {
             seg.arena.push(&e.features);
-            seg.push_row(CatalogRow { i_id: e.i_id, v_id: e.v_id, range: e.range });
+            seg.rows.push(CatalogRow { i_id: e.i_id, v_id: e.v_id, range: e.range });
         }
         seg
     }
@@ -86,7 +78,7 @@ impl Segment {
         let mut seg = Segment::empty(id);
         for (from, i) in src {
             seg.arena.push_row(from.arena(), i);
-            seg.push_row(from.rows[i]);
+            seg.rows.push(from.rows[i]);
         }
         seg
     }
@@ -115,11 +107,6 @@ impl Segment {
     /// The segment's columnar descriptor slabs.
     pub fn arena(&self) -> &DescriptorArena {
         &self.arena
-    }
-
-    /// The segment's private range tree over local row numbers.
-    pub fn index(&self) -> &RangeIndex<usize> {
-        &self.index
     }
 }
 
@@ -271,36 +258,30 @@ impl CatalogSnapshot {
         live_rows(&self.segments, &self.tombstones).nth(i).map(|(seg, row)| seg.rows[row])
     }
 
-    /// Candidate rows for a query range, in global order — the
-    /// per-segment sorted overlap lists concatenated, which is exactly
-    /// the monolithic `overlap_candidates_sorted` order. `use_index =
-    /// false` scans everything. Tombstoned rows never appear.
+    /// Candidate rows for a query range, in global order: every live row
+    /// whose stored `MIN`/`MAX` key overlaps `range` (a level-1 stop like
+    /// `[0,127]` must still reach rows filed under `[0,63]`).
+    /// `use_index = false` keeps every live row. Tombstoned rows never
+    /// appear.
     pub fn candidates(&self, range: RangeKey, use_index: bool) -> Vec<EntryRef> {
         let mut out = Vec::new();
         for (s, seg) in self.segments.iter().enumerate() {
-            let locals: Vec<usize> = if use_index {
-                seg.index().overlap_candidates_sorted(range)
-            } else {
-                (0..seg.len()).collect()
-            };
-            for local in locals {
-                if !self.tombstones.is_empty() && self.tombstones.contains(&seg.rows()[local].v_id)
-                {
-                    continue;
+            for (local, row) in seg.rows().iter().enumerate() {
+                let in_range = !use_index || row.range.overlaps(range);
+                if in_range && !self.tombstones.contains(&row.v_id) {
+                    out.push(EntryRef { segment: s as u32, row: local as u32 });
                 }
-                out.push(EntryRef { segment: s as u32, row: local as u32 });
             }
         }
         out
     }
 
-    /// Live per-bucket occupancy merged across every segment tree (the
-    /// Fig. 7 / `IndexStats` diagnostics view).
+    /// Live per-bucket occupancy across every segment (the Fig. 7 /
+    /// `IndexStats` diagnostics view).
     pub fn bucket_counts(&self) -> BucketCounts {
         let mut counts = BucketCounts::new();
-        for seg in &self.segments {
-            let rows = seg.rows();
-            counts.add_index(seg.index(), |&local| !self.tombstones.contains(&rows[local].v_id));
+        for (seg, row) in live_rows(&self.segments, &self.tombstones) {
+            counts.add_item(seg.rows[row].range);
         }
         counts
     }
@@ -311,75 +292,37 @@ impl CatalogSnapshot {
     }
 }
 
-/// The epoch pointer: holds the current [`CatalogSnapshot`] and hands
-/// out `Arc` clones to readers without any lock (a hand-rolled
-/// `arc-swap`, per the workspace's no-new-dependencies rule).
+/// The epoch cell: holds the current [`CatalogSnapshot`] and hands out
+/// `Arc` clones to readers.
 ///
-/// **Protocol.** The cell stores the raw pointer of an `Arc`'s
-/// allocation. A reader announces itself in `entrants`, loads the
-/// pointer, bumps the strong count, and leaves `entrants` — from then
-/// on it owns a normal `Arc`. A writer (already serialised by the
-/// engine's commit lock) swaps the pointer and then waits for
-/// `entrants` to drain before releasing the cell's own reference to the
-/// old snapshot: any reader that loaded the old pointer was inside the
-/// entrants window at swap time, so the strong count it is about to bump
-/// is still held. The reader side is wait-free; the writer's spin only
-/// covers the three-instruction pin window.
-pub(crate) struct SnapshotCell {
-    ptr: AtomicPtr<CatalogSnapshot>,
-    entrants: AtomicUsize,
-}
-
-// SAFETY: the cell owns one strong reference to the snapshot behind
-// `ptr` and hands out further `Arc`s under the entrants protocol above;
-// `CatalogSnapshot` itself is Send + Sync (immutable data).
-unsafe impl Send for SnapshotCell {}
-unsafe impl Sync for SnapshotCell {}
+/// Readers hold the read guard only long enough to clone the `Arc`, so
+/// a reader never waits on a query and a writer never waits on more than
+/// a reference-count bump. Writers are already serialised by the
+/// engine's commit lock; the old snapshot is dropped after the write
+/// guard is released, so a retired snapshot's arenas are never freed
+/// under the lock. Poisoning is recovered: the guarded value is a single
+/// `Arc`, always whole.
+pub(crate) struct SnapshotCell(RwLock<Arc<CatalogSnapshot>>);
 
 impl SnapshotCell {
     /// A cell holding `snapshot` as the current epoch.
     pub(crate) fn new(snapshot: Arc<CatalogSnapshot>) -> SnapshotCell {
-        SnapshotCell {
-            ptr: AtomicPtr::new(Arc::into_raw(snapshot) as *mut CatalogSnapshot),
-            entrants: AtomicUsize::new(0),
-        }
+        SnapshotCell(RwLock::new(snapshot))
     }
 
-    /// Pin and clone the current snapshot. Lock-free: no mutex, no
-    /// writer can block this, and a concurrent swap retires the old
-    /// snapshot only after this pin window has closed.
+    /// Clone the current snapshot.
     pub(crate) fn load(&self) -> Arc<CatalogSnapshot> {
-        self.entrants.fetch_add(1, Ordering::SeqCst);
-        let p = self.ptr.load(Ordering::SeqCst);
-        // SAFETY: `p` was produced by `Arc::into_raw` and the cell's own
-        // strong reference to it cannot be released while `entrants` is
-        // nonzero (the writer drains entrants before dropping).
-        unsafe { Arc::increment_strong_count(p) };
-        self.entrants.fetch_sub(1, Ordering::SeqCst);
-        // SAFETY: the increment above transferred one strong count to us.
-        unsafe { Arc::from_raw(p) }
+        Arc::clone(&self.0.read().unwrap_or_else(|poisoned| poisoned.into_inner()))
     }
 
     /// Publish `next` as the current snapshot and retire the previous
     /// one. Callers must serialise swaps (the engine's commit lock).
     pub(crate) fn swap(&self, next: Arc<CatalogSnapshot>) {
-        let old = self.ptr.swap(Arc::into_raw(next) as *mut CatalogSnapshot, Ordering::SeqCst);
-        // Wait for readers that may have loaded `old` but not yet pinned
-        // it. New readers can only observe the new pointer.
-        while self.entrants.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        // SAFETY: `old` came out of `Arc::into_raw` and no reader can
-        // still be between "loaded old" and "pinned old".
-        unsafe { drop(Arc::from_raw(old)) };
-    }
-}
-
-impl Drop for SnapshotCell {
-    fn drop(&mut self) {
-        // SAFETY: the cell holds one strong reference to the current
-        // snapshot; &mut self proves no reader is concurrently pinning.
-        unsafe { drop(Arc::from_raw(self.ptr.load(Ordering::SeqCst))) };
+        let retired = {
+            let mut current = self.0.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+            std::mem::replace(&mut *current, next)
+        };
+        drop(retired);
     }
 }
 
@@ -387,6 +330,8 @@ impl Drop for SnapshotCell {
 mod tests {
     use super::*;
     use cbvr_features::FeatureSet;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn snapshot(tag: u64) -> Arc<CatalogSnapshot> {
         let entries = Vec::new();
@@ -440,6 +385,64 @@ mod tests {
             "tombstoned video 5 is excluded"
         );
         assert_eq!(snap.live(), 7);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The range filter over each row's own key is the candidate
+        /// rule: for any split into up to three segments, any per-row
+        /// ranges and one tombstoned video, `candidates` and
+        /// `bucket_counts` agree with a brute force over the flat row list.
+        #[test]
+        fn candidates_and_bucket_counts_match_brute_force(
+            keyed in prop::collection::vec((0u64..4, any::<u8>(), any::<u8>()), 0..40),
+            cuts in (0usize..41, 0usize..41),
+            tombstoned in 0u64..4,
+            probe in (any::<u8>(), any::<u8>()),
+        ) {
+            let n = keyed.len();
+            let (a, b) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
+            let bounds = [0, a.min(b), a.max(b), n];
+            let v_ids: Vec<u64> = keyed.iter().map(|&(v, _, _)| v).collect();
+            let mut entries = rows(&v_ids);
+            for (e, &(_, lo, hi)) in entries.iter_mut().zip(&keyed) {
+                e.range = RangeKey::new(lo, hi);
+            }
+            let segments = bounds
+                .windows(2)
+                .enumerate()
+                .map(|(s, w)| Arc::new(Segment::seal(s as u64, entries[w[0]..w[1]].to_vec())))
+                .collect();
+            let snap = CatalogSnapshot::assemble(
+                segments,
+                BTreeSet::from([tombstoned]),
+                HashMap::new(),
+                ScoreCalibration::default(),
+            );
+            let probe = RangeKey::new(probe.0, probe.1);
+
+            // Brute force over the flat list: global index g lives in the
+            // segment whose span holds it.
+            let at = |g: usize| {
+                let s = bounds.partition_point(|&o| o <= g) - 1;
+                EntryRef { segment: s as u32, row: (g - bounds[s]) as u32 }
+            };
+            let live: Vec<usize> = (0..n).filter(|&g| entries[g].v_id != tombstoned).collect();
+            let overlapping: Vec<EntryRef> =
+                live.iter().filter(|&&g| entries[g].range.overlaps(probe)).map(|&g| at(g)).collect();
+            let every: Vec<EntryRef> = live.iter().map(|&g| at(g)).collect();
+            prop_assert_eq!(snap.candidates(probe, true), overlapping);
+            prop_assert_eq!(snap.candidates(probe, false), every);
+
+            let mut want = BucketCounts::new();
+            for &g in &live {
+                want.add_item(entries[g].range);
+            }
+            let got = snap.bucket_counts();
+            prop_assert_eq!(got.stats(), want.stats());
+            prop_assert_eq!(got.render_tree(), want.render_tree());
+        }
     }
 
     #[test]

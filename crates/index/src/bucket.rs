@@ -1,10 +1,10 @@
-//! Range-keyed bucket store and candidate lookup.
+//! Per-bucket occupancy of range keys: the Fig. 7 diagnostics view.
 //!
-//! Key frames are grouped by their assigned [`RangeKey`]; at query time
-//! the query frame's range selects candidate buckets, pruning the feature
-//! search. [`RangeIndex::overlap_candidates`] returns every bucket whose
-//! range overlaps the query's: a level-1 stop like `[0,127]` must still
-//! reach frames filed under `[0,63]`.
+//! Key frames are filed by their assigned [`RangeKey`], stored with each
+//! row as its `MIN`/`MAX` columns. Query-time pruning filters rows by
+//! that key directly (a row is a candidate when its key overlaps the
+//! query's); [`BucketCounts`] folds the keys of a set of rows into the
+//! [`IndexStats`] and the Fig. 7 tree the diagnostics surface prints.
 
 use crate::paper::RangeKey;
 use std::collections::BTreeMap;
@@ -23,86 +23,12 @@ pub struct IndexStats {
     pub per_level: Vec<usize>,
 }
 
-/// A bucketed range index over items of type `T` (frame ids in the
-/// pipeline; any payload in tests).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RangeIndex<T> {
-    buckets: BTreeMap<RangeKey, Vec<T>>,
-    items: usize,
-}
-
-impl<T> Default for RangeIndex<T> {
-    fn default() -> Self {
-        RangeIndex { buckets: BTreeMap::new(), items: 0 }
-    }
-}
-
-impl<T: Clone> RangeIndex<T> {
-    /// Empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.items
-    }
-
-    /// True when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.items == 0
-    }
-
-    /// File an item under a range.
-    pub fn insert(&mut self, key: RangeKey, item: T) {
-        self.buckets.entry(key).or_default().push(item);
-        self.items += 1;
-    }
-
-    /// Items filed under any range overlapping `key`, in bucket order.
-    pub fn overlap_candidates(&self, key: RangeKey) -> Vec<T> {
-        let mut out = Vec::new();
-        for (k, items) in &self.buckets {
-            if k.overlaps(key) {
-                out.extend(items.iter().cloned());
-            }
-        }
-        out
-    }
-
-    /// Items filed under any range overlapping `key`, sorted ascending.
-    /// For `usize` catalog indices this is *arena order*: a columnar
-    /// candidate scan walks each descriptor slab strictly forward instead
-    /// of hopping between bucket insertion orders.
-    pub fn overlap_candidates_sorted(&self, key: RangeKey) -> Vec<T>
-    where
-        T: Ord,
-    {
-        let mut out = self.overlap_candidates(key);
-        out.sort_unstable();
-        out
-    }
-
-    /// Visit every `(key, item)` pair in bucket order. This is what lets
-    /// a caller holding several per-segment indexes fold them — with a
-    /// per-item filter — into one [`BucketCounts`] view.
-    pub fn for_each_item(&self, mut f: impl FnMut(RangeKey, &T)) {
-        for (k, items) in &self.buckets {
-            for item in items {
-                f(*k, item);
-            }
-        }
-    }
-}
-
-/// Per-bucket occupancy merged across one or more indexes.
+/// Per-bucket occupancy of a set of range keys.
 ///
-/// The segmented catalog keeps one [`RangeIndex`] per sealed segment;
-/// this accumulator folds them (optionally filtering out tombstoned
-/// items) into the single [`IndexStats`] / Fig. 7 rendering the
-/// diagnostics surface expects. A bucket present in several segments
-/// counts once, with its sizes summed — exactly what one monolithic
-/// index over the same items would report.
+/// The segmented catalog folds the key of every live row, segment by
+/// segment, into one accumulator, so a bucket present in several
+/// segments counts once with its sizes summed: the single
+/// [`IndexStats`] / Fig. 7 rendering the diagnostics surface expects.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BucketCounts {
     counts: BTreeMap<RangeKey, usize>,
@@ -119,20 +45,6 @@ impl BucketCounts {
     pub fn add_item(&mut self, key: RangeKey) {
         *self.counts.entry(key).or_insert(0) += 1;
         self.items += 1;
-    }
-
-    /// Fold in every item of `index` accepted by `keep`.
-    pub fn add_index<T: Clone>(&mut self, index: &RangeIndex<T>, mut keep: impl FnMut(&T) -> bool) {
-        index.for_each_item(|key, item| {
-            if keep(item) {
-                self.add_item(key);
-            }
-        });
-    }
-
-    /// Items counted so far.
-    pub fn items(&self) -> usize {
-        self.items
     }
 
     /// Aggregate statistics over the merged view.
@@ -183,68 +95,17 @@ mod tests {
         RangeKey { min, max }
     }
 
-    fn counts<T: Clone>(idx: &RangeIndex<T>) -> BucketCounts {
+    fn counts(keys: &[RangeKey]) -> BucketCounts {
         let mut counts = BucketCounts::new();
-        counts.add_index(idx, |_| true);
+        for &k in keys {
+            counts.add_item(k);
+        }
         counts
     }
 
     #[test]
-    fn insert_and_lookup() {
-        let mut idx = RangeIndex::new();
-        idx.insert(key(0, 63), "a");
-        idx.insert(key(0, 63), "b");
-        idx.insert(key(128, 255), "c");
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.overlap_candidates(key(0, 63)), vec!["a", "b"]);
-        assert_eq!(idx.overlap_candidates(key(64, 127)), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn overlap_lookup_crosses_levels() {
-        let mut idx = RangeIndex::new();
-        idx.insert(key(0, 127), 1); // level-1 stop
-        idx.insert(key(0, 63), 2);
-        idx.insert(key(96, 127), 3);
-        idx.insert(key(128, 191), 4);
-        // A query at [0,31] overlaps [0,127] and [0,63] but not [96,127].
-        let c = idx.overlap_candidates(key(0, 31));
-        assert_eq!(c, vec![2, 1]); // BTreeMap order: (0,63) < (0,127)
-        // A query spanning [0,127] reaches everything in the lower half.
-        let c = idx.overlap_candidates(key(0, 127));
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn overlap_candidates_sorted_yields_arena_order() {
-        let mut idx = RangeIndex::new();
-        idx.insert(key(0, 127), 1);
-        idx.insert(key(0, 63), 2);
-        idx.insert(key(96, 127), 3);
-        // Raw overlap order follows bucket insertion: (0,63) before (0,127).
-        assert_eq!(idx.overlap_candidates(key(0, 31)), vec![2, 1]);
-        // The sorted variant is ascending regardless of bucket layout.
-        assert_eq!(idx.overlap_candidates_sorted(key(0, 31)), vec![1, 2]);
-        assert_eq!(idx.overlap_candidates_sorted(key(0, 127)), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn full_range_returns_everything() {
-        let mut idx = RangeIndex::new();
-        for i in 0..10 {
-            idx.insert(key(32 * (i % 4) as u8, 32 * (i % 4) as u8 + 31), i);
-        }
-        assert_eq!(idx.overlap_candidates(key(0, 255)).len(), 10);
-    }
-
-    #[test]
     fn stats_reflect_levels() {
-        let mut idx = RangeIndex::new();
-        idx.insert(key(0, 127), "l0");
-        idx.insert(key(0, 63), "l1");
-        idx.insert(key(0, 63), "l1b");
-        idx.insert(key(0, 31), "l2");
-        let s = counts(&idx).stats();
+        let s = counts(&[key(0, 127), key(0, 63), key(0, 63), key(0, 31)]).stats();
         assert_eq!(s.items, 4);
         assert_eq!(s.buckets, 3);
         assert_eq!(s.max_bucket, 2);
@@ -252,72 +113,16 @@ mod tests {
     }
 
     #[test]
-    fn empty_index_behaviour() {
-        let idx: RangeIndex<u32> = RangeIndex::new();
-        assert!(idx.is_empty());
-        assert!(idx.overlap_candidates(key(0, 255)).is_empty());
-        assert_eq!(counts(&idx).stats().buckets, 0);
+    fn empty_counts_have_no_buckets() {
+        assert_eq!(counts(&[]).stats().buckets, 0);
     }
 
     #[test]
     fn render_tree_shows_occupancy() {
-        let mut idx = RangeIndex::new();
-        idx.insert(key(0, 63), 1);
-        idx.insert(key(0, 63), 2);
-        idx.insert(key(224, 255), 3);
-        let rendered = counts(&idx).render_tree();
+        let rendered = counts(&[key(0, 63), key(0, 63), key(224, 255)]).render_tree();
         assert!(rendered.contains("0-63 [2]"), "{rendered}");
         assert!(rendered.contains("224-255 [1]"), "{rendered}");
         assert!(rendered.contains("0-255 (root)"));
         assert_eq!(rendered.lines().count(), 4);
-    }
-
-    #[test]
-    fn bucket_counts_merge_matches_monolithic() {
-        // Two "segments" holding disjoint items of one logical catalog.
-        let mut seg_a = RangeIndex::new();
-        seg_a.insert(key(0, 63), 0usize);
-        seg_a.insert(key(0, 127), 1);
-        let mut seg_b = RangeIndex::new();
-        seg_b.insert(key(0, 63), 0usize); // same bucket, different segment
-        seg_b.insert(key(224, 255), 1);
-
-        let mut mono = RangeIndex::new();
-        mono.insert(key(0, 63), 0usize);
-        mono.insert(key(0, 127), 1);
-        mono.insert(key(0, 63), 2);
-        mono.insert(key(224, 255), 3);
-
-        let mut merged = BucketCounts::new();
-        merged.add_index(&seg_a, |_| true);
-        merged.add_index(&seg_b, |_| true);
-        assert_eq!(merged.items(), 4);
-        assert_eq!(merged.stats(), counts(&mono).stats());
-        assert_eq!(merged.render_tree(), counts(&mono).render_tree());
-    }
-
-    #[test]
-    fn bucket_counts_filter_drops_tombstoned_items() {
-        let mut idx = RangeIndex::new();
-        idx.insert(key(0, 63), 1u64);
-        idx.insert(key(0, 63), 2);
-        idx.insert(key(128, 191), 2);
-        let mut counts = BucketCounts::new();
-        counts.add_index(&idx, |&v| v != 2);
-        let s = counts.stats();
-        assert_eq!(s.items, 1);
-        assert_eq!(s.buckets, 1);
-        assert!(counts.render_tree().contains("0-63 [1]"));
-        assert!(counts.render_tree().contains("128-191 [0]"));
-    }
-
-    #[test]
-    fn for_each_item_visits_in_bucket_order() {
-        let mut idx = RangeIndex::new();
-        idx.insert(key(128, 191), "late");
-        idx.insert(key(0, 31), "early");
-        let mut seen = Vec::new();
-        idx.for_each_item(|k, &v| seen.push((k, v)));
-        assert_eq!(seen, vec![(key(0, 31), "early"), (key(128, 191), "late")]);
     }
 }

@@ -10,9 +10,9 @@
 //!
 //! - [`paper::paper_range`] is the exact pseudocode: three levels, its
 //!   threshold quirks included;
-//! - [`bucket::RangeIndex`] is the bucket store mapping ranges to frame
-//!   ids, with overlap-based candidate lookup;
-//! - [`bucket::BucketCounts`] folds one or more indexes into the
+//! - [`paper::RangeKey::overlaps`] is the candidate rule: a stored row
+//!   is a candidate when its key overlaps the query frame's;
+//! - [`bucket::BucketCounts`] folds the keys of a set of rows into the
 //!   [`bucket::IndexStats`] and the Fig. 7-style tree rendering.
 #![warn(missing_docs)]
 
@@ -20,5 +20,5 @@
 pub mod bucket;
 pub mod paper;
 
-pub use bucket::{BucketCounts, IndexStats, RangeIndex};
+pub use bucket::{BucketCounts, IndexStats};
 pub use paper::{paper_range, RangeKey, FIRST_LEVEL_THRESHOLD, LOWER_LEVEL_THRESHOLD};

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Maximum accepted body (an uploaded query image): 16 MiB.
 pub const MAX_BODY: usize = 16 << 20;
@@ -140,12 +140,31 @@ pub fn parse_query(qs: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Read one line of the header section, charging its bytes to `budget`.
+/// The read itself is bounded by what is left of the budget, so a client
+/// that never sends a newline cannot grow the line past it.
+fn read_header_line(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+    what: &str,
+) -> Result<String, HttpError> {
+    let mut line = String::new();
+    let n = reader
+        .by_ref()
+        .take(*budget as u64)
+        .read_line(&mut line)
+        .map_err(|e| bad(format!("read {what}: {e}")))?;
+    *budget -= n;
+    if *budget == 0 && !line.ends_with('\n') {
+        return Err(bad("header section too large"));
+    }
+    Ok(line)
+}
+
 /// Read and parse one request from a buffered stream.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-    let mut line = String::new();
-    let mut header_bytes = 0usize;
-    reader.read_line(&mut line).map_err(|e| bad(format!("read request line: {e}")))?;
-    header_bytes += line.len();
+    let mut budget = MAX_HEADER_BYTES;
+    let line = read_header_line(reader, &mut budget, "request line")?;
     let line = line.trim_end();
     if line.is_empty() {
         return Err(bad("empty request"));
@@ -170,12 +189,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
 
     let mut headers = BTreeMap::new();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| bad(format!("read header: {e}")))?;
-        header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(bad("header section too large"));
-        }
+        let header = read_header_line(reader, &mut budget, "header")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -334,6 +348,49 @@ mod tests {
     #[test]
     fn truncated_body_is_an_error() {
         assert!(parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort").is_err());
+    }
+
+    /// Counts the bytes read through it from the inner reader.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn endless_header_lines_are_cut_at_the_budget() {
+        let endless = || std::io::repeat(b'a').take(8 << 20);
+        // No newline ever, first in the request line, then in a header.
+        let sources: [Box<dyn Read>; 2] = [
+            Box::new(endless()),
+            Box::new((&b"GET / HTTP/1.1\r\n"[..]).chain(endless())),
+        ];
+        for source in sources {
+            let mut reader = BufReader::new(Counting { inner: source, read: 0 });
+            let e = read_request(&mut reader).unwrap_err();
+            assert_eq!(e.status, StatusCode::BadRequest);
+            assert!(e.message.contains("too large"), "{}", e.message);
+            let read = reader.get_ref().read;
+            assert!(read <= MAX_HEADER_BYTES + (8 << 10), "read {read} bytes");
+        }
+    }
+
+    #[test]
+    fn header_section_at_the_budget_is_accepted() {
+        let head = "GET / HTTP/1.1\r\nX: ";
+        let pad = "p".repeat(MAX_HEADER_BYTES - head.len() - 4);
+        let raw = format!("{head}{pad}\r\n\r\n");
+        assert_eq!(raw.len(), MAX_HEADER_BYTES);
+        assert_eq!(parse(raw.as_bytes()).unwrap().headers["x"], pad);
+        let over = format!("{head}{pad}p\r\n\r\n");
+        assert!(parse(over.as_bytes()).unwrap_err().message.contains("too large"));
     }
 
     #[test]
