@@ -509,11 +509,13 @@ impl QueryEngine {
         weights.combine(|kind| snap.calibration().similarity(kind, a.distance(b, kind)))
     }
 
-    /// Query by example frame.
+    /// Query by example frame. Its seven descriptors are extracted on
+    /// the shared pool, `options.threads` wide, one cell per kind.
     pub fn query_frame(&self, frame: &RgbImage, options: &QueryOptions) -> Vec<FrameMatch> {
         let features = {
             let _extract = self.metrics.registry.timer(&self.metrics.frame_extract);
-            FeatureSet::extract(frame)
+            let mut sets = extract_feature_sets_parallel(&[frame], options.threads);
+            sets.pop().expect("one set per frame")
         };
         let range = paper_range(&Histogram256::of_rgb_luma(frame));
         self.query_features(&features, range, options)

@@ -20,7 +20,7 @@ use cbvr_features::naive::NaiveSignature;
 use cbvr_features::region::RegionGrowing;
 use cbvr_features::tamura::TamuraTexture;
 use cbvr_features::correlogram::AutoColorCorrelogram;
-use cbvr_features::FeatureSet;
+use cbvr_features::{FeatureKind, FeatureSet};
 use cbvr_imgproc::codec::{encode, ImageFormat};
 use cbvr_imgproc::{Histogram256, RgbImage};
 use cbvr_index::{paper_range, RangeKey};
@@ -73,56 +73,98 @@ pub struct IngestReport {
     pub ranges: Vec<RangeKey>,
 }
 
+/// The seven extractors in falling cost order (Gabor alone is about
+/// half of a frame's extraction; the colour histogram is the cheapest).
+/// A job claims cells in this order, so greedy claims schedule the
+/// longest jobs first.
+const COST_ORDER: [FeatureKind; 7] = [
+    FeatureKind::Gabor,
+    FeatureKind::Tamura,
+    FeatureKind::Regions,
+    FeatureKind::Naive,
+    FeatureKind::Correlogram,
+    FeatureKind::Glcm,
+    FeatureKind::ColorHistogram,
+];
+
+/// One extracted descriptor: the output of one (frame, kind) cell.
+enum Extracted {
+    ColorHistogram(ColorHistogram),
+    Glcm(GlcmTexture),
+    Gabor(GaborTexture),
+    Tamura(TamuraTexture),
+    Correlogram(AutoColorCorrelogram),
+    Naive(NaiveSignature),
+    Regions(RegionGrowing),
+}
+
+/// The per-kind extraction timer (`ingest.extract.<short>_nanos`); the
+/// short names map onto the paper's Table 1 rows.
+fn timer_name(kind: FeatureKind) -> &'static str {
+    match kind {
+        FeatureKind::ColorHistogram => "ingest.extract.sch_nanos",
+        FeatureKind::Glcm => "ingest.extract.glcm_nanos",
+        FeatureKind::Gabor => "ingest.extract.gabor_nanos",
+        FeatureKind::Tamura => "ingest.extract.tamura_nanos",
+        FeatureKind::Correlogram => "ingest.extract.acc_nanos",
+        FeatureKind::Naive => "ingest.extract.naive_nanos",
+        FeatureKind::Regions => "ingest.extract.srg_nanos",
+    }
+}
+
+fn extract_kind(frame: &RgbImage, kind: FeatureKind) -> Extracted {
+    match kind {
+        FeatureKind::ColorHistogram => Extracted::ColorHistogram(ColorHistogram::extract(frame)),
+        FeatureKind::Glcm => Extracted::Glcm(GlcmTexture::extract(frame)),
+        FeatureKind::Gabor => Extracted::Gabor(GaborTexture::extract(frame)),
+        FeatureKind::Tamura => Extracted::Tamura(TamuraTexture::extract(frame)),
+        FeatureKind::Correlogram => Extracted::Correlogram(AutoColorCorrelogram::extract(frame)),
+        FeatureKind::Naive => Extracted::Naive(NaiveSignature::extract(frame)),
+        FeatureKind::Regions => Extracted::Regions(RegionGrowing::extract(frame)),
+    }
+}
+
 /// Extract all seven features for each frame on the shared
 /// [`crate::pool::ExecPool`] (order is preserved).
 ///
-/// Chunk size 1: per-frame cost varies wildly (region growing and Gabor
-/// depend on content), so fine-grained stealing keeps workers busy where
-/// the old fixed `div_ceil` split left them idle behind one slow chunk.
+/// One job runs `frames.len() × 7` (frame, kind) cells with chunk size
+/// 1, frame-major and within a frame in falling cost order (Gabor
+/// first), so even a single query frame spreads its extractors over the
+/// pool's cores. Every extractor is a pure function of the frame, so
+/// each set equals `FeatureSet::extract` of its frame whatever the
+/// thread count.
 pub fn extract_feature_sets_parallel(frames: &[&RgbImage], threads: usize) -> Vec<FeatureSet> {
-    // Per-kind extraction timings map onto the paper's Table 1 rows.
-    // Handles are resolved once here; the parallel bodies only touch
-    // atomics. Building the set field-by-field with a timer around each
-    // extractor produces the exact same values as `FeatureSet::extract`
-    // (which calls the same seven extractors in the same order).
+    // Handles are resolved once here; the cell bodies only touch atomics.
     let registry = Registry::global();
-    let sch = registry.histogram("ingest.extract.sch_nanos");
-    let glcm = registry.histogram("ingest.extract.glcm_nanos");
-    let gabor = registry.histogram("ingest.extract.gabor_nanos");
-    let tamura = registry.histogram("ingest.extract.tamura_nanos");
-    let acc = registry.histogram("ingest.extract.acc_nanos");
-    let naive = registry.histogram("ingest.extract.naive_nanos");
-    let srg = registry.histogram("ingest.extract.srg_nanos");
-    crate::pool::ExecPool::global().map(frames, 1, threads, |_, frame| FeatureSet {
-        histogram: {
-            let _t = registry.timer(&sch);
-            ColorHistogram::extract(frame)
-        },
-        glcm: {
-            let _t = registry.timer(&glcm);
-            GlcmTexture::extract(frame)
-        },
-        gabor: {
-            let _t = registry.timer(&gabor);
-            GaborTexture::extract(frame)
-        },
-        tamura: {
-            let _t = registry.timer(&tamura);
-            TamuraTexture::extract(frame)
-        },
-        correlogram: {
-            let _t = registry.timer(&acc);
-            AutoColorCorrelogram::extract(frame)
-        },
-        naive: {
-            let _t = registry.timer(&naive);
-            NaiveSignature::extract(frame)
-        },
-        regions: {
-            let _t = registry.timer(&srg);
-            RegionGrowing::extract(frame)
-        },
-    })
+    let timers = COST_ORDER.map(|kind| registry.histogram(timer_name(kind)));
+    let cells: Vec<(&RgbImage, usize)> = frames
+        .iter()
+        .flat_map(|&frame| (0..COST_ORDER.len()).map(move |slot| (frame, slot)))
+        .collect();
+    let extracted = crate::pool::ExecPool::global().map(&cells, 1, threads, |_, &(frame, slot)| {
+        let _t = registry.timer(&timers[slot]);
+        extract_kind(frame, COST_ORDER[slot])
+    });
+    let mut extracted = extracted.into_iter();
+    frames
+        .iter()
+        .map(|_| {
+            let cells: [Option<Extracted>; 7] = std::array::from_fn(|_| extracted.next());
+            let [
+                Some(Extracted::Gabor(gabor)),
+                Some(Extracted::Tamura(tamura)),
+                Some(Extracted::Regions(regions)),
+                Some(Extracted::Naive(naive)),
+                Some(Extracted::Correlogram(correlogram)),
+                Some(Extracted::Glcm(glcm)),
+                Some(Extracted::ColorHistogram(histogram)),
+            ] = cells
+            else {
+                unreachable!("each frame's cells are extracted in COST_ORDER");
+            };
+            FeatureSet { histogram, glcm, gabor, tamura, correlogram, naive, regions }
+        })
+        .collect()
 }
 
 /// Ingest one video under `name`. The whole operation is one atomic

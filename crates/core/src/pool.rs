@@ -2,8 +2,8 @@
 //!
 //! Every hot path in the system — candidate scoring in
 //! [`crate::engine::QueryEngine::query_features`], per-video DTW in
-//! [`crate::engine::QueryEngine::query_feature_sequence`], per-frame
-//! feature extraction in [`crate::ingest::extract_feature_sets_parallel`]
+//! [`crate::engine::QueryEngine::query_feature_sequence`], per-(frame,
+//! kind) feature extraction in [`crate::ingest::extract_feature_sets_parallel`]
 //! and the per-kind calibration sampling in
 //! [`crate::score::ScoreCalibration::from_segments`] — is an independent
 //! loop over an index range. This module runs such loops across a fixed

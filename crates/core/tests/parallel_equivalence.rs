@@ -1,8 +1,9 @@
 //! Parallel paths must be bit-identical to the serial (`threads = 1`)
 //! path: the pool only changes *who* computes each candidate, never the
 //! arithmetic or the selected set. These tests pin that contract for
-//! frame scoring, clip DTW and ingest extraction over randomised
-//! catalogs and every interesting `k` regime.
+//! frame scoring, clip DTW and the per-(frame, kind) extraction fan-out
+//! (ingest and query frames alike) over randomised catalogs and every
+//! interesting `k` regime.
 
 use cbvr_core::engine::CatalogEntry;
 use cbvr_core::{FeatureWeights, QueryEngine, QueryOptions, THREADS_AUTO};
@@ -147,16 +148,24 @@ fn clip_query_is_identical_across_thread_counts() {
 fn parallel_extraction_preserves_order_and_values() {
     force_parallel_pool();
     let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-    let frames: Vec<RgbImage> = (0..17).map(|_| random_frame(&mut rng)).collect();
-    let refs: Vec<&RgbImage> = frames.iter().collect();
-    let serial = cbvr_core::ingest::extract_feature_sets_parallel(&refs, 1);
-    assert_eq!(serial.len(), frames.len());
-    for (i, set) in serial.iter().enumerate() {
-        assert_eq!(set, &FeatureSet::extract(&frames[i]), "slot {i}");
-    }
-    for threads in [2, 4, THREADS_AUTO] {
-        let parallel = cbvr_core::ingest::extract_feature_sets_parallel(&refs, threads);
-        assert_eq!(serial, parallel, "threads={threads}");
+    // Every (frame, kind) cell is its own chunk: a single frame already
+    // spreads over the pool.
+    for n in [0, 1, 5, 17] {
+        let frames: Vec<RgbImage> = (0..n).map(|_| random_frame(&mut rng)).collect();
+        let refs: Vec<&RgbImage> = frames.iter().collect();
+        for threads in [1, 2, 3, 4, THREADS_AUTO] {
+            let sets = cbvr_core::ingest::extract_feature_sets_parallel(&refs, threads);
+            assert_eq!(sets.len(), n, "n={n} threads={threads}");
+            for (i, (frame, set)) in frames.iter().zip(&sets).enumerate() {
+                let reference = FeatureSet::extract(frame);
+                assert_eq!(set, &reference, "slot {i} of {n}, threads={threads}");
+                assert_eq!(
+                    set.to_feature_strings(),
+                    reference.to_feature_strings(),
+                    "slot {i} of {n}, threads={threads}"
+                );
+            }
+        }
     }
 }
 
@@ -175,5 +184,23 @@ fn single_feature_weights_stay_identical_in_parallel() {
         let serial = engine.query_features(&probe, range, &opts(1));
         let parallel = engine.query_features(&probe, range, &opts(4));
         assert_eq!(serial, parallel, "{kind}");
+    }
+}
+
+#[test]
+fn query_frame_matches_pre_extracted_features_at_every_width() {
+    force_parallel_pool();
+    let (engine, _, _) = random_catalog(67, 40, 5);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(71);
+    for _ in 0..3 {
+        let frame = random_frame(&mut rng);
+        let range = paper_range(&Histogram256::of_rgb_luma(&frame));
+        let reference =
+            engine.query_features(&FeatureSet::extract(&frame), range, &options(10, 1, true));
+        assert!(!reference.is_empty());
+        for threads in [1, THREADS_AUTO] {
+            let matches = engine.query_frame(&frame, &options(10, threads, true));
+            assert_eq!(matches, reference, "threads={threads}");
+        }
     }
 }

@@ -223,18 +223,26 @@ fn encode_plane(plane: &[f32], w: usize, h: usize, table: &[i32; 64]) -> Vec<u8>
     out
 }
 
-/// Decode one plane.
-fn decode_plane(data: &[u8], w: usize, h: usize, table: &[i32; 64]) -> Result<Vec<f32>> {
+/// Decode one plane of `pixels = w * h` samples.
+fn decode_plane(
+    data: &[u8],
+    w: usize,
+    h: usize,
+    pixels: usize,
+    table: &[i32; 64],
+) -> Result<Vec<f32>> {
     let bw = w.div_ceil(BLOCK);
     let bh = h.div_ceil(BLOCK);
-    let mut plane = vec![0f32; w * h];
+    let mut plane = vec![0f32; pixels];
     let mut pos = 0usize;
     let mut prev_dc = 0i32;
     for by in 0..bh {
         for bx in 0..bw {
             let mut quantised = [0i32; 64];
             let dc_delta = zigzag_decode_u32(get_varint(data, &mut pos)?);
-            prev_dc += dc_delta;
+            // Wrapping, like the release build: a forged delta must not
+            // panic a checked build either.
+            prev_dc = prev_dc.wrapping_add(dc_delta);
             quantised[0] = prev_dc;
             let mut zz_index = 1usize;
             loop {
@@ -252,7 +260,7 @@ fn decode_plane(data: &[u8], w: usize, h: usize, table: &[i32; 64]) -> Result<Ve
             }
             let mut coeffs = [0f32; 64];
             for i in 0..64 {
-                coeffs[i] = (quantised[i] * table[i]) as f32;
+                coeffs[i] = quantised[i].wrapping_mul(table[i]) as f32;
             }
             let block = idct8x8(&coeffs);
             for y in 0..BLOCK {
@@ -309,26 +317,39 @@ pub fn decode(data: &[u8]) -> Result<RgbImage> {
     let w = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes")) as usize;
     let h = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")) as usize;
     let quality = data[12];
-    if w == 0 || h == 0 {
+    let Some(pixels) = w.checked_mul(h).filter(|&n| n > 0) else {
         return Err(ImgError::Decode(format!("bad VJP dimensions {w}x{h}")));
-    }
+    };
     let q_luma = scaled_table(&Q_LUMA, quality);
     let q_chroma = scaled_table(&Q_CHROMA, quality);
 
+    // Every block costs at least two bytes in each plane's payload (its
+    // DC varint and its end marker). All three payloads are checked
+    // against that before any plane is allocated, so a forged header
+    // cannot make a few bytes of input allocate gigabytes.
+    let blocks = w.div_ceil(BLOCK) * h.div_ceil(BLOCK);
     let mut pos = 13usize;
-    let mut planes = Vec::with_capacity(3);
-    for i in 0..3 {
+    let mut payloads = [&data[..0]; 3];
+    for payload in &mut payloads {
         let len_bytes = data
             .get(pos..pos + 4)
             .ok_or_else(|| ImgError::Decode("VJP plane header truncated".into()))?;
         let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
         pos += 4;
-        let payload = data
+        *payload = data
             .get(pos..pos + len)
             .ok_or_else(|| ImgError::Decode("VJP plane payload truncated".into()))?;
         pos += len;
+        if len / 2 < blocks {
+            return Err(ImgError::Decode(format!(
+                "VJP plane payload of {len} bytes is too short for {blocks} blocks"
+            )));
+        }
+    }
+    let mut planes = Vec::with_capacity(3);
+    for (i, payload) in payloads.into_iter().enumerate() {
         let table = if i == 0 { &q_luma } else { &q_chroma };
-        planes.push(decode_plane(payload, w, h, table)?);
+        planes.push(decode_plane(payload, w, h, pixels, table)?);
     }
 
     let mut img = RgbImage::new(w as u32, h as u32)
@@ -430,6 +451,57 @@ mod tests {
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 5);
         assert!(decode(&truncated).is_err());
+    }
+
+    /// A header with forged dimensions and three empty planes: 25 bytes.
+    fn forged_header(w: u32, h: u32) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&w.to_le_bytes());
+        bytes.extend_from_slice(&h.to_le_bytes());
+        bytes.push(75);
+        bytes.extend_from_slice(&[0; 12]);
+        bytes
+    }
+
+    #[test]
+    fn forged_dimensions_are_rejected_before_allocating() {
+        for (w, h) in [(1 << 20, 1 << 20), (u32::MAX, u32::MAX), (8, 8)] {
+            let bytes = forged_header(w, h);
+            assert_eq!(bytes.len(), 25);
+            assert!(decode(&bytes).is_err(), "{w}x{h}");
+        }
+        // Two blocks need at least four bytes per plane; each has three.
+        let mut short = forged_header(16, 8);
+        short.truncate(13);
+        for _ in 0..3 {
+            short.extend_from_slice(&3u32.to_le_bytes());
+            short.extend_from_slice(&[0, 0, 0]);
+        }
+        let err = decode(&short).unwrap_err().to_string();
+        assert!(err.contains("too short for 2 blocks"), "{err}");
+    }
+
+    #[test]
+    fn forged_coefficients_wrap_instead_of_panicking() {
+        // Two 8x8 blocks per plane at quality 1, each with a DC delta of
+        // i32::MIN and an AC level of i32::MAX: the running DC and the
+        // dequantised level both overflow i32.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&16u32.to_le_bytes());
+        bytes.extend_from_slice(&8u32.to_le_bytes());
+        bytes.push(1);
+        let mut plane = Vec::new();
+        for _ in 0..2 {
+            put_varint(&mut plane, zigzag_encode_i32(i32::MIN));
+            put_varint(&mut plane, 1);
+            put_varint(&mut plane, zigzag_encode_i32(i32::MAX));
+            put_varint(&mut plane, 0);
+        }
+        for _ in 0..3 {
+            bytes.extend_from_slice(&(plane.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&plane);
+        }
+        assert_eq!(decode(&bytes).unwrap().dimensions(), (16, 8));
     }
 
     #[test]

@@ -387,6 +387,7 @@ pub(crate) fn status_class_metric(status: StatusCode) -> &'static str {
         StatusCode::BadRequest
         | StatusCode::NotFound
         | StatusCode::MethodNotAllowed
+        | StatusCode::RequestTimeout
         | StatusCode::PayloadTooLarge => "web.status.4xx",
         StatusCode::InternalServerError | StatusCode::ServiceUnavailable => "web.status.5xx",
     }
@@ -518,6 +519,24 @@ mod tests {
             StatusCode::BadRequest
         );
         assert_eq!(app.handle(&get("/query")).status, StatusCode::MethodNotAllowed);
+    }
+
+    #[test]
+    fn forged_vjp_dimensions_answer_400_and_the_server_keeps_serving() {
+        let app = state();
+        for (w, h) in [(1u32 << 20, 1u32 << 20), (u32::MAX, u32::MAX)] {
+            // Magic, width, height, quality, three empty planes: 25 bytes.
+            let mut body = b"VJP1".to_vec();
+            body.extend_from_slice(&w.to_le_bytes());
+            body.extend_from_slice(&h.to_le_bytes());
+            body.push(75);
+            body.extend_from_slice(&[0; 12]);
+            assert_eq!(body.len(), 25);
+            let r = app.handle(&post("/query", body));
+            assert_eq!(r.status, StatusCode::BadRequest, "{w}x{h}: {}", body_str(&r));
+        }
+        let kf = app.handle(&get("/keyframe?id=1"));
+        assert_eq!(app.handle(&post("/query?k=1", kf.body)).status, StatusCode::Ok);
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub enum StatusCode {
     NotFound,
     /// 405.
     MethodNotAllowed,
+    /// 408 (the client sent nothing for too long; the connection closes).
+    RequestTimeout,
     /// 413.
     PayloadTooLarge,
     /// 500.
@@ -49,6 +51,7 @@ impl StatusCode {
             StatusCode::BadRequest => "400 Bad Request",
             StatusCode::NotFound => "404 Not Found",
             StatusCode::MethodNotAllowed => "405 Method Not Allowed",
+            StatusCode::RequestTimeout => "408 Request Timeout",
             StatusCode::PayloadTooLarge => "413 Payload Too Large",
             StatusCode::InternalServerError => "500 Internal Server Error",
             StatusCode::ServiceUnavailable => "503 Service Unavailable",
@@ -104,6 +107,16 @@ fn bad(message: impl Into<String>) -> HttpError {
     HttpError { status: StatusCode::BadRequest, message: message.into() }
 }
 
+/// A failed socket read: 408 when the stream's read timeout expired,
+/// 400 otherwise.
+fn read_failed(what: &str, e: std::io::Error) -> HttpError {
+    let status = match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => StatusCode::RequestTimeout,
+        _ => StatusCode::BadRequest,
+    };
+    HttpError { status, message: format!("read {what}: {e}") }
+}
+
 /// Percent-decode a URL component (`%41` → `A`, `+` → space).
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
@@ -153,7 +166,7 @@ fn read_header_line(
         .by_ref()
         .take(*budget as u64)
         .read_line(&mut line)
-        .map_err(|e| bad(format!("read {what}: {e}")))?;
+        .map_err(|e| read_failed(what, e))?;
     *budget -= n;
     if *budget == 0 && !line.ends_with('\n') {
         return Err(bad("header section too large"));
@@ -210,7 +223,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
         }
         body.resize(len, 0);
         std::io::Read::read_exact(reader, &mut body)
-            .map_err(|e| bad(format!("read body: {e}")))?;
+            .map_err(|e| read_failed("body", e))?;
     }
     Ok(Request { method, path, query, headers, body })
 }

@@ -16,6 +16,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long a handler waits on one read or write of a connection. A
+/// client silent for this long is answered 408 and closed, so it cannot
+/// hold a handler thread (or `Server::stop`) for longer.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server sizing knobs.
 #[derive(Clone, Debug)]
@@ -163,6 +169,11 @@ impl Drop for Server {
 }
 
 fn serve_connection<B: Backend>(state: Arc<AppState<B>>, stream: TcpStream) {
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -377,6 +388,50 @@ mod tests {
         }
         // stop()'s wake-up connection is not counted.
         assert_eq!(accepted.get(), 4);
+    }
+
+    #[test]
+    fn silent_connection_times_out_instead_of_pinning_its_handler() {
+        use std::sync::mpsc;
+        use std::time::Instant;
+        // Only bounds a hang; a loaded machine is slow, but never this slow.
+        const MARGIN: Duration = Duration::from_secs(30);
+        let state = test_state();
+        let accepted = state.telemetry().counter("web.connections.accepted");
+        let config = ServerConfig { workers: 1, queue_capacity: 8 };
+        let server = Server::start_with(state, "127.0.0.1:0", &config).unwrap();
+        let addr = server.addr();
+
+        // The only handler takes a connection that never sends a byte.
+        let mut silent = TcpStream::connect(addr).unwrap();
+        let start = Instant::now();
+        while accepted.get() < 1 {
+            assert!(start.elapsed() < MARGIN, "silent connection never accepted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // A complete request queued behind it is served once the silent
+        // one times out.
+        let mut client = TcpStream::connect(addr).unwrap();
+        write!(client, "GET / HTTP/1.1\r\n\r\n").unwrap();
+        client.set_read_timeout(Some(IO_TIMEOUT + MARGIN)).unwrap();
+        let mut out = Vec::new();
+        client.read_to_end(&mut out).expect("the queued request was never served");
+        assert!(String::from_utf8_lossy(&out).starts_with("HTTP/1.1 200"));
+        assert!(start.elapsed() < IO_TIMEOUT + MARGIN);
+
+        // The silent client was told why, and its connection closed.
+        silent.set_read_timeout(Some(MARGIN)).unwrap();
+        let mut out = Vec::new();
+        silent.read_to_end(&mut out).unwrap();
+        assert!(String::from_utf8_lossy(&out).starts_with("HTTP/1.1 408"));
+
+        let (done, stopped) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.stop();
+            let _ = done.send(());
+        });
+        stopped.recv_timeout(MARGIN).expect("stop() returned");
     }
 
     #[test]
