@@ -1,10 +1,11 @@
-//! Storage-engine primitives: B+-tree insert/get, blob write/read and
-//! the durable-commit protocol.
+//! Storage-engine primitives: B+-tree insert/get, blob write/read, page
+//! cache misses and the durable-commit protocol.
 
 use cbvr_storage::backend::MemBackend;
 use cbvr_storage::btree::BTree;
 use cbvr_storage::heap::{read_blob, write_blob};
-use cbvr_storage::pager::Pager;
+use cbvr_storage::page::Page;
+use cbvr_storage::pager::{Pager, DEFAULT_CACHE_PAGES};
 use cbvr_storage::{CbvrDatabase, VideoRecord};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -57,6 +58,35 @@ fn bench_blob(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_cache(c: &mut Criterion) {
+    let mut group = c.benchmark_group("storage/cache");
+    group.sample_size(20);
+    // Eight times more committed pages than the default cache holds,
+    // read in a cycle: once the cache is full every read misses and
+    // evicts, so this prices the eviction policy's bookkeeping.
+    let pages = 8 * DEFAULT_CACHE_PAGES;
+    let mut pager = Pager::open(MemBackend::new(), MemBackend::new(), DEFAULT_CACHE_PAGES).unwrap();
+    let ids: Vec<_> = (0..pages)
+        .map(|i| {
+            let id = pager.allocate().unwrap();
+            pager.write_page(id, Page::new()).unwrap();
+            if i % 512 == 511 {
+                pager.commit().unwrap();
+            }
+            id
+        })
+        .collect();
+    pager.commit().unwrap();
+    for &id in &ids {
+        pager.read_page(id).unwrap();
+    }
+    group.bench_function("read_miss_full_cache", |b| {
+        let mut next = ids.iter().cycle();
+        b.iter(|| pager.read_page(*next.next().unwrap()).unwrap())
+    });
+    group.finish();
+}
+
 fn bench_commit(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage/commit");
     group.sample_size(20);
@@ -73,5 +103,5 @@ fn bench_commit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_btree, bench_blob, bench_commit);
+criterion_group!(benches, bench_btree, bench_blob, bench_cache, bench_commit);
 criterion_main!(benches);

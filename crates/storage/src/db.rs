@@ -189,14 +189,14 @@ impl<B: Backend> CbvrDatabase<B> {
                         // staged writes back so the next operation builds
                         // on the committed state, not on a half-applied
                         // one that would leak into its commit.
-                        self.pager.abort()?;
+                        self.pager.abort();
                         self.reload_meta();
                         Err(e)
                     }
                 }
             }
             Err(e) => {
-                self.pager.abort()?;
+                self.pager.abort();
                 self.reload_meta();
                 Err(e)
             }
@@ -205,7 +205,8 @@ impl<B: Backend> CbvrDatabase<B> {
 
     /// True while a durable commit is still awaiting propagation to the
     /// data file (see [`crate::pager::Pager::wal_pending`]): reads and
-    /// further commits keep working from the WAL + cache, and
+    /// further commits keep working from the WAL and the pager's
+    /// unpropagated pages, and
     /// [`CbvrDatabase::try_heal`] retries the replay.
     pub fn is_degraded(&self) -> bool {
         self.pager.wal_pending()
@@ -930,7 +931,7 @@ mod tests {
         });
         assert!(result.is_ok(), "WAL-durable commit must succeed");
         assert!(db.is_degraded(), "data-file fault leaves the db degraded");
-        // Reads keep working from the pinned cache while degraded.
+        // Reads keep working from the unpropagated pages while degraded.
         assert_eq!(db.video_count().unwrap(), 2);
         drop(db);
         faults.heal();

@@ -24,8 +24,8 @@
 //! - [`wal`] — page-image write-ahead log: commits append full after
 //!   images, fsync, then propagate to the data file (no-steal / force,
 //!   torn-page safe);
-//! - [`pager`] — page cache with LRU eviction (clean pages only) and the
-//!   commit/abort/recover protocol;
+//! - [`pager`] — staged writes, committed-but-unpropagated images, a
+//!   CLOCK cache of clean pages and the commit/abort/recover protocol;
 //! - [`btree`] — a B+-tree keyed by `u64` with variable-length inline
 //!   values and leaf-chained range scans (primary keys and the
 //!   `(v_id, i_id)` secondary index);

@@ -1,25 +1,32 @@
-//! Page cache, allocation and the commit protocol.
+//! Page maps, allocation and the commit protocol.
 //!
 //! The pager owns the data file and the WAL and enforces the engine's
-//! durability discipline (no-steal / force):
+//! durability discipline (no-steal / force). It keeps pages in three
+//! maps, each with one job:
 //!
-//! - mutations land only in the cache (dirty pages never reach the data
-//!   file before commit);
-//! - [`Pager::commit`] appends all dirty page images to the WAL (fsync),
-//!   then writes them to the data file (fsync), then truncates the WAL;
-//! - [`Pager::abort`] simply drops the dirty pages — the data file still
-//!   holds the last committed state;
-//! - [`Pager::open`] replays any committed WAL tail onto the data file
-//!   before anything else, making a crash between the two fsyncs
-//!   invisible.
+//! - `dirty` stages the writes made since the last commit. They never
+//!   reach the data file before commit (no-steal), and
+//!   [`Pager::abort`] simply drops them;
+//! - `unpropagated` holds committed images the data file may not hold
+//!   yet. It is empty except while the pager is *degraded*
+//!   ([`Pager::wal_pending`]);
+//! - a bounded CLOCK cache holds clean pages, copies of what the data
+//!   file holds. It never sees a staged or unpropagated page.
+//!
+//! Reads look in that order, then go to the data file.
+//! [`Pager::commit`] appends the staged images to the WAL (fsync), moves
+//! them into `unpropagated` and calls [`Pager::checkpoint`], which writes
+//! them to the data file (fsync), truncates the WAL and moves each image
+//! into the clean cache. [`Pager::open`] pushes any committed WAL tail
+//! through the same checkpoint before anything else, making a crash
+//! between the two fsyncs invisible.
 //!
 //! The WAL fsync is the commit point. Once [`crate::wal::Wal`] reports
-//! the record durable, [`Pager::commit`] returns `Ok` even if pushing the
-//! images into the data file fails: the pager enters a *degraded* state
-//! ([`Pager::wal_pending`]) where the cache pins the committed pages, the
-//! WAL keeps the images, and every later commit (or an explicit
-//! [`Pager::checkpoint`]) retries the propagation. A crash while degraded
-//! is exactly the crash-between-fsyncs case recovery already handles.
+//! the record durable, [`Pager::commit`] returns `Ok` even if the
+//! checkpoint fails: the images stay readable in `unpropagated`, the WAL
+//! keeps them, and every later commit (or an explicit
+//! [`Pager::checkpoint`]) retries. A crash while degraded is exactly the
+//! crash-between-fsyncs case recovery already handles.
 //!
 //! Transient I/O errors (interrupted syscalls and friends) are absorbed
 //! by bounded retry-with-backoff ([`crate::fault::with_retry`]), counted
@@ -35,7 +42,7 @@ use crate::fault::{with_retry, FaultCounters};
 use crate::page::{Page, PageId, NO_PAGE, PAGE_SIZE};
 use crate::telemetry::StorageTelemetry;
 use crate::wal::Wal;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 const META_MAGIC: u32 = 0x4342_5652; // "CBVR"
 const META_VERSION: u32 = 1;
@@ -46,9 +53,58 @@ const USER_META_OFFSET: usize = 16;
 /// Default cache capacity in pages (4 MiB).
 pub const DEFAULT_CACHE_PAGES: usize = 1024;
 
-struct CacheEntry {
+/// One slot of the clean-page cache.
+struct Frame {
+    id: PageId,
     page: Page,
-    dirty: bool,
+    /// Set by a hit, cleared as the hand passes: a page read again since
+    /// the hand last passed it survives one more sweep.
+    referenced: bool,
+}
+
+/// A bounded cache of clean pages under the CLOCK (second-chance)
+/// policy. A miss on a full cache advances the hand, clearing set
+/// reference bits, and replaces the first frame whose bit is clear.
+struct ClockCache {
+    frames: Vec<Frame>,
+    slots: HashMap<PageId, usize>,
+    hand: usize,
+    capacity: usize,
+}
+
+impl ClockCache {
+    fn new(capacity: usize) -> ClockCache {
+        ClockCache { frames: Vec::new(), slots: HashMap::new(), hand: 0, capacity }
+    }
+
+    fn get(&mut self, id: PageId) -> Option<&Page> {
+        let frame = &mut self.frames[*self.slots.get(&id)?];
+        frame.referenced = true;
+        Some(&frame.page)
+    }
+
+    /// Cache `page` as `id`'s clean image, replacing any older copy.
+    /// Returns true when another page was evicted to make room.
+    fn insert(&mut self, id: PageId, page: Page) -> bool {
+        if let Some(&slot) = self.slots.get(&id) {
+            self.frames[slot].page = page;
+            return false;
+        }
+        if self.frames.len() < self.capacity {
+            self.slots.insert(id, self.frames.len());
+            self.frames.push(Frame { id, page, referenced: false });
+            return false;
+        }
+        while std::mem::take(&mut self.frames[self.hand].referenced) {
+            self.hand = (self.hand + 1) % self.frames.len();
+        }
+        let fresh = Frame { id, page, referenced: false };
+        let victim = std::mem::replace(&mut self.frames[self.hand], fresh);
+        self.slots.remove(&victim.id);
+        self.slots.insert(id, self.hand);
+        self.hand = (self.hand + 1) % self.frames.len();
+        true
+    }
 }
 
 /// The meta fields as of the last durable commit. [`Pager::abort`]
@@ -66,20 +122,19 @@ struct CommittedMeta {
 pub struct Pager<B: Backend> {
     data: B,
     wal: Wal<B>,
-    cache: HashMap<PageId, CacheEntry>,
-    lru: VecDeque<PageId>,
-    capacity: usize,
+    /// Writes staged since the last commit, in page order (the order of
+    /// the WAL record).
+    dirty: BTreeMap<PageId, Page>,
+    /// Committed images the data file may not hold yet (page 0 included
+    /// when the meta changed); non-empty only while degraded.
+    unpropagated: BTreeMap<PageId, Page>,
+    clean: ClockCache,
     // Meta state (mirrors page 0).
     page_count: u32,
     free_head: PageId,
     user_meta: [u8; USER_META_LEN],
     meta_dirty: bool,
     committed: CommittedMeta,
-    /// True while the WAL holds committed records the data file does not:
-    /// a propagation attempt failed after the commit point. Eviction is
-    /// suspended (the cache is the only readable copy of those pages) and
-    /// the next commit or [`Pager::checkpoint`] retries the replay.
-    wal_pending: bool,
     telemetry: StorageTelemetry,
     fault_counters: FaultCounters,
 }
@@ -92,9 +147,10 @@ impl<B: Backend> Pager<B> {
         let mut pager = Pager {
             data,
             wal,
-            cache: HashMap::new(),
-            lru: VecDeque::new(),
-            capacity: capacity.max(8),
+            dirty: BTreeMap::new(),
+            // Later records win.
+            unpropagated: images.into_iter().collect(),
+            clean: ClockCache::new(capacity.max(8)),
             page_count: 1,
             free_head: NO_PAGE,
             user_meta: [0u8; USER_META_LEN],
@@ -104,15 +160,12 @@ impl<B: Backend> Pager<B> {
                 free_head: NO_PAGE,
                 user_meta: [0u8; USER_META_LEN],
             },
-            wal_pending: false,
             telemetry: StorageTelemetry { wal_replays: replayed, ..StorageTelemetry::default() },
             fault_counters: FaultCounters::default(),
         };
 
         // Recovery: push committed images into the data file.
-        if !images.is_empty() {
-            pager.apply_images(&images)?;
-        }
+        pager.checkpoint()?;
         if pager.data.is_empty()? {
             // Fresh store: write the initial meta page durably.
             pager.meta_dirty = true;
@@ -180,91 +233,47 @@ impl<B: Backend> Pager<B> {
         }
     }
 
-    fn touch(&mut self, id: PageId) {
-        // Cheap approximate LRU: push on access, dedup lazily on evict.
-        self.lru.push_back(id);
-        if self.lru.len() > self.capacity * 4 {
-            self.compact_lru();
-        }
-    }
-
-    fn compact_lru(&mut self) {
-        let mut seen = std::collections::HashSet::new();
-        let mut fresh = VecDeque::with_capacity(self.cache.len());
-        // Keep only the most recent mention of each page.
-        for &id in self.lru.iter().rev() {
-            if seen.insert(id) {
-                fresh.push_front(id);
-            }
-        }
-        self.lru = fresh;
-    }
-
-    fn evict_if_needed(&mut self) {
-        if self.wal_pending {
-            // The cache holds the only readable copy of the committed
-            // pages the data file is missing; evicting one would re-read
-            // a stale or torn page. Overshoot until the replay lands.
-            return;
-        }
-        while self.cache.len() > self.capacity {
-            self.compact_lru();
-            // Find the least-recently-used clean page.
-            let victim = self
-                .lru
-                .iter()
-                .find(|id| self.cache.get(id).is_some_and(|e| !e.dirty))
-                .copied();
-            match victim {
-                Some(id) => {
-                    self.cache.remove(&id);
-                    self.lru.retain(|&x| x != id);
-                    self.telemetry.cache_evictions += 1;
-                }
-                None => break, // everything dirty: allow overshoot until commit
-            }
-        }
-    }
-
-    /// Read a page (through the cache).
-    pub fn read_page(&mut self, id: PageId) -> Result<Page> {
+    fn check_range(&self, id: PageId) -> Result<()> {
         if id == 0 || id >= self.page_count {
             return Err(StorageError::Corruption(format!(
                 "page {id} out of range (count {})",
                 self.page_count
             )));
         }
-        if let Some(entry) = self.cache.get(&id) {
-            let page = entry.page.clone();
+        Ok(())
+    }
+
+    /// Read a page: staged writes first, then committed images the data
+    /// file may lack, then the clean cache, then the data file.
+    pub fn read_page(&mut self, id: PageId) -> Result<Page> {
+        self.check_range(id)?;
+        let held = self
+            .dirty
+            .get(&id)
+            .or_else(|| self.unpropagated.get(&id))
+            .or_else(|| self.clean.get(id));
+        if let Some(page) = held {
+            let page = page.clone();
             self.telemetry.cache_hits += 1;
-            self.touch(id);
             return Ok(page);
         }
         self.telemetry.cache_misses += 1;
-        let mut bytes = vec![0u8; PAGE_SIZE];
+        let mut page = Page::new();
         let offset = id as u64 * PAGE_SIZE as u64;
         let Pager { data, fault_counters, .. } = self;
-        with_retry(fault_counters, || data.read_at(offset, &mut bytes))
+        with_retry(fault_counters, || data.read_at(offset, page.as_bytes_mut()))
             .map_err(|e| e.with_context("reading data page"))?;
-        let page = Page::from_bytes(&bytes)?;
-        self.cache.insert(id, CacheEntry { page: page.clone(), dirty: false });
-        self.touch(id);
-        self.evict_if_needed();
+        if self.clean.insert(id, page.clone()) {
+            self.telemetry.cache_evictions += 1;
+        }
         Ok(page)
     }
 
     /// Stage a page write (visible to subsequent reads, durable at commit).
     pub fn write_page(&mut self, id: PageId, page: Page) -> Result<()> {
-        if id == 0 || id >= self.page_count {
-            return Err(StorageError::Corruption(format!(
-                "page {id} out of range (count {})",
-                self.page_count
-            )));
-        }
+        self.check_range(id)?;
         self.telemetry.page_writes += 1;
-        self.cache.insert(id, CacheEntry { page, dirty: true });
-        self.touch(id);
-        self.evict_if_needed();
+        self.dirty.insert(id, page);
         Ok(())
     }
 
@@ -312,37 +321,39 @@ impl<B: Backend> Pager<B> {
 
     /// Number of dirty pages staged for the next commit.
     pub fn dirty_count(&self) -> usize {
-        self.cache.values().filter(|e| e.dirty).count() + usize::from(self.meta_dirty)
+        self.dirty.len() + usize::from(self.meta_dirty)
     }
 
     /// True while a durable commit still awaits propagation to the data
     /// file (the degraded state; see the module docs).
     pub fn wal_pending(&self) -> bool {
-        self.wal_pending
+        !self.unpropagated.is_empty()
     }
 
-    /// Push every committed WAL record into the data file and truncate
-    /// the log. No-op when nothing is pending. This is the in-process
-    /// twin of open-time recovery: full page images, idempotent, safe to
-    /// retry forever.
+    /// Write every committed image the data file may lack, then move each
+    /// into the clean cache, replacing any stale copy there. No-op when
+    /// nothing is pending. Full page images, idempotent, safe to retry
+    /// forever; open-time recovery and every commit end here.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if !self.wal_pending {
+        if self.unpropagated.is_empty() {
             return Ok(());
         }
-        let (images, _) = self.wal.recover_records()?;
-        self.apply_images(&images)?;
-        self.wal_pending = false;
-        self.evict_if_needed();
+        self.apply_images()?;
+        for (id, page) in std::mem::take(&mut self.unpropagated) {
+            // Page 0 is read only by `open`, straight from the data file.
+            if id != 0 && self.clean.insert(id, page) {
+                self.telemetry.cache_evictions += 1;
+            }
+        }
         Ok(())
     }
 
-    /// Write committed page images to the data file, sync it, then
+    /// Write the unpropagated images to the data file, sync it, then
     /// truncate the WAL. The one path by which committed pages reach the
-    /// data file: open-time recovery, [`Pager::checkpoint`] and
-    /// [`Pager::commit`] all end here.
-    fn apply_images(&mut self, images: &[(PageId, Page)]) -> Result<()> {
-        let Pager { data, fault_counters, .. } = self;
-        for (id, page) in images {
+    /// data file.
+    fn apply_images(&mut self) -> Result<()> {
+        let Pager { data, fault_counters, unpropagated, .. } = self;
+        for (id, page) in unpropagated.iter() {
             let offset = *id as u64 * PAGE_SIZE as u64;
             with_retry(fault_counters, || data.write_at(offset, page.as_bytes()))
                 .map_err(|e| e.with_context("writing committed page"))?;
@@ -352,98 +363,59 @@ impl<B: Backend> Pager<B> {
         self.wal.reset()
     }
 
-    /// Durably commit all staged writes: WAL append+fsync → data
-    /// write+fsync → WAL reset.
+    /// Durably commit all staged writes: WAL append+fsync, then
+    /// [`Pager::checkpoint`] (data write+fsync, WAL reset).
     ///
     /// The WAL fsync is the commit point: once the record is durable this
-    /// returns `Ok` even if the data-file propagation fails — the commit
-    /// survives a crash via replay, and the pager stays degraded
+    /// returns `Ok` even if the checkpoint fails — the commit survives a
+    /// crash via replay, and the pager stays degraded
     /// ([`Pager::wal_pending`]) until a later commit or
     /// [`Pager::checkpoint`] lands the images. An `Err` means the commit
     /// did NOT happen and the staged writes are still pending (abort to
     /// drop them).
     pub fn commit(&mut self) -> Result<()> {
-        let mut dirty: Vec<(PageId, Page)> = self
-            .cache
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(&id, e)| (id, e.page.clone()))
-            .collect();
-        dirty.sort_by_key(|(id, _)| *id);
-        let meta = if self.meta_dirty { Some(self.meta_page()?) } else { None };
-        if dirty.is_empty() && meta.is_none() {
-            // Nothing new; use the opportunity to retry a pending replay.
+        if self.dirty.is_empty() && !self.meta_dirty {
+            // Nothing new; use the opportunity to retry a pending checkpoint.
             return self.checkpoint();
         }
-
-        let mut images: Vec<(PageId, Page)> = Vec::with_capacity(dirty.len() + 1);
-        if let Some(m) = meta {
-            images.push((0, m));
-        }
-        images.extend(dirty);
-        let refs: Vec<(PageId, &Page)> = images.iter().map(|(id, p)| (*id, p)).collect();
-        let appended = self.wal.append_commit(&refs)?;
+        let meta = if self.meta_dirty { Some(self.meta_page()?) } else { None };
+        let images: Vec<(PageId, &Page)> = meta
+            .iter()
+            .map(|m| (0, m))
+            .chain(self.dirty.iter().map(|(&id, page)| (id, page)))
+            .collect();
+        let appended = self.wal.append_commit(&images)?;
         self.telemetry.wal_commits += 1;
         self.telemetry.wal_bytes += appended;
 
         // Commit point passed: the staged pages are now the durable
         // truth, whatever happens to the data file below.
-        for (_, entry) in self.cache.iter_mut() {
-            entry.dirty = false;
-        }
+        self.unpropagated.extend(meta.map(|m| (0, m)));
+        self.unpropagated.append(&mut self.dirty);
         self.meta_dirty = false;
         self.committed = CommittedMeta {
             page_count: self.page_count,
             free_head: self.free_head,
             user_meta: self.user_meta,
         };
-
-        let propagated = if self.wal_pending {
-            // Earlier images are still owed; replay the whole log in
-            // order (ours included) rather than racing ahead of them.
-            self.checkpoint()
-        } else {
-            self.wal_pending = true;
-            self.apply_images(&images)
-        };
-        match propagated {
-            Ok(()) => {
-                self.wal_pending = false;
-                self.evict_if_needed();
-            }
-            Err(_) => {
-                // Degraded, not failed: the WAL holds the record and the
-                // cache pins the pages. Surfaced via telemetry and
-                // `wal_pending()`, healed by the next commit/checkpoint
-                // or by open-time recovery after a crash.
-            }
-        }
+        // A failure here degrades rather than fails the commit: the WAL
+        // holds the record and `unpropagated` keeps the pages readable
+        // until the next commit or checkpoint, or open-time recovery
+        // after a crash, lands them.
+        let _ = self.checkpoint();
         Ok(())
     }
 
     /// Discard all staged writes, restoring the last committed state.
-    /// Purely in-memory: the committed meta snapshot is authoritative
-    /// even while the data file lags the WAL.
-    pub fn abort(&mut self) -> Result<()> {
-        self.cache.retain(|_, e| !e.dirty);
-        // While the data file lags the WAL, a dropped dirty entry may have
-        // shadowed the only readable copy of a committed page; reinstate
-        // the committed images from the WAL (later records win).
-        if self.wal_pending {
-            let (images, _) = self.wal.recover_records()?;
-            for (id, page) in images {
-                self.cache.insert(id, CacheEntry { page, dirty: false });
-            }
-        }
-        self.lru.clear();
-        for id in self.cache.keys() {
-            self.lru.push_back(*id);
-        }
+    /// Purely in-memory: the committed images the data file may lack
+    /// stay in `unpropagated`, and the committed meta snapshot is
+    /// authoritative even while the data file lags the WAL.
+    pub fn abort(&mut self) {
+        self.dirty.clear();
         self.page_count = self.committed.page_count;
         self.free_head = self.committed.free_head;
         self.user_meta = self.committed.user_meta;
         self.meta_dirty = false;
-        Ok(())
     }
 }
 
@@ -486,7 +458,7 @@ mod tests {
         pager.commit().unwrap();
         pager.write_page(id, page_of(2)).unwrap();
         assert_eq!(pager.read_page(id).unwrap(), page_of(2), "dirty read");
-        pager.abort().unwrap();
+        pager.abort();
         assert_eq!(pager.read_page(id).unwrap(), page_of(1), "rolled back");
     }
 
@@ -495,7 +467,7 @@ mod tests {
         let (mut pager, _, _) = open_mem();
         let before = pager.page_count();
         pager.allocate().unwrap();
-        pager.abort().unwrap();
+        pager.abort();
         assert_eq!(pager.page_count(), before);
     }
 
@@ -621,7 +593,7 @@ mod tests {
         meta2[0] = 0x22;
         pager.set_user_meta(meta2);
         pager.write_page(id, page_of(9)).unwrap();
-        pager.abort().unwrap();
+        pager.abort();
         assert_eq!(pager.user_meta()[0], 0x11, "abort restored pre-commit meta");
         assert_eq!(pager.read_page(id).unwrap(), page_of(1), "abort dropped staged page");
         faults.heal();
@@ -699,6 +671,95 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(pager.read_page(*id).unwrap(), page_of(i as u8));
         }
+    }
+
+    /// Commit `count` pages filled `page_of(i)` onto `data` and `wal`,
+    /// returning their ids; a pager opened afterwards starts cold.
+    fn commit_pages(data: &MemBackend, wal: &MemBackend, count: u8) -> Vec<PageId> {
+        let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
+        let ids = (0..count)
+            .map(|i| {
+                let id = pager.allocate().unwrap();
+                pager.write_page(id, page_of(i)).unwrap();
+                id
+            })
+            .collect();
+        pager.commit().unwrap();
+        ids
+    }
+
+    #[test]
+    fn commit_replaces_the_cached_clean_copy() {
+        let (data, wal) = (MemBackend::new(), MemBackend::new());
+        let id = commit_pages(&data, &wal, 1)[0];
+        let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
+        assert_eq!(pager.read_page(id).unwrap(), page_of(0), "cold read");
+        pager.write_page(id, page_of(9)).unwrap();
+        pager.commit().unwrap();
+        let misses = pager.telemetry().cache_misses;
+        assert_eq!(pager.read_page(id).unwrap(), page_of(9), "stale clean copy served");
+        assert_eq!(pager.telemetry().cache_misses, misses, "served from memory");
+    }
+
+    #[test]
+    fn checkpoint_after_a_degraded_commit_refreshes_the_cache() {
+        let data = MemBackend::new();
+        let wal = MemBackend::new();
+        let (mut pager, faults, _) = open_faulted(&data, &wal);
+        let id = pager.allocate().unwrap();
+        pager.write_page(id, page_of(1)).unwrap();
+        pager.commit().unwrap();
+        assert_eq!(pager.read_page(id).unwrap(), page_of(1), "clean copy cached");
+        faults.arm_after(1, FaultKind::Crash);
+        pager.write_page(id, page_of(2)).unwrap();
+        pager.commit().unwrap();
+        assert!(pager.wal_pending());
+        assert_eq!(pager.read_page(id).unwrap(), page_of(2), "degraded read");
+        faults.heal();
+        pager.checkpoint().unwrap();
+        assert!(!pager.wal_pending());
+        assert_eq!(pager.read_page(id).unwrap(), page_of(2), "stale clean copy served");
+        drop(pager);
+        let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
+        assert_eq!(pager.read_page(id).unwrap(), page_of(2), "data file holds the commit");
+    }
+
+    #[test]
+    fn clock_keeps_a_page_touched_between_cold_misses() {
+        let (data, wal) = (MemBackend::new(), MemBackend::new());
+        let ids = commit_pages(&data, &wal, 40);
+        let mut pager = Pager::open(data.share(), wal.share(), 8).unwrap();
+        let (hot, cold) = (ids[0], &ids[1..]);
+        assert_eq!(pager.read_page(hot).unwrap(), page_of(0));
+        for (i, &id) in cold.iter().enumerate() {
+            assert_eq!(pager.read_page(hot).unwrap(), page_of(0));
+            assert_eq!(pager.read_page(id).unwrap(), page_of(i as u8 + 1));
+        }
+        let t = pager.telemetry();
+        assert_eq!(t.cache_misses, 1 + cold.len() as u64, "the hot page was re-read");
+        assert_eq!(t.cache_evictions, cold.len() as u64 + 1 - 8);
+    }
+
+    #[test]
+    fn cached_pages_read_while_the_data_file_fails_every_operation() {
+        let (data, wal) = (MemBackend::new(), MemBackend::new());
+        let ids = commit_pages(&data, &wal, 24);
+        let (cached, uncached) = ids.split_at(16);
+        let (mut pager, faults, _) = open_faulted(&data, &wal);
+        for (i, &id) in cached.iter().enumerate() {
+            assert_eq!(pager.read_page(id).unwrap(), page_of(i as u8));
+        }
+        // The data file dies at its next operation and fails every one
+        // after it, reads included.
+        faults.arm_after(1, FaultKind::Crash);
+        for &id in uncached {
+            assert!(pager.read_page(id).is_err(), "page {id} read from a dead data file");
+        }
+        for (i, &id) in cached.iter().enumerate() {
+            assert_eq!(pager.read_page(id).unwrap(), page_of(i as u8), "cached page {id} lost");
+        }
+        assert_eq!(pager.telemetry().cache_evictions, 0, "a failed read evicted a page");
+        faults.heal();
     }
 
     #[test]

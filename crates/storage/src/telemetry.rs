@@ -12,13 +12,14 @@
 /// open. All monotonic; snapshot-copyable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageTelemetry {
-    /// Page reads served from the cache.
+    /// Page reads served from memory: staged, unpropagated or cached
+    /// clean pages.
     pub cache_hits: u64,
     /// Page reads that went to the data backend.
     pub cache_misses: u64,
     /// Clean pages evicted to stay within the cache capacity.
     pub cache_evictions: u64,
-    /// Pages staged for write (dirty insertions into the cache).
+    /// Pages staged for write (insertions into the staged-write map).
     pub page_writes: u64,
     /// Non-empty commits that appended a WAL record.
     pub wal_commits: u64,

@@ -160,7 +160,7 @@ impl<B: Backend> AppState<B> {
     /// it stays degraded the probe answers 503 and bumps
     /// `storage.fault.degraded`. Query, search and catalog routes keep
     /// serving throughout — the engine reads a pinned catalog snapshot
-    /// and the pager pins the committed pages in cache, so degradation
+    /// and the pager keeps the unpropagated pages in memory, so degradation
     /// never takes reads down with it.
     fn health(&self) -> Response {
         let mut db = match self.lock_db() {
@@ -609,7 +609,8 @@ mod tests {
 
         // ...while read routes keep serving. The catalog lists news_1,
         // committed but not yet propagated to the data file, from the
-        // pinned cache; search answers from the engine snapshot.
+        // pager's unpropagated pages; search answers from the engine
+        // snapshot.
         let r = app.handle(&get("/"));
         assert_eq!(r.status, StatusCode::Ok);
         assert!(body_str(&r).contains("news_1"), "{}", body_str(&r));

@@ -10,17 +10,20 @@
 use crate::app::AppState;
 use crate::http::{read_request, Response, StatusCode};
 use cbvr_storage::backend::Backend;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long a handler waits on one read or write of a connection. A
-/// client silent for this long is answered 408 and closed, so it cannot
-/// hold a handler thread (or `Server::stop`) for longer.
+/// How long a handler gives a request to arrive in full (request line,
+/// headers and body), counted from when the handler takes the
+/// connection, and how long it waits on one write. A client that has not
+/// sent its whole request by then is answered 408 and closed, however it
+/// paces its bytes, so it cannot hold a handler thread (or
+/// `Server::stop`) for longer.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server sizing knobs.
@@ -168,17 +171,35 @@ impl Drop for Server {
     }
 }
 
+/// A connection's read half held to one deadline for the whole request:
+/// each read re-arms the socket timeout to the time left, so a client
+/// that drips bytes cannot restart the clock with each one.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 fn serve_connection<B: Backend>(state: Arc<AppState<B>>, stream: TcpStream) {
-    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
-        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
-    {
+    let deadline = Instant::now() + IO_TIMEOUT;
+    if stream.set_write_timeout(Some(IO_TIMEOUT)).is_err() {
         return;
     }
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(DeadlineReader { stream, deadline });
     let response = match read_request(&mut reader) {
         Ok(request) => state.handle(&request),
         Err(e) => Response::text(e.status, e.message),
@@ -432,6 +453,64 @@ mod tests {
             let _ = done.send(());
         });
         stopped.recv_timeout(MARGIN).expect("stop() returned");
+    }
+
+    #[test]
+    fn dripping_client_gets_408_at_the_request_deadline() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Instant;
+        // Bounds how late the 408 may come. A per-read timeout would keep
+        // a one-byte-per-second client alive for as long as it drips.
+        const MARGIN: Duration = Duration::from_secs(3);
+        let state = test_state();
+        let accepted = state.telemetry().counter("web.connections.accepted");
+        let config = ServerConfig { workers: 1, queue_capacity: 8 };
+        let server = Server::start_with(state, "127.0.0.1:0", &config).unwrap();
+        let addr = server.addr();
+
+        // The only handler takes a client that sends one header byte a
+        // second and never finishes its request.
+        let mut drip = TcpStream::connect(addr).unwrap();
+        let mut drip_writer = drip.try_clone().unwrap();
+        let stop_dripping = Arc::new(AtomicBool::new(false));
+        let dripper = {
+            let stop = Arc::clone(&stop_dripping);
+            std::thread::spawn(move || {
+                let head = format!("GET / HTTP/1.1\r\nX-Pad: {}", "p".repeat(1 << 10));
+                for byte in head.bytes() {
+                    if stop.load(Ordering::SeqCst) || drip_writer.write_all(&[byte]).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+            })
+        };
+        let start = Instant::now();
+        while accepted.get() < 1 {
+            assert!(start.elapsed() < MARGIN, "dripping connection never accepted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // A complete request queued behind it.
+        let mut client = TcpStream::connect(addr).unwrap();
+        write!(client, "GET / HTTP/1.1\r\n\r\n").unwrap();
+
+        drip.set_read_timeout(Some(IO_TIMEOUT + MARGIN)).unwrap();
+        let mut out = Vec::new();
+        let _ = drip.read_to_end(&mut out);
+        stop_dripping.store(true, Ordering::SeqCst);
+        assert!(
+            String::from_utf8_lossy(&out).starts_with("HTTP/1.1 408"),
+            "no 408 within the request deadline plus {MARGIN:?}"
+        );
+        assert!(start.elapsed() < IO_TIMEOUT + MARGIN);
+
+        client.set_read_timeout(Some(IO_TIMEOUT + MARGIN)).unwrap();
+        let mut out = Vec::new();
+        client.read_to_end(&mut out).expect("the queued request was never served");
+        assert!(String::from_utf8_lossy(&out).starts_with("HTTP/1.1 200"));
+        dripper.join().unwrap();
+        server.stop();
     }
 
     #[test]
