@@ -232,14 +232,14 @@ fn ingest_video_impl<B: Backend>(
 
     // 5. One atomic batch.
     let _store = registry.span("ingest.store_nanos");
-    let timestamp = config.timestamp;
+    let video_record = VideoRecord {
+        v_name: name.to_string(),
+        video: video_bytes,
+        stream: stream_bytes,
+        dostore: config.timestamp,
+    };
     let report = db.run_batch(|db| {
-        let v_id = db.insert_video(&VideoRecord {
-            v_name: name.to_string(),
-            video: video_bytes.clone(),
-            stream: stream_bytes.clone(),
-            dostore: timestamp,
-        })?;
+        let v_id = db.insert_video(&video_record)?;
         let mut keyframe_ids = Vec::with_capacity(keyframes.len());
         for ((kf, set), range) in keyframes.iter().zip(&features).zip(&ranges) {
             let record = KeyFrameRecord {

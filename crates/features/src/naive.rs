@@ -6,6 +6,14 @@
 //! 5×5 grid of locations, and average a window (`sampleSize = 15`, so
 //! 30×30 pixels) around each.
 //!
+//! The canvas is never built. Nearest-neighbour rescaling maps each canvas
+//! column and row to one source column and row
+//! ([`geom::nearest_source_indices`]), so each window's 900 canvas cells
+//! are source pixels, many of them repeated. [`NaiveSignature::extract`]
+//! reads each distinct source pixel once, weighted by how many canvas
+//! cells show it. The sums are integers, so the signature is the one the
+//! built canvas gives, to the bit.
+//!
 //! The stored string follows Fig. 8 exactly, Java `toString` warts
 //! included: `NaiveVector java.awt.Color[r=0,g=0,b=0] ...`, and
 //! [`NaiveSignature::parse`] reads that format back.
@@ -14,7 +22,7 @@ use crate::error::{FeatureError, Result};
 use cbvr_imgproc::geom;
 use cbvr_imgproc::{Rgb, RgbImage};
 
-/// Canvas side the frame is rescaled to before sampling.
+/// Side of the (virtual) canvas the frame is rescaled to for sampling.
 pub const BASE_SIZE: u32 = 300;
 /// Half-window around each sample point (full window 2×15 = 30 px).
 pub const SAMPLE_SIZE: i64 = 15;
@@ -35,14 +43,35 @@ pub struct NaiveSignature {
 
 impl NaiveSignature {
     /// Extract: rescale to 300×300 with nearest-neighbour interpolation
-    /// (the pseudocode's `InterpolationNearest`) and average around each
-    /// grid point.
+    /// (the pseudocode's `InterpolationNearest`) and average the window
+    /// around each grid point, reading the canvas cells straight from the
+    /// source frame through the rescale's index maps.
     pub fn extract(img: &RgbImage) -> NaiveSignature {
-        let scaled = geom::resize(img, BASE_SIZE, BASE_SIZE).expect("fixed nonzero target");
+        let (w, h) = img.dimensions();
+        let cols = window_spans(&geom::nearest_source_indices(w, BASE_SIZE));
+        let rows = window_spans(&geom::nearest_source_indices(h, BASE_SIZE));
+        let raw = img.as_raw();
+        let stride = w as usize * 3;
+        let n = (2 * SAMPLE_SIZE * 2 * SAMPLE_SIZE) as u64;
         let mut signature = Vec::with_capacity(GRID * GRID);
-        for gy in 0..GRID {
-            for gx in 0..GRID {
-                signature.push(average_around(&scaled, grid_position(gx), grid_position(gy)));
+        for row_span in &rows {
+            for col_span in &cols {
+                let mut acc = [0u64; 3];
+                for &(sy, row_cells) in row_span {
+                    let line = &raw[sy as usize * stride..][..stride];
+                    let mut line_acc = [0u64; 3];
+                    for &(sx, cells) in col_span {
+                        let p = &line[sx as usize * 3..][..3];
+                        for (a, &v) in line_acc.iter_mut().zip(p) {
+                            *a += cells * v as u64;
+                        }
+                    }
+                    for (a, l) in acc.iter_mut().zip(line_acc) {
+                        *a += row_cells * l;
+                    }
+                }
+                let [r, g, b] = acc.map(|a| (a / n) as u8);
+                signature.push(Rgb::new(r, g, b));
             }
         }
         NaiveSignature { signature }
@@ -107,23 +136,25 @@ impl NaiveSignature {
     }
 }
 
-/// Average colors in the `±SAMPLE_SIZE` window around the normalised
-/// position `(px, py)` on the scaled canvas, clamping at borders.
-fn average_around(img: &RgbImage, px: f64, py: f64) -> Rgb {
-    let cx = (px * BASE_SIZE as f64) as i64;
-    let cy = (py * BASE_SIZE as f64) as i64;
-    let mut acc = [0u64; 3];
-    let mut n = 0u64;
-    for y in (cy - SAMPLE_SIZE)..(cy + SAMPLE_SIZE) {
-        for x in (cx - SAMPLE_SIZE)..(cx + SAMPLE_SIZE) {
-            let p = img.get_clamped(x, y);
-            acc[0] += p.r as u64;
-            acc[1] += p.g as u64;
-            acc[2] += p.b as u64;
-            n += 1;
-        }
-    }
-    Rgb::new((acc[0] / n) as u8, (acc[1] / n) as u8, (acc[2] / n) as u8)
+/// For each grid position along one axis, the canvas cells of its
+/// `±SAMPLE_SIZE` window, clamped to the canvas, mapped to source indices
+/// through `map` and merged into `(source index, cells)` runs of equal
+/// indices.
+fn window_spans(map: &[u32]) -> Vec<Vec<(u32, u64)>> {
+    (0..GRID)
+        .map(|i| {
+            let c = (grid_position(i) * BASE_SIZE as f64) as i64;
+            let mut runs: Vec<(u32, u64)> = Vec::new();
+            for t in (c - SAMPLE_SIZE)..(c + SAMPLE_SIZE) {
+                let s = map[t.clamp(0, BASE_SIZE as i64 - 1) as usize];
+                match runs.last_mut() {
+                    Some((last, cells)) if *last == s => *cells += 1,
+                    _ => runs.push((s, 1)),
+                }
+            }
+            runs
+        })
+        .collect()
 }
 
 /// Parse one `java.awt.Color[r=R,g=G,b=B]` token.

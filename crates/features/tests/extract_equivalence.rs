@@ -1,22 +1,30 @@
-//! Bit-identity pin for the Tamura, autocorrelogram and region-growing
-//! (morphology) extractors.
+//! Bit-identity pin for the Tamura, autocorrelogram, region-growing
+//! (morphology) and naive-signature extractors.
 //!
 //! Each oracle is the straightforward per-pixel form of its extractor:
 //! Tamura evaluates every clamped window mean through the integral image
 //! at every pixel and sums votes and sizes in `f64`; the correlogram walks
 //! every chessboard ring around every pixel, bounds-checking each
 //! neighbour; morphology applies an offset list built from the paper's
-//! 5×5 mask, reading outside the raster as background. The production
+//! 5×5 mask, reading outside the raster as background; the naive
+//! signature builds the 300×300 nearest-neighbour canvas pixel by pixel
+//! (the formula written out, so a slip in the shared index map
+//! `geom::resize` and the extractor both read cannot hide) and averages
+//! the clamped window around each grid point on it. The production
 //! extractors must match them to the last bit (`f64::to_bits`) on every
-//! value. The oracles exist only here.
+//! value, and the naive signature color for color, as must the key frames
+//! §4.1 picks with it. The oracles exist only here.
 
 use cbvr_features::correlogram::{self, quantize_hsv, AutoColorCorrelogram};
+use cbvr_features::naive::{self, NaiveSignature};
 use cbvr_features::region::{RegionConfig, RegionGrowing};
 use cbvr_features::tamura::{self, TamuraTexture};
 use cbvr_imgproc::threshold::binarize_fuzzy;
-use cbvr_imgproc::{morph, rgb_to_hsv, Gray, GrayImage, RgbImage};
+use cbvr_imgproc::{geom, morph, rgb_to_hsv, Gray, GrayImage, Rgb, RgbImage};
+use cbvr_keyframe::{extract_keyframes, KeyframeConfig};
 use cbvr_video::{Category, GeneratorConfig, VideoGenerator};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 mod oracle {
     use super::*;
@@ -255,6 +263,77 @@ mod oracle {
         let binary = morphology_chain(&binarize_fuzzy(&img.to_gray()));
         RegionGrowing::label(&binary, RegionConfig::default())
     }
+
+    /// The 300×300 canvas: each pixel reads the source pixel under its
+    /// centre, `((c + 0.5) · src/300) as u32`, clamped to the raster.
+    pub fn canvas(img: &RgbImage) -> RgbImage {
+        let side = naive::BASE_SIZE;
+        let (w, h) = img.dimensions();
+        let (sx, sy) = (w as f64 / side as f64, h as f64 / side as f64);
+        RgbImage::from_fn(side, side, |x, y| {
+            let src_x = ((x as f64 + 0.5) * sx) as u32;
+            let src_y = ((y as f64 + 0.5) * sy) as u32;
+            img.get(src_x.min(w - 1), src_y.min(h - 1))
+        })
+        .expect("fixed nonzero size")
+    }
+
+    /// Build the canvas, then average the clamped `±SAMPLE_SIZE` window
+    /// around each grid point, row-major.
+    pub fn naive(img: &RgbImage) -> Vec<Rgb> {
+        let side = naive::BASE_SIZE;
+        let canvas = canvas(img);
+        let mut colors = Vec::with_capacity(naive::GRID * naive::GRID);
+        for gy in 0..naive::GRID {
+            for gx in 0..naive::GRID {
+                let cx = ((0.1 + 0.2 * gx as f64) * side as f64) as i64;
+                let cy = ((0.1 + 0.2 * gy as f64) * side as f64) as i64;
+                let mut acc = [0u64; 3];
+                let mut n = 0u64;
+                for y in (cy - naive::SAMPLE_SIZE)..(cy + naive::SAMPLE_SIZE) {
+                    for x in (cx - naive::SAMPLE_SIZE)..(cx + naive::SAMPLE_SIZE) {
+                        let p = canvas.get_clamped(x, y);
+                        acc[0] += p.r as u64;
+                        acc[1] += p.g as u64;
+                        acc[2] += p.b as u64;
+                        n += 1;
+                    }
+                }
+                colors.push(Rgb::new((acc[0] / n) as u8, (acc[1] / n) as u8, (acc[2] / n) as u8));
+            }
+        }
+        colors
+    }
+
+    /// §4.1 runs over the oracle signatures: a run grows while the summed
+    /// per-point RGB distance to its first frame stays within `threshold`.
+    pub fn keyframe_indices(frames: &[RgbImage], threshold: f64) -> Vec<usize> {
+        let signatures: Vec<Vec<Rgb>> = frames.iter().map(naive).collect();
+        let distance = |a: &[Rgb], b: &[Rgb]| -> f64 {
+            a.iter()
+                .zip(b)
+                .map(|(p, q)| {
+                    let dr = p.r as f64 - q.r as f64;
+                    let dg = p.g as f64 - q.g as f64;
+                    let db = p.b as f64 - q.b as f64;
+                    (dr * dr + dg * dg + db * db).sqrt()
+                })
+                .sum()
+        };
+        let mut indices = Vec::new();
+        let mut start = 0;
+        while start < frames.len() {
+            indices.push(start);
+            let mut end = start + 1;
+            while end < frames.len()
+                && distance(&signatures[start], &signatures[end]) <= threshold
+            {
+                end += 1;
+            }
+            start = end;
+        }
+        indices
+    }
 }
 
 /// Every value must match the oracle bit for bit; report the first miss.
@@ -311,8 +390,46 @@ fn arb_rgb() -> impl Strategy<Value = RgbImage> {
     })
 }
 
+/// The signature matches the oracle's, and `geom::resize` builds the
+/// oracle's canvas.
+fn assert_naive_matches(img: &RgbImage, what: &str) {
+    let side = naive::BASE_SIZE;
+    assert!(
+        geom::resize(img, side, side).expect("fixed nonzero target") == oracle::canvas(img),
+        "{what}: geom::resize canvas"
+    );
+    assert_eq!(
+        NaiveSignature::extract(img).colors(),
+        &oracle::naive(img)[..],
+        "{what}: naive signature"
+    );
+}
+
+/// Noise rasters from a seed, each side in 1..=640, with the canvas size
+/// itself (the identity map) and one-pixel strips forced in.
+fn arb_naive_raster() -> impl Strategy<Value = RgbImage> {
+    let side = 1u32..=640;
+    let dims = prop_oneof![
+        4 => (side.clone(), side.clone()),
+        1 => Just((naive::BASE_SIZE, naive::BASE_SIZE)),
+        1 => (Just(1u32), side.clone()),
+        1 => (side, Just(1u32)),
+    ];
+    (dims, any::<u64>()).prop_map(|((w, h), seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..w * h * 3).map(|_| rng.gen()).collect();
+        RgbImage::from_raw(w, h, data).expect("exact length")
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn naive_signature_matches_canvas_oracle(img in arb_naive_raster()) {
+        let (w, h) = img.dimensions();
+        assert_naive_matches(&img, &format!("{w}x{h} raster"));
+    }
 
     #[test]
     fn extractors_match_per_pixel_oracles(img in arb_rgb()) {
@@ -372,6 +489,57 @@ fn generated_frames_match_per_pixel_oracles() {
         for index in [0, last / 2, last] {
             let frame = video.frame(index).expect("frame in range");
             assert_extractors_match(frame, &format!("{category:?} frame {index}"));
+        }
+    }
+}
+
+#[test]
+fn naive_edge_shapes_match_canvas_oracle() {
+    // Exact divisors and multiples of the canvas side, one pixel either
+    // side of it, strips, and the largest side the proptest draws.
+    for (w, h) in [
+        (1, 1),
+        (1, 640),
+        (640, 1),
+        (7, 500),
+        (150, 150),
+        (299, 301),
+        (300, 300),
+        (600, 600),
+        (160, 120),
+        (640, 480),
+    ] {
+        let img = RgbImage::from_fn(w, h, |x, y| {
+            let v = ((x * 37 + y * 91 + x * y) % 256) as u8;
+            Rgb::new(v, v / 2 + (x % 2) as u8 * 100, 255 - v)
+        })
+        .expect("nonzero size");
+        assert_naive_matches(&img, &format!("{w}x{h} raster"));
+    }
+}
+
+#[test]
+fn generated_clips_match_canvas_oracle_frame_for_frame() {
+    let generator = VideoGenerator::new(GeneratorConfig {
+        width: 160,
+        height: 120,
+        ..GeneratorConfig::default()
+    })
+    .expect("valid config");
+    let config = KeyframeConfig::default();
+    for category in Category::ALL {
+        for seed in [11, 12] {
+            let video = generator.generate(category, seed).expect("generation");
+            for (index, frame) in video.frames().iter().enumerate() {
+                assert_naive_matches(frame, &format!("{category:?} seed {seed} frame {index}"));
+            }
+            let keyframes = extract_keyframes(&video, &config);
+            let got: Vec<usize> = keyframes.iter().map(|k| k.index).collect();
+            assert_eq!(
+                got,
+                oracle::keyframe_indices(video.frames(), config.threshold),
+                "{category:?} seed {seed}: key-frame indices"
+            );
         }
     }
 }

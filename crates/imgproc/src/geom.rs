@@ -1,15 +1,32 @@
 //! Geometric transforms: rescale and crop.
 //!
-//! The key-frame extractor (§4.1) and the naive signature (§4.6) rescale
-//! frames to a fixed 300×300 raster using JAI's `InterpolationNearest`;
-//! [`resize`] reproduces that.
+//! The naive signature (§4.6), and through it the key-frame extractor
+//! (§4.1), samples frames on a fixed 300×300 raster rescaled with JAI's
+//! `InterpolationNearest`. [`resize`] reproduces that rescale, and
+//! [`nearest_source_indices`] gives its per-axis index map, so a caller
+//! can read the rescaled raster's pixels without building it.
 
 use crate::error::{ImgError, Result};
 use crate::image::Image;
 use crate::pixel::Pixel;
 
+/// Map each of `dst` destination columns (or rows) to the source column
+/// (or row) nearest-neighbour rescaling reads for it: the one under the
+/// destination pixel's centre, `((c + 0.5) · src/dst) as u32`, clamped to
+/// `src − 1`. Equal sizes give the identity map. [`resize`] samples
+/// through this map.
+///
+/// # Panics
+/// Panics when `src` is zero (no raster has a zero side).
+pub fn nearest_source_indices(src: u32, dst: u32) -> Vec<u32> {
+    assert!(src > 0, "nearest_source_indices: empty source axis");
+    let scale = src as f64 / dst as f64;
+    (0..dst).map(|c| (((c as f64 + 0.5) * scale) as u32).min(src - 1)).collect()
+}
+
 /// Resize `img` to `new_w × new_h` by nearest-neighbour sampling (the
-/// paper's `InterpolationNearest`), sampling each output pixel's centre.
+/// paper's `InterpolationNearest`), sampling each output pixel's centre
+/// (see [`nearest_source_indices`]).
 ///
 /// # Errors
 /// Returns [`ImgError::Dimensions`] when a target side is zero.
@@ -21,13 +38,9 @@ pub fn resize<P: Pixel>(img: &Image<P>, new_w: u32, new_h: u32) -> Result<Image<
         return Ok(img.clone());
     }
     let (w, h) = img.dimensions();
-    let sx = w as f64 / new_w as f64;
-    let sy = h as f64 / new_h as f64;
-    Image::from_fn(new_w, new_h, |x, y| {
-        let src_x = ((x as f64 + 0.5) * sx) as u32;
-        let src_y = ((y as f64 + 0.5) * sy) as u32;
-        img.get(src_x.min(w - 1), src_y.min(h - 1))
-    })
+    let xs = nearest_source_indices(w, new_w);
+    let ys = nearest_source_indices(h, new_h);
+    Image::from_fn(new_w, new_h, |x, y| img.get(xs[x as usize], ys[y as usize]))
 }
 
 /// Extract the `w × h` rectangle whose top-left corner is `(x, y)`.
@@ -78,6 +91,20 @@ mod tests {
         assert_eq!(out.dimensions(), (2, 2));
         // Centre-of-cell sampling picks pixel (1,1) for output (0,0).
         assert_eq!(out.get(0, 0), Gray(50));
+    }
+
+    #[test]
+    fn index_map_is_identity_at_equal_sizes_and_stays_in_range() {
+        for n in [1u32, 2, 7, 300, 641] {
+            assert_eq!(nearest_source_indices(n, n), (0..n).collect::<Vec<_>>());
+        }
+        // 300 → 7: centres 21.4, 64.3, ... ; 7 → 300 repeats each source
+        // column 42 or 43 times, never past the last.
+        assert_eq!(nearest_source_indices(300, 7), vec![21, 64, 107, 150, 192, 235, 278]);
+        let up = nearest_source_indices(7, 300);
+        assert_eq!((up[0], up[42], up[43], up[299]), (0, 0, 1, 6));
+        assert!(up.windows(2).all(|p| p[0] <= p[1]));
+        assert!(nearest_source_indices(1, 300).iter().all(|&i| i == 0));
     }
 
     #[test]

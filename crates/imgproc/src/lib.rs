@@ -13,8 +13,9 @@
 //!   on the compression format, only on decoded pixels);
 //! - [`color`] — RGB ↔ HSV conversion and the paper's exact luma weights
 //!   `{0.114, 0.587, 0.299}` (the JAI band-combine matrix in §4.3 / §4.8);
-//! - [`geom`] — nearest-neighbour rescaling and crop (the key-frame
-//!   extractor rescales with `InterpolationNearest`);
+//! - [`geom`] — nearest-neighbour rescaling (`InterpolationNearest`) and
+//!   its per-axis index map, through which the naive signature samples
+//!   its canvas, and crop;
 //! - [`morph`] — binary dilation and erosion with the paper's 5×5
 //!   structuring element, a 3×3 box (§4.8 step 4);
 //! - [`threshold`] — fuzzy-minimum binarisation

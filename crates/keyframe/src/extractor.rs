@@ -57,7 +57,10 @@ pub fn extract_keyframes(video: &Video, config: &KeyframeConfig) -> Vec<Keyframe
 /// stays within `threshold` collapse to their first frame ("take 1st as
 /// key-frame"); the first frame beyond the threshold starts the next run.
 /// An empty input yields no key frames.
-pub fn extract_keyframes_from_frames(frames: &[RgbImage], config: &KeyframeConfig) -> Vec<Keyframe> {
+pub fn extract_keyframes_from_frames(
+    frames: &[RgbImage],
+    config: &KeyframeConfig,
+) -> Vec<Keyframe> {
     if frames.is_empty() {
         return Vec::new();
     }
@@ -76,7 +79,10 @@ pub fn extract_keyframes_from_frames(frames: &[RgbImage], config: &KeyframeConfi
         {
             run_end += 1;
         }
-        keyframes.push(Keyframe { index: run_start, frame: frames[run_start].clone() });
+        keyframes.push(Keyframe {
+            index: run_start,
+            frame: frames[run_start].clone(),
+        });
         run_start = run_end;
     }
     keyframes
@@ -134,7 +140,9 @@ mod tests {
     #[test]
     fn huge_threshold_keeps_only_first() {
         let frames: Vec<RgbImage> = (0..6).map(|i| flat(i * 40)).collect();
-        let config = KeyframeConfig { threshold: f64::INFINITY };
+        let config = KeyframeConfig {
+            threshold: f64::INFINITY,
+        };
         let kfs = extract_keyframes_from_frames(&frames, &config);
         assert_eq!(kfs.len(), 1);
     }

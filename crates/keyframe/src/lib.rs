@@ -6,16 +6,17 @@
 //! Start with next frame which is outside threshold & repeat."
 //!
 //! The distance the paper thresholds (`dist > 800.0`) is the raw
-//! superficial-signature distance between the two frames after rescaling
-//! to the 300×300 canvas: the sum, over the 25 sample points, of the
-//! Euclidean RGB distance between mean colors. [`signature_distance`]
-//! computes exactly that, and the default [`KeyframeConfig::threshold`]
-//! is the paper's 800.0.
+//! superficial-signature distance between the two frames on the 300×300
+//! canvas: the sum, over the 25 sample points, of the Euclidean RGB
+//! distance between mean colors. [`signature_distance`] computes exactly
+//! that, and the default [`KeyframeConfig::threshold`] is the paper's
+//! 800.0. The signatures come from `NaiveSignature::extract`, which reads
+//! the canvas cells straight from each frame through the rescale's index
+//! maps instead of building the canvas.
 #![warn(missing_docs)]
 
 mod extractor;
 
 pub use extractor::{
-    extract_keyframes, extract_keyframes_from_frames, signature_distance, Keyframe,
-    KeyframeConfig,
+    extract_keyframes, extract_keyframes_from_frames, signature_distance, Keyframe, KeyframeConfig,
 };
