@@ -180,7 +180,10 @@ impl AutoColorCorrelogram {
         let values: std::result::Result<Vec<f64>, _> = t.map(str::parse).collect();
         let values = values.map_err(|e| FeatureError::Parse(format!("bad value: {e}")))?;
         if values.len() != DIM {
-            return Err(FeatureError::Parse(format!("expected {DIM} values, got {}", values.len())));
+            return Err(FeatureError::Parse(format!(
+                "expected {DIM} values, got {}",
+                values.len()
+            )));
         }
         Ok(AutoColorCorrelogram { values })
     }
@@ -277,11 +280,19 @@ mod tests {
         // Same 50/50 color mass, different spatial structure: big blocks
         // stay self-correlated at all distances, thin stripes do not.
         let blocks = RgbImage::from_fn(32, 32, |x, _| {
-            if x < 16 { Rgb::new(255, 0, 0) } else { Rgb::new(0, 0, 255) }
+            if x < 16 {
+                Rgb::new(255, 0, 0)
+            } else {
+                Rgb::new(0, 0, 255)
+            }
         })
         .unwrap();
         let stripes = RgbImage::from_fn(32, 32, |x, _| {
-            if x % 2 == 0 { Rgb::new(255, 0, 0) } else { Rgb::new(0, 0, 255) }
+            if x % 2 == 0 {
+                Rgb::new(255, 0, 0)
+            } else {
+                Rgb::new(0, 0, 255)
+            }
         })
         .unwrap();
         let ab = AutoColorCorrelogram::extract(&blocks);
@@ -291,8 +302,10 @@ mod tests {
 
     #[test]
     fn distance_properties() {
-        let a = AutoColorCorrelogram::extract(&RgbImage::filled(8, 8, Rgb::new(10, 200, 10)).unwrap());
-        let b = AutoColorCorrelogram::extract(&RgbImage::filled(8, 8, Rgb::new(200, 10, 10)).unwrap());
+        let a =
+            AutoColorCorrelogram::extract(&RgbImage::filled(8, 8, Rgb::new(10, 200, 10)).unwrap());
+        let b =
+            AutoColorCorrelogram::extract(&RgbImage::filled(8, 8, Rgb::new(200, 10, 10)).unwrap());
         assert_eq!(a.distance(&a), 0.0);
         assert!(a.distance(&b) > 0.0);
         assert!((a.distance(&b) - b.distance(&a)).abs() < 1e-12);
@@ -301,7 +314,8 @@ mod tests {
 
     #[test]
     fn feature_string_round_trip() {
-        let img = RgbImage::from_fn(12, 12, |x, y| Rgb::new((x * 20) as u8, (y * 20) as u8, 128)).unwrap();
+        let img = RgbImage::from_fn(12, 12, |x, y| Rgb::new((x * 20) as u8, (y * 20) as u8, 128))
+            .unwrap();
         let acc = AutoColorCorrelogram::extract(&img);
         let s = acc.to_feature_string();
         assert!(s.starts_with("ACC 4 "));

@@ -141,8 +141,10 @@ mod tests {
     use cbvr_imgproc::{Rgb, RgbImage};
 
     fn sample() -> RgbImage {
-        RgbImage::from_fn(32, 32, |x, y| Rgb::new((x * 8) as u8, (y * 8) as u8, ((x + y) * 4) as u8))
-            .unwrap()
+        RgbImage::from_fn(32, 32, |x, y| {
+            Rgb::new((x * 8) as u8, (y * 8) as u8, ((x + y) * 4) as u8)
+        })
+        .unwrap()
     }
 
     #[test]

@@ -22,7 +22,11 @@ pub fn l1(a: &[f64], b: &[f64]) -> f64 {
 /// L2 (Euclidean) distance.
 pub fn l2(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// Jensen–Shannon divergence between two histograms (normalised
@@ -32,7 +36,11 @@ pub fn jensen_shannon(a: &[f64], b: &[f64]) -> f64 {
     let sa: f64 = a.iter().sum();
     let sb: f64 = b.iter().sum();
     if sa <= 0.0 || sb <= 0.0 {
-        return if sa == sb { 0.0 } else { std::f64::consts::LN_2 };
+        return if sa == sb {
+            0.0
+        } else {
+            std::f64::consts::LN_2
+        };
     }
     let mut acc = 0.0;
     for (&x, &y) in a.iter().zip(b) {
@@ -68,11 +76,17 @@ pub struct BoundedDistance {
 
 impl BoundedDistance {
     fn done(distance: f64, elements: usize) -> Self {
-        Self { distance: Some(distance), elements: elements as u32 }
+        Self {
+            distance: Some(distance),
+            elements: elements as u32,
+        }
     }
 
     fn abandoned(elements: usize) -> Self {
-        Self { distance: None, elements: elements as u32 }
+        Self {
+            distance: None,
+            elements: elements as u32,
+        }
     }
 }
 
@@ -171,7 +185,11 @@ pub fn jensen_shannon_f32(
 ) -> BoundedDistance {
     debug_assert_eq!(a.len(), b.len());
     if mass_a <= 0.0 || mass_b <= 0.0 {
-        let d = if mass_a == mass_b { 0.0 } else { std::f64::consts::LN_2 };
+        let d = if mass_a == mass_b {
+            0.0
+        } else {
+            std::f64::consts::LN_2
+        };
         if d > cutoff {
             return BoundedDistance::abandoned(0);
         }
@@ -279,7 +297,10 @@ pub const BOUND_MAX_LEN: usize = 256;
 #[inline(always)]
 fn lane_sum(a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    assert!(a.len() <= BOUND_MAX_LEN, "bound kernels are certified up to {BOUND_MAX_LEN}");
+    assert!(
+        a.len() <= BOUND_MAX_LEN,
+        "bound kernels are certified up to {BOUND_MAX_LEN}"
+    );
     let (ca, ra) = a.as_chunks::<BOUND_LANES>();
     let (cb, rb) = b.as_chunks::<BOUND_LANES>();
     let mut acc = [0.0f32; BOUND_LANES];
@@ -332,7 +353,10 @@ const ROOT_UNDERFLOW: f64 = 1.0 / (1u128 << 67) as f64;
 pub fn naive_rgb_lower_f32(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     debug_assert_eq!(a.len() % 3, 0);
-    assert!(a.len() <= BOUND_MAX_LEN, "bound kernels are certified up to {BOUND_MAX_LEN}");
+    assert!(
+        a.len() <= BOUND_MAX_LEN,
+        "bound kernels are certified up to {BOUND_MAX_LEN}"
+    );
     let points = a.len() / 3;
     if points == 0 {
         return 0.0;
@@ -375,7 +399,10 @@ pub fn jensen_shannon_lower_f32(a: &[f32], b: &[f32], mass_a: f64, mass_b: f64) 
     if !(ra.is_normal() && rb.is_normal()) {
         return 0.0;
     }
-    let l1 = deflate(lane_sum(a, b, |x, y| (x * ra - y * rb).abs()), L1_CANCELLATION);
+    let l1 = deflate(
+        lane_sum(a, b, |x, y| (x * ra - y * rb).abs()),
+        L1_CANCELLATION,
+    );
     l1 * l1 / 8.0
 }
 
@@ -464,7 +491,10 @@ mod tests {
         let b: Vec<f64> = (0..64).map(|i| (63 - i) as f64).collect();
         let r = scaled_l1_f32(&to_f32(&a), &to_f32(&b), 64.0, f64::INFINITY);
         assert_eq!(r.distance, Some(l1(&a, &b) / 64.0));
-        assert_eq!(scaled_l1_f32(&to_f32(&a), &to_f32(&b), 64.0, 0.0).distance, None);
+        assert_eq!(
+            scaled_l1_f32(&to_f32(&a), &to_f32(&b), 64.0, 0.0).distance,
+            None
+        );
     }
 
     #[test]
@@ -483,8 +513,12 @@ mod tests {
     #[test]
     fn bounded_naive_matches_pointwise_mean() {
         // 4 points, flat RGB slab.
-        let a: Vec<f32> = vec![0.0, 0.0, 0.0, 255.0, 0.0, 0.0, 10.0, 20.0, 30.0, 1.0, 1.0, 1.0];
-        let b: Vec<f32> = vec![0.0, 0.0, 0.0, 0.0, 255.0, 0.0, 10.0, 20.0, 30.0, 2.0, 2.0, 2.0];
+        let a: Vec<f32> = vec![
+            0.0, 0.0, 0.0, 255.0, 0.0, 0.0, 10.0, 20.0, 30.0, 1.0, 1.0, 1.0,
+        ];
+        let b: Vec<f32> = vec![
+            0.0, 0.0, 0.0, 0.0, 255.0, 0.0, 10.0, 20.0, 30.0, 2.0, 2.0, 2.0,
+        ];
         let r = naive_rgb_f32(&a, &b, f64::INFINITY);
         let mut expect = 0.0f64;
         for i in 0..4 {

@@ -45,6 +45,8 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(FeatureError::Parse("bad token".into()).to_string().contains("bad token"));
+        assert!(FeatureError::Parse("bad token".into())
+            .to_string()
+            .contains("bad token"));
     }
 }

@@ -150,8 +150,8 @@ mod tests {
         let set = FeatureSet::extract(&sample(3));
         let strings = set.to_feature_strings();
         assert_eq!(strings.len(), 7);
-        let back =
-            FeatureSet::from_feature_strings(strings.iter().map(|(k, s)| (*k, s.as_str()))).unwrap();
+        let back = FeatureSet::from_feature_strings(strings.iter().map(|(k, s)| (*k, s.as_str())))
+            .unwrap();
         for k in FeatureKind::ALL {
             assert!(set.distance(&back, k) < 1e-9, "{k}");
         }

@@ -178,7 +178,11 @@ impl GaborKernel {
         }
         debug_assert_eq!(magnitudes.len(), n);
         let mean = magnitudes.iter().sum::<f64>() / n as f64;
-        let var = magnitudes.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / n as f64;
+        let var = magnitudes
+            .iter()
+            .map(|m| (m - mean) * (m - mean))
+            .sum::<f64>()
+            / n as f64;
         (mean, var.sqrt())
     }
 }
@@ -367,7 +371,9 @@ impl GaborTexture {
             .parse()
             .map_err(|e| FeatureError::Parse(format!("bad dimension: {e}")))?;
         if dim != DIM {
-            return Err(FeatureError::Parse(format!("expected dim {DIM}, got {dim}")));
+            return Err(FeatureError::Parse(format!(
+                "expected dim {DIM}, got {dim}"
+            )));
         }
         let features: std::result::Result<Vec<f64>, _> = t.map(str::parse).collect();
         let features = features.map_err(|e| FeatureError::Parse(format!("bad value: {e}")))?;
@@ -463,7 +469,11 @@ mod tests {
         // A 200×200 version of the same pattern lands near the 64×64 one.
         let small = GaborTexture::extract(&stripes(4, true));
         let big = RgbImage::from_fn(200, 200, |x, _| {
-            if (x * 32 / 200 / 4) % 2 == 0 { Rgb::new(0, 0, 0) } else { Rgb::new(255, 255, 255) }
+            if (x * 32 / 200 / 4) % 2 == 0 {
+                Rgb::new(0, 0, 0)
+            } else {
+                Rgb::new(255, 255, 255)
+            }
         })
         .unwrap();
         let gb = GaborTexture::extract(&big);

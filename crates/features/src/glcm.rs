@@ -130,7 +130,14 @@ impl GlcmTexture {
         let denom = (var_x * var_y).sqrt();
         let correlation = if denom > 0.0 { corr_num / denom } else { 0.0 };
 
-        GlcmTexture { pixel_counter, asm, contrast, correlation, idm, entropy }
+        GlcmTexture {
+            pixel_counter,
+            asm,
+            contrast,
+            correlation,
+            idm,
+            entropy,
+        }
     }
 
     /// Scale-free statistics vector used for distances: each component is
@@ -209,7 +216,10 @@ mod tests {
     fn checkerboard_has_max_contrast_pairs() {
         // Alternating 0/255 columns: every horizontal pair is (0,255) or
         // (255,0), so contrast = 255².
-        let t = GlcmTexture::extract_gray_with_step(&gray(8, 8, |x, _| if x % 2 == 0 { 0 } else { 255 }), 1);
+        let t = GlcmTexture::extract_gray_with_step(
+            &gray(8, 8, |x, _| if x % 2 == 0 { 0 } else { 255 }),
+            1,
+        );
         assert!((t.contrast - 255.0 * 255.0).abs() < 1e-6);
         // Perfectly anti-correlated.
         assert!(t.correlation < -0.99, "correlation {}", t.correlation);
@@ -226,7 +236,9 @@ mod tests {
     #[test]
     fn entropy_orders_random_above_structured() {
         let noisy = gray(32, 32, |x, y| {
-            (x.wrapping_mul(2654435761).wrapping_add(y.wrapping_mul(40503)) >> 8) as u8
+            (x.wrapping_mul(2654435761)
+                .wrapping_add(y.wrapping_mul(40503))
+                >> 8) as u8
         });
         let flat = gray(32, 32, |_, _| 100);
         let tn = GlcmTexture::extract_gray_with_step(&noisy, 1);
@@ -254,7 +266,8 @@ mod tests {
 
     #[test]
     fn feature_string_round_trip() {
-        let img = RgbImage::from_fn(16, 16, |x, y| Rgb::new((x * y) as u8, x as u8, y as u8)).unwrap();
+        let img =
+            RgbImage::from_fn(16, 16, |x, y| Rgb::new((x * y) as u8, x as u8, y as u8)).unwrap();
         let t = GlcmTexture::extract(&img);
         let s = t.to_feature_string();
         let back = GlcmTexture::parse(&s).unwrap();
@@ -273,6 +286,9 @@ mod tests {
         let img = gray(32, 8, |x, _| ((x / 2) * 16) as u8);
         let t1 = GlcmTexture::extract_gray_with_step(&img, 1);
         let t4 = GlcmTexture::extract_gray_with_step(&img, 4);
-        assert!(t4.contrast > t1.contrast, "larger step spans bigger intensity jumps");
+        assert!(
+            t4.contrast > t1.contrast,
+            "larger step spans bigger intensity jumps"
+        );
     }
 }

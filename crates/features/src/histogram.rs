@@ -114,7 +114,10 @@ mod tests {
 
     #[test]
     fn nearby_colors_share_a_bin() {
-        assert_eq!(quantize_rgb_332(Rgb::new(100, 100, 100)), quantize_rgb_332(Rgb::new(101, 99, 110)));
+        assert_eq!(
+            quantize_rgb_332(Rgb::new(100, 100, 100)),
+            quantize_rgb_332(Rgb::new(101, 99, 110))
+        );
     }
 
     #[test]
@@ -143,7 +146,8 @@ mod tests {
 
     #[test]
     fn feature_string_round_trip() {
-        let img = RgbImage::from_fn(16, 16, |x, y| Rgb::new((x * 16) as u8, (y * 16) as u8, 77)).unwrap();
+        let img =
+            RgbImage::from_fn(16, 16, |x, y| Rgb::new((x * 16) as u8, (y * 16) as u8, 77)).unwrap();
         let h = ColorHistogram::extract(&img);
         let s = h.to_feature_string();
         assert!(s.starts_with("RGB 256 "));

@@ -32,7 +32,6 @@
 //! [`descriptor::DescriptorRef`] borrows one of them by kind.
 #![warn(missing_docs)]
 
-
 pub mod correlogram;
 pub mod descriptor;
 pub mod distance;

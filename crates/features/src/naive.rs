@@ -204,7 +204,11 @@ mod tests {
     fn signature_reflects_spatial_layout() {
         // Left half red, right half blue → left grid columns red-ish.
         let img = RgbImage::from_fn(100, 100, |x, _| {
-            if x < 50 { Rgb::new(250, 0, 0) } else { Rgb::new(0, 0, 250) }
+            if x < 50 {
+                Rgb::new(250, 0, 0)
+            } else {
+                Rgb::new(0, 0, 250)
+            }
         })
         .unwrap();
         let sig = NaiveSignature::extract(&img);
@@ -218,7 +222,11 @@ mod tests {
         // signatures (that is the point of rescaling to a fixed canvas).
         let paint = |w: u32, h: u32| {
             RgbImage::from_fn(w, h, |x, _| {
-                if x < w / 2 { Rgb::new(200, 40, 40) } else { Rgb::new(40, 40, 200) }
+                if x < w / 2 {
+                    Rgb::new(200, 40, 40)
+                } else {
+                    Rgb::new(40, 40, 200)
+                }
             })
             .unwrap()
         };
@@ -239,7 +247,8 @@ mod tests {
 
     #[test]
     fn feature_string_round_trip() {
-        let img = RgbImage::from_fn(50, 50, |x, y| Rgb::new((x * 5) as u8, (y * 5) as u8, 99)).unwrap();
+        let img =
+            RgbImage::from_fn(50, 50, |x, y| Rgb::new((x * 5) as u8, (y * 5) as u8, 99)).unwrap();
         let sig = NaiveSignature::extract(&img);
         let s = sig.to_feature_string();
         assert!(s.starts_with("NaiveVector java.awt.Color[r="));
@@ -254,16 +263,25 @@ mod tests {
         let one = "NaiveVector java.awt.Color[r=0,g=0,b=0]";
         assert!(NaiveSignature::parse(one).is_err());
         // Bad channel value.
-        let bad = format!("NaiveVector {}", vec!["java.awt.Color[r=300,g=0,b=0]"; 25].join(" "));
+        let bad = format!(
+            "NaiveVector {}",
+            vec!["java.awt.Color[r=300,g=0,b=0]"; 25].join(" ")
+        );
         assert!(NaiveSignature::parse(&bad).is_err());
         // Missing channel.
-        let missing = format!("NaiveVector {}", vec!["java.awt.Color[r=0,g=0]"; 25].join(" "));
+        let missing = format!(
+            "NaiveVector {}",
+            vec!["java.awt.Color[r=0,g=0]"; 25].join(" ")
+        );
         assert!(NaiveSignature::parse(&missing).is_err());
     }
 
     #[test]
     fn awt_color_token_parsing() {
-        assert_eq!(parse_awt_color("java.awt.Color[r=1,g=2,b=3]").unwrap(), Rgb::new(1, 2, 3));
+        assert_eq!(
+            parse_awt_color("java.awt.Color[r=1,g=2,b=3]").unwrap(),
+            Rgb::new(1, 2, 3)
+        );
         assert!(parse_awt_color("java.awt.Color[r=1,q=2,b=3]").is_err());
         assert!(parse_awt_color("[r=1,g=2,b=3]").is_err());
     }

@@ -34,7 +34,10 @@ pub struct RegionConfig {
 
 impl Default for RegionConfig {
     fn default() -> Self {
-        RegionConfig { major_fraction: 0.01, morphology: true }
+        RegionConfig {
+            major_fraction: 0.01,
+            morphology: true,
+        }
     }
 }
 
@@ -60,7 +63,11 @@ impl RegionGrowing {
     pub fn extract_with(img: &RgbImage, config: RegionConfig) -> RegionGrowing {
         let gray = img.to_gray();
         let binary = binarize_fuzzy(&gray);
-        let binary = if config.morphology { paper_morphology_chain(&binary) } else { binary };
+        let binary = if config.morphology {
+            paper_morphology_chain(&binary)
+        } else {
+            binary
+        };
         Self::label(&binary, config)
     }
 
@@ -115,7 +122,11 @@ impl RegionGrowing {
                 }
             }
         }
-        RegionGrowing { regions, holes, major_regions: major }
+        RegionGrowing {
+            regions,
+            holes,
+            major_regions: major,
+        }
     }
 
     /// Native distance: mean relative difference over the three counts,
@@ -156,7 +167,11 @@ impl RegionGrowing {
         let regions = next_u32("regions")?;
         let holes = next_u32("holes")?;
         let major_regions = next_u32("major regions")?;
-        Ok(RegionGrowing { regions, holes, major_regions })
+        Ok(RegionGrowing {
+            regions,
+            holes,
+            major_regions,
+        })
     }
 }
 
@@ -166,7 +181,13 @@ mod tests {
     use cbvr_imgproc::{Gray, Rgb};
 
     fn label_no_morph(binary: &GrayImage) -> RegionGrowing {
-        RegionGrowing::label(binary, RegionConfig { major_fraction: 0.01, morphology: false })
+        RegionGrowing::label(
+            binary,
+            RegionConfig {
+                major_fraction: 0.01,
+                morphology: false,
+            },
+        )
     }
 
     #[test]
@@ -239,10 +260,22 @@ mod tests {
     fn major_fraction_cutoff_applies() {
         let mut img = GrayImage::new(20, 20).unwrap();
         img.put(0, 0, Gray(255)); // 1-pixel speck: 0.25% of 400
-        let strict = RegionGrowing::label(&img, RegionConfig { major_fraction: 0.01, morphology: false });
+        let strict = RegionGrowing::label(
+            &img,
+            RegionConfig {
+                major_fraction: 0.01,
+                morphology: false,
+            },
+        );
         assert_eq!(strict.regions, 2);
         assert_eq!(strict.major_regions, 1); // only the background
-        let lax = RegionGrowing::label(&img, RegionConfig { major_fraction: 0.001, morphology: false });
+        let lax = RegionGrowing::label(
+            &img,
+            RegionConfig {
+                major_fraction: 0.001,
+                morphology: false,
+            },
+        );
         assert_eq!(lax.major_regions, 2);
     }
 
@@ -265,25 +298,49 @@ mod tests {
         // Pepper one isolated bright pixel.
         img.put(2, 2, Rgb::new(250, 250, 250));
         let with = RegionGrowing::extract_with(&img, RegionConfig::default());
-        let without =
-            RegionGrowing::extract_with(&img, RegionConfig { morphology: false, ..Default::default() });
-        assert!(with.regions < without.regions, "with {with:?} vs without {without:?}");
+        let without = RegionGrowing::extract_with(
+            &img,
+            RegionConfig {
+                morphology: false,
+                ..Default::default()
+            },
+        );
+        assert!(
+            with.regions < without.regions,
+            "with {with:?} vs without {without:?}"
+        );
     }
 
     #[test]
     fn distance_properties() {
-        let a = RegionGrowing { regions: 4, holes: 1, major_regions: 2 };
-        let b = RegionGrowing { regions: 8, holes: 2, major_regions: 2 };
+        let a = RegionGrowing {
+            regions: 4,
+            holes: 1,
+            major_regions: 2,
+        };
+        let b = RegionGrowing {
+            regions: 8,
+            holes: 2,
+            major_regions: 2,
+        };
         assert_eq!(a.distance(&a), 0.0);
         assert!((a.distance(&b) - b.distance(&a)).abs() < 1e-12);
         assert!(a.distance(&b) > 0.0 && a.distance(&b) <= 1.0);
-        let zero = RegionGrowing { regions: 0, holes: 0, major_regions: 0 };
+        let zero = RegionGrowing {
+            regions: 0,
+            holes: 0,
+            major_regions: 0,
+        };
         assert_eq!(zero.distance(&zero), 0.0);
     }
 
     #[test]
     fn feature_string_round_trip() {
-        let r = RegionGrowing { regions: 7, holes: 3, major_regions: 2 };
+        let r = RegionGrowing {
+            regions: 7,
+            holes: 3,
+            major_regions: 2,
+        };
         let s = r.to_feature_string();
         assert_eq!(s, "SRG 7 3 2");
         assert_eq!(RegionGrowing::parse(&s).unwrap(), r);

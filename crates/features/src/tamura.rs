@@ -128,12 +128,17 @@ impl TamuraTexture {
             .parse()
             .map_err(|e| FeatureError::Parse(format!("bad dimension: {e}")))?;
         if dim != DIM {
-            return Err(FeatureError::Parse(format!("expected dim {DIM}, got {dim}")));
+            return Err(FeatureError::Parse(format!(
+                "expected dim {DIM}, got {dim}"
+            )));
         }
         let values: std::result::Result<Vec<f64>, _> = t.map(str::parse).collect();
         let values = values.map_err(|e| FeatureError::Parse(format!("bad value: {e}")))?;
         if values.len() != DIM {
-            return Err(FeatureError::Parse(format!("expected {DIM} values, got {}", values.len())));
+            return Err(FeatureError::Parse(format!(
+                "expected {DIM} values, got {}",
+                values.len()
+            )));
         }
         Ok(TamuraTexture {
             coarseness: values[0],
@@ -320,8 +325,18 @@ mod tests {
     #[test]
     fn coarse_texture_scores_higher_than_fine() {
         // 16-px blocks vs 2-px blocks of the same two intensities.
-        let coarse = gray(64, 64, |x, y| if ((x / 16) + (y / 16)) % 2 == 0 { 0 } else { 255 });
-        let fine = gray(64, 64, |x, y| if ((x / 2) + (y / 2)) % 2 == 0 { 0 } else { 255 });
+        let coarse = gray(64, 64, |x, y| {
+            if ((x / 16) + (y / 16)) % 2 == 0 {
+                0
+            } else {
+                255
+            }
+        });
+        let fine = gray(
+            64,
+            64,
+            |x, y| if ((x / 2) + (y / 2)) % 2 == 0 { 0 } else { 255 },
+        );
         let tc = TamuraTexture::extract_gray(&coarse);
         let tf = TamuraTexture::extract_gray(&fine);
         assert!(
@@ -338,7 +353,12 @@ mod tests {
         let high = gray(32, 32, |x, _| if x % 2 == 0 { 0 } else { 255 });
         let tl = TamuraTexture::extract_gray(&low);
         let th = TamuraTexture::extract_gray(&high);
-        assert!(th.contrast > tl.contrast * 2.0, "high {} low {}", th.contrast, tl.contrast);
+        assert!(
+            th.contrast > tl.contrast * 2.0,
+            "high {} low {}",
+            th.contrast,
+            tl.contrast
+        );
     }
 
     #[test]
@@ -351,16 +371,33 @@ mod tests {
     #[test]
     fn directionality_peaks_for_oriented_stripes() {
         // Vertical stripes → gradients along x → one dominant orientation.
-        let v = TamuraTexture::extract_gray(&gray(64, 64, |x, _| if (x / 4) % 2 == 0 { 0 } else { 255 }));
+        let v = TamuraTexture::extract_gray(&gray(
+            64,
+            64,
+            |x, _| if (x / 4) % 2 == 0 { 0 } else { 255 },
+        ));
         let total: f64 = v.directionality.iter().sum();
         let max = v.directionality.iter().cloned().fold(0.0, f64::max);
         assert!(total > 0.0);
-        assert!(max / total > 0.6, "dominant bin should hold most votes: {:?}", v.directionality);
+        assert!(
+            max / total > 0.6,
+            "dominant bin should hold most votes: {:?}",
+            v.directionality
+        );
 
         // Horizontal stripes peak in a different bin.
-        let himg = TamuraTexture::extract_gray(&gray(64, 64, |_, y| if (y / 4) % 2 == 0 { 0 } else { 255 }));
+        let himg =
+            TamuraTexture::extract_gray(&gray(
+                64,
+                64,
+                |_, y| if (y / 4) % 2 == 0 { 0 } else { 255 },
+            ));
         let argmax = |d: &[f64]| {
-            d.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0
+            d.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .unwrap()
+                .0
         };
         assert_ne!(argmax(&v.directionality), argmax(&himg.directionality));
     }
@@ -369,7 +406,11 @@ mod tests {
     fn distance_properties() {
         let a = TamuraTexture::extract(&RgbImage::filled(32, 32, Rgb::new(100, 100, 100)).unwrap());
         let img = RgbImage::from_fn(32, 32, |x, _| {
-            if x % 2 == 0 { Rgb::new(0, 0, 0) } else { Rgb::new(255, 255, 255) }
+            if x % 2 == 0 {
+                Rgb::new(0, 0, 0)
+            } else {
+                Rgb::new(255, 255, 255)
+            }
         })
         .unwrap();
         let b = TamuraTexture::extract(&img);
@@ -380,7 +421,8 @@ mod tests {
 
     #[test]
     fn feature_string_round_trip() {
-        let img = RgbImage::from_fn(32, 32, |x, y| Rgb::new((x * 8) as u8, (y * 8) as u8, 0)).unwrap();
+        let img =
+            RgbImage::from_fn(32, 32, |x, y| Rgb::new((x * 8) as u8, (y * 8) as u8, 0)).unwrap();
         let t = TamuraTexture::extract(&img);
         let s = t.to_feature_string();
         assert!(s.starts_with("Tamura 18 "));
@@ -406,7 +448,8 @@ mod tests {
 
     #[test]
     fn normalized_vector_is_bounded() {
-        let img = RgbImage::from_fn(48, 48, |x, y| Rgb::new((x * y) as u8, x as u8, y as u8)).unwrap();
+        let img =
+            RgbImage::from_fn(48, 48, |x, y| Rgb::new((x * y) as u8, x as u8, y as u8)).unwrap();
         let t = TamuraTexture::extract(&img);
         for v in t.normalized_vector() {
             assert!((0.0..=1.0).contains(&v), "component {v} out of range");

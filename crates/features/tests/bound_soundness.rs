@@ -15,7 +15,9 @@ use cbvr_features::distance::{
 use proptest::prelude::*;
 
 fn exact_l2(a: &[f32], b: &[f32]) -> f64 {
-    l2_f32(a, b, f64::INFINITY).distance.expect("an infinite cutoff never abandons")
+    l2_f32(a, b, f64::INFINITY)
+        .distance
+        .expect("an infinite cutoff never abandons")
 }
 
 fn exact_l1(a: &[f32], b: &[f32]) -> f64 {
@@ -25,7 +27,9 @@ fn exact_l1(a: &[f32], b: &[f32]) -> f64 {
 }
 
 fn exact_naive(a: &[f32], b: &[f32]) -> f64 {
-    naive_rgb_f32(a, b, f64::INFINITY).distance.expect("an infinite cutoff never abandons")
+    naive_rgb_f32(a, b, f64::INFINITY)
+        .distance
+        .expect("an infinite cutoff never abandons")
 }
 
 fn exact_js(a: &[f32], b: &[f32]) -> f64 {
@@ -43,17 +47,45 @@ fn lower_js(a: &[f32], b: &[f32]) -> f64 {
 /// ones, naive on whole RGB points.
 fn assert_sound(a: &[f32], b: &[f32]) {
     let (lo, ex) = (l2_lower_f32(a, b), exact_l2(a, b));
-    prop_assert!(lo >= 0.0 && lo <= ex, "l2 {} > {} on {:?} / {:?}", lo, ex, a, b);
+    prop_assert!(
+        lo >= 0.0 && lo <= ex,
+        "l2 {} > {} on {:?} / {:?}",
+        lo,
+        ex,
+        a,
+        b
+    );
     let divisor = a.len().max(1) as f64;
     let (lo, ex) = (scaled_l1_lower_f32(a, b, divisor), exact_l1(a, b));
-    prop_assert!(lo >= 0.0 && lo <= ex, "scaled l1 {} > {} on {:?} / {:?}", lo, ex, a, b);
+    prop_assert!(
+        lo >= 0.0 && lo <= ex,
+        "scaled l1 {} > {} on {:?} / {:?}",
+        lo,
+        ex,
+        a,
+        b
+    );
     if a.len().is_multiple_of(3) {
         let (lo, ex) = (naive_rgb_lower_f32(a, b), exact_naive(a, b));
-        prop_assert!(lo >= 0.0 && lo <= ex, "naive {} > {} on {:?} / {:?}", lo, ex, a, b);
+        prop_assert!(
+            lo >= 0.0 && lo <= ex,
+            "naive {} > {} on {:?} / {:?}",
+            lo,
+            ex,
+            a,
+            b
+        );
     }
     if a.iter().chain(b).all(|&x| x >= 0.0) {
         let (lo, ex) = (lower_js(a, b), exact_js(a, b));
-        prop_assert!(lo >= 0.0 && lo <= ex, "js {} > {} on {:?} / {:?}", lo, ex, a, b);
+        prop_assert!(
+            lo >= 0.0 && lo <= ex,
+            "js {} > {} on {:?} / {:?}",
+            lo,
+            ex,
+            a,
+            b
+        );
     }
 }
 
@@ -72,7 +104,10 @@ fn value() -> impl Strategy<Value = f32> {
 /// time, so the naive kernel runs too).
 fn pair() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
     prop_oneof![0usize..=BOUND_MAX_LEN, (0usize..=85).prop_map(|p| 3 * p)].prop_flat_map(|n| {
-        (proptest::collection::vec(value(), n), proptest::collection::vec(value(), n))
+        (
+            proptest::collection::vec(value(), n),
+            proptest::collection::vec(value(), n),
+        )
     })
 }
 

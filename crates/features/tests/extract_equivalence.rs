@@ -299,7 +299,11 @@ mod oracle {
                         n += 1;
                     }
                 }
-                colors.push(Rgb::new((acc[0] / n) as u8, (acc[1] / n) as u8, (acc[2] / n) as u8));
+                colors.push(Rgb::new(
+                    (acc[0] / n) as u8,
+                    (acc[1] / n) as u8,
+                    (acc[2] / n) as u8,
+                ));
             }
         }
         colors
@@ -325,8 +329,7 @@ mod oracle {
         while start < frames.len() {
             indices.push(start);
             let mut end = start + 1;
-            while end < frames.len()
-                && distance(&signatures[start], &signatures[end]) <= threshold
+            while end < frames.len() && distance(&signatures[start], &signatures[end]) <= threshold
             {
                 end += 1;
             }

@@ -5,11 +5,10 @@ use cbvr_imgproc::RgbImage;
 use proptest::prelude::*;
 
 fn arb_image() -> impl Strategy<Value = RgbImage> {
-    (4u32..28, 4u32..28)
-        .prop_flat_map(|(w, h)| {
-            proptest::collection::vec(any::<u8>(), (w * h * 3) as usize)
-                .prop_map(move |data| RgbImage::from_raw(w, h, data).expect("exact length"))
-        })
+    (4u32..28, 4u32..28).prop_flat_map(|(w, h)| {
+        proptest::collection::vec(any::<u8>(), (w * h * 3) as usize)
+            .prop_map(move |data| RgbImage::from_raw(w, h, data).expect("exact length"))
+    })
 }
 
 proptest! {

@@ -58,15 +58,24 @@ impl BucketCounts {
                 per_level[level] += n;
             }
         }
-        IndexStats { items: self.items, buckets: self.counts.len(), max_bucket, per_level }
+        IndexStats {
+            items: self.items,
+            buckets: self.counts.len(),
+            max_bucket,
+            per_level,
+        }
     }
 
     /// Render the Fig. 7 indexing tree with per-node occupancy of the
     /// merged view.
     pub fn render_tree(&self) -> String {
         let mut out = String::from("0-255 (root)\n");
-        let count =
-            |min: u8, max: u8| self.counts.get(&RangeKey { min, max }).copied().unwrap_or(0);
+        let count = |min: u8, max: u8| {
+            self.counts
+                .get(&RangeKey { min, max })
+                .copied()
+                .unwrap_or(0)
+        };
         for level in 1..=3u32 {
             let width = 256u32 >> level;
             let mut lo = 0u32;

@@ -16,7 +16,6 @@
 //!   [`bucket::IndexStats`] and the Fig. 7-style tree rendering.
 #![warn(missing_docs)]
 
-
 pub mod bucket;
 pub mod paper;
 

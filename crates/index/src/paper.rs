@@ -39,7 +39,11 @@ pub struct RangeKey {
 impl RangeKey {
     /// Construct; normalises a reversed pair.
     pub fn new(min: u8, max: u8) -> RangeKey {
-        if min <= max { RangeKey { min, max } } else { RangeKey { min: max, max: min } }
+        if min <= max {
+            RangeKey { min, max }
+        } else {
+            RangeKey { min: max, max: min }
+        }
     }
 
     /// Width of the range in bins (inclusive).
@@ -200,7 +204,11 @@ mod tests {
                 h.record((state % 256) as u8);
             }
             let r = paper_range(&h);
-            assert!(matches!(r.width(), 32 | 64 | 128), "width {} for seed {seed}", r.width());
+            assert!(
+                matches!(r.width(), 32 | 64 | 128),
+                "width {} for seed {seed}",
+                r.width()
+            );
             assert!(r.level() <= 2);
             // Range is dyadic-aligned.
             assert_eq!(r.min as u16 % r.width(), 0);
