@@ -1,19 +1,21 @@
-//! Query hot-path benchmark: columnar arena + early-abandon cascade vs
-//! the naive full scan, swept over catalog size × thread count.
+//! Query hot-path benchmark: the columnar arena's bound tier, with every
+//! survivor scored in full, vs the naive full scan (`abandon: false`),
+//! swept over catalog size × thread count.
 //!
 //! For every configuration the run records wall time, ns/candidate, and
 //! the *exact* work counters the engine's telemetry exposes
-//! (`query.scan.elements`, `query.abandon.<stage>`, `query.scan.survivors`),
-//! then writes everything to `BENCH_query.json`.
+//! (`query.scan.elements`, `query.abandon.<stage>` — the tier's rejections
+//! by the stage they stopped at — and `query.scan.survivors`), then writes
+//! everything to `BENCH_query.json`.
 //!
 //! ```text
 //! cargo run -p cbvr-bench --release --bin bench_query [-- --smoke] [--out FILE]
 //! ```
 //!
 //! `--smoke` is the CI mode: a single 10 240-frame sweep at `k = 10`
-//! that **fails (exit 1)** unless the serial cascade visits ≤ 70% of the
-//! distance-kernel elements the full scan visits — a floor of a ≥30%
-//! reduction in element operations.
+//! that **fails (exit 1)** unless the serial tiered scan visits ≤ 70% of
+//! the distance-kernel elements the full scan visits, the tier's own
+//! included — a floor of a ≥30% reduction in element operations.
 //!
 //! A serial clip sweep runs DTW clip queries over a catalog of contiguous
 //! 1–8 key-frame videos with abandon off and on, reading the exact
@@ -405,7 +407,7 @@ fn concurrency_sweep(
     eprintln!("wrote {out}");
 }
 
-/// Sum of the per-stage abandon counters (exact in serial runs).
+/// Sum of the per-stage tier-rejection counters (exact in serial runs).
 fn abandon_total(registry: &Registry) -> u64 {
     cbvr_features::FeatureKind::ALL
         .iter()
@@ -455,7 +457,7 @@ fn main() {
         })
         .collect();
     // The probe is a perturbation of one base frame: near the catalog's
-    // distribution (so the cascade threshold tightens realistically) but
+    // distribution (so the tier's threshold tightens realistically) but
     // not an exact duplicate.
     let probe_frame = {
         let f = &frames[7];
@@ -556,7 +558,7 @@ fn main() {
 
     concurrency_sweep(&bases, &probe, probe_range, smoke, &out_concurrency);
 
-    // CI gate: the serial cascade must visit ≤ 70% of the full scan's
+    // CI gate: the serial tiered scan must visit ≤ 70% of the full scan's
     // distance-kernel elements on the 10k catalog (≥30% reduction), the
     // bound tier's included.
     let serial = |abandon: bool| {
@@ -565,10 +567,10 @@ fn main() {
             .expect("10k serial run present")
     };
     let full = serial(false).elements;
-    let cascade = serial(true).elements;
-    let ratio = cascade as f64 / full as f64;
+    let tiered = serial(true).elements;
+    let ratio = tiered as f64 / full as f64;
     eprintln!(
-        "10k serial element ratio: cascade {cascade} / full {full} = {ratio:.3} (gate: <= 0.70)"
+        "10k serial element ratio: tiered {tiered} / full {full} = {ratio:.3} (gate: <= 0.70)"
     );
     // Tier gate: the bound tier must reject at least half of the frame
     // candidates it bounds, or it costs more than it saves.
@@ -579,7 +581,7 @@ fn main() {
         tier.rejected,
         tier.seen,
         tier.elements,
-        cascade - tier.elements,
+        tiered - tier.elements,
     );
     // Clip gate: the bounded DTW must visit ≤ 50% of the plain DTW's
     // kernel elements (bound tier included) on the 10k catalog.
@@ -606,7 +608,7 @@ fn main() {
     );
     let mut failed = false;
     if smoke && ratio > 0.70 {
-        eprintln!("FAIL: cascade element reduction below the 30% acceptance floor");
+        eprintln!("FAIL: frame element reduction below the 30% floor");
         failed = true;
     }
     if smoke && tier_share < 0.50 {

@@ -11,7 +11,7 @@ use cbvr_storage::backend::FileBackend;
 use cbvr_storage::{CbvrDatabase, ManifestSegment};
 use cbvr_video::{decode_vsc, GeneratorConfig, VideoGenerator};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A command failure with a user-facing message.
 #[derive(Debug)]
@@ -299,13 +299,11 @@ pub fn main_with(args: &[String]) -> i32 {
     }
 }
 
-#[allow(unused)]
-fn unused_pathbuf(_: PathBuf) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::args::parse;
+    use std::path::PathBuf;
 
     fn temp_db(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cbvr-cli-{tag}-{}", std::process::id()));

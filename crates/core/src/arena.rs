@@ -1,4 +1,5 @@
-//! Columnar descriptor arena + exact early-abandon cascade scoring.
+//! Columnar descriptor arena: a certified bound tier in front of exact
+//! scoring.
 //!
 //! The arena is the catalog's only stored form of a row's descriptors:
 //! sealing a segment vectorizes each [`FeatureSet`] once and drops it.
@@ -13,23 +14,16 @@
 //!   Jensen–Shannon kernels normalise by the histogram mass, and the bound
 //!   tier's first stage bounds every distance from them in O(1).
 //!
-//! In front of it sits the **bound tier** ([`DescriptorArena::tier`] for a
-//! frame candidate, `TierCells` for a clip video's DTW cells): certified
+//! The **bound tier** ([`DescriptorArena::tier`] for a frame candidate,
+//! `TierCells` for a clip video's DTW cells) is the one filter: certified
 //! lower bounds of every stage distance, first from the bound statistics
 //! in O(1), then from the reassociated `f32` kernels of
-//! `cbvr_features::distance` (`*_lower_f32`), cheapest kind first. The tier
-//! rejects frame candidates and clip DTW cells whose bound already proves
-//! them out of the top-k, and hands the survivors' per-kind bounds to the
-//! cascade.
-//!
-//! The **cascade** scores the survivors exactly: features are scored
-//! cheapest-first ([`CASCADE_ORDER`]), a running *upper bound* of the
-//! candidate's final weighted score is maintained, and the candidate is
-//! abandoned the moment the bound falls below the current k-th-best score
-//! threshold. Both the abandonment and the per-kernel partial-sum cutoffs
-//! are exact (see [`DescriptorArena::cascade_score`]): a surviving
-//! candidate's score is bit-identical to the no-abandon scan, and an
-//! abandoned candidate is *proven* unable to enter the top-k, so ranked
+//! `cbvr_features::distance` (`*_lower_f32`), cheapest kind first
+//! ([`CASCADE_ORDER`]). It rejects frame candidates and clip DTW cells
+//! whose bound already proves them out of the top-k. Every survivor is
+//! scored in full by [`DescriptorArena::cascade_score`], the same
+//! arithmetic as the unfiltered scan, so its score keeps its bits and a
+//! rejected candidate is *proven* unable to enter the top-k: ranked
 //! results are identical at every thread count and every `abandon`
 //! setting.
 
@@ -39,22 +33,21 @@ use crate::weights::FeatureWeights;
 use cbvr_features::distance::{
     jensen_shannon_f32, jensen_shannon_lower_f32, l2_f32, l2_lower_f32, l2_norm_f32, mass_f32,
     naive_rgb_f32, naive_rgb_lower_f32, regions_rel_f32, rgb_diag, scaled_l1_f32,
-    scaled_l1_lower_f32, BoundedDistance,
+    scaled_l1_lower_f32,
 };
 use cbvr_features::{FeatureKind, FeatureSet};
 
-/// Cascade evaluation order: ascending per-stage kernel cost (elements per
-/// entry × per-element work: regions 3, GLCM 5, Tamura 18, Gabor 60, naive
-/// 75, correlogram 256, histogram 256 — the histogram last because its
+/// Stage order: ascending per-stage kernel cost (elements per entry ×
+/// per-element work: regions 3, GLCM 5, Tamura 18, Gabor 60, naive 75,
+/// correlogram 256, histogram 256 — the histogram last because its
 /// Jensen–Shannon kernel pays two `ln` per bin, the costliest per element).
 ///
-/// This deliberately deviates from the issue's prose order (histogram
-/// first): with the default weights the histogram+naive prefix carries only
-/// ~27% of the total weight, so an expensive-first order cannot build a
-/// useful bound before the cheap kernels have already run. Cheapest-first
-/// maximises elements *skipped* per abandon, which is what the ≥30%
-/// element-reduction acceptance target measures. See DESIGN.md "Query
-/// path" for the full derivation.
+/// The bound tier tightens its bounds in this order and stops at the first
+/// stage that proves a candidate out, so cheapest-first maximises the
+/// elements *skipped* per rejection: with the default weights the
+/// histogram+naive prefix carries only ~27% of the total weight, so an
+/// expensive-first order could not reject before the cheap kinds had
+/// run. See DESIGN.md "Query path".
 pub const CASCADE_ORDER: [FeatureKind; 7] = [
     FeatureKind::Regions,
     FeatureKind::Glcm,
@@ -68,17 +61,16 @@ pub const CASCADE_ORDER: [FeatureKind; 7] = [
 /// Number of feature kinds (arena columns).
 pub const KINDS: usize = FeatureKind::ALL.len();
 
-/// Slack subtracted from the admission threshold before any abandon
-/// decision: the cascade's upper-bound accounting and the final
-/// [`FeatureWeights::combine`] accumulate in different orders, so their
-/// float results can differ in the last bits. The margin makes every
-/// abandon conservative by ~1e-9 score units — vastly more than the actual
-/// reassociation error — so no candidate within rounding distance of the
-/// threshold is ever dropped.
+/// Slack subtracted from the tier's summed gap before it rejects: the gap
+/// and the final [`FeatureWeights::combine`] accumulate in different
+/// orders, so their float results can differ in the last bits. The margin
+/// makes every rejection conservative by ~1e-9 score units — vastly more
+/// than the actual reassociation error — so no candidate within rounding
+/// distance of the threshold is ever dropped.
 const SCORE_EPS: f64 = 1e-9;
 
-/// Multiplicative inflation applied to distance cutoffs (and deflation to
-/// pre-bounds) for the same reason at the distance level.
+/// Multiplicative deflation applied to distance bounds for the same
+/// reason at the distance level.
 const BOUND_SLOP: f64 = 1e-9;
 
 /// Arena vector width (f32 elements) per entry for a kind.
@@ -221,38 +213,27 @@ fn stat_bound(kind: FeatureKind, a: Row, b: Row) -> f64 {
 /// One stored row: an arena and an entry index in it.
 pub(crate) type Row<'a> = (&'a DescriptorArena, usize);
 
-/// The kind's native distance between rows `a` and `b`, or `None` once
-/// its kernel proves it exceeds `cutoff`. The one distance definition:
-/// ranking calls it with the query as `a`, calibration with two catalog
-/// rows and an infinite cutoff.
-pub(crate) fn stage_distance(kind: FeatureKind, a: Row, b: Row, cutoff: f64) -> BoundedDistance {
+/// The kind's native distance between rows `a` and `b`. The one distance
+/// definition: ranking calls it with the query as `a`, calibration with
+/// two catalog rows.
+pub(crate) fn stage_distance(kind: FeatureKind, a: Row, b: Row) -> f64 {
     let (av, bv) = (a.0.slice(kind, a.1), b.0.slice(kind, b.1));
     match kind {
         FeatureKind::ColorHistogram => {
             let k = kind as usize;
-            jensen_shannon_f32(av, bv, a.0.stats[k][a.1], b.0.stats[k][b.1], cutoff)
+            jensen_shannon_f32(av, bv, a.0.stats[k][a.1], b.0.stats[k][b.1])
         }
-        FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => l2_f32(av, bv, cutoff),
-        FeatureKind::Correlogram => scaled_l1_f32(av, bv, kind_dim(kind) as f64, cutoff),
-        FeatureKind::Naive => naive_rgb_f32(av, bv, cutoff),
-        FeatureKind::Regions => {
-            let r = regions_rel_f32(av, bv);
-            match r.distance {
-                Some(d) if d > cutoff => BoundedDistance { distance: None, elements: r.elements },
-                _ => r,
-            }
-        }
+        FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => l2_f32(av, bv),
+        FeatureKind::Correlogram => scaled_l1_f32(av, bv, kind_dim(kind) as f64),
+        FeatureKind::Naive => naive_rgb_f32(av, bv),
+        FeatureKind::Regions => regions_rel_f32(av, bv),
     }
 }
 
-/// Lower bounds of one candidate's stage distances, indexed by the kind's
-/// discriminant; 0 for a kind the tier did not bound.
-pub type KindBounds = [f64; KINDS];
-
 /// The tier's kernel bound of the kind's native distance between rows `a`
-/// and `b`: never above the float result of `stage_distance(kind, a, b,
-/// ∞)`. The `*_lower_f32` kernels certify that for the six costly kinds;
-/// the 3-element region vector runs its exact kernel.
+/// and `b`: never above the float result of `stage_distance(kind, a, b)`.
+/// The `*_lower_f32` kernels certify that for the six costly kinds; the
+/// 3-element region vector runs its exact kernel.
 pub(crate) fn stage_bound(kind: FeatureKind, a: Row, b: Row) -> f64 {
     let (av, bv) = (a.0.slice(kind, a.1), b.0.slice(kind, b.1));
     match kind {
@@ -263,7 +244,7 @@ pub(crate) fn stage_bound(kind: FeatureKind, a: Row, b: Row) -> f64 {
         FeatureKind::Glcm | FeatureKind::Gabor | FeatureKind::Tamura => l2_lower_f32(av, bv),
         FeatureKind::Correlogram => scaled_l1_lower_f32(av, bv, kind_dim(kind) as f64),
         FeatureKind::Naive => naive_rgb_lower_f32(av, bv),
-        FeatureKind::Regions => regions_rel_f32(av, bv).distance.expect("regions never abandon"),
+        FeatureKind::Regions => regions_rel_f32(av, bv),
     }
 }
 
@@ -281,11 +262,12 @@ fn certified(gap: f64) -> f64 {
     gap * (1.0 - BOUND_SLOP) - SCORE_EPS
 }
 
-/// One candidate's running tier state: its per-kind distance bounds and
-/// the summed share of the distance `1 − score` they imply.
+/// One candidate's running tier state: its per-kind distance bounds,
+/// indexed by the kind's discriminant, and the summed share of the
+/// distance `1 − score` they imply.
 #[derive(Clone, Copy)]
 struct TierState {
-    bounds: KindBounds,
+    bounds: [f64; KINDS],
     gap: f64,
 }
 
@@ -393,17 +375,16 @@ impl DescriptorArena {
         &self.data[kind as usize].as_slice()[i * dim..(i + 1) * dim]
     }
 
-    /// The bound tier for one frame candidate: `None` when it proves entry
-    /// `i`'s score strictly below `threshold`, else the per-kind distance
-    /// bounds that [`DescriptorArena::cascade_score`] abandons on.
+    /// The bound tier for one frame candidate: `false` when it proves
+    /// entry `i`'s score strictly below `threshold`, `true` when the entry
+    /// survives and must be scored ([`DescriptorArena::cascade_score`]).
     ///
     /// The first stage bounds every kind from the bound statistics; then
     /// each stage's kernel bound raises its kind's, cheapest first. The
     /// candidate is rejected as soon as the summed share of `1 − score`
     /// they imply, deflated for rounding, exceeds `1 − threshold`, before
     /// any exact kernel runs. Below a positive threshold nothing can be
-    /// rejected (every gap is below 1), so the tier does no work and
-    /// returns zero bounds.
+    /// rejected (every gap is below 1), so the tier does no work.
     pub fn tier(
         &self,
         query: &QueryVectors,
@@ -411,9 +392,9 @@ impl DescriptorArena {
         plan: &CascadePlan,
         threshold: f64,
         tally: &mut CascadeTally,
-    ) -> Option<KindBounds> {
+    ) -> bool {
         if threshold <= 0.0 || plan.stages.is_empty() {
-            return Some([0.0; KINDS]);
+            return true;
         }
         let (q, r) = ((&query.0, 0), (self, i));
         let beyond = 1.0 - threshold;
@@ -430,77 +411,31 @@ impl DescriptorArena {
         if state.lower() > beyond {
             tally.tier_rejected += 1;
             tally.abandoned[last as usize] += 1;
-            return None;
+            return false;
         }
-        Some(state.bounds)
+        true
     }
 
-    /// Score entry `i` against `query`, abandoning as soon as the entry is
-    /// *proven* unable to reach `threshold` (the caller's current k-th
-    /// best score; pass `f64::NEG_INFINITY` to disable abandonment — the
-    /// kernels then run to completion and the result is the exact full
-    /// score). `bounds` are lower bounds of the stage distances from the
-    /// tier (zeros when it did not run).
-    ///
-    /// Exactness argument. Let `fracₖ = wₖ / Σw` and `sₖ ∈ [0, 1]` the
-    /// per-kind similarities; the final score is `Σ fracₖ·sₖ`. After
-    /// scoring a stage set `S`, `ub = 1 − Σ_{k∈S} fracₖ(1 − sₖ)` equals
-    /// `Σ_{k∈S} fracₖ·sₖ + Σ_{k∉S} fracₖ`, an upper bound of the final
-    /// score (remaining stages can at best contribute their full
-    /// fraction). Abandonment triggers only when `ub ≤ threshold −`
-    /// `SCORE_EPS`, or when the stage's tier bound or its kernel proves
-    /// the *current* stage alone must lose more than the remaining slack
-    /// (its distance exceeds the stage's critical cutoff, computed by
-    /// inverting the similarity map and inflated by `BOUND_SLOP`). Either
-    /// way the candidate's true score is strictly below the threshold, so
-    /// it cannot displace any kept top-k item nor win a tie (ties sit *at*
-    /// the threshold and are protected by the epsilon margin). Surviving
-    /// candidates run every kernel to completion on the identical
-    /// accumulation sequence, so their scores are bit-identical with
-    /// abandonment on or off.
+    /// Entry `i`'s score against `query`: every stage's distance in
+    /// [`CASCADE_ORDER`], mapped by `similarity_for_scale` and clamped to
+    /// `[0, 1]`, then combined by [`FeatureWeights::combine`]. A tier
+    /// survivor and an unfiltered scan run this same arithmetic, so the
+    /// score has the same bits either way.
     pub fn cascade_score(
         &self,
         query: &QueryVectors,
         i: usize,
         plan: &CascadePlan,
-        threshold: f64,
-        bounds: &KindBounds,
         tally: &mut CascadeTally,
-    ) -> Option<f64> {
+    ) -> f64 {
         let mut sims = [0.0f64; KINDS];
-        let mut ub = 1.0f64;
         for stage in &plan.stages {
-            let k = stage.kind as usize;
-            let slack = ub - (threshold - SCORE_EPS);
-            if slack <= 0.0 {
-                tally.abandoned[k] += 1;
-                return None;
-            }
-            // The similarity below which this stage alone proves the
-            // score cannot reach the threshold; its preimage under
-            // s = 1/(1 + d/scale) is the stage's distance cutoff.
-            let sim_crit = 1.0 - slack / stage.frac;
-            let cutoff = if sim_crit <= 0.0 {
-                f64::INFINITY
-            } else {
-                stage.scale * (1.0 / sim_crit - 1.0) * (1.0 + BOUND_SLOP)
-            };
-            if bounds[k] > cutoff {
-                tally.abandoned[k] += 1;
-                return None;
-            }
-            let r = stage_distance(stage.kind, (&query.0, 0), (self, i), cutoff);
-            tally.elements += r.elements as u64;
-            let Some(d) = r.distance else {
-                tally.abandoned[k] += 1;
-                return None;
-            };
-            let s = similarity_for_scale(stage.scale, d).clamp(0.0, 1.0);
-            sims[k] = s;
-            ub -= stage.frac * (1.0 - s);
+            let d = stage_distance(stage.kind, (&query.0, 0), (self, i));
+            tally.elements += kind_dim(stage.kind) as u64;
+            sims[stage.kind as usize] = similarity_for_scale(stage.scale, d).clamp(0.0, 1.0);
         }
         tally.survivors += 1;
-        Some(plan.weights.combine(|kind| sims[kind as usize]))
+        plan.weights.combine(|kind| sims[kind as usize])
     }
 }
 
@@ -549,7 +484,6 @@ impl TierCells {
         self.states.clear();
         self.lower.clear();
         if !limit.is_finite() || n * m == 0 {
-            self.states.resize(n * m, TierState { bounds: [0.0; KINDS], gap: 0.0 });
             self.lower.resize(n * m, 0.0);
             return true;
         }
@@ -600,11 +534,6 @@ impl TierCells {
     pub(crate) fn lower(&self) -> &[f64] {
         &self.lower
     }
-
-    /// Cell `c`'s per-kind distance bounds, for the cascade.
-    pub(crate) fn bounds(&self, c: usize) -> &KindBounds {
-        &self.states[c].bounds
-    }
 }
 
 /// The query's side of the arena: the query's feature set as the one row
@@ -621,7 +550,7 @@ impl QueryVectors {
     }
 }
 
-/// One cascade stage: a kind with positive weight, its score fraction and
+/// One scoring stage: a kind with positive weight, its score fraction and
 /// calibrated distance scale.
 #[derive(Clone, Copy, Debug)]
 pub struct CascadeStage {
@@ -646,8 +575,8 @@ impl CascadePlan {
     /// Compile a plan from query weights and the engine calibration.
     /// Kinds with non-positive weight are skipped entirely (their
     /// similarity is irrelevant to [`FeatureWeights::combine`]); a
-    /// degenerate all-zero weighting yields an empty cascade whose every
-    /// score is 0, matching `combine`.
+    /// degenerate all-zero weighting yields a plan with no stages whose
+    /// every score is 0, matching `combine`.
     pub fn new(weights: &FeatureWeights, calibration: &ScoreCalibration) -> CascadePlan {
         let total = weights.total();
         let mut stages = Vec::with_capacity(KINDS);
@@ -667,12 +596,12 @@ impl CascadePlan {
     }
 }
 
-/// Per-chunk cascade accounting, flushed to the engine's telemetry once
+/// Per-chunk tier and scoring accounting, flushed to the engine's telemetry once
 /// per chunk (plain integers on the hot path, atomics once per chunk).
 #[derive(Clone, Default)]
 pub struct CascadeTally {
-    /// Exact distance-kernel elements visited (the cost unit the
-    /// acceptance criterion measures).
+    /// Exact distance-kernel elements visited (the cost unit of the
+    /// element counters).
     pub elements: u64,
     /// Bound-tier kernel elements visited.
     pub tier_elements: u64,
@@ -681,11 +610,10 @@ pub struct CascadeTally {
     pub tier_seen: u64,
     /// Of those, the ones the tier rejected before any exact kernel.
     pub tier_rejected: u64,
-    /// Candidates that survived the full cascade.
+    /// Candidates (or DTW cells) scored in full: the tier's survivors.
     pub survivors: u64,
-    /// Candidates abandoned per kind (indexed by discriminant): by the
-    /// tier after this stage's bound, at the stage's threshold check, on
-    /// its tier bound, or inside its kernel.
+    /// Frame candidates the tier rejected, per kind (indexed by
+    /// discriminant): the stage whose bound it stopped at.
     pub abandoned: [u64; KINDS],
 }
 
@@ -715,12 +643,9 @@ mod tests {
         (arena, sets)
     }
 
-    /// Entry `i`'s exact score: the cascade with no threshold.
+    /// Entry `i`'s exact score.
     fn full_score(arena: &DescriptorArena, q: &QueryVectors, i: usize, plan: &CascadePlan) -> f64 {
-        let mut tally = CascadeTally::default();
-        arena
-            .cascade_score(q, i, plan, f64::NEG_INFINITY, &[0.0; KINDS], &mut tally)
-            .expect("no threshold: the cascade cannot abandon")
+        arena.cascade_score(q, i, plan, &mut CascadeTally::default())
     }
 
     #[test]
@@ -751,26 +676,24 @@ mod tests {
     }
 
     #[test]
-    fn cascade_matches_full_scan_for_survivors() {
+    fn tier_survivors_score_as_the_full_scan() {
         let (arena, sets) = build(8);
         let calibration = ScoreCalibration::default();
         let plan = CascadePlan::new(&FeatureWeights::default(), &calibration);
         let q = QueryVectors::from_set(&sets[3]);
         let full: Vec<f64> = (0..8).map(|i| full_score(&arena, &q, i, &plan)).collect();
         // Use the 2nd-best score as the threshold: the top entries must
-        // survive with bit-identical scores, the rest must be abandoned
-        // or score below threshold.
+        // survive with bit-identical scores, the rest must be rejected or
+        // score below threshold.
         let mut sorted = full.clone();
         sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
         let thr = sorted[1];
         let mut tally = CascadeTally::default();
         for (i, &expect) in full.iter().enumerate() {
-            let scored = arena
-                .tier(&q, i, &plan, thr, &mut tally)
-                .and_then(|bounds| arena.cascade_score(&q, i, &plan, thr, &bounds, &mut tally));
-            match scored {
-                Some(got) => assert_eq!(got, expect, "entry {i}"),
-                None => assert!(expect < thr, "entry {i} abandoned at score {expect} ≥ {thr}"),
+            if arena.tier(&q, i, &plan, thr, &mut tally) {
+                assert_eq!(arena.cascade_score(&q, i, &plan, &mut tally), expect, "entry {i}");
+            } else {
+                assert!(expect < thr, "entry {i} rejected at score {expect} ≥ {thr}");
             }
         }
         assert!(tally.survivors >= 2, "the top-2 must survive");
@@ -831,9 +754,7 @@ mod tests {
             });
             let (a, b) = ((&arena, 0), (&arena, 1));
             for kind in FeatureKind::ALL {
-                let exact = stage_distance(kind, a, b, f64::INFINITY)
-                    .distance
-                    .expect("an infinite cutoff never abandons");
+                let exact = stage_distance(kind, a, b);
                 let stat = stat_bound(kind, a, b);
                 let kernel = stage_bound(kind, a, b);
                 assert!(stat <= exact, "{kind} statistic: {stat} > {exact} (c = {c})");
@@ -863,9 +784,7 @@ mod tests {
             for b in 0..arena.len() {
                 for kind in FeatureKind::ALL {
                     let bound = stage_bound(kind, (&arena, a), (&arena, b));
-                    let exact = stage_distance(kind, (&arena, a), (&arena, b), f64::INFINITY)
-                        .distance
-                        .expect("an infinite cutoff never abandons");
+                    let exact = stage_distance(kind, (&arena, a), (&arena, b));
                     assert!(bound >= 0.0 && bound <= exact, "{kind} {a}/{b}: {bound} > {exact}");
                     if a == b {
                         assert_eq!(bound, 0.0, "{kind} self pair");
@@ -896,7 +815,7 @@ mod tests {
                     // give: both below the exact distance.
                     let cell = cells.lower()[c];
                     assert!(cell >= 0.0 && cell <= exact, "{cell} > {exact}");
-                    let bounds = cells.bounds(c);
+                    let bounds = &cells.states[c].bounds;
                     let lower: f64 = certified(
                         plan.stages.iter().map(|st| stage_gap(st, bounds[st.kind as usize])).sum(),
                     )
@@ -910,7 +829,7 @@ mod tests {
                     let thr = 1.0 - lower * 0.999;
                     let mut t = CascadeTally::default();
                     if thr > 0.0 && thr < 1.0 && lower > 0.0 {
-                        assert!(arena.tier(q, i, &plan, thr, &mut t).is_none(), "{qi}/{i}");
+                        assert!(!arena.tier(q, i, &plan, thr, &mut t), "{qi}/{i}");
                     }
                 }
             }
@@ -936,16 +855,14 @@ mod tests {
     }
 
     #[test]
-    fn neg_infinity_threshold_never_abandons() {
+    fn neg_infinity_threshold_never_rejects() {
         let (arena, sets) = build(6);
         let plan = CascadePlan::new(&FeatureWeights::uniform(), &ScoreCalibration::default());
         let q = QueryVectors::from_set(&sets[0]);
         let mut tally = CascadeTally::default();
         for i in 0..6 {
-            assert_eq!(arena.tier(&q, i, &plan, f64::NEG_INFINITY, &mut tally), Some([0.0; KINDS]));
-            assert!(arena
-                .cascade_score(&q, i, &plan, f64::NEG_INFINITY, &[0.0; KINDS], &mut tally)
-                .is_some());
+            assert!(arena.tier(&q, i, &plan, f64::NEG_INFINITY, &mut tally));
+            arena.cascade_score(&q, i, &plan, &mut tally);
         }
         assert_eq!((tally.tier_seen, tally.tier_elements), (0, 0));
         assert_eq!(tally.abandoned, [0; KINDS]);

@@ -78,11 +78,12 @@ pub struct QueryOptions {
     /// [`ExecPool`] ([`THREADS_AUTO`] = all cores). Results are
     /// identical for every value — `1` is the bit-exact serial path.
     pub threads: usize,
-    /// Early-abandon cascade scoring: skip the remaining distance kernels
-    /// for a candidate the moment it is *proven* unable to enter the
-    /// top-k (see [`crate::DescriptorArena::cascade_score`]). Exact —
-    /// ranked results are identical either way; `false` scores every
-    /// candidate in full, the reference the equivalence suites and the
+    /// Run the bound tier: reject a frame candidate or a clip DTW cell
+    /// whose certified lower bound already *proves* it unable to enter
+    /// the top-k (see [`crate::DescriptorArena::tier`]), and abandon a
+    /// clip alignment proven outside it. Exact — ranked results are
+    /// identical either way; `false` means no tier, every candidate scored
+    /// in full: the full-scan reference the equivalence suites and the
     /// benchmark's answer checks compare the default path against.
     pub abandon: bool,
 }
@@ -148,10 +149,10 @@ fn scoring_chunk(len: usize) -> usize {
 /// is atomics only (the registry's name map is never consulted on the
 /// query path). See the stage breakdown on [`QueryEngine::query_features`].
 ///
-/// Cascade accounting (`query.scan.*`, `query.abandon.*`) is exact in
+/// Tier accounting (`query.scan.*`, `query.abandon.*`) is exact in
 /// serial runs; in parallel runs the *results* stay bit-identical but the
-/// abandon/element counts vary with chunk-claim timing (a faster-rising
-/// threshold abandons earlier), so only ratios are meaningful there.
+/// reject/element counts vary with chunk-claim timing (a faster-rising
+/// threshold rejects earlier), so only ratios are meaningful there.
 struct EngineMetrics {
     registry: Arc<Registry>,
     frame_requests: Arc<Counter>,
@@ -170,10 +171,11 @@ struct EngineMetrics {
     arena_bytes: Arc<Counter>,
     /// `query.scan.elements` — distance-kernel elements visited.
     scan_elements: Arc<Counter>,
-    /// `query.scan.survivors` — candidates that survived the cascade.
+    /// `query.scan.survivors` — candidates the tier admitted, each scored
+    /// in full.
     scan_survivors: Arc<Counter>,
-    /// `query.abandon.<kind>` — candidates abandoned at each stage,
-    /// indexed by the kind's discriminant.
+    /// `query.abandon.<kind>` — candidates the tier rejected, by the stage
+    /// whose bound it stopped at, indexed by the kind's discriminant.
     abandon_kind: [Arc<Counter>; KINDS],
     /// `query.abandon.dtw` — clip alignments proven outside the top-k by
     /// the bounded DTW (lower-bound pass, pruned cells or a dead row).
@@ -252,7 +254,7 @@ impl EngineMetrics {
         self.tombstones.set(snapshot.tombstones().len() as u64);
     }
 
-    /// Fold one chunk's cascade tally into the counters (once per chunk,
+    /// Fold one chunk's tier tally into the counters (once per chunk,
     /// so the hot loop touches plain integers only).
     fn flush_tally(&self, tally: &CascadeTally) {
         add_nonzero(&self.scan_elements, tally.elements + tally.tier_elements);
@@ -287,9 +289,9 @@ fn add_nonzero(counter: &Counter, n: u64) {
 /// known lower bound of the final k-th best *score*. Scores live in
 /// `[0, 1]`, and non-negative IEEE doubles order identically to their
 /// bit patterns, so a `fetch_max` on the bits is a lock-free running
-/// maximum. Starting at 0 is equivalent to "no threshold": the cascade
-/// can never prove a score below 0, so nothing is abandoned until a
-/// top-k heap actually fills.
+/// maximum. Starting at 0 is equivalent to "no threshold": the tier can
+/// never prove a score below 0, so nothing is rejected until a top-k heap
+/// actually fills.
 struct ScoreFloor(AtomicU64);
 
 impl ScoreFloor {
@@ -378,17 +380,25 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Build from a database: scan `KEY_FRAMES`, parse feature strings,
-    /// group rows into segments along the WAL manifest (global `i_id`
-    /// order is preserved across group boundaries), seal and calibrate.
+    /// Build from a database: scan `KEY_FRAMES`, parse each row's feature
+    /// strings as the scan visits it (the first parse error stops the scan
+    /// and is returned), group rows into segments along the WAL manifest
+    /// (global `i_id` order is preserved across group boundaries), seal and
+    /// calibrate.
     pub fn from_database<B: Backend>(db: &mut CbvrDatabase<B>) -> Result<QueryEngine> {
-        let mut rows = Vec::new();
-        db.scan_key_frames(|row| {
-            rows.push(row.clone());
-            true
+        let mut entries = Vec::new();
+        let mut parsed = Ok(());
+        db.scan_key_frames(|row| match CatalogEntry::from_key_frame(row) {
+            Ok(entry) => {
+                entries.push(entry);
+                true
+            }
+            Err(e) => {
+                parsed = Err(e);
+                false
+            }
         })?;
-        let entries: Vec<CatalogEntry> =
-            rows.iter().map(CatalogEntry::from_key_frame).collect::<Result<_>>()?;
+        parsed?;
         let manifest = db.list_manifest()?;
         let names = db
             .list_videos()?
@@ -542,13 +552,13 @@ impl QueryEngine {
         if candidates.is_empty() || options.k == 0 {
             return Vec::new();
         }
-        // Candidates are scored through the per-segment arena cascades on
-        // the shared pool; each chunk keeps a bounded top-k heap
-        // (O(n log k), no full match vector) and folds it into the shared
-        // accumulator. `rank_frame_matches` is a total order and the
-        // cascade only ever abandons candidates *proven* unable to enter
-        // the top-k, so the selected set — and its sorted order — is
-        // independent of how chunks were claimed, of the `abandon`
+        // Candidates pass the per-segment arenas' bound tier on the shared
+        // pool, and each survivor is scored in full; each chunk keeps a
+        // bounded top-k heap (O(n log k), no full match vector) and folds
+        // it into the shared accumulator. `rank_frame_matches` is a total
+        // order and the tier only ever rejects candidates *proven* unable
+        // to enter the top-k, so the selected set — and its sorted order —
+        // is independent of how chunks were claimed, of the `abandon`
         // setting, and of the segment layout: any `threads` value returns
         // exactly the serial monolithic result.
         let plan = CascadePlan::new(&options.weights, snap.calibration());
@@ -577,15 +587,12 @@ impl QueryEngine {
                     };
                     let seg = snap.segment(r.segment);
                     let (arena, row) = (seg.arena(), r.row as usize);
-                    let Some(bounds) = arena.tier(&query, row, &plan, threshold, &mut tally) else {
+                    if !arena.tier(&query, row, &plan, threshold, &mut tally) {
                         continue;
-                    };
-                    if let Some(score) =
-                        arena.cascade_score(&query, row, &plan, threshold, &bounds, &mut tally)
-                    {
-                        let e = &seg.rows()[r.row as usize];
-                        local.push(FrameMatch { i_id: e.i_id, v_id: e.v_id, score });
                     }
+                    let score = arena.cascade_score(&query, row, &plan, &mut tally);
+                    let e = &seg.rows()[row];
+                    local.push(FrameMatch { i_id: e.i_id, v_id: e.v_id, score });
                 }
                 let mut shared = merged.lock().expect("top-k accumulator poisoned");
                 shared.merge(local);
@@ -643,9 +650,8 @@ impl QueryEngine {
         // and vary with sequence length, so fine-grained stealing
         // balances them. Each alignment is a bounded DTW against the best
         // known k-th-best distance: the bound tier bounds every cell
-        // (`TierCells`, kind-major over the video's rows), and cells whose
-        // bound fits the remaining budget are scored by the cascade (a
-        // cell distance `d ≤ budget` is a score `≥ 1 − budget`).
+        // (`TierCells`, kind-major over the video's rows), and each cell
+        // whose bound fits the remaining budget is scored in full.
         // Abandoned videos are provably outside the top-k and survivors
         // keep their exact distance bits, so results match the no-abandon
         // path exactly. Videos are walked in arena order, so a serial
@@ -684,25 +690,17 @@ impl QueryEngine {
                             cutoff,
                             cells.lower(),
                             |i, j, budget| {
-                                let c = i * m + j;
                                 if budget < f64::INFINITY {
                                     tally.tier_seen += 1;
-                                    if cells.lower()[c] > budget {
+                                    if cells.lower()[i * m + j] > budget {
                                         tally.tier_rejected += 1;
                                         return None;
                                     }
                                 }
                                 let (arena, row) = rows[j];
-                                arena
-                                    .cascade_score(
-                                        &query_vecs[i],
-                                        row,
-                                        &plan,
-                                        1.0 - budget,
-                                        cells.bounds(c),
-                                        &mut tally,
-                                    )
-                                    .map(|score| 1.0 - score)
+                                let score =
+                                    arena.cascade_score(&query_vecs[i], row, &plan, &mut tally);
+                                Some(1.0 - score)
                             },
                             &mut scratch,
                         )
@@ -1370,6 +1368,34 @@ mod tests {
         let engine = QueryEngine::from_database(&mut db).unwrap();
         assert_eq!(engine.segment_count(), 2, "{:?}", engine.segment_stats());
         assert_eq!(engine.len(), engine.segment_stats().iter().map(|s| s.rows).sum::<usize>());
+    }
+
+    #[test]
+    fn from_database_returns_a_row_parse_error() {
+        let mut db = cbvr_storage::CbvrDatabase::in_memory().unwrap();
+        let video = generator().generate(Category::Sports, 3).unwrap();
+        let report = ingest_video(&mut db, "v", &video, &IngestConfig::default()).unwrap();
+        let row = db.get_key_frame(report.keyframe_ids[0]).unwrap();
+        db.insert_key_frame(&cbvr_storage::KeyFrameRecord {
+            i_name: "broken".into(),
+            image: Vec::new(),
+            min: row.min,
+            max: row.max,
+            sch: row.sch.clone(),
+            glcm: "not a glcm string".into(),
+            gabor: row.gabor.clone(),
+            tamura: row.tamura.clone(),
+            acc: row.acc.clone(),
+            naive: row.naive.clone(),
+            srg: row.srg.clone(),
+            majorregions: row.majorregions,
+            v_id: report.v_id,
+        })
+        .unwrap();
+        assert!(matches!(
+            QueryEngine::from_database(&mut db),
+            Err(crate::error::CoreError::Feature(_))
+        ));
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //!
 //! Stored artifacts per video, mirroring the paper's schema:
 //!
-//! - `VIDEO`   — the full clip, VSC-encoded;
+//! - `VIDEO`   — the full clip, VSC-encoded with delta frames;
 //! - `STREAM`  — "stream of keyframes": the key frames alone as a 1 fps
-//!   VSC clip (what the UI pages through);
-//! - one `KEY_FRAMES` row per key frame: PPM image blob, `MIN`/`MAX`
-//!   range, and all seven feature strings.
+//!   VSC clip, delta frames too (what the UI pages through);
+//! - one `KEY_FRAMES` row per key frame: lossless PPM image blob,
+//!   `MIN`/`MAX` range, and all seven feature strings.
 
 use crate::error::{CoreError, Result};
 use crate::telemetry::Registry;
@@ -34,13 +34,6 @@ use cbvr_video::{encode_vsc, FrameCodec, Video};
 pub struct IngestConfig {
     /// Key-frame extraction parameters (threshold 800.0 by default).
     pub keyframe: KeyframeConfig,
-    /// Frame codec for the stored VSC blobs.
-    pub frame_codec: FrameCodec,
-    /// Container for the stored key-frame images (`IMAGE` column).
-    /// `Ppm` is lossless; `Vjp` matches the paper's JPEG storage and
-    /// shrinks the blob several-fold. Features are extracted from the
-    /// *original* frame either way, so retrieval quality is unaffected.
-    pub image_format: ImageFormat,
     /// Worker threads for feature extraction (1 = sequential).
     pub threads: usize,
     /// `DOSTORE` timestamp, epoch seconds (callers supply it; the library
@@ -52,8 +45,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             keyframe: KeyframeConfig::default(),
-            frame_codec: FrameCodec::Delta,
-            image_format: ImageFormat::Ppm,
             threads: 4,
             timestamp: 0,
         }
@@ -222,11 +213,11 @@ fn ingest_video_impl<B: Backend>(
 
     // 4. Blobs.
     let _encode = registry.span("ingest.encode_nanos");
-    let video_bytes = encode_vsc(video, config.frame_codec);
+    let video_bytes = encode_vsc(video, FrameCodec::Delta);
     let stream_frames: Vec<RgbImage> = keyframes.iter().map(|k| k.frame.clone()).collect();
     let stream_bytes = encode_vsc(
         &Video::new(1, stream_frames).map_err(CoreError::Video)?,
-        config.frame_codec,
+        FrameCodec::Delta,
     );
     drop(_encode);
 
@@ -244,7 +235,7 @@ fn ingest_video_impl<B: Backend>(
         for ((kf, set), range) in keyframes.iter().zip(&features).zip(&ranges) {
             let record = KeyFrameRecord {
                 i_name: format!("v{v_id}_kf_{:05}", kf.index),
-                image: encode(&kf.frame, config.image_format),
+                image: encode(&kf.frame, ImageFormat::Ppm),
                 min: range.min,
                 max: range.max,
                 sch: set.histogram.to_feature_string(),
@@ -359,35 +350,6 @@ mod tests {
     #[test]
     fn parallel_extraction_empty_input() {
         assert!(extract_feature_sets_parallel(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn vjp_image_storage_shrinks_blobs_and_still_decodes() {
-        let video = small_clip(5);
-        let mut db_ppm = CbvrDatabase::in_memory().unwrap();
-        let mut db_vjp = CbvrDatabase::in_memory().unwrap();
-        let ppm_cfg = IngestConfig::default();
-        let vjp_cfg = IngestConfig { image_format: ImageFormat::Vjp, ..IngestConfig::default() };
-        let r1 = ingest_video(&mut db_ppm, "v", &video, &ppm_cfg).unwrap();
-        let r2 = ingest_video(&mut db_vjp, "v", &video, &vjp_cfg).unwrap();
-        assert_eq!(r1.keyframe_ids.len(), r2.keyframe_ids.len());
-        let row_ppm = db_ppm.get_key_frame(r1.keyframe_ids[0]).unwrap();
-        let row_vjp = db_vjp.get_key_frame(r2.keyframe_ids[0]).unwrap();
-        // Cartoon frames (hard edges) are DCT's worst case; still expect a
-        // solid saving over raw PPM.
-        assert!(
-            row_vjp.image.len * 3 < row_ppm.image.len * 2,
-            "VJP {} should be well below PPM {}",
-            row_vjp.image.len,
-            row_ppm.image.len
-        );
-        // Lossy image decodes and has the right dimensions.
-        let bytes = db_vjp.read_image_bytes(&row_vjp).unwrap();
-        let img = cbvr_imgproc::decode_auto(&bytes).unwrap();
-        assert_eq!(img.dimensions(), (video.width(), video.height()));
-        // Feature strings are identical: extraction used the original.
-        assert_eq!(row_ppm.sch, row_vjp.sch);
-        assert_eq!(row_ppm.gabor, row_vjp.gabor);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   the similarity between the feature vectors for the query and feature
 //!   vectors in the feature database");
 //! - [`arena`] — the columnar descriptor arena (one 64-byte-aligned
-//!   `f32` slab per feature kind) and the exact early-abandon cascade the
-//!   engine scores candidates through;
+//!   `f32` slab per feature kind), the certified bound tier that rejects
+//!   candidates proven out of the top-k, and the exact scoring of the
+//!   survivors;
 //! - [`dtw`] — that dynamic-programming kernel (dynamic time warping
 //!   over key-frame feature sequences);
 //! - [`score`] — distance→similarity calibration so heterogeneous

@@ -59,10 +59,7 @@ impl ScoreCalibration {
         let per_kind = ExecPool::global().map(&FeatureKind::ALL, 1, THREADS_AUTO, |_, &kind| {
             let mut distances: Vec<f64> = sample_pairs(kind, rows.len())
                 .into_iter()
-                .map(|(i, j)| {
-                    let d = stage_distance(kind, rows[i], rows[j], f64::INFINITY);
-                    d.distance.expect("an infinite cutoff never abandons")
-                })
+                .map(|(i, j)| stage_distance(kind, rows[i], rows[j]))
                 .collect();
             (kind, median_positive(&mut distances).unwrap_or(1.0))
         });
@@ -85,8 +82,8 @@ impl ScoreCalibration {
 }
 
 /// The similarity mapping for a single known scale — the exact formula
-/// [`ScoreCalibration::similarity`] uses, exposed so the arena cascade can
-/// apply it to one stage at a time with identical rounding.
+/// [`ScoreCalibration::similarity`] uses, exposed so the arena can apply
+/// it to one stage at a time with identical rounding.
 pub fn similarity_for_scale(scale: f64, distance: f64) -> f64 {
     if distance <= 0.0 {
         return 1.0;

@@ -1,10 +1,11 @@
-//! The bound tier and the early-abandon cascade must be invisible in
-//! results: for every catalog, weight profile, `k` regime and thread
-//! count, `abandon: true` returns *exactly* the matches (ids AND
-//! bit-identical scores) of the naive full scan (`abandon: false`), which
-//! in turn matches a per-entry [`QueryEngine::combined_similarity`]
-//! reference ranking. Each property also checks, through the engine's
-//! counters, that the tier really ran and rejected work.
+//! The bound tier must be invisible in results: for every catalog, weight
+//! profile, `k` regime and thread count, `abandon: true` returns *exactly*
+//! the matches (ids AND bit-identical scores) of the naive full scan
+//! (`abandon: false`), which in turn matches a per-entry
+//! [`QueryEngine::combined_similarity`] reference ranking. Each property
+//! also checks, through the engine's counters, that the tier really ran
+//! and rejected work, and the frame property that it is the only filter:
+//! every candidate it admits is scored in full.
 //! Randomised via proptest so the pin covers the whole input space, not
 //! a handful of hand-picked frames.
 
@@ -133,7 +134,7 @@ fn random_split(
     groups
 }
 
-/// Weight profiles the cascade must stay exact under: the paper default,
+/// Weight profiles the tier must stay exact under: the paper default,
 /// uniform, a single expensive stage, a single cheap stage, and a skewed
 /// hand-rolled mix (including a zeroed-out stage).
 fn weight_profiles(seed: u64) -> Vec<FeatureWeights> {
@@ -179,6 +180,14 @@ proptest! {
         let (mut engine, _, probe, range) = random_catalog(seed, n);
         let registry = Arc::new(Registry::new());
         engine.set_telemetry(Arc::clone(&registry));
+        let count = |name: &str| registry.counter(name).get();
+        let filtered = || {
+            (
+                count("query.frame.candidates"),
+                count("query.scan.survivors"),
+                count("query.scan.tier_rejects"),
+            )
+        };
         for weights in &weight_profiles(seed) {
             for use_index in [false, true] {
                 for k in [0, 1, n / 2, n, n + 7] {
@@ -188,6 +197,7 @@ proptest! {
                     );
                     for threads in [1, 2, 4, THREADS_AUTO] {
                         for abandon in [false, true] {
+                            let before = filtered();
                             let got = engine.query_features(
                                 &probe, range,
                                 &options(k, threads, use_index, weights, abandon),
@@ -199,6 +209,19 @@ proptest! {
                                 "k={} threads={} abandon={} use_index={}",
                                 k, threads, abandon, use_index
                             );
+                            // The tier is the only filter: each candidate
+                            // is rejected by it or scored in full (k = 0
+                            // scores nothing).
+                            let after = filtered();
+                            if k > 0 {
+                                prop_assert_eq!(
+                                    (after.1 - before.1) + (after.2 - before.2),
+                                    after.0 - before.0,
+                                    "survivors + tier rejects vs candidates: \
+                                     k={} threads={} abandon={} use_index={}",
+                                    k, threads, abandon, use_index
+                                );
+                            }
                         }
                     }
                 }
@@ -206,7 +229,7 @@ proptest! {
         }
         // The tier bounded candidates and rejected some before any exact
         // kernel ran, so the equalities above cover its pruning.
-        let tier = |name: &str| registry.counter(&format!("query.scan.{name}")).get();
+        let tier = |name: &str| count(&format!("query.scan.{name}"));
         prop_assert!(tier("tier_candidates") > 0 && tier("tier_elements") > 0);
         prop_assert!(tier("tier_rejects") > 0, "the tier never rejected a candidate");
     }
@@ -218,7 +241,7 @@ proptest! {
     ) {
         force_parallel_pool();
         // Reference ranking computed entry-by-entry from the public
-        // combined_similarity (f64, no arena): the cascade's scores must
+        // combined_similarity (f64, no arena): the arena's scores must
         // agree to float-noise tolerance and rank identically.
         let (engine, sets, probe, range) = random_catalog(seed, n);
         let weights = FeatureWeights::default();
@@ -327,8 +350,8 @@ proptest! {
 
 /// A self-query over a catalog containing the probe itself must put the
 /// exact duplicate first with a score of exactly 1.0 — the arena
-/// quantises query and catalog identically, so the cascade cannot lose
-/// the perfect match no matter how aggressively it abandons.
+/// quantises query and catalog identically, so the tier cannot lose the
+/// perfect match no matter how aggressively it rejects.
 #[test]
 fn self_query_survives_cascade_with_perfect_score() {
     force_parallel_pool();
