@@ -183,6 +183,8 @@ struct EngineMetrics {
     /// `query.clip.elements` — distance-kernel elements visited by clip
     /// DTW, the bound tier's included.
     clip_elements: Arc<Counter>,
+    /// `query.clip.survivors` — DTW cells scored in full.
+    clip_survivors: Arc<Counter>,
     /// `query.scan.tier_elements` / `query.clip.tier_elements` — the
     /// bound tier's share of the element counters above.
     scan_tier_elements: Arc<Counter>,
@@ -232,6 +234,7 @@ impl EngineMetrics {
             abandon_kind: slots.map(|s| s.expect("every kind registered")),
             abandon_dtw: registry.counter("query.abandon.dtw"),
             clip_elements: registry.counter("query.clip.elements"),
+            clip_survivors: registry.counter("query.clip.survivors"),
             scan_tier_elements: registry.counter("query.scan.tier_elements"),
             clip_tier_elements: registry.counter("query.clip.tier_elements"),
             scan_tier_seen: registry.counter("query.scan.tier_candidates"),
@@ -268,9 +271,11 @@ impl EngineMetrics {
     }
 
     /// Fold one clip chunk's tally in: its elements, tier work included,
-    /// and the tier's cell counts (per-kind abandons are frame-only).
+    /// the cells scored in full and the tier's cell counts (per-kind
+    /// abandons are frame-only).
     fn flush_clip_tally(&self, tally: &CascadeTally) {
         add_nonzero(&self.clip_elements, tally.elements + tally.tier_elements);
+        add_nonzero(&self.clip_survivors, tally.survivors);
         add_nonzero(&self.clip_tier_elements, tally.tier_elements);
         add_nonzero(&self.clip_tier_seen, tally.tier_seen);
         add_nonzero(&self.clip_tier_rejected, tally.tier_rejected);
@@ -540,6 +545,9 @@ impl QueryEngine {
         options: &QueryOptions,
     ) -> Vec<FrameMatch> {
         self.metrics.frame_requests.inc();
+        if options.k == 0 {
+            return Vec::new();
+        }
         // One snapshot load serves the whole query: the commit lock is
         // never taken and concurrent ingest/compaction cannot change what
         // this query sees.
@@ -549,7 +557,7 @@ impl QueryEngine {
             snap.candidates(range, options.use_index)
         };
         self.metrics.frame_candidates.add(candidates.len() as u64);
-        if candidates.is_empty() || options.k == 0 {
+        if candidates.is_empty() {
             return Vec::new();
         }
         // Candidates pass the per-segment arenas' bound tier on the shared

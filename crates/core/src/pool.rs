@@ -36,7 +36,6 @@
 //! engine), so `threads = N` returns exactly what `threads = 1` returns.
 
 use crate::telemetry::{Clock, Counter, Histogram, Registry};
-use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -269,7 +268,9 @@ impl ExecPool {
         }
     }
 
-    /// Parallel map preserving order: `out[i] = f(i, &items[i])`.
+    /// Parallel map preserving order: `out[i] = f(i, &items[i])`. Each
+    /// item has its own slot; chunk claims partition `0..len`, so every
+    /// slot is filled exactly once and its lock is never contended.
     pub fn map<T: Sync, R: Send>(
         &self,
         items: &[T],
@@ -277,25 +278,18 @@ impl ExecPool {
         threads: usize,
         f: impl Fn(usize, &T) -> R + Sync,
     ) -> Vec<R> {
-        let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(items.len());
-        out.resize_with(items.len(), MaybeUninit::uninit);
-        let slots = SendPtr(out.as_mut_ptr());
+        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         self.run(items.len(), chunk, threads, |range| {
             for i in range {
-                // SAFETY: chunk claims partition `0..len`, so each index
-                // is written exactly once, by exactly one participant.
-                unsafe { (*slots.get().add(i)).write(f(i, &items[i])) };
+                let out = f(i, &items[i]);
+                *slots[i].lock().expect("map slot poisoned") = Some(out);
             }
         });
-        // SAFETY: `run` returned without panicking, so every slot was
-        // initialised exactly once.
-        unsafe {
-            let len = out.len();
-            let cap = out.capacity();
-            let ptr = out.as_mut_ptr() as *mut R;
-            std::mem::forget(out);
-            Vec::from_raw_parts(ptr, len, cap)
-        }
+        // `run` returned without panicking, so every slot is filled.
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("map slot poisoned").expect("map slot filled"))
+            .collect()
     }
 }
 
@@ -323,28 +317,6 @@ fn resolve_threads(threads: usize, max: usize) -> usize {
         threads.min(max)
     }
 }
-
-/// A raw pointer the pool may share across participants. Soundness is
-/// the caller's obligation: participants must write disjoint indices.
-struct SendPtr<T>(*mut T);
-impl<T> SendPtr<T> {
-    /// Accessor (rather than direct field use in closures): edition
-    /// 2021 disjoint capture would otherwise capture the bare pointer
-    /// field, losing the wrapper's `Send`/`Sync`.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-// Manual impls: `derive` would bound `T: Copy`, but the pointer itself
-// is always copyable.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 /// A bounded top-k accumulator under a caller-supplied total order
 /// (`rank(a, b) == Less` means `a` ranks ahead of `b`).

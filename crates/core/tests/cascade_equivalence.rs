@@ -8,6 +8,13 @@
 //! every candidate it admits is scored in full.
 //! Randomised via proptest so the pin covers the whole input space, not
 //! a handful of hand-picked frames.
+//!
+//! The `*_floors` tests pin how much work the tier saves on two fixed
+//! 10 240-row catalogs, from exact serial counters:
+//!
+//! ```text
+//! cargo test --release -p cbvr-core --test cascade_equivalence floors -- --nocapture
+//! ```
 
 use cbvr_core::engine::CatalogEntry;
 use cbvr_core::{FeatureWeights, QueryEngine, QueryOptions, Registry, THREADS_AUTO};
@@ -211,17 +218,15 @@ proptest! {
                             );
                             // The tier is the only filter: each candidate
                             // is rejected by it or scored in full (k = 0
-                            // scores nothing).
+                            // scans no candidate).
                             let after = filtered();
-                            if k > 0 {
-                                prop_assert_eq!(
-                                    (after.1 - before.1) + (after.2 - before.2),
-                                    after.0 - before.0,
-                                    "survivors + tier rejects vs candidates: \
-                                     k={} threads={} abandon={} use_index={}",
-                                    k, threads, abandon, use_index
-                                );
-                            }
+                            prop_assert_eq!(
+                                (after.1 - before.1) + (after.2 - before.2),
+                                after.0 - before.0,
+                                "survivors + tier rejects vs candidates: \
+                                 k={} threads={} abandon={} use_index={}",
+                                k, threads, abandon, use_index
+                            );
                         }
                     }
                 }
@@ -375,4 +380,151 @@ fn self_query_survives_cascade_with_perfect_score() {
             assert_eq!(got[0].score, 1.0, "threads={threads} abandon={abandon}");
         }
     }
+}
+
+// Work floors. Two serial queries over 10 240-row catalogs, `abandon` off
+// (the plain scan) and on: the rankings must be equal and the bound tier
+// must save a fixed share of the distance-kernel elements. Serial counts
+// are exact, so each floor is a deterministic assertion, not a timing.
+
+/// Distinct base frames the floor catalogs are built from.
+const FLOOR_BASES: usize = 64;
+
+/// Rows in each floor catalog.
+const FLOOR_ROWS: usize = 10_240;
+
+fn floor_frame(rng: &mut rand::rngs::StdRng) -> RgbImage {
+    let base = Rgb::new(
+        rng.gen_range(0..=255u8),
+        rng.gen_range(0..=255u8),
+        rng.gen_range(0..=255u8),
+    );
+    let fx = rng.gen_range(1..=9u32);
+    let fy = rng.gen_range(1..=9u32);
+    RgbImage::from_fn(32, 32, |x, y| {
+        Rgb::new(
+            base.r.wrapping_add((x * fx) as u8),
+            base.g.wrapping_add((y * fy) as u8),
+            base.b.wrapping_add(((x * y) % 251) as u8),
+        )
+    })
+    .unwrap()
+}
+
+/// The 64 base entries (seed `0xbe5c`), the rng that drew them (clip
+/// queries are drawn from it next), and a probe that perturbs base frame
+/// 7: near the catalog, so the tier's threshold tightens, but no copy.
+fn floor_bases() -> (Vec<CatalogEntry>, rand::rngs::StdRng, FeatureSet, RangeKey) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xbe5c);
+    let frames: Vec<RgbImage> = (0..FLOOR_BASES).map(|_| floor_frame(&mut rng)).collect();
+    let bases = frames.iter().map(|f| entry_from_frame(0, 0, f)).collect();
+    let f = &frames[7];
+    let probe = RgbImage::from_fn(f.width(), f.height(), |x, y| {
+        let p = f.get(x, y);
+        Rgb::new(p.r.wrapping_add(3), p.g, p.b.wrapping_add(1))
+    })
+    .unwrap();
+    let range = paper_range(&Histogram256::of_rgb_luma(&probe));
+    (bases, rng, FeatureSet::extract(&probe), range)
+}
+
+/// Runs `query` serially at `k = 10`, `abandon` off then on, each on a
+/// fresh registry. Asserts the two answers are equal and, under the
+/// counter prefix `scope`, that every survivor ran every stage's exact
+/// kernel: `elements − tier_elements == survivors × Σ kind_dim`. Returns
+/// the off and on registries.
+fn floor_runs<R: PartialEq + std::fmt::Debug>(
+    engine: &mut QueryEngine,
+    scope: &str,
+    query: impl Fn(&QueryEngine, &QueryOptions) -> R,
+) -> [Arc<Registry>; 2] {
+    let weights = FeatureWeights::default();
+    let dims: u64 = FeatureKind::ALL
+        .iter()
+        .filter(|&&kind| weights.get(kind) > 0.0)
+        .map(|&kind| cbvr_core::arena::kind_dim(kind) as u64)
+        .sum();
+    let mut answers = Vec::new();
+    let registries = [false, true].map(|abandon| {
+        let registry = Arc::new(Registry::new());
+        engine.set_telemetry(Arc::clone(&registry));
+        answers.push(query(engine, &options(10, 1, false, &weights, abandon)));
+        let count = |name: &str| registry.counter(&format!("{scope}.{name}")).get();
+        assert_eq!(
+            count("elements") - count("tier_elements"),
+            count("survivors") * dims,
+            "{scope}: exact elements vs survivors, abandon={abandon}"
+        );
+        registry
+    });
+    assert_eq!(answers[0], answers[1], "abandon changed a ranking");
+    registries
+}
+
+#[test]
+fn frame_scan_floors() {
+    let (bases, _, probe, range) = floor_bases();
+    let entries = (0..FLOOR_ROWS)
+        .map(|i| CatalogEntry {
+            i_id: i as u64 + 1,
+            v_id: (i as u64 % 16) + 1,
+            ..bases[i % FLOOR_BASES].clone()
+        })
+        .collect();
+    let mut engine = QueryEngine::from_catalog(entries, HashMap::new());
+    let [full, tiered] = floor_runs(&mut engine, "query.scan", |e, o| {
+        e.query_features(&probe, range, o)
+    });
+    let count = |r: &Registry, name: &str| r.counter(&format!("query.scan.{name}")).get();
+    let (elements, plain) = (count(&tiered, "elements"), count(&full, "elements"));
+    let (rejected, seen) = (count(&tiered, "tier_rejects"), count(&tiered, "tier_candidates"));
+    let ratio = elements as f64 / plain as f64;
+    let share = rejected as f64 / seen as f64;
+    println!("frame elements: tiered {elements} / full {plain} = {ratio:.3} (floor <= 0.70)");
+    let tier = count(&tiered, "tier_elements");
+    println!(
+        "frame tier: rejected {rejected} / {seen} candidates = {share:.3} (floor >= 0.50); \
+         elements: tier {tier} + exact {}",
+        elements - tier
+    );
+    assert!(ratio <= 0.70, "the tier saves under 30% of the frame elements: {ratio:.3}");
+    assert!(share >= 0.50, "the tier rejects under half its frame candidates: {share:.3}");
+}
+
+#[test]
+fn clip_dtw_floors() {
+    let (bases, mut rng, _, _) = floor_bases();
+    // Eight two-frame queries of fresh frames, never catalog rows.
+    let queries: Vec<Vec<FeatureSet>> = (0..8)
+        .map(|_| (0..2).map(|_| FeatureSet::extract(&floor_frame(&mut rng))).collect())
+        .collect();
+    // Contiguous videos of 1–8 rows, each row a random base frame.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xc11b);
+    let (mut v_id, mut left) = (0u64, 0usize);
+    let mut entries = Vec::with_capacity(FLOOR_ROWS);
+    for i in 0..FLOOR_ROWS {
+        if left == 0 {
+            left = rng.gen_range(1..=8usize);
+            v_id += 1;
+        }
+        left -= 1;
+        let base = &bases[rng.gen_range(0..FLOOR_BASES)];
+        entries.push(CatalogEntry { i_id: i as u64 + 1, v_id, ..base.clone() });
+    }
+    let mut engine = QueryEngine::from_catalog(entries, HashMap::new());
+    let [plain, bounded] = floor_runs(&mut engine, "query.clip", |e, o| {
+        queries.iter().map(|q| e.query_feature_sequence(q, o)).collect::<Vec<_>>()
+    });
+    let count = |r: &Registry, name: &str| r.counter(&format!("query.clip.{name}")).get();
+    let (elements, full) = (count(&bounded, "elements"), count(&plain, "elements"));
+    let ratio = elements as f64 / full as f64;
+    let tier = count(&bounded, "tier_elements");
+    println!("clip elements: bounded {elements} / plain {full} = {ratio:.3} (floor <= 0.50)");
+    println!(
+        "clip tier: rejected {} / {} DTW cells; elements: tier {tier} + exact {}",
+        count(&bounded, "tier_rejects"),
+        count(&bounded, "tier_cells"),
+        elements - tier
+    );
+    assert!(ratio <= 0.50, "the bounded DTW saves under half the clip elements: {ratio:.3}");
 }

@@ -213,12 +213,12 @@ fn engine_edge_cases_are_identical_and_telemetry_consistent() {
     let scan = registry.histogram("query.frame.scan_nanos");
     let score = registry.histogram("query.frame.score_nanos");
 
-    // k = 0: empty result, counted as a request, never scored.
+    // k = 0: empty result, counted as a request, never scanned or scored.
     assert!(engine.query_features(&probe, range, &options(0, 1)).is_empty());
     assert!(engine.query_features(&probe, range, &options(0, THREADS_AUTO)).is_empty());
     assert_eq!(requests.get(), 2);
-    assert_eq!(candidates.get(), 2 * n as u64);
-    assert_eq!(scan.count(), 2, "candidate scan still ran");
+    assert_eq!(candidates.get(), 0);
+    assert_eq!(scan.count(), 0, "k = 0 returns before the candidate scan");
     assert_eq!(score.count(), 0, "k = 0 short-circuits before scoring");
 
     // k > catalog: every entry returned, serial == parallel, and the

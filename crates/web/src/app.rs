@@ -258,17 +258,21 @@ impl<B: Backend> AppState<B> {
         let Some(id) = request.param_u64("id") else {
             return Response::text(StatusCode::BadRequest, "missing ?id=N");
         };
-        let mut db = match self.lock_db() {
-            Ok(db) => db,
-            Err(r) => return r,
-        };
-        let row = match db.get_key_frame(id) {
-            Ok(r) => r,
-            Err(e) => return Response::text(StatusCode::NotFound, e.to_string()),
-        };
-        let bytes = match db.read_image_bytes(&row) {
-            Ok(b) => b,
-            Err(e) => return Response::text(StatusCode::InternalServerError, e.to_string()),
+        // The lock covers the two reads only; decoding and encoding run
+        // after it is released.
+        let bytes = {
+            let mut db = match self.lock_db() {
+                Ok(db) => db,
+                Err(r) => return r,
+            };
+            let row = match db.get_key_frame(id) {
+                Ok(r) => r,
+                Err(e) => return Response::text(StatusCode::NotFound, e.to_string()),
+            };
+            match db.read_image_bytes(&row) {
+                Ok(b) => b,
+                Err(e) => return Response::text(StatusCode::InternalServerError, e.to_string()),
+            }
         };
         match cbvr_imgproc::decode_auto(&bytes) {
             Ok(img) => Response::bytes("image/bmp", encode_image(&img, ImageFormat::Bmp)),
