@@ -2,7 +2,9 @@
 //! size across category styles (flat cartoon, speckled sports, smooth
 //! movie pans).
 
-use cbvr_video::{encode_vsc, decode_vsc, Category, FrameCodec, GeneratorConfig, Video, VideoGenerator};
+use cbvr_video::{
+    decode_vsc, encode_vsc, Category, FrameCodec, GeneratorConfig, Video, VideoGenerator,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn clip(category: Category) -> Video {

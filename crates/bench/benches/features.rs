@@ -51,15 +51,19 @@ fn bench_features(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("tamura", &label), &img, |b, img| {
             b.iter(|| TamuraTexture::extract(img))
         });
-        group.bench_with_input(BenchmarkId::new("autocorrelogram", &label), &img, |b, img| {
-            b.iter(|| AutoColorCorrelogram::extract(img))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("autocorrelogram", &label),
+            &img,
+            |b, img| b.iter(|| AutoColorCorrelogram::extract(img)),
+        );
         group.bench_with_input(BenchmarkId::new("naive", &label), &img, |b, img| {
             b.iter(|| NaiveSignature::extract(img))
         });
-        group.bench_with_input(BenchmarkId::new("region_growing", &label), &img, |b, img| {
-            b.iter(|| RegionGrowing::extract(img))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("region_growing", &label),
+            &img,
+            |b, img| b.iter(|| RegionGrowing::extract(img)),
+        );
         let binary = binarize_fuzzy(&img.to_gray());
         group.bench_with_input(
             BenchmarkId::new("morphology_chain", &label),

@@ -15,7 +15,9 @@ fn clip(width: u32, height: u32, shots: u32, frames_per_shot: u32) -> Video {
         ..GeneratorConfig::default()
     })
     .expect("valid config");
-    generator.generate(Category::Cartoon, 5).expect("generation")
+    generator
+        .generate(Category::Cartoon, 5)
+        .expect("generation")
 }
 
 fn bench_keyframe(c: &mut Criterion) {

@@ -14,7 +14,11 @@ use std::collections::HashMap;
 fn bench_retrieval(c: &mut Criterion) {
     let corpus = Corpus::build(CorpusConfig {
         videos_per_category: 4,
-        generator: GeneratorConfig { width: 64, height: 48, ..GeneratorConfig::default() },
+        generator: GeneratorConfig {
+            width: 64,
+            height: 48,
+            ..GeneratorConfig::default()
+        },
         ..CorpusConfig::default()
     })
     .expect("corpus build");
@@ -29,10 +33,16 @@ fn bench_retrieval(c: &mut Criterion) {
     let mut group = c.benchmark_group("retrieval");
     group.sample_size(30);
     for (name, use_index) in [("with_index", true), ("no_index", false)] {
-        let options = QueryOptions { k: 20, use_index, ..Default::default() };
-        group.bench_with_input(BenchmarkId::new("query_frame_ranked", name), &options, |b, opts| {
-            b.iter(|| corpus.engine.query_features(&features, range, opts))
-        });
+        let options = QueryOptions {
+            k: 20,
+            use_index,
+            ..Default::default()
+        };
+        group.bench_with_input(
+            BenchmarkId::new("query_frame_ranked", name),
+            &options,
+            |b, opts| b.iter(|| corpus.engine.query_features(&features, range, opts)),
+        );
     }
 
     // Whole query including feature extraction (the user-visible latency).
@@ -60,7 +70,12 @@ fn synthetic_engine(size: usize) -> (QueryEngine, FeatureSet, cbvr_index::RangeK
         .collect();
     let sets: Vec<(cbvr_index::RangeKey, FeatureSet)> = pool
         .iter()
-        .map(|img| (paper_range(&Histogram256::of_rgb_luma(img)), FeatureSet::extract(img)))
+        .map(|img| {
+            (
+                paper_range(&Histogram256::of_rgb_luma(img)),
+                FeatureSet::extract(img),
+            )
+        })
         .collect();
     let entries: Vec<CatalogEntry> = (0..size)
         .map(|i| {
@@ -93,8 +108,12 @@ fn bench_query_parallel(c: &mut Criterion) {
     for size in [1024usize, 5120] {
         let (engine, features, range) = synthetic_engine(size);
         for threads in [1usize, 2, 4, 8] {
-            let options =
-                QueryOptions { k: 20, use_index: false, threads, ..Default::default() };
+            let options = QueryOptions {
+                k: 20,
+                use_index: false,
+                threads,
+                ..Default::default()
+            };
             group.bench_with_input(
                 BenchmarkId::new(format!("catalog_{size}"), format!("threads_{threads}")),
                 &options,

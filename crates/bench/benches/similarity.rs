@@ -9,7 +9,9 @@ use cbvr_video::GeneratorConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn sequence(n: usize, phase: f64) -> Vec<f64> {
-    (0..n).map(|i| (i as f64 * 0.37 + phase).sin() * 10.0).collect()
+    (0..n)
+        .map(|i| (i as f64 * 0.37 + phase).sin() * 10.0)
+        .collect()
 }
 
 fn bench_dtw(c: &mut Criterion) {
@@ -45,9 +47,14 @@ fn bench_clip_query(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("query_video_end_to_end", |b| {
         b.iter(|| {
-            corpus
-                .engine
-                .query_video(video, &KeyframeConfig::default(), &QueryOptions { k: 5, ..Default::default() })
+            corpus.engine.query_video(
+                video,
+                &KeyframeConfig::default(),
+                &QueryOptions {
+                    k: 5,
+                    ..Default::default()
+                },
+            )
         })
     });
     group.finish();

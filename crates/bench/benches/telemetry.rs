@@ -35,9 +35,13 @@ fn bench_telemetry(c: &mut Criterion) {
     // Snapshot cost with a realistically-sized registry.
     for i in 0..64 {
         registry.counter(&format!("bench.fill.c{i}")).add(i);
-        registry.histogram(&format!("bench.fill.h{i}_nanos")).record_nanos(i * 37);
+        registry
+            .histogram(&format!("bench.fill.h{i}_nanos"))
+            .record_nanos(i * 37);
     }
-    group.bench_function("render_lines_129_metrics", |b| b.iter(|| registry.render_lines()));
+    group.bench_function("render_lines_129_metrics", |b| {
+        b.iter(|| registry.render_lines())
+    });
     group.finish();
 }
 

@@ -48,7 +48,10 @@ fn settings() -> Vec<(String, FeatureWeights)> {
                 (FeatureKind::Tamura, 1.0),
             ]),
         ),
-        ("best-single (gabor)".into(), FeatureWeights::single(FeatureKind::Gabor)),
+        (
+            "best-single (gabor)".into(),
+            FeatureWeights::single(FeatureKind::Gabor),
+        ),
     ]
 }
 
@@ -71,7 +74,10 @@ fn main() {
     }
 
     let config = Table1Config {
-        corpus: CorpusConfig { videos_per_category: videos, ..CorpusConfig::default() },
+        corpus: CorpusConfig {
+            videos_per_category: videos,
+            ..CorpusConfig::default()
+        },
         queries_per_category: 4,
         frames_per_query: 2,
         ..Table1Config::default()
@@ -79,8 +85,14 @@ fn main() {
     eprintln!("building corpus ({videos} videos/category)...");
     let corpus = Corpus::build(config.corpus.clone()).expect("corpus build");
 
-    println!("Ablation A2 — combined-weight sweep (catalog: {} key frames)\n", corpus.engine.len());
-    println!("{:<22} {:>8} {:>8} {:>8} {:>8}", "weighting", "p@20", "p@30", "p@50", "p@100");
+    println!(
+        "Ablation A2 — combined-weight sweep (catalog: {} key frames)\n",
+        corpus.engine.len()
+    );
+    println!(
+        "{:<22} {:>8} {:>8} {:>8} {:>8}",
+        "weighting", "p@20", "p@30", "p@50", "p@100"
+    );
 
     for (name, weights) in settings() {
         // Reuse the Table 1 machinery with only the Combined method by
@@ -100,7 +112,9 @@ fn run_combined(corpus: &Corpus, config: &Table1Config, weights: &FeatureWeights
     use cbvr_core::engine::QueryOptions;
     use cbvr_eval::metrics::{mean, precision_at_k};
 
-    let query_videos = corpus.query_videos(config.queries_per_category).expect("queries");
+    let query_videos = corpus
+        .query_videos(config.queries_per_category)
+        .expect("queries");
     let mut per_cutoff: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for (category, video) in &query_videos {
         let n = video.frame_count();
@@ -120,12 +134,19 @@ fn run_combined(corpus: &Corpus, config: &Table1Config, weights: &FeatureWeights
                 ..Default::default()
             };
             let results = corpus.engine.query_frame(&frame, &options);
-            let truth: Vec<bool> =
-                results.iter().map(|m| corpus.category_of(m.v_id) == *category).collect();
+            let truth: Vec<bool> = results
+                .iter()
+                .map(|m| corpus.category_of(m.v_id) == *category)
+                .collect();
             for (slot, &k) in per_cutoff.iter_mut().zip([20usize, 30, 50, 100].iter()) {
                 slot.push(precision_at_k(&truth, k));
             }
         }
     }
-    [mean(&per_cutoff[0]), mean(&per_cutoff[1]), mean(&per_cutoff[2]), mean(&per_cutoff[3])]
+    [
+        mean(&per_cutoff[0]),
+        mean(&per_cutoff[1]),
+        mean(&per_cutoff[2]),
+        mean(&per_cutoff[3]),
+    ]
 }

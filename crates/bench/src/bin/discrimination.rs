@@ -30,8 +30,11 @@ fn main() {
         i += 1;
     }
     eprintln!("building corpus ({videos} videos/category)...");
-    let corpus = Corpus::build(CorpusConfig { videos_per_category: videos, ..CorpusConfig::default() })
-        .expect("corpus build");
+    let corpus = Corpus::build(CorpusConfig {
+        videos_per_category: videos,
+        ..CorpusConfig::default()
+    })
+    .expect("corpus build");
     let report = run_discrimination(&corpus, queries, 2).expect("discrimination run");
     println!("{}", report.render());
 }

@@ -26,8 +26,11 @@ fn main() {
     }
 
     eprintln!("building corpus ({videos} videos/category)...");
-    let corpus = Corpus::build(CorpusConfig { videos_per_category: videos, ..CorpusConfig::default() })
-        .expect("corpus build");
+    let corpus = Corpus::build(CorpusConfig {
+        videos_per_category: videos,
+        ..CorpusConfig::default()
+    })
+    .expect("corpus build");
 
     println!("Figure 7 — indexing tree (min–max ranges with key-frame occupancy)\n");
     println!("{}", corpus.engine.render_index_tree());

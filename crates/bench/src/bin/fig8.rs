@@ -35,7 +35,9 @@ fn main() {
     // The query image: one frame of a generated clip (the paper's Fig. 8
     // input is a movie-style frame).
     let generator = VideoGenerator::new(GeneratorConfig::default()).expect("valid config");
-    let video = generator.generate(Category::Movie, 8).expect("generation succeeds");
+    let video = generator
+        .generate(Category::Movie, 8)
+        .expect("generation succeeds");
     let frame = video.frame(0).expect("clip has frames");
 
     if let Some(dir) = &out_dir {
@@ -46,7 +48,11 @@ fn main() {
     }
 
     println!("Figure 8 — input query image and per-algorithm outputs\n");
-    println!("Input: {}x{} frame, category 'movie'\n", frame.width(), frame.height());
+    println!(
+        "Input: {}x{} frame, category 'movie'\n",
+        frame.width(),
+        frame.height()
+    );
 
     let set = FeatureSet::extract(frame);
     let range = paper_range(&Histogram256::of_rgb_luma(frame));
@@ -59,8 +65,12 @@ fn main() {
     println!("Output :");
     println!(
         "{} {} {} {} {} {}\n",
-        set.glcm.pixel_counter, set.glcm.asm, set.glcm.contrast, set.glcm.correlation,
-        set.glcm.idm, set.glcm.entropy
+        set.glcm.pixel_counter,
+        set.glcm.asm,
+        set.glcm.contrast,
+        set.glcm.correlation,
+        set.glcm.idm,
+        set.glcm.entropy
     );
 
     println!("Algorithm : Gabor Texture");

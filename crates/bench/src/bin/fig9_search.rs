@@ -42,8 +42,14 @@ fn main() {
     // Administrator: add videos to the database.
     let mut db = CbvrDatabase::in_memory().expect("open db");
     let generator = VideoGenerator::new(GeneratorConfig::default()).expect("valid config");
-    let config = IngestConfig { timestamp: 1_760_000_000, ..IngestConfig::default() };
-    eprintln!("ingesting {} videos...", videos as usize * Category::ALL.len());
+    let config = IngestConfig {
+        timestamp: 1_760_000_000,
+        ..IngestConfig::default()
+    };
+    eprintln!(
+        "ingesting {} videos...",
+        videos as usize * Category::ALL.len()
+    );
     for category in Category::ALL {
         for seed in 0..videos as u64 {
             let clip = generator.generate(category, seed).expect("generation");
@@ -54,13 +60,24 @@ fn main() {
 
     // User: submit a query frame (an unseen sports clip's frame).
     let engine = QueryEngine::from_database(&mut db).expect("engine build");
-    let probe = generator.generate(Category::Sports, 424_242).expect("generation");
+    let probe = generator
+        .generate(Category::Sports, 424_242)
+        .expect("generation");
     let query_frame = probe.frame(5).expect("clip has frames");
 
     println!("Figure 9 — screen showing result of match\n");
     println!("query: frame 5 of an unseen 'sports' clip\n");
-    let results = engine.query_frame(query_frame, &QueryOptions { k: 10, ..Default::default() });
-    println!("{:<6} {:<22} {:<10} {:>8}", "rank", "video", "keyframe", "score");
+    let results = engine.query_frame(
+        query_frame,
+        &QueryOptions {
+            k: 10,
+            ..Default::default()
+        },
+    );
+    println!(
+        "{:<6} {:<22} {:<10} {:>8}",
+        "rank", "video", "keyframe", "score"
+    );
     for (rank, m) in results.iter().enumerate() {
         println!(
             "{:<6} {:<22} kf #{:<7} {:>8.4}",
@@ -89,8 +106,11 @@ fn main() {
 
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(&dir).expect("create output dir");
-        std::fs::write(format!("{dir}/fig9_query.bmp"), encode(query_frame, ImageFormat::Bmp))
-            .expect("write query");
+        std::fs::write(
+            format!("{dir}/fig9_query.bmp"),
+            encode(query_frame, ImageFormat::Bmp),
+        )
+        .expect("write query");
         for (rank, m) in results.iter().take(4).enumerate() {
             let row = db.get_key_frame(m.i_id).expect("key frame row");
             let img_bytes = db.read_image_bytes(&row).expect("image blob");

@@ -12,7 +12,10 @@ use cbvr_eval::{run_table1, CorpusConfig, Table1Config};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = Table1Config {
-        corpus: CorpusConfig { videos_per_category: 8, ..CorpusConfig::default() },
+        corpus: CorpusConfig {
+            videos_per_category: 8,
+            ..CorpusConfig::default()
+        },
         queries_per_category: 3,
         frames_per_query: 2,
         ..Table1Config::default()
