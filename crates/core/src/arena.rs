@@ -109,7 +109,10 @@ impl Default for AlignedF32 {
 impl AlignedF32 {
     /// Empty buffer.
     pub fn new() -> AlignedF32 {
-        AlignedF32 { chunks: Vec::new(), len: 0 }
+        AlignedF32 {
+            chunks: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Elements stored.
@@ -157,9 +160,7 @@ pub fn vectorize_into(kind: FeatureKind, set: &FeatureSet, out: &mut Vec<f32>) {
         FeatureKind::Glcm => out.extend(set.glcm.normalized_vector().iter().map(|&v| v as f32)),
         FeatureKind::Gabor => out.extend(set.gabor.features().iter().map(|&v| v as f32)),
         FeatureKind::Tamura => out.extend(set.tamura.normalized_vector().iter().map(|&v| v as f32)),
-        FeatureKind::Correlogram => {
-            out.extend(set.correlogram.values().iter().map(|&v| v as f32))
-        }
+        FeatureKind::Correlogram => out.extend(set.correlogram.values().iter().map(|&v| v as f32)),
         FeatureKind::Naive => {
             for c in set.naive.colors() {
                 out.push(c.r as f32);
@@ -275,7 +276,10 @@ impl TierState {
     /// The first stage: every active kind's [`stat_bound`], no element
     /// visited.
     fn from_stats(plan: &CascadePlan, a: Row, b: Row) -> TierState {
-        let mut state = TierState { bounds: [0.0; KINDS], gap: 0.0 };
+        let mut state = TierState {
+            bounds: [0.0; KINDS],
+            gap: 0.0,
+        };
         for stage in &plan.stages {
             let d = stat_bound(stage.kind, a, b);
             state.bounds[stage.kind as usize] = d;
@@ -342,7 +346,11 @@ impl DescriptorArena {
     /// cumulative `query.arena.bytes` counter).
     pub fn bytes(&self) -> usize {
         let slabs: usize = self.data.iter().map(AlignedF32::bytes).sum();
-        let stats: usize = self.stats.iter().map(|s| s.len() * std::mem::size_of::<f64>()).sum();
+        let stats: usize = self
+            .stats
+            .iter()
+            .map(|s| s.len() * std::mem::size_of::<f64>())
+            .sum();
         slabs + stats
     }
 
@@ -592,7 +600,10 @@ impl CascadePlan {
                 }
             }
         }
-        CascadePlan { stages, weights: weights.clone() }
+        CascadePlan {
+            stages,
+            weights: weights.clone(),
+        }
     }
 }
 
@@ -691,15 +702,21 @@ mod tests {
         let mut tally = CascadeTally::default();
         for (i, &expect) in full.iter().enumerate() {
             if arena.tier(&q, i, &plan, thr, &mut tally) {
-                assert_eq!(arena.cascade_score(&q, i, &plan, &mut tally), expect, "entry {i}");
+                assert_eq!(
+                    arena.cascade_score(&q, i, &plan, &mut tally),
+                    expect,
+                    "entry {i}"
+                );
             } else {
                 assert!(expect < thr, "entry {i} rejected at score {expect} ≥ {thr}");
             }
         }
         assert!(tally.survivors >= 2, "the top-2 must survive");
         assert_eq!(tally.tier_seen, 8);
-        let full_elements: u64 =
-            FeatureKind::ALL.iter().map(|&k| 8 * kind_dim(k) as u64).sum();
+        let full_elements: u64 = FeatureKind::ALL
+            .iter()
+            .map(|&k| 8 * kind_dim(k) as u64)
+            .sum();
         assert!(tally.elements <= full_elements);
         assert!(tally.tier_elements <= full_elements);
     }
@@ -742,11 +759,14 @@ mod tests {
                     (a[0], a[1], b[0], b[1]) = (0.5 + eps, 0.5 - eps, 0.5 - eps, 0.5 + eps);
                     return (a, b);
                 }
-                let a: Vec<f32> =
-                    (0..kind_dim(kind)).map(|_| rng.gen_range(1.0f32..255.0)).collect();
+                let a: Vec<f32> = (0..kind_dim(kind))
+                    .map(|_| rng.gen_range(1.0f32..255.0))
+                    .collect();
                 let b = if kind == FeatureKind::Regions {
                     // Its bound is exact anyway: vary the distance instead.
-                    (0..kind_dim(kind)).map(|_| rng.gen_range(1.0f32..255.0)).collect()
+                    (0..kind_dim(kind))
+                        .map(|_| rng.gen_range(1.0f32..255.0))
+                        .collect()
                 } else {
                     a.iter().map(|x| x * c).collect()
                 };
@@ -757,8 +777,14 @@ mod tests {
                 let exact = stage_distance(kind, a, b);
                 let stat = stat_bound(kind, a, b);
                 let kernel = stage_bound(kind, a, b);
-                assert!(stat <= exact, "{kind} statistic: {stat} > {exact} (c = {c})");
-                assert!(kernel <= exact, "{kind} kernel: {kernel} > {exact} (c = {c})");
+                assert!(
+                    stat <= exact,
+                    "{kind} statistic: {stat} > {exact} (c = {c})"
+                );
+                assert!(
+                    kernel <= exact,
+                    "{kind} kernel: {kernel} > {exact} (c = {c})"
+                );
                 // Tight: a bound inflated by 0.1% would exceed the exact
                 // distance.
                 assert!(kernel * 1.001 > exact, "{kind} kernel: {kernel} vs {exact}");
@@ -785,7 +811,10 @@ mod tests {
                 for kind in FeatureKind::ALL {
                     let bound = stage_bound(kind, (&arena, a), (&arena, b));
                     let exact = stage_distance(kind, (&arena, a), (&arena, b));
-                    assert!(bound >= 0.0 && bound <= exact, "{kind} {a}/{b}: {bound} > {exact}");
+                    assert!(
+                        bound >= 0.0 && bound <= exact,
+                        "{kind} {a}/{b}: {bound} > {exact}"
+                    );
                     if a == b {
                         assert_eq!(bound, 0.0, "{kind} self pair");
                     }
@@ -806,7 +835,11 @@ mod tests {
             let mut tally = CascadeTally::default();
             assert!(cells.fill(&query, &rows, &plan, f64::MAX, &mut scratch, &mut tally));
             let stage_elements: u64 = plan.stages.iter().map(|st| kind_dim(st.kind) as u64).sum();
-            assert_eq!(tally.tier_elements, 64 * stage_elements, "every cell, every stage");
+            assert_eq!(
+                tally.tier_elements,
+                64 * stage_elements,
+                "every cell, every stage"
+            );
             for (qi, q) in query.iter().enumerate() {
                 for i in 0..arena.len() {
                     let c = qi * arena.len() + i;
@@ -817,10 +850,16 @@ mod tests {
                     assert!(cell >= 0.0 && cell <= exact, "{cell} > {exact}");
                     let bounds = &cells.states[c].bounds;
                     let lower: f64 = certified(
-                        plan.stages.iter().map(|st| stage_gap(st, bounds[st.kind as usize])).sum(),
+                        plan.stages
+                            .iter()
+                            .map(|st| stage_gap(st, bounds[st.kind as usize]))
+                            .sum(),
                     )
                     .max(0.0);
-                    assert!(lower >= 0.0 && lower <= exact, "{lower} > {exact} ({qi}/{i})");
+                    assert!(
+                        lower >= 0.0 && lower <= exact,
+                        "{lower} > {exact} ({qi}/{i})"
+                    );
                     if i == qi {
                         assert_eq!(lower, 0.0, "self pair");
                     }
@@ -835,7 +874,14 @@ mod tests {
             }
             // An infinite limit bounds nothing.
             let mut tally = CascadeTally::default();
-            assert!(cells.fill(&query, &rows, &plan, f64::INFINITY, &mut scratch, &mut tally));
+            assert!(cells.fill(
+                &query,
+                &rows,
+                &plan,
+                f64::INFINITY,
+                &mut scratch,
+                &mut tally
+            ));
             assert_eq!(tally.tier_elements, 0);
             assert!(cells.lower().iter().all(|&l| l == 0.0));
         }
@@ -851,7 +897,11 @@ mod tests {
         // bounds prove it, long before the costly kinds.
         let mut tally = CascadeTally::default();
         assert!(!cells.fill(&q, &rows, &plan, 0.0, &mut scratch, &mut tally));
-        assert!(tally.tier_elements <= 8 * (3 + 5 + 18 + 60), "{}", tally.tier_elements);
+        assert!(
+            tally.tier_elements <= 8 * (3 + 5 + 18 + 60),
+            "{}",
+            tally.tier_elements
+        );
     }
 
     #[test]

@@ -89,7 +89,11 @@ pub(crate) fn cheapest_paths(
     for i in 0..n {
         cur[0] = f64::INFINITY;
         for j in 0..m {
-            let before = if i == 0 && j == 0 { 0.0 } else { prev[j].min(prev[j + 1]).min(cur[j]) };
+            let before = if i == 0 && j == 0 {
+                0.0
+            } else {
+                prev[j].min(prev[j + 1]).min(cur[j])
+            };
             cur[j + 1] = before + cost[i * m + j];
             through.push(cur[j + 1] + fut[i * m + j]);
         }
@@ -192,7 +196,11 @@ pub fn dtw_distance_bounded(
     let denom = (n + m) as f64;
     let limit = cost_limit(cutoff, n, m);
     let bounded = limit.is_finite();
-    let DtwScratch { prev: prev_cost, cur: cur_cost, fut } = scratch;
+    let DtwScratch {
+        prev: prev_cost,
+        cur: cur_cost,
+        fut,
+    } = scratch;
     // fut[i*m + j]: cheapest lower-bound cost of the cells after (i, j) on
     // any path to (n-1, m-1). Only built (and read) when bounded.
     if bounded {
@@ -310,7 +318,10 @@ mod tests {
         lower: impl Fn(&f64, &f64) -> f64,
         mut dist: impl FnMut(&f64, &f64, f64) -> Option<f64>,
     ) -> Option<f64> {
-        let table: Vec<f64> = a.iter().flat_map(|x| b.iter().map(|y| lower(x, y))).collect();
+        let table: Vec<f64> = a
+            .iter()
+            .flat_map(|x| b.iter().map(|y| lower(x, y)))
+            .collect();
         dtw_distance_bounded(
             a.len(),
             b.len(),
@@ -335,7 +346,11 @@ mod tests {
             |i, j, budget| budgeted(&a[i], &b[j], budget),
             &mut DtwScratch::default(),
         );
-        assert_eq!(bounded.map(f64::to_bits), Some(full.to_bits()), "must be bit-identical");
+        assert_eq!(
+            bounded.map(f64::to_bits),
+            Some(full.to_bits()),
+            "must be bit-identical"
+        );
         // A cutoff exactly at the distance keeps it (strict >).
         assert_eq!(bounded_on(&a, &b, full, scalar, budgeted), Some(full));
     }
@@ -395,7 +410,10 @@ mod tests {
         assert_eq!(bounded_on(&[], &[], 0.0, none, budgeted), Some(0.0));
         // Empty-vs-nonempty is ∞: kept only under an infinite cutoff.
         assert_eq!(bounded_on(&[], &s, 5.0, none, budgeted), None);
-        assert_eq!(bounded_on(&s, &[], f64::INFINITY, none, budgeted), Some(f64::INFINITY));
+        assert_eq!(
+            bounded_on(&s, &[], f64::INFINITY, none, budgeted),
+            Some(f64::INFINITY)
+        );
     }
 
     /// A random `n×m` cost matrix with exact zeros and repeated values (so

@@ -21,8 +21,6 @@ use crate::score::ScoreCalibration;
 use crate::segment::{live_rows, CatalogRow, CatalogSnapshot, Segment, SnapshotCell};
 use crate::telemetry::{Counter, Gauge, Histogram, Registry};
 use crate::weights::FeatureWeights;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 use cbvr_features::{FeatureKind, FeatureSet};
 use cbvr_imgproc::{Histogram256, RgbImage};
 use cbvr_index::{paper_range, RangeKey};
@@ -31,6 +29,8 @@ use cbvr_storage::backend::Backend;
 use cbvr_storage::{CbvrDatabase, KeyFrameRow, ManifestSegment};
 use cbvr_video::Video;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One catalog entry as ingest hands it over: a key frame's identity,
 /// range and features. Sealing stores the features as arena rows and
@@ -61,7 +61,12 @@ impl CatalogEntry {
             (FeatureKind::Regions, row.srg.as_str()),
         ])?;
         let range = RangeKey::new(row.min, row.max);
-        Ok(CatalogEntry { i_id: row.i_id, v_id: row.v_id, range, features })
+        Ok(CatalogEntry {
+            i_id: row.i_id,
+            v_id: row.v_id,
+            range,
+            features,
+        })
     }
 }
 
@@ -410,12 +415,18 @@ impl QueryEngine {
             .into_iter()
             .map(|(v_id, name, _)| (v_id, name))
             .collect();
-        Ok(Self::from_segmented(partition_by_manifest(entries, &manifest), names))
+        Ok(Self::from_segmented(
+            partition_by_manifest(entries, &manifest),
+            names,
+        ))
     }
 
     /// Build directly from entries (the evaluation harness skips the
     /// storage round trip). Seals the whole catalog as one segment.
-    pub fn from_catalog(entries: Vec<CatalogEntry>, video_names: HashMap<u64, String>) -> QueryEngine {
+    pub fn from_catalog(
+        entries: Vec<CatalogEntry>,
+        video_names: HashMap<u64, String>,
+    ) -> QueryEngine {
         Self::from_segmented(vec![entries], video_names)
     }
 
@@ -454,7 +465,9 @@ impl QueryEngine {
     /// publish leaves the previous snapshot fully intact and the lock is
     /// safe to re-take.
     fn commit_guard(&self) -> MutexGuard<'_, ()> {
-        self.commit.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.commit
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Swap `snapshot` in as the published catalog. Callers must hold the
@@ -496,13 +509,20 @@ impl QueryEngine {
     /// features are read from the database
     /// ([`CatalogEntry::from_key_frame`]).
     pub fn entry(&self, i: usize) -> CatalogRow {
-        self.snapshot.load().live_entry(i).expect("entry index out of bounds")
+        self.snapshot
+            .load()
+            .live_entry(i)
+            .expect("entry index out of bounds")
     }
 
     /// Video ids with at least one live key frame.
     pub fn video_ids(&self) -> Vec<u64> {
         let snap = self.snapshot.load();
-        let mut ids: Vec<u64> = snap.video_sequences().iter().map(|(v_id, _)| *v_id).collect();
+        let mut ids: Vec<u64> = snap
+            .video_sequences()
+            .iter()
+            .map(|(v_id, _)| *v_id)
+            .collect();
         ids.sort_unstable();
         ids
     }
@@ -600,7 +620,11 @@ impl QueryEngine {
                     }
                     let score = arena.cascade_score(&query, row, &plan, &mut tally);
                     let e = &seg.rows()[row];
-                    local.push(FrameMatch { i_id: e.i_id, v_id: e.v_id, score });
+                    local.push(FrameMatch {
+                        i_id: e.i_id,
+                        v_id: e.v_id,
+                        score,
+                    });
                 }
                 let mut shared = merged.lock().expect("top-k accumulator poisoned");
                 shared.merge(local);
@@ -612,7 +636,10 @@ impl QueryEngine {
             });
         }
         let _merge = self.metrics.registry.timer(&self.metrics.frame_merge);
-        merged.into_inner().expect("top-k accumulator poisoned").into_sorted()
+        merged
+            .into_inner()
+            .expect("top-k accumulator poisoned")
+            .into_sorted()
     }
 
     /// How many candidates the index yields for a query frame (ablation
@@ -677,13 +704,18 @@ impl QueryEngine {
                 let mut rows = Vec::new();
                 for (v_id, refs) in &videos[chunk_range] {
                     let cutoff = if options.abandon {
-                        local.worst().map(|m| m.distance).unwrap_or(f64::INFINITY).min(ceil.get())
+                        local
+                            .worst()
+                            .map(|m| m.distance)
+                            .unwrap_or(f64::INFINITY)
+                            .min(ceil.get())
                     } else {
                         f64::INFINITY
                     };
                     rows.clear();
                     rows.extend(
-                        refs.iter().map(|r| (snap.segment(r.segment).arena(), r.row as usize)),
+                        refs.iter()
+                            .map(|r| (snap.segment(r.segment).arena(), r.row as usize)),
                     );
                     let (n, m) = (query_vecs.len(), rows.len());
                     let limit = cost_limit(cutoff, n, m);
@@ -714,7 +746,10 @@ impl QueryEngine {
                         )
                     };
                     match aligned {
-                        Some(distance) => local.push(VideoMatch { v_id: *v_id, distance }),
+                        Some(distance) => local.push(VideoMatch {
+                            v_id: *v_id,
+                            distance,
+                        }),
                         None => abandoned += 1,
                     }
                 }
@@ -731,7 +766,10 @@ impl QueryEngine {
             });
         }
         let _rank = self.metrics.registry.timer(&self.metrics.clip_rank);
-        merged.into_inner().expect("top-k accumulator poisoned").into_sorted()
+        merged
+            .into_inner()
+            .expect("top-k accumulator poisoned")
+            .into_sorted()
     }
 
     /// Metadata query: case-insensitive substring match on video names.
@@ -784,9 +822,7 @@ impl QueryEngine {
         }
         let mut segments = Vec::with_capacity(snap.segments().len() + 1);
         for old in snap.segments() {
-            if resurrected.is_empty()
-                || !old.rows().iter().any(|e| resurrected.contains(&e.v_id))
-            {
+            if resurrected.is_empty() || !old.rows().iter().any(|e| resurrected.contains(&e.v_id)) {
                 segments.push(Arc::clone(old));
                 continue;
             }
@@ -888,8 +924,14 @@ impl QueryEngine {
         let segments_after = next.segments().len();
         self.publish(next);
         self.metrics.compaction_runs.inc();
-        self.metrics.compaction_rows_dropped.add(rows_dropped as u64);
-        CompactionReport { segments_before, segments_after, rows_dropped }
+        self.metrics
+            .compaction_rows_dropped
+            .add(rows_dropped as u64);
+        CompactionReport {
+            segments_before,
+            segments_after,
+            rows_dropped,
+        }
     }
 
     /// Recompute the calibration from the live entries (global order) and
@@ -1026,7 +1068,11 @@ mod tests {
                     }
                 }
             }
-            (QueryEngine::from_database(&mut db).unwrap(), labels, entries)
+            (
+                QueryEngine::from_database(&mut db).unwrap(),
+                labels,
+                entries,
+            )
         })
     }
 
@@ -1065,7 +1111,13 @@ mod tests {
         // sports key frames ahead of movie/e-learning ones.
         let probe = g.generate(Category::Sports, 999).unwrap();
         let frame = probe.frame(0).unwrap();
-        let results = engine.query_frame(frame, &QueryOptions { k: 5, ..Default::default() });
+        let results = engine.query_frame(
+            frame,
+            &QueryOptions {
+                k: 5,
+                ..Default::default()
+            },
+        );
         assert!(!results.is_empty());
         let category_of = |v_id: u64| labels.iter().find(|(v, _)| *v == v_id).unwrap().1;
         assert_eq!(
@@ -1095,7 +1147,11 @@ mod tests {
         let probe = g.generate(Category::ELearning, 55).unwrap();
         let results = engine.query_frame(
             probe.frame(0).unwrap(),
-            &QueryOptions { k: 3, use_index: false, ..Default::default() },
+            &QueryOptions {
+                k: 3,
+                use_index: false,
+                ..Default::default()
+            },
         );
         assert_eq!(results.len(), 3);
         for pair in results.windows(2) {
@@ -1114,7 +1170,11 @@ mod tests {
         let results =
             engine.query_video(&video, &KeyframeConfig::default(), &QueryOptions::default());
         assert_eq!(results[0].v_id, target.0, "{results:?}");
-        assert!(results[0].distance < 1e-6, "self distance {}", results[0].distance);
+        assert!(
+            results[0].distance < 1e-6,
+            "self distance {}",
+            results[0].distance
+        );
     }
 
     #[test]
@@ -1126,7 +1186,12 @@ mod tests {
         assert!(!engine.video_ids().is_empty());
         for threads in [1, THREADS_AUTO] {
             for abandon in [false, true] {
-                let options = QueryOptions { k: 3, threads, abandon, ..QueryOptions::default() };
+                let options = QueryOptions {
+                    k: 3,
+                    threads,
+                    abandon,
+                    ..QueryOptions::default()
+                };
                 assert!(engine.query_feature_sequence(&[], &options).is_empty());
             }
         }
@@ -1172,7 +1237,9 @@ mod tests {
         let engine = QueryEngine::from_catalog(Vec::new(), HashMap::new());
         assert!(engine.is_empty());
         let img = RgbImage::new(8, 8).unwrap();
-        assert!(engine.query_frame(&img, &QueryOptions::default()).is_empty());
+        assert!(engine
+            .query_frame(&img, &QueryOptions::default())
+            .is_empty());
         assert!(engine.find_videos_by_name("x").is_empty());
         assert!(engine
             .query_feature_sequence(&[], &QueryOptions::default())
@@ -1231,7 +1298,11 @@ mod tests {
         let probe = g.generate(labels[0].1, 50).unwrap();
         let results = engine.query_frame(
             probe.frame(0).unwrap(),
-            &QueryOptions { k: 100, use_index: false, ..Default::default() },
+            &QueryOptions {
+                k: 100,
+                use_index: false,
+                ..Default::default()
+            },
         );
         assert!(results.iter().all(|m| m.v_id != victim));
     }
@@ -1246,7 +1317,10 @@ mod tests {
     }
 
     fn fixture_names(labels: &[(u64, Category)]) -> HashMap<u64, String> {
-        labels.iter().map(|(v, c)| (*v, c.name().to_string())).collect()
+        labels
+            .iter()
+            .map(|(v, c)| (*v, c.name().to_string()))
+            .collect()
     }
 
     #[test]
@@ -1264,7 +1338,11 @@ mod tests {
         assert_eq!(split.calibration(), engine.calibration());
         let probe = &entries[3];
         for use_index in [false, true] {
-            let opts = QueryOptions { k: 10, use_index, ..Default::default() };
+            let opts = QueryOptions {
+                k: 10,
+                use_index,
+                ..Default::default()
+            };
             assert_eq!(
                 engine.query_features(&probe.features, probe.range, &opts),
                 split.query_features(&probe.features, probe.range, &opts),
@@ -1291,7 +1369,11 @@ mod tests {
 
     /// A full-scan frame query's `(i_id, score bits)` for each probe.
     fn score_bits(engine: &QueryEngine, probes: &[CatalogEntry]) -> Vec<Vec<(u64, u64)>> {
-        let opts = QueryOptions { k: 100, use_index: false, ..Default::default() };
+        let opts = QueryOptions {
+            k: 100,
+            use_index: false,
+            ..Default::default()
+        };
         probes
             .iter()
             .map(|p| {
@@ -1326,14 +1408,20 @@ mod tests {
         // Post-compaction state equals a from-scratch rebuild over the
         // survivors: same calibration, the copied arena rows and the
         // ranked results bit-for-bit.
-        let survivors: Vec<CatalogEntry> =
-            entries.iter().filter(|e| e.v_id != victim).cloned().collect();
+        let survivors: Vec<CatalogEntry> = entries
+            .iter()
+            .filter(|e| e.v_id != victim)
+            .cloned()
+            .collect();
         let mut names = fixture_names(labels);
         names.remove(&victim);
         let rebuilt = QueryEngine::from_catalog(survivors, names);
         assert_eq!(seg.calibration(), rebuilt.calibration());
         assert_rows_bit_identical(&seg, &rebuilt);
-        assert_eq!(score_bits(&seg, &entries[..3]), score_bits(&rebuilt, &entries[..3]));
+        assert_eq!(
+            score_bits(&seg, &entries[..3]),
+            score_bits(&rebuilt, &entries[..3])
+        );
     }
 
     #[test]
@@ -1361,7 +1449,10 @@ mod tests {
         );
         assert_eq!(seg.calibration(), fresh.calibration());
         assert_rows_bit_identical(&seg, &fresh);
-        assert_eq!(score_bits(&seg, &entries[..3]), score_bits(&fresh, &entries[..3]));
+        assert_eq!(
+            score_bits(&seg, &entries[..3]),
+            score_bits(&fresh, &entries[..3])
+        );
     }
 
     #[test]
@@ -1370,12 +1461,20 @@ mod tests {
         let mut db = cbvr_storage::CbvrDatabase::in_memory().unwrap();
         for seed in 0..2u64 {
             let video = g.generate(Category::Sports, 40 + seed).unwrap();
-            ingest_video(&mut db, &format!("v{seed}"), &video, &IngestConfig::default())
-                .unwrap();
+            ingest_video(
+                &mut db,
+                &format!("v{seed}"),
+                &video,
+                &IngestConfig::default(),
+            )
+            .unwrap();
         }
         let engine = QueryEngine::from_database(&mut db).unwrap();
         assert_eq!(engine.segment_count(), 2, "{:?}", engine.segment_stats());
-        assert_eq!(engine.len(), engine.segment_stats().iter().map(|s| s.rows).sum::<usize>());
+        assert_eq!(
+            engine.len(),
+            engine.segment_stats().iter().map(|s| s.rows).sum::<usize>()
+        );
     }
 
     #[test]
@@ -1418,12 +1517,22 @@ mod tests {
         };
         let entries: Vec<CatalogEntry> = (1..=6).map(entry).collect();
         let manifest = [
-            ManifestSegment { min_i_id: 1, max_i_id: 2, rows: 2 },
-            ManifestSegment { min_i_id: 5, max_i_id: 6, rows: 2 },
+            ManifestSegment {
+                min_i_id: 1,
+                max_i_id: 2,
+                rows: 2,
+            },
+            ManifestSegment {
+                min_i_id: 5,
+                max_i_id: 6,
+                rows: 2,
+            },
         ];
         let groups = partition_by_manifest(entries, &manifest);
-        let ids: Vec<Vec<u64>> =
-            groups.iter().map(|g| g.iter().map(|e| e.i_id).collect()).collect();
+        let ids: Vec<Vec<u64>> = groups
+            .iter()
+            .map(|g| g.iter().map(|e| e.i_id).collect())
+            .collect();
         // Manifest-covered runs become their own groups; the uncovered
         // rows 3-4 form one orphan run between them.
         assert_eq!(ids, vec![vec![1, 2], vec![3, 4], vec![5, 6]]);

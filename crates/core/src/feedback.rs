@@ -49,7 +49,11 @@ pub fn adapt_weights(
             return 0.0;
         }
         sets.iter()
-            .map(|s| engine.calibration().similarity(kind, query.distance(s, kind)))
+            .map(|s| {
+                engine
+                    .calibration()
+                    .similarity(kind, query.distance(s, kind))
+            })
             .sum::<f64>()
             / sets.len() as f64
     };
@@ -118,7 +122,9 @@ mod tests {
 
     #[test]
     fn total_weight_is_preserved() {
-        let sets: Vec<FeatureSet> = (0..6).map(|i| FeatureSet::extract(&frame(i * 20))).collect();
+        let sets: Vec<FeatureSet> = (0..6)
+            .map(|i| FeatureSet::extract(&frame(i * 20)))
+            .collect();
         let engine = engine_with(&sets);
         let base = FeatureWeights::uniform();
         let out = adapt_weights(&engine, &sets[0], &[&sets[1]], &[&sets[4], &sets[5]], &base);
@@ -148,7 +154,9 @@ mod tests {
 
     #[test]
     fn no_weight_goes_negative_and_none_vanishes() {
-        let sets: Vec<FeatureSet> = (0..5).map(|i| FeatureSet::extract(&frame(i * 40))).collect();
+        let sets: Vec<FeatureSet> = (0..5)
+            .map(|i| FeatureSet::extract(&frame(i * 40)))
+            .collect();
         let engine = engine_with(&sets);
         let base = FeatureWeights::default();
         let out = adapt_weights(&engine, &sets[0], &[&sets[1]], &[&sets[2], &sets[3]], &base);
@@ -171,7 +179,8 @@ mod tests {
         let adapted = adapt_weights(&engine, &query, &[&rel], &[&irr], &base);
 
         let margin = |w: &FeatureWeights| {
-            engine.combined_similarity(&query, &rel, w) - engine.combined_similarity(&query, &irr, w)
+            engine.combined_similarity(&query, &rel, w)
+                - engine.combined_similarity(&query, &irr, w)
         };
         assert!(
             margin(&adapted) >= margin(&base) - 1e-9,

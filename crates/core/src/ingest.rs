@@ -13,13 +13,13 @@
 
 use crate::error::{CoreError, Result};
 use crate::telemetry::Registry;
+use cbvr_features::correlogram::AutoColorCorrelogram;
 use cbvr_features::gabor::GaborTexture;
 use cbvr_features::glcm::GlcmTexture;
 use cbvr_features::histogram::ColorHistogram;
 use cbvr_features::naive::NaiveSignature;
 use cbvr_features::region::RegionGrowing;
 use cbvr_features::tamura::TamuraTexture;
-use cbvr_features::correlogram::AutoColorCorrelogram;
 use cbvr_features::{FeatureKind, FeatureSet};
 use cbvr_imgproc::codec::{encode, ImageFormat};
 use cbvr_imgproc::{Histogram256, RgbImage};
@@ -193,7 +193,9 @@ fn ingest_video_impl<B: Backend>(
         let _t = registry.span("ingest.keyframes_nanos");
         extract_keyframes(video, &config.keyframe)
     };
-    registry.counter("ingest.keyframes").add(keyframes.len() as u64);
+    registry
+        .counter("ingest.keyframes")
+        .add(keyframes.len() as u64);
 
     // 2. Features, fanned out.
     let frames: Vec<&RgbImage> = keyframes.iter().map(|k| &k.frame).collect();
@@ -284,7 +286,10 @@ mod tests {
             max_shot_frames: 6,
             ..GeneratorConfig::default()
         };
-        VideoGenerator::new(config).unwrap().generate(Category::Cartoon, seed).unwrap()
+        VideoGenerator::new(config)
+            .unwrap()
+            .generate(Category::Cartoon, seed)
+            .unwrap()
     }
 
     #[test]
@@ -335,7 +340,10 @@ mod tests {
         let before = failures.get();
         assert!(ingest_video(&mut db, "", &video, &IngestConfig::default()).is_err());
         assert_eq!(db.video_count().unwrap(), 0);
-        assert!(failures.get() > before, "failed ingest must bump ingest.failures");
+        assert!(
+            failures.get() > before,
+            "failed ingest must bump ingest.failures"
+        );
     }
 
     #[test]

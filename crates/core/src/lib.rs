@@ -38,12 +38,11 @@
 //!   web server's `/metrics` and the CLI's `stats --telemetry`).
 #![warn(missing_docs)]
 
-
 pub mod arena;
 pub mod dtw;
 pub mod engine;
-pub mod feedback;
 pub mod error;
+pub mod feedback;
 pub mod ingest;
 pub mod pool;
 pub mod score;
@@ -55,8 +54,8 @@ pub use arena::{CascadePlan, CascadeTally, DescriptorArena, QueryVectors, CASCAD
 pub use engine::{
     CompactionReport, FrameMatch, QueryEngine, QueryOptions, SegmentStats, VideoMatch,
 };
-pub use feedback::adapt_weights;
 pub use error::{CoreError, Result};
+pub use feedback::adapt_weights;
 pub use ingest::{ingest_video, IngestConfig, IngestReport};
 pub use pool::{ExecPool, THREADS_AUTO};
 pub use segment::{CatalogRow, CatalogSnapshot, EntryRef, Segment};

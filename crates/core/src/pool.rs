@@ -181,7 +181,11 @@ impl ExecPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        ExecPool { sender: Some(sender), workers, metrics: PoolMetrics::from_global() }
+        ExecPool {
+            sender: Some(sender),
+            workers,
+            metrics: PoolMetrics::from_global(),
+        }
     }
 
     /// The process-wide shared pool, sized to the machine
@@ -212,7 +216,13 @@ impl ExecPool {
     /// runs `body(0..len)` inline on the caller — the serial path.
     ///
     /// Panics (after the job drains) if any chunk body panicked.
-    pub fn run(&self, len: usize, chunk: usize, threads: usize, body: impl Fn(Range<usize>) + Sync) {
+    pub fn run(
+        &self,
+        len: usize,
+        chunk: usize,
+        threads: usize,
+        body: impl Fn(Range<usize>) + Sync,
+    ) {
         if len == 0 {
             return;
         }
@@ -221,7 +231,10 @@ impl ExecPool {
         let total_chunks = len.div_ceil(chunk);
         // Helpers beyond `total_chunks - 1` could never claim a chunk
         // (the caller takes at least one).
-        let helpers = threads.saturating_sub(1).min(self.workers.len()).min(total_chunks - 1);
+        let helpers = threads
+            .saturating_sub(1)
+            .min(self.workers.len())
+            .min(total_chunks - 1);
         self.metrics.jobs.inc();
         if helpers == 0 {
             // The bit-exact serial path; still accounted as one job with
@@ -288,7 +301,11 @@ impl ExecPool {
         // `run` returned without panicking, so every slot is filled.
         slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("map slot poisoned").expect("map slot filled"))
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("map slot poisoned")
+                    .expect("map slot filled")
+            })
             .collect()
     }
 }
@@ -305,7 +322,9 @@ impl Drop for ExecPool {
 
 /// The machine's thread budget (`available_parallelism`, min 1).
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Resolve a user-facing `threads` knob against a pool capacity:
@@ -338,7 +357,11 @@ pub struct TopK<T, F: Fn(&T, &T) -> std::cmp::Ordering> {
 impl<T, F: Fn(&T, &T) -> std::cmp::Ordering + Copy> TopK<T, F> {
     /// An empty accumulator keeping the best `k` items under `rank`.
     pub fn new(k: usize, rank: F) -> TopK<T, F> {
-        TopK { heap: Vec::with_capacity(k.min(1024)), k, rank }
+        TopK {
+            heap: Vec::with_capacity(k.min(1024)),
+            k,
+            rank,
+        }
     }
 
     /// `true` when `a` ranks strictly behind `b` (heap priority).
@@ -438,7 +461,10 @@ mod tests {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     }
                 });
-                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{len}/{chunk}");
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "{len}/{chunk}"
+                );
             }
         }
     }
@@ -453,7 +479,10 @@ mod tests {
                 ok.store(false, Ordering::Relaxed);
             }
         });
-        assert!(ok.load(Ordering::Relaxed), "threads = 1 must stay on the caller");
+        assert!(
+            ok.load(Ordering::Relaxed),
+            "threads = 1 must stay on the caller"
+        );
     }
 
     #[test]
@@ -472,7 +501,10 @@ mod tests {
         let pool = ExecPool::with_helpers(0);
         assert_eq!(pool.max_threads(), 1);
         let items = [3usize, 1, 4, 1, 5];
-        assert_eq!(pool.map(&items, 2, THREADS_AUTO, |_, &x| x + 1), vec![4, 2, 5, 2, 6]);
+        assert_eq!(
+            pool.map(&items, 2, THREADS_AUTO, |_, &x| x + 1),
+            vec![4, 2, 5, 2, 6]
+        );
     }
 
     #[test]

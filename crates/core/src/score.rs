@@ -33,7 +33,9 @@ impl Default for ScoreCalibration {
     /// Unit scales — usable, but [`ScoreCalibration::from_segments`] is
     /// strictly better once data exists.
     fn default() -> Self {
-        ScoreCalibration { scales: [1.0; FeatureKind::ALL.len()] }
+        ScoreCalibration {
+            scales: [1.0; FeatureKind::ALL.len()],
+        }
     }
 }
 
@@ -50,8 +52,9 @@ impl ScoreCalibration {
         segments: &[Arc<Segment>],
         tombstones: &BTreeSet<u64>,
     ) -> ScoreCalibration {
-        let rows: Vec<Row> =
-            live_rows(segments, tombstones).map(|(seg, i)| (seg.arena(), i)).collect();
+        let rows: Vec<Row> = live_rows(segments, tombstones)
+            .map(|(seg, i)| (seg.arena(), i))
+            .collect();
         // The seven kinds sample independently (each has its own seeded
         // pair stream), so they fan out across the shared pool. The
         // output is placed by discriminant, not completion order, so the
@@ -103,7 +106,10 @@ fn sample_pairs(kind: FeatureKind, n: usize) -> Vec<(usize, usize)> {
         (state % n as u64) as usize
     };
     let draws = if n < 2 { 0 } else { CALIBRATION_PAIRS };
-    (0..draws).map(|_| (draw(), draw())).filter(|(i, j)| i != j).collect()
+    (0..draws)
+        .map(|_| (draw(), draw()))
+        .filter(|(i, j)| i != j)
+        .collect()
 }
 
 /// Median of the strictly-positive entries; `None` when there are none.
@@ -222,7 +228,10 @@ mod tests {
                     .collect();
                 let want = median_positive(&mut reference).unwrap_or(1.0);
                 let got = cal.scale(kind);
-                assert!((got - want).abs() <= 1e-5 * want, "{kind} seed {seed}: {got} vs {want}");
+                assert!(
+                    (got - want).abs() <= 1e-5 * want,
+                    "{kind} seed {seed}: {got} vs {want}"
+                );
             }
         }
     }

@@ -54,7 +54,11 @@ pub struct Segment {
 
 impl Segment {
     fn empty(id: u64) -> Segment {
-        Segment { id, rows: Vec::new(), arena: DescriptorArena::new() }
+        Segment {
+            id,
+            rows: Vec::new(),
+            arena: DescriptorArena::new(),
+        }
     }
 
     /// Seal `entries` into an immutable segment: push every descriptor
@@ -65,7 +69,11 @@ impl Segment {
         let mut seg = Segment::empty(id);
         for e in entries {
             seg.arena.push(&e.features);
-            seg.rows.push(CatalogRow { i_id: e.i_id, v_id: e.v_id, range: e.range });
+            seg.rows.push(CatalogRow {
+                i_id: e.i_id,
+                v_id: e.v_id,
+                range: e.range,
+            });
         }
         seg
     }
@@ -187,7 +195,10 @@ impl CatalogSnapshot {
                     video_sequences.push((e.v_id, Vec::new()));
                     video_sequences.len() - 1
                 });
-                video_sequences[slot].1.push(EntryRef { segment: s as u32, row: row as u32 });
+                video_sequences[slot].1.push(EntryRef {
+                    segment: s as u32,
+                    row: row as u32,
+                });
             }
         }
         CatalogSnapshot {
@@ -255,7 +266,9 @@ impl CatalogSnapshot {
             let s = self.offsets.partition_point(|&o| o <= i) - 1;
             return Some(self.segments[s].rows()[i - self.offsets[s]]);
         }
-        live_rows(&self.segments, &self.tombstones).nth(i).map(|(seg, row)| seg.rows[row])
+        live_rows(&self.segments, &self.tombstones)
+            .nth(i)
+            .map(|(seg, row)| seg.rows[row])
     }
 
     /// Candidate rows for a query range, in global order: every live row
@@ -269,7 +282,10 @@ impl CatalogSnapshot {
             for (local, row) in seg.rows().iter().enumerate() {
                 let in_range = !use_index || row.range.overlaps(range);
                 if in_range && !self.tombstones.contains(&row.v_id) {
-                    out.push(EntryRef { segment: s as u32, row: local as u32 });
+                    out.push(EntryRef {
+                        segment: s as u32,
+                        row: local as u32,
+                    });
                 }
             }
         }
@@ -312,14 +328,22 @@ impl SnapshotCell {
 
     /// Clone the current snapshot.
     pub(crate) fn load(&self) -> Arc<CatalogSnapshot> {
-        Arc::clone(&self.0.read().unwrap_or_else(|poisoned| poisoned.into_inner()))
+        Arc::clone(
+            &self
+                .0
+                .read()
+                .unwrap_or_else(|poisoned| poisoned.into_inner()),
+        )
     }
 
     /// Publish `next` as the current snapshot and retire the previous
     /// one. Callers must serialise swaps (the engine's commit lock).
     pub(crate) fn swap(&self, next: Arc<CatalogSnapshot>) {
         let retired = {
-            let mut current = self.0.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut current = self
+                .0
+                .write()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
             std::mem::replace(&mut *current, next)
         };
         drop(retired);

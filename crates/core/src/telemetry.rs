@@ -50,7 +50,9 @@ pub struct MonotonicClock {
 impl MonotonicClock {
     /// A clock whose origin is "now".
     pub fn new() -> MonotonicClock {
-        MonotonicClock { origin: Instant::now() }
+        MonotonicClock {
+            origin: Instant::now(),
+        }
     }
 }
 
@@ -327,7 +329,12 @@ impl Registry {
 
     /// Get-or-create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().expect("telemetry lock poisoned").get(name) {
+        if let Some(c) = self
+            .counters
+            .read()
+            .expect("telemetry lock poisoned")
+            .get(name)
+        {
             return Arc::clone(c);
         }
         let mut map = self.counters.write().expect("telemetry lock poisoned");
@@ -336,7 +343,12 @@ impl Registry {
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().expect("telemetry lock poisoned").get(name) {
+        if let Some(g) = self
+            .gauges
+            .read()
+            .expect("telemetry lock poisoned")
+            .get(name)
+        {
             return Arc::clone(g);
         }
         let mut map = self.gauges.write().expect("telemetry lock poisoned");
@@ -345,7 +357,12 @@ impl Registry {
 
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().expect("telemetry lock poisoned").get(name) {
+        if let Some(h) = self
+            .histograms
+            .read()
+            .expect("telemetry lock poisoned")
+            .get(name)
+        {
             return Arc::clone(h);
         }
         let mut map = self.histograms.write().expect("telemetry lock poisoned");
@@ -373,13 +390,23 @@ impl Registry {
     /// golden tests rely on.
     pub fn render_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
-        for (name, c) in self.counters.read().expect("telemetry lock poisoned").iter() {
+        for (name, c) in self
+            .counters
+            .read()
+            .expect("telemetry lock poisoned")
+            .iter()
+        {
             lines.push(format!("{} {}", escape_metric_name(name), c.get()));
         }
         for (name, g) in self.gauges.read().expect("telemetry lock poisoned").iter() {
             lines.push(format!("{} {}", escape_metric_name(name), g.get()));
         }
-        for (name, h) in self.histograms.read().expect("telemetry lock poisoned").iter() {
+        for (name, h) in self
+            .histograms
+            .read()
+            .expect("telemetry lock poisoned")
+            .iter()
+        {
             let name = escape_metric_name(name);
             lines.push(format!("{name}.count {}", h.count()));
             lines.push(format!("{name}.sum {}", h.sum()));
@@ -406,7 +433,13 @@ impl Registry {
 /// single whitespace-free token and line parsing stays unambiguous.
 pub fn escape_metric_name(name: &str) -> String {
     name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == '.' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect()
 }
 
@@ -429,8 +462,14 @@ mod tests {
         g.set(5);
         g.set(3);
         assert_eq!(g.get(), 3, "gauges overwrite, not accumulate");
-        assert_eq!(registry.gauge("catalog.segments").get(), 3, "handles shared per name");
-        assert!(registry.render_lines().contains(&"catalog.segments 3".to_string()));
+        assert_eq!(
+            registry.gauge("catalog.segments").get(),
+            3,
+            "handles shared per name"
+        );
+        assert!(registry
+            .render_lines()
+            .contains(&"catalog.segments 3".to_string()));
     }
 
     #[test]

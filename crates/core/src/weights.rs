@@ -70,7 +70,10 @@ impl FeatureWeights {
 
     /// Weight for a kind.
     pub fn get(&self, kind: FeatureKind) -> f64 {
-        self.weights.iter().find(|(k, _)| *k == kind).map_or(0.0, |(_, w)| *w)
+        self.weights
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0.0, |(_, w)| *w)
     }
 
     /// Set a kind's weight (negative values clamp to 0).
@@ -87,7 +90,11 @@ impl FeatureWeights {
 
     /// Kinds carrying positive weight.
     pub fn active_kinds(&self) -> Vec<FeatureKind> {
-        self.weights.iter().filter(|(_, w)| *w > 0.0).map(|(k, _)| *k).collect()
+        self.weights
+            .iter()
+            .filter(|(_, w)| *w > 0.0)
+            .map(|(k, _)| *k)
+            .collect()
     }
 
     /// Weighted mean of per-kind similarities in `[0, 1]`.
@@ -131,10 +138,7 @@ mod tests {
 
     #[test]
     fn combine_is_weighted_mean() {
-        let w = FeatureWeights::from_pairs(&[
-            (FeatureKind::Glcm, 1.0),
-            (FeatureKind::Gabor, 3.0),
-        ]);
+        let w = FeatureWeights::from_pairs(&[(FeatureKind::Glcm, 1.0), (FeatureKind::Gabor, 3.0)]);
         // Glcm sim 0, Gabor sim 1 → 3/4.
         let s = w.combine(|k| if k == FeatureKind::Gabor { 1.0 } else { 0.0 });
         assert!((s - 0.75).abs() < 1e-12);

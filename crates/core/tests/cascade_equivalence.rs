@@ -89,10 +89,15 @@ fn clip_catalog(
     rng: &mut rand::rngs::StdRng,
     nvid: usize,
 ) -> (Vec<CatalogEntry>, Vec<CatalogEntry>, Vec<FeatureSet>) {
-    let pool: Vec<CatalogEntry> =
-        (0..CLIP_POOL).map(|_| entry_from_frame(0, 0, &random_frame(rng))).collect();
+    let pool: Vec<CatalogEntry> = (0..CLIP_POOL)
+        .map(|_| entry_from_frame(0, 0, &random_frame(rng)))
+        .collect();
     let mut videos: Vec<Vec<&CatalogEntry>> = (0..nvid)
-        .map(|_| (0..rng.gen_range(1..=8usize)).map(|_| &pool[rng.gen_range(0..CLIP_POOL)]).collect())
+        .map(|_| {
+            (0..rng.gen_range(1..=8usize))
+                .map(|_| &pool[rng.gen_range(0..CLIP_POOL)])
+                .collect()
+        })
         .collect();
     let copied = videos[rng.gen_range(0..nvid)].clone();
     let frames = copied.iter().map(|e| e.features.clone()).collect();
@@ -101,7 +106,11 @@ fn clip_catalog(
     let mut entries = Vec::new();
     for (v_id, rows) in v_ids.zip(&videos) {
         for &base in rows {
-            entries.push(CatalogEntry { i_id: entries.len() as u64 + 1, v_id, ..base.clone() });
+            entries.push(CatalogEntry {
+                i_id: entries.len() as u64 + 1,
+                v_id,
+                ..base.clone()
+            });
         }
     }
     (entries, pool, frames)
@@ -124,12 +133,10 @@ fn clip_query(rng: &mut rand::rngs::StdRng, pool: &[CatalogEntry], len: usize) -
 
 /// Cut the entry list at 1–3 random points, preserving global order
 /// (empty groups are legal: `from_segmented` skips them).
-fn random_split(
-    entries: &[CatalogEntry],
-    rng: &mut rand::rngs::StdRng,
-) -> Vec<Vec<CatalogEntry>> {
-    let mut points: Vec<usize> =
-        (0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(0..=entries.len())).collect();
+fn random_split(entries: &[CatalogEntry], rng: &mut rand::rngs::StdRng) -> Vec<Vec<CatalogEntry>> {
+    let mut points: Vec<usize> = (0..rng.gen_range(1..=3usize))
+        .map(|_| rng.gen_range(0..=entries.len()))
+        .collect();
     points.sort_unstable();
     let mut groups = Vec::new();
     let mut start = 0;
@@ -364,7 +371,11 @@ fn self_query_survives_cascade_with_perfect_score() {
     let dup = random_frame(&mut rng);
     let mut entries = vec![entry_from_frame(1, 1, &dup)];
     for i in 0..11u64 {
-        entries.push(entry_from_frame(i + 2, (i % 3) + 1, &random_frame(&mut rng)));
+        entries.push(entry_from_frame(
+            i + 2,
+            (i % 3) + 1,
+            &random_frame(&mut rng),
+        ));
     }
     let engine = QueryEngine::from_catalog(entries, HashMap::new());
     let probe = FeatureSet::extract(&dup);
@@ -477,7 +488,10 @@ fn frame_scan_floors() {
     });
     let count = |r: &Registry, name: &str| r.counter(&format!("query.scan.{name}")).get();
     let (elements, plain) = (count(&tiered, "elements"), count(&full, "elements"));
-    let (rejected, seen) = (count(&tiered, "tier_rejects"), count(&tiered, "tier_candidates"));
+    let (rejected, seen) = (
+        count(&tiered, "tier_rejects"),
+        count(&tiered, "tier_candidates"),
+    );
     let ratio = elements as f64 / plain as f64;
     let share = rejected as f64 / seen as f64;
     println!("frame elements: tiered {elements} / full {plain} = {ratio:.3} (floor <= 0.70)");
@@ -487,8 +501,14 @@ fn frame_scan_floors() {
          elements: tier {tier} + exact {}",
         elements - tier
     );
-    assert!(ratio <= 0.70, "the tier saves under 30% of the frame elements: {ratio:.3}");
-    assert!(share >= 0.50, "the tier rejects under half its frame candidates: {share:.3}");
+    assert!(
+        ratio <= 0.70,
+        "the tier saves under 30% of the frame elements: {ratio:.3}"
+    );
+    assert!(
+        share >= 0.50,
+        "the tier rejects under half its frame candidates: {share:.3}"
+    );
 }
 
 #[test]
@@ -496,7 +516,11 @@ fn clip_dtw_floors() {
     let (bases, mut rng, _, _) = floor_bases();
     // Eight two-frame queries of fresh frames, never catalog rows.
     let queries: Vec<Vec<FeatureSet>> = (0..8)
-        .map(|_| (0..2).map(|_| FeatureSet::extract(&floor_frame(&mut rng))).collect())
+        .map(|_| {
+            (0..2)
+                .map(|_| FeatureSet::extract(&floor_frame(&mut rng)))
+                .collect()
+        })
         .collect();
     // Contiguous videos of 1–8 rows, each row a random base frame.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xc11b);
@@ -509,11 +533,18 @@ fn clip_dtw_floors() {
         }
         left -= 1;
         let base = &bases[rng.gen_range(0..FLOOR_BASES)];
-        entries.push(CatalogEntry { i_id: i as u64 + 1, v_id, ..base.clone() });
+        entries.push(CatalogEntry {
+            i_id: i as u64 + 1,
+            v_id,
+            ..base.clone()
+        });
     }
     let mut engine = QueryEngine::from_catalog(entries, HashMap::new());
     let [plain, bounded] = floor_runs(&mut engine, "query.clip", |e, o| {
-        queries.iter().map(|q| e.query_feature_sequence(q, o)).collect::<Vec<_>>()
+        queries
+            .iter()
+            .map(|q| e.query_feature_sequence(q, o))
+            .collect::<Vec<_>>()
     });
     let count = |r: &Registry, name: &str| r.counter(&format!("query.clip.{name}")).get();
     let (elements, full) = (count(&bounded, "elements"), count(&plain, "elements"));
@@ -526,5 +557,8 @@ fn clip_dtw_floors() {
         count(&bounded, "tier_cells"),
         elements - tier
     );
-    assert!(ratio <= 0.50, "the bounded DTW saves under half the clip elements: {ratio:.3}");
+    assert!(
+        ratio <= 0.50,
+        "the bounded DTW saves under half the clip elements: {ratio:.3}"
+    );
 }

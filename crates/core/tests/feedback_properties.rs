@@ -21,7 +21,10 @@ fn frame(seed: u8) -> RgbImage {
 }
 
 fn engine_of(seeds: &[u8]) -> (QueryEngine, Vec<FeatureSet>) {
-    let sets: Vec<FeatureSet> = seeds.iter().map(|&s| FeatureSet::extract(&frame(s))).collect();
+    let sets: Vec<FeatureSet> = seeds
+        .iter()
+        .map(|&s| FeatureSet::extract(&frame(s)))
+        .collect();
     let entries: Vec<CatalogEntry> = sets
         .iter()
         .enumerate()
@@ -32,7 +35,10 @@ fn engine_of(seeds: &[u8]) -> (QueryEngine, Vec<FeatureSet>) {
             features: s.clone(),
         })
         .collect();
-    (QueryEngine::from_catalog(entries, HashMap::from([(1, "v".to_string())])), sets)
+    (
+        QueryEngine::from_catalog(entries, HashMap::from([(1, "v".to_string())])),
+        sets,
+    )
 }
 
 proptest! {

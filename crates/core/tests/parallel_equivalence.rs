@@ -52,19 +52,18 @@ fn entry_from_frame(i_id: u64, v_id: u64, frame: &RgbImage) -> CatalogEntry {
 
 /// Build a random catalog of `n` entries spread over `videos` videos,
 /// plus a query feature set + range.
-fn random_catalog(
-    seed: u64,
-    n: usize,
-    videos: u64,
-) -> (QueryEngine, FeatureSet, RangeKey) {
+fn random_catalog(seed: u64, n: usize, videos: u64) -> (QueryEngine, FeatureSet, RangeKey) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut entries = Vec::with_capacity(n);
     for i in 0..n {
         let frame = random_frame(&mut rng);
-        entries.push(entry_from_frame(i as u64 + 1, (i as u64 % videos) + 1, &frame));
+        entries.push(entry_from_frame(
+            i as u64 + 1,
+            (i as u64 % videos) + 1,
+            &frame,
+        ));
     }
-    let names: HashMap<u64, String> =
-        (1..=videos).map(|v| (v, format!("video_{v}"))).collect();
+    let names: HashMap<u64, String> = (1..=videos).map(|v| (v, format!("video_{v}"))).collect();
     let engine = QueryEngine::from_catalog(entries, names);
     let probe = random_frame(&mut rng);
     let range = paper_range(&Histogram256::of_rgb_luma(&probe));
@@ -72,7 +71,12 @@ fn random_catalog(
 }
 
 fn options(k: usize, threads: usize, use_index: bool) -> QueryOptions {
-    QueryOptions { k, threads, use_index, ..QueryOptions::default() }
+    QueryOptions {
+        k,
+        threads,
+        use_index,
+        ..QueryOptions::default()
+    }
 }
 
 #[test]
@@ -83,7 +87,10 @@ fn frame_query_is_identical_across_thread_counts() {
     for use_index in [false, true] {
         for k in [0, 1, 3, n, n + 7] {
             let serial = engine.query_features(&probe, range, &options(k, 1, use_index));
-            assert_eq!(serial.len(), if use_index { serial.len() } else { k.min(n) });
+            assert_eq!(
+                serial.len(),
+                if use_index { serial.len() } else { k.min(n) }
+            );
             for threads in [2, 3, 4, 8, THREADS_AUTO] {
                 let parallel =
                     engine.query_features(&probe, range, &options(k, threads, use_index));
@@ -131,8 +138,9 @@ fn clip_query_is_identical_across_thread_counts() {
     force_parallel_pool();
     let (engine, _, _) = random_catalog(23, 36, 6);
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-    let query: Vec<FeatureSet> =
-        (0..4).map(|_| FeatureSet::extract(&random_frame(&mut rng))).collect();
+    let query: Vec<FeatureSet> = (0..4)
+        .map(|_| FeatureSet::extract(&random_frame(&mut rng)))
+        .collect();
     let videos = engine.video_ids().len();
     for k in [0, 1, videos, videos + 3] {
         let serial = engine.query_feature_sequence(&query, &options(k, 1, true));

@@ -57,10 +57,7 @@ fn random_entries(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<CatalogEntry> {
 /// Cut the entry list at 1–3 random points, preserving global order.
 /// Empty groups are legal (`from_segmented` skips them), so cuts may
 /// coincide or land at the ends.
-fn random_split(
-    entries: &[CatalogEntry],
-    rng: &mut rand::rngs::StdRng,
-) -> Vec<Vec<CatalogEntry>> {
+fn random_split(entries: &[CatalogEntry], rng: &mut rand::rngs::StdRng) -> Vec<Vec<CatalogEntry>> {
     let n = entries.len();
     let cuts = rng.gen_range(1..=3usize);
     let mut points: Vec<usize> = (0..cuts).map(|_| rng.gen_range(0..=n)).collect();
@@ -76,7 +73,13 @@ fn random_split(
 }
 
 fn options(k: usize, threads: usize, use_index: bool, abandon: bool) -> QueryOptions {
-    QueryOptions { k, threads, use_index, abandon, ..QueryOptions::default() }
+    QueryOptions {
+        k,
+        threads,
+        use_index,
+        abandon,
+        ..QueryOptions::default()
+    }
 }
 
 proptest! {

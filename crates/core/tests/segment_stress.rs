@@ -51,9 +51,17 @@ fn i_ids(entries: &[CatalogEntry]) -> BTreeSet<u64> {
 /// All-rows query: k covers everything, no index pruning, so the result
 /// set is exactly the live catalog of whichever snapshot the query took.
 fn observe(engine: &QueryEngine, probe: &FeatureSet, range: cbvr_index::RangeKey) -> Vec<u64> {
-    let opts =
-        QueryOptions { k: 1000, use_index: false, threads: 1, ..QueryOptions::default() };
-    engine.query_features(probe, range, &opts).iter().map(|m| m.i_id).collect()
+    let opts = QueryOptions {
+        k: 1000,
+        use_index: false,
+        threads: 1,
+        ..QueryOptions::default()
+    };
+    engine
+        .query_features(probe, range, &opts)
+        .iter()
+        .map(|m| m.i_id)
+        .collect()
 }
 
 #[test]
@@ -97,7 +105,11 @@ fn queries_racing_mutations_observe_only_published_snapshots() {
             while !done.load(Ordering::SeqCst) || observations == 0 {
                 let got = observe(&engine, &probe, range);
                 let unique: BTreeSet<u64> = got.iter().copied().collect();
-                assert_eq!(unique.len(), got.len(), "duplicate frames in reader {reader}: {got:?}");
+                assert_eq!(
+                    unique.len(),
+                    got.len(),
+                    "duplicate frames in reader {reader}: {got:?}"
+                );
                 assert!(
                     published.contains(&unique),
                     "reader {reader} observed a torn/unpublished catalog: {unique:?}"
@@ -150,7 +162,9 @@ fn queries_complete_while_commit_lock_is_held() {
     // The read path takes no engine-wide lock: a query issued while a
     // writer holds the commit lock (as any in-flight mutation does) runs
     // to completion on the current thread instead of deadlocking.
-    let got: BTreeSet<u64> =
-        engine.with_commit_locked(|| observe(&engine, &probe, range)).into_iter().collect();
+    let got: BTreeSet<u64> = engine
+        .with_commit_locked(|| observe(&engine, &probe, range))
+        .into_iter()
+        .collect();
     assert_eq!(got, expected);
 }

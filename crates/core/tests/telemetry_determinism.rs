@@ -7,9 +7,7 @@
 //! result-identical and telemetry-consistent serial vs parallel.
 
 use cbvr_core::engine::CatalogEntry;
-use cbvr_core::{
-    Clock, ExecPool, QueryEngine, QueryOptions, Registry, TestClock, THREADS_AUTO,
-};
+use cbvr_core::{Clock, ExecPool, QueryEngine, QueryOptions, Registry, TestClock, THREADS_AUTO};
 use cbvr_features::FeatureSet;
 use cbvr_imgproc::{Histogram256, Rgb, RgbImage};
 use cbvr_index::{paper_range, RangeKey};
@@ -23,7 +21,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// would perturb the exact-delta assertions below.
 fn pool_lock() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    GUARD
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn random_frame(rng: &mut rand::rngs::StdRng) -> RgbImage {
@@ -71,7 +71,12 @@ fn test_engine(seed: u64, n: usize) -> (QueryEngine, Arc<Registry>, FeatureSet, 
 }
 
 fn options(k: usize, threads: usize) -> QueryOptions {
-    QueryOptions { k, threads, use_index: false, ..QueryOptions::default() }
+    QueryOptions {
+        k,
+        threads,
+        use_index: false,
+        ..QueryOptions::default()
+    }
 }
 
 #[test]
@@ -136,7 +141,11 @@ fn nested_spans_attribute_time_exactly() {
     }
     assert_eq!(outer.count(), 2);
     assert_eq!(outer.sum(), 1000);
-    assert_eq!(outer.p50(), 511, "samples 400 and 600 share bucket [256,511] and [512,1023]");
+    assert_eq!(
+        outer.p50(),
+        511,
+        "samples 400 and 600 share bucket [256,511] and [512,1023]"
+    );
 }
 
 #[test]
@@ -159,7 +168,11 @@ fn counters_merge_losslessly_under_pool_concurrency() {
                 }
             });
             expected += ITEMS as u64;
-            assert_eq!(counter.get(), expected, "helpers={helpers} threads={threads}");
+            assert_eq!(
+                counter.get(),
+                expected,
+                "helpers={helpers} threads={threads}"
+            );
         }
     }
     // Raw threads: 8 × 500.
@@ -190,12 +203,20 @@ fn pool_job_and_chunk_counters_are_deterministic() {
     let (j0, c0) = (jobs.get(), chunks.get());
     pool.run(100, 10, 1, |_| {});
     assert_eq!(jobs.get() - j0, 1, "one job per run");
-    assert_eq!(chunks.get() - c0, 1, "serial path executes as a single chunk");
+    assert_eq!(
+        chunks.get() - c0,
+        1,
+        "serial path executes as a single chunk"
+    );
 
     let (j1, c1) = (jobs.get(), chunks.get());
     pool.run(100, 10, THREADS_AUTO, |_| {});
     assert_eq!(jobs.get() - j1, 1);
-    assert_eq!(chunks.get() - c1, 10, "parallel path claims ceil(100/10) chunks");
+    assert_eq!(
+        chunks.get() - c1,
+        10,
+        "parallel path claims ceil(100/10) chunks"
+    );
 
     let (j2, c2) = (jobs.get(), chunks.get());
     pool.run(0, 10, THREADS_AUTO, |_| {});
@@ -214,8 +235,12 @@ fn engine_edge_cases_are_identical_and_telemetry_consistent() {
     let score = registry.histogram("query.frame.score_nanos");
 
     // k = 0: empty result, counted as a request, never scanned or scored.
-    assert!(engine.query_features(&probe, range, &options(0, 1)).is_empty());
-    assert!(engine.query_features(&probe, range, &options(0, THREADS_AUTO)).is_empty());
+    assert!(engine
+        .query_features(&probe, range, &options(0, 1))
+        .is_empty());
+    assert!(engine
+        .query_features(&probe, range, &options(0, THREADS_AUTO))
+        .is_empty());
     assert_eq!(requests.get(), 2);
     assert_eq!(candidates.get(), 0);
     assert_eq!(scan.count(), 0, "k = 0 returns before the candidate scan");
@@ -272,7 +297,9 @@ fn empty_catalog_is_graceful_and_counted() {
     let range = paper_range(&Histogram256::of_rgb_luma(&probe_frame));
 
     for threads in [1, THREADS_AUTO] {
-        assert!(engine.query_features(&probe, range, &options(5, threads)).is_empty());
+        assert!(engine
+            .query_features(&probe, range, &options(5, threads))
+            .is_empty());
         assert!(engine
             .query_feature_sequence(std::slice::from_ref(&probe), &options(5, threads))
             .is_empty());
@@ -299,7 +326,9 @@ fn clip_queries_record_dtw_and_rank_stages() {
     assert_eq!(registry.histogram("query.clip.dtw_nanos").count(), 2);
     assert_eq!(registry.histogram("query.clip.rank_nanos").count(), 2);
     // k = 0 counts the request but skips both stages.
-    assert!(engine.query_feature_sequence(&query, &options(0, 1)).is_empty());
+    assert!(engine
+        .query_feature_sequence(&query, &options(0, 1))
+        .is_empty());
     assert_eq!(registry.counter("query.clip.requests").get(), 3);
     assert_eq!(registry.histogram("query.clip.dtw_nanos").count(), 2);
 }
@@ -389,9 +418,16 @@ fn serial_clip_telemetry_is_identical_across_engines() {
         let mut engine = QueryEngine::from_catalog(entries.clone(), HashMap::new());
         let registry = Arc::new(Registry::with_clock(Arc::new(TestClock::new())));
         engine.set_telemetry(registry.clone());
-        let options = QueryOptions { k: 3, threads: 1, abandon, ..QueryOptions::default() };
-        let results: Vec<_> =
-            queries.iter().map(|q| engine.query_feature_sequence(q, &options)).collect();
+        let options = QueryOptions {
+            k: 3,
+            threads: 1,
+            abandon,
+            ..QueryOptions::default()
+        };
+        let results: Vec<_> = queries
+            .iter()
+            .map(|q| engine.query_feature_sequence(q, &options))
+            .collect();
         (
             results,
             registry.counter("query.abandon.dtw").get(),
