@@ -27,7 +27,7 @@
 //! results are identical at every thread count and every `abandon`
 //! setting.
 
-use crate::dtw::{cheapest_path, cheapest_paths, DtwScratch};
+use crate::dtw::{cheapest_paths, DtwScratch};
 use crate::score::{similarity_for_scale, ScoreCalibration};
 use crate::weights::FeatureWeights;
 use cbvr_features::distance::{
@@ -66,7 +66,7 @@ pub const KINDS: usize = FeatureKind::ALL.len();
 /// orders, so their float results can differ in the last bits. The margin
 /// makes every rejection conservative by ~1e-9 score units — vastly more
 /// than the actual reassociation error — so no candidate within rounding
-/// distance of the threshold is ever dropped.
+/// distance of the cutoff is ever dropped.
 const SCORE_EPS: f64 = 1e-9;
 
 /// Multiplicative deflation applied to distance bounds for the same
@@ -257,8 +257,8 @@ fn stage_gap(stage: &CascadeStage, d: f64) -> f64 {
 }
 
 /// A summed tier gap, deflated by `BOUND_SLOP` and `SCORE_EPS`: the exact
-/// distance is `1 − combine(…)`, summed in another order. At or above
-/// `1 − threshold` it proves the score strictly below `threshold`.
+/// distance is `1 − combine(…)`, summed in another order. Above a cutoff
+/// it proves that distance strictly above the cutoff.
 fn certified(gap: f64) -> f64 {
     gap * (1.0 - BOUND_SLOP) - SCORE_EPS
 }
@@ -384,39 +384,39 @@ impl DescriptorArena {
     }
 
     /// The bound tier for one frame candidate: `false` when it proves
-    /// entry `i`'s score strictly below `threshold`, `true` when the entry
-    /// survives and must be scored ([`DescriptorArena::cascade_score`]).
+    /// entry `i`'s distance `1 − score` strictly above `cutoff`, `true`
+    /// when the entry survives and must be scored
+    /// ([`DescriptorArena::cascade_score`]).
     ///
     /// The first stage bounds every kind from the bound statistics; then
     /// each stage's kernel bound raises its kind's, cheapest first. The
     /// candidate is rejected as soon as the summed share of `1 − score`
-    /// they imply, deflated for rounding, exceeds `1 − threshold`, before
-    /// any exact kernel runs. Below a positive threshold nothing can be
-    /// rejected (every gap is below 1), so the tier does no work.
+    /// they imply, deflated for rounding, exceeds `cutoff`, before any
+    /// exact kernel runs. At a cutoff of 1 or more nothing can be rejected
+    /// (every gap is below 1), so the tier does no work.
     pub fn tier(
         &self,
         query: &QueryVectors,
         i: usize,
         plan: &CascadePlan,
-        threshold: f64,
+        cutoff: f64,
         tally: &mut CascadeTally,
     ) -> bool {
-        if threshold <= 0.0 || plan.stages.is_empty() {
+        if cutoff >= 1.0 || plan.stages.is_empty() {
             return true;
         }
         let (q, r) = ((&query.0, 0), (self, i));
-        let beyond = 1.0 - threshold;
         tally.tier_seen += 1;
         let mut state = TierState::from_stats(plan, q, r);
         let mut last = plan.stages[0].kind;
         for stage in &plan.stages {
-            if state.lower() > beyond {
+            if state.lower() > cutoff {
                 break;
             }
             state.tighten(stage, q, r, tally);
             last = stage.kind;
         }
-        if state.lower() > beyond {
+        if state.lower() > cutoff {
             tally.tier_rejected += 1;
             tally.abandoned[last as usize] += 1;
             return false;
@@ -474,11 +474,13 @@ impl TierCells {
     /// The path is checked before the first stage, then whenever
     /// [`CHECK_ELEMENTS`] per cell have been bounded since, and after each
     /// query frame's cells of a stage at least that costly, so a video
-    /// proven out mid-stage skips the rest of it. A cell that every path
-    /// within the limit avoids ([`cheapest_paths`]) is one the DTW never
-    /// scores — its exact predecessors cost at least their bounds — so its
-    /// bound is not tightened further. With an infinite limit nothing can
-    /// be pruned, so nothing is bounded: every bound is 0.
+    /// proven out mid-stage skips the rest of it. The finished bounds are
+    /// not checked here: the DTW's own lower pass makes that test on the
+    /// same matrix. A cell that every path within the limit avoids
+    /// ([`cheapest_paths`]) is one the DTW never scores — its exact
+    /// predecessors cost at least their bounds — so its bound is not
+    /// tightened further. With an infinite limit nothing can be pruned, so
+    /// nothing is bounded: every bound is 0.
     pub(crate) fn fill(
         &mut self,
         query: &[QueryVectors],
@@ -533,12 +535,11 @@ impl TierCells {
             }
             pending += dim;
         }
-        cheapest_path(n, m, &self.lower, scratch) <= limit
+        true
     }
 
     /// Per-cell lower bounds of the cell distance `1 − score` after
-    /// [`TierCells::fill`]: the DTW's lower matrix, and the test that
-    /// rejects a cell whose bound exceeds its budget.
+    /// [`TierCells::fill`]: the DTW's lower matrix.
     pub(crate) fn lower(&self) -> &[f64] {
         &self.lower
     }
@@ -616,8 +617,8 @@ pub struct CascadeTally {
     pub elements: u64,
     /// Bound-tier kernel elements visited.
     pub tier_elements: u64,
-    /// Frame candidates or DTW cells the tier checked against a
-    /// threshold.
+    /// Frame candidates the tier checked against a cutoff (the clip
+    /// path's cell counts are the DTW's own, in its scratch).
     pub tier_seen: u64,
     /// Of those, the ones the tier rejected before any exact kernel.
     pub tier_rejected: u64,
@@ -693,22 +694,26 @@ mod tests {
         let plan = CascadePlan::new(&FeatureWeights::default(), &calibration);
         let q = QueryVectors::from_set(&sets[3]);
         let full: Vec<f64> = (0..8).map(|i| full_score(&arena, &q, i, &plan)).collect();
-        // Use the 2nd-best score as the threshold: the top entries must
-        // survive with bit-identical scores, the rest must be rejected or
-        // score below threshold.
+        // Cut off at the 2nd-best distance: the top entries must survive
+        // with bit-identical scores, the rest must be rejected or lie
+        // beyond the cutoff.
         let mut sorted = full.clone();
         sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let thr = sorted[1];
+        let cutoff = 1.0 - sorted[1];
         let mut tally = CascadeTally::default();
         for (i, &expect) in full.iter().enumerate() {
-            if arena.tier(&q, i, &plan, thr, &mut tally) {
+            if arena.tier(&q, i, &plan, cutoff, &mut tally) {
                 assert_eq!(
                     arena.cascade_score(&q, i, &plan, &mut tally),
                     expect,
                     "entry {i}"
                 );
             } else {
-                assert!(expect < thr, "entry {i} rejected at score {expect} ≥ {thr}");
+                let distance = 1.0 - expect;
+                assert!(
+                    distance > cutoff,
+                    "entry {i} rejected at {distance} ≤ {cutoff}"
+                );
             }
         }
         assert!(tally.survivors >= 2, "the top-2 must survive");
@@ -864,11 +869,11 @@ mod tests {
                         assert_eq!(lower, 0.0, "self pair");
                     }
                     // The frame tier rejects a candidate whose cell bound
-                    // exceeds the threshold's gap.
-                    let thr = 1.0 - lower * 0.999;
+                    // exceeds the cutoff.
+                    let cutoff = lower * 0.999;
                     let mut t = CascadeTally::default();
-                    if thr > 0.0 && thr < 1.0 && lower > 0.0 {
-                        assert!(!arena.tier(q, i, &plan, thr, &mut t), "{qi}/{i}");
+                    if cutoff > 0.0 && cutoff < 1.0 {
+                        assert!(!arena.tier(q, i, &plan, cutoff, &mut t), "{qi}/{i}");
                     }
                 }
             }
@@ -905,18 +910,21 @@ mod tests {
     }
 
     #[test]
-    fn neg_infinity_threshold_never_rejects() {
+    fn infinite_cutoff_never_rejects() {
         let (arena, sets) = build(6);
         let plan = CascadePlan::new(&FeatureWeights::uniform(), &ScoreCalibration::default());
         let q = QueryVectors::from_set(&sets[0]);
         let mut tally = CascadeTally::default();
-        for i in 0..6 {
-            assert!(arena.tier(&q, i, &plan, f64::NEG_INFINITY, &mut tally));
-            arena.cascade_score(&q, i, &plan, &mut tally);
+        // No distance exceeds 1 either, so a cutoff of 1 does no work too.
+        for cutoff in [f64::INFINITY, 1.0] {
+            for i in 0..6 {
+                assert!(arena.tier(&q, i, &plan, cutoff, &mut tally));
+                arena.cascade_score(&q, i, &plan, &mut tally);
+            }
         }
         assert_eq!((tally.tier_seen, tally.tier_elements), (0, 0));
         assert_eq!(tally.abandoned, [0; KINDS]);
-        assert_eq!(tally.survivors, 6);
+        assert_eq!(tally.survivors, 12);
     }
 
     #[test]

@@ -156,8 +156,8 @@ fn scoring_chunk(len: usize) -> usize {
 ///
 /// Tier accounting (`query.scan.*`, `query.abandon.*`) is exact in
 /// serial runs; in parallel runs the *results* stay bit-identical but the
-/// reject/element counts vary with chunk-claim timing (a faster-rising
-/// threshold rejects earlier), so only ratios are meaningful there.
+/// reject/element counts vary with chunk-claim timing (a faster-falling
+/// cutoff rejects earlier), so only ratios are meaningful there.
 struct EngineMetrics {
     registry: Arc<Registry>,
     frame_requests: Arc<Counter>,
@@ -195,11 +195,12 @@ struct EngineMetrics {
     scan_tier_elements: Arc<Counter>,
     clip_tier_elements: Arc<Counter>,
     /// `query.scan.tier_candidates` / `query.scan.tier_rejects` — frame
-    /// candidates the tier checked against a threshold, and rejected.
+    /// candidates the tier checked against a cutoff, and rejected.
     scan_tier_seen: Arc<Counter>,
     scan_tier_rejected: Arc<Counter>,
     /// `query.clip.tier_cells` / `query.clip.tier_rejects` — DTW cells
-    /// the tier checked against their budget, and rejected.
+    /// the bounded DTW visited, and set to `∞` unscored; every other
+    /// visited cell is one of `query.clip.survivors`.
     clip_tier_seen: Arc<Counter>,
     clip_tier_rejected: Arc<Counter>,
     /// `catalog.snapshot.swaps` — snapshots published since start.
@@ -276,14 +277,14 @@ impl EngineMetrics {
     }
 
     /// Fold one clip chunk's tally in: its elements, tier work included,
-    /// the cells scored in full and the tier's cell counts (per-kind
+    /// the cells scored in full, and the DTW's cell counts (per-kind
     /// abandons are frame-only).
-    fn flush_clip_tally(&self, tally: &CascadeTally) {
+    fn flush_clip_tally(&self, tally: &CascadeTally, dtw: &DtwScratch) {
         add_nonzero(&self.clip_elements, tally.elements + tally.tier_elements);
         add_nonzero(&self.clip_survivors, tally.survivors);
         add_nonzero(&self.clip_tier_elements, tally.tier_elements);
-        add_nonzero(&self.clip_tier_seen, tally.tier_seen);
-        add_nonzero(&self.clip_tier_rejected, tally.tier_rejected);
+        add_nonzero(&self.clip_tier_seen, dtw.cells);
+        add_nonzero(&self.clip_tier_rejected, dtw.pruned);
     }
 }
 
@@ -295,34 +296,11 @@ fn add_nonzero(counter: &Counter, n: u64) {
     }
 }
 
-/// Shared admission threshold for parallel frame scans: the highest
-/// known lower bound of the final k-th best *score*. Scores live in
-/// `[0, 1]`, and non-negative IEEE doubles order identically to their
-/// bit patterns, so a `fetch_max` on the bits is a lock-free running
-/// maximum. Starting at 0 is equivalent to "no threshold": the tier can
-/// never prove a score below 0, so nothing is rejected until a top-k heap
-/// actually fills.
-struct ScoreFloor(AtomicU64);
-
-impl ScoreFloor {
-    fn new() -> ScoreFloor {
-        ScoreFloor(AtomicU64::new(0.0f64.to_bits()))
-    }
-
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    fn raise(&self, score: f64) {
-        if score > 0.0 {
-            self.0.fetch_max(score.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
-/// Shared cutoff for parallel clip scans: the lowest known upper bound
-/// of the final k-th best DTW *distance* (lower is better). Same bit
-/// trick as [`ScoreFloor`], with `fetch_min` and an `∞` start.
+/// Shared cutoff for parallel scans: the lowest known upper bound of the
+/// final k-th best *distance* — `1 − score` for frames, the DTW distance
+/// for clips. Distances are non-negative, and non-negative IEEE doubles
+/// order identically to their bit patterns, so a `fetch_min` on the bits
+/// is a lock-free running minimum. The `∞` start is "no cutoff".
 struct DistCeil(AtomicU64);
 
 impl DistCeil {
@@ -330,13 +308,30 @@ impl DistCeil {
         DistCeil(AtomicU64::new(f64::INFINITY.to_bits()))
     }
 
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+    /// The cutoff a participant scans its next item under: with
+    /// `abandon`, the lower of `local`, its own heap's k-th best distance
+    /// (a k-th best over a subset is never better than the global one),
+    /// and the shared one; `∞` otherwise.
+    fn cutoff(&self, abandon: bool, local: Option<f64>) -> f64 {
+        if !abandon {
+            return f64::INFINITY;
+        }
+        let shared = f64::from_bits(self.0.load(Ordering::Relaxed));
+        local.unwrap_or(f64::INFINITY).min(shared)
     }
 
-    fn lower(&self, distance: f64) {
-        if distance >= 0.0 && !distance.is_nan() {
-            self.0.fetch_min(distance.to_bits(), Ordering::Relaxed);
+    /// Merge a participant's heap into the shared one, and lower the
+    /// shared cutoff to the merged k-th best `distance`.
+    fn merge<T, F: Fn(&T, &T) -> std::cmp::Ordering + Copy>(
+        &self,
+        shared: &Mutex<TopK<T, F>>,
+        local: TopK<T, F>,
+        distance: impl Fn(&T) -> f64,
+    ) {
+        let mut shared = shared.lock().expect("top-k accumulator poisoned");
+        shared.merge(local);
+        if let Some(d) = shared.worst().map(distance).filter(|&d| d >= 0.0) {
+            self.0.fetch_min(d.to_bits(), Ordering::Relaxed);
         }
     }
 }
@@ -591,8 +586,8 @@ impl QueryEngine {
         // exactly the serial monolithic result.
         let plan = CascadePlan::new(&options.weights, snap.calibration());
         let query = QueryVectors::from_set(features);
-        let merged = std::sync::Mutex::new(TopK::new(options.k, rank_frame_matches));
-        let floor = ScoreFloor::new();
+        let merged = Mutex::new(TopK::new(options.k, rank_frame_matches));
+        let ceil = DistCeil::new();
         let chunk = scoring_chunk(candidates.len());
         {
             let _score = self.metrics.registry.timer(&self.metrics.frame_score);
@@ -600,22 +595,10 @@ impl QueryEngine {
                 let mut local = TopK::new(options.k, rank_frame_matches);
                 let mut tally = CascadeTally::default();
                 for &r in &candidates[chunk_range] {
-                    // Threshold: the best lower bound of the final k-th
-                    // best score this participant knows — its own heap's
-                    // worst kept score (a k-th best over a subset never
-                    // exceeds the global one) or the shared floor.
-                    let threshold = if options.abandon {
-                        local
-                            .worst()
-                            .map(|m| m.score)
-                            .unwrap_or(f64::NEG_INFINITY)
-                            .max(floor.get())
-                    } else {
-                        f64::NEG_INFINITY
-                    };
+                    let cutoff = ceil.cutoff(options.abandon, local.worst().map(|m| 1.0 - m.score));
                     let seg = snap.segment(r.segment);
                     let (arena, row) = (seg.arena(), r.row as usize);
-                    if !arena.tier(&query, row, &plan, threshold, &mut tally) {
+                    if !arena.tier(&query, row, &plan, cutoff, &mut tally) {
                         continue;
                     }
                     let score = arena.cascade_score(&query, row, &plan, &mut tally);
@@ -626,12 +609,7 @@ impl QueryEngine {
                         score,
                     });
                 }
-                let mut shared = merged.lock().expect("top-k accumulator poisoned");
-                shared.merge(local);
-                if let Some(worst) = shared.worst() {
-                    floor.raise(worst.score);
-                }
-                drop(shared);
+                ceil.merge(&merged, local, |m| 1.0 - m.score);
                 self.metrics.flush_tally(&tally);
             });
         }
@@ -685,13 +663,14 @@ impl QueryEngine {
         // and vary with sequence length, so fine-grained stealing
         // balances them. Each alignment is a bounded DTW against the best
         // known k-th-best distance: the bound tier bounds every cell
-        // (`TierCells`, kind-major over the video's rows), and each cell
-        // whose bound fits the remaining budget is scored in full.
+        // (`TierCells`, kind-major over the video's rows), and the DTW
+        // scores in full each cell its bound does not prove off every path
+        // within the cutoff.
         // Abandoned videos are provably outside the top-k and survivors
         // keep their exact distance bits, so results match the no-abandon
         // path exactly. Videos are walked in arena order, so a serial
         // query's cutoff trajectory — and its telemetry — is fixed.
-        let merged = std::sync::Mutex::new(TopK::new(options.k, rank_video_matches));
+        let merged = Mutex::new(TopK::new(options.k, rank_video_matches));
         let ceil = DistCeil::new();
         {
             let _dtw = self.metrics.registry.timer(&self.metrics.clip_dtw);
@@ -703,15 +682,7 @@ impl QueryEngine {
                 let mut scratch = DtwScratch::default();
                 let mut rows = Vec::new();
                 for (v_id, refs) in &videos[chunk_range] {
-                    let cutoff = if options.abandon {
-                        local
-                            .worst()
-                            .map(|m| m.distance)
-                            .unwrap_or(f64::INFINITY)
-                            .min(ceil.get())
-                    } else {
-                        f64::INFINITY
-                    };
+                    let cutoff = ceil.cutoff(options.abandon, local.worst().map(|m| m.distance));
                     rows.clear();
                     rows.extend(
                         refs.iter()
@@ -719,32 +690,27 @@ impl QueryEngine {
                     );
                     let (n, m) = (query_vecs.len(), rows.len());
                     let limit = cost_limit(cutoff, n, m);
-                    let proven_out =
-                        !cells.fill(&query_vecs, &rows, &plan, limit, &mut scratch, &mut tally);
-                    let aligned = if proven_out {
-                        None
-                    } else {
-                        dtw_distance_bounded(
-                            n,
-                            m,
-                            cutoff,
-                            cells.lower(),
-                            |i, j, budget| {
-                                if budget < f64::INFINITY {
-                                    tally.tier_seen += 1;
-                                    if cells.lower()[i * m + j] > budget {
-                                        tally.tier_rejected += 1;
-                                        return None;
-                                    }
-                                }
-                                let (arena, row) = rows[j];
-                                let score =
-                                    arena.cascade_score(&query_vecs[i], row, &plan, &mut tally);
-                                Some(1.0 - score)
-                            },
-                            &mut scratch,
-                        )
-                    };
+                    let aligned =
+                        if cells.fill(&query_vecs, &rows, &plan, limit, &mut scratch, &mut tally) {
+                            dtw_distance_bounded(
+                                n,
+                                m,
+                                cutoff,
+                                cells.lower(),
+                                |i, j| {
+                                    let (arena, row) = rows[j];
+                                    1.0 - arena.cascade_score(
+                                        &query_vecs[i],
+                                        row,
+                                        &plan,
+                                        &mut tally,
+                                    )
+                                },
+                                &mut scratch,
+                            )
+                        } else {
+                            None
+                        };
                     match aligned {
                         Some(distance) => local.push(VideoMatch {
                             v_id: *v_id,
@@ -753,16 +719,11 @@ impl QueryEngine {
                         None => abandoned += 1,
                     }
                 }
-                let mut shared = merged.lock().expect("top-k accumulator poisoned");
-                shared.merge(local);
-                if let Some(worst) = shared.worst() {
-                    ceil.lower(worst.distance);
-                }
-                drop(shared);
+                ceil.merge(&merged, local, |m| m.distance);
                 if abandoned > 0 {
                     self.metrics.abandon_dtw.add(abandoned);
                 }
-                self.metrics.flush_clip_tally(&tally);
+                self.metrics.flush_clip_tally(&tally, &scratch);
             });
         }
         let _rank = self.metrics.registry.timer(&self.metrics.clip_rank);
@@ -879,23 +840,37 @@ impl QueryEngine {
     /// step rebases over segments appended while the merge ran: the new
     /// snapshot is the merged segment followed by every segment that was
     /// not part of the base, preserving global order for those appended
-    /// rows.
+    /// rows. If a base segment is gone by then (another compaction, or an
+    /// [`QueryEngine::add_video`] that re-added a removed id, replaced it),
+    /// its rows live on in a segment the base never had, so the merge runs
+    /// again from the current snapshot, under the lock.
     pub fn compact(&self) -> CompactionReport {
         let _timer = self.metrics.registry.timer(&self.metrics.compaction);
-        let base = self.snapshot.load();
-        let base_ids: BTreeSet<u64> = base.segments().iter().map(|s| s.id()).collect();
-        let segments_before = base.segments().len();
-        let rows_dropped = base.rows() - base.live();
-        let merged = (base.live() > 0).then(|| {
-            let id = self.next_seg_id.fetch_add(1, Ordering::Relaxed);
-            let seg = Segment::copy_rows(id, live_rows(base.segments(), base.tombstones()));
-            self.metrics.arena_bytes.add(seg.arena().bytes() as u64);
-            Arc::new(seg)
-        });
-        let calibration = ScoreCalibration::from_segments(merged.as_slice(), &BTreeSet::new());
+        let merge = |base: &CatalogSnapshot| {
+            let merged = (base.live() > 0).then(|| {
+                let id = self.next_seg_id.fetch_add(1, Ordering::Relaxed);
+                let seg = Segment::copy_rows(id, live_rows(base.segments(), base.tombstones()));
+                self.metrics.arena_bytes.add(seg.arena().bytes() as u64);
+                Arc::new(seg)
+            });
+            let calibration = ScoreCalibration::from_segments(merged.as_slice(), &BTreeSet::new());
+            (merged, calibration)
+        };
+        let mut base = self.snapshot.load();
+        let (mut merged, mut calibration) = merge(&base);
 
         let _commit = self.commit_guard();
         let current = self.snapshot.load();
+        let ids = |snap: &CatalogSnapshot| -> BTreeSet<u64> {
+            snap.segments().iter().map(|s| s.id()).collect()
+        };
+        if !ids(&base).is_subset(&ids(&current)) {
+            base = Arc::clone(&current);
+            (merged, calibration) = merge(&base);
+        }
+        let base_ids = ids(&base);
+        let segments_before = base.segments().len();
+        let rows_dropped = base.rows() - base.live();
         let mut segments: Vec<Arc<Segment>> = merged.into_iter().collect();
         for seg in current.segments() {
             if !base_ids.contains(&seg.id()) {

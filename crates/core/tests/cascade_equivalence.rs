@@ -288,7 +288,7 @@ proptest! {
 
 proptest! {
     // Clip cases are cheap and the bound bugs they catch (a lower bound
-    // or budget a hair too tight) only show on some draws: run more.
+    // or limit a hair too tight) only show on some draws: run more.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
@@ -307,6 +307,8 @@ proptest! {
         queries.push(copied.clone());
         queries.push(copied.into_iter().chain(clip_query(&mut rng, &[], 1)).collect());
         let registry = Arc::new(Registry::new());
+        let clip = |name: &str| registry.counter(&format!("query.clip.{name}")).get();
+        let cells = || (clip("tier_cells"), clip("tier_rejects"), clip("survivors"));
         let mut single = QueryEngine::from_catalog(entries.clone(), HashMap::new());
         single.set_telemetry(Arc::clone(&registry));
         let mut layouts = vec![("one segment", single)];
@@ -333,6 +335,7 @@ proptest! {
                         prop_assert_eq!(naive.len(), k.min(nvid));
                         for threads in [1, 2, 4] {
                             for abandon in [false, true] {
+                                let before = cells();
                                 let got = engine.query_feature_sequence(
                                     query, &options(k, threads, true, weights, abandon),
                                 );
@@ -343,6 +346,16 @@ proptest! {
                                     "{} len={} k={} threads={} abandon={}",
                                     layout, query.len(), k, threads, abandon
                                 );
+                                // Every DTW cell visited is pruned unscored
+                                // or scored in full.
+                                let after = cells();
+                                prop_assert_eq!(
+                                    after.0 - before.0,
+                                    (after.1 - before.1) + (after.2 - before.2),
+                                    "tier cells vs rejects + survivors: \
+                                     {} len={} k={} threads={} abandon={}",
+                                    layout, query.len(), k, threads, abandon
+                                );
                             }
                         }
                     }
@@ -351,7 +364,6 @@ proptest! {
         }
         // The tier bounded DTW cells and proved videos out or rejected
         // cells, so the equalities above cover its pruning.
-        let clip = |name: &str| registry.counter(&format!("query.clip.{name}")).get();
         prop_assert!(clip("tier_elements") > 0, "the clip tier never bounded a cell");
         prop_assert!(
             registry.counter("query.abandon.dtw").get() > 0 || clip("tier_rejects") > 0,
@@ -550,6 +562,16 @@ fn clip_dtw_floors() {
     let (elements, full) = (count(&bounded, "elements"), count(&plain, "elements"));
     let ratio = elements as f64 / full as f64;
     let tier = count(&bounded, "tier_elements");
+    // Every DTW cell visited is pruned unscored or scored in full; the
+    // plain run prunes none.
+    for (run, r) in [("plain", &plain), ("bounded", &bounded)] {
+        assert_eq!(
+            count(r, "tier_cells"),
+            count(r, "tier_rejects") + count(r, "survivors"),
+            "{run}: tier cells vs rejects + survivors"
+        );
+    }
+    assert_eq!(count(&plain, "tier_rejects"), 0);
     println!("clip elements: bounded {elements} / plain {full} = {ratio:.3} (floor <= 0.50)");
     println!(
         "clip tier: rejected {} / {} DTW cells; elements: tier {tier} + exact {}",

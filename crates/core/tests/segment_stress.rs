@@ -168,3 +168,62 @@ fn queries_complete_while_commit_lock_is_held() {
         .collect();
     assert_eq!(got, expected);
 }
+
+/// Two compactions that merged from the same snapshot: the one that
+/// publishes second must not keep the first one's merged segment beside
+/// its own, which holds the same rows.
+#[test]
+fn concurrent_compactions_publish_every_row_once() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4096);
+    let videos: Vec<Vec<CatalogEntry>> = (1..=4).map(|v| video_entries(&mut rng, v, 3)).collect();
+    let probe_frame = random_frame(&mut rng);
+    let probe = FeatureSet::extract(&probe_frame);
+    let range = paper_range(&Histogram256::of_rgb_luma(&probe_frame));
+    let build = || {
+        let engine = QueryEngine::from_segmented(videos.clone(), HashMap::new());
+        assert_eq!(engine.remove_video(2), 3);
+        engine
+    };
+    // The merged segment's arena size, from a twin compacted alone.
+    let twin = build();
+    twin.compact();
+    let merged_bytes = twin.segment_stats()[0].arena_bytes as u64;
+
+    let mut engine = build();
+    let registry = Arc::new(Registry::new());
+    engine.set_telemetry(registry.clone());
+    let arena_bytes = registry.counter("query.arena.bytes");
+    let start = arena_bytes.get();
+    let engine = Arc::new(engine);
+    let compactions = engine.with_commit_locked(|| {
+        let compactions: Vec<_> = (0..2)
+            .map(|_| {
+                let engine = Arc::clone(&engine);
+                std::thread::spawn(move || engine.compact())
+            })
+            .collect();
+        // Each compaction adds its merged arena's bytes before it takes
+        // the commit lock: once both have, both merged the same snapshot.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while arena_bytes.get() < start + 2 * merged_bytes {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the compactions never merged"
+            );
+            std::thread::yield_now();
+        }
+        compactions
+    });
+    for compaction in compactions {
+        compaction.join().expect("compaction panicked");
+    }
+    assert_eq!(engine.len(), 9, "live rows after both compactions");
+    let got = observe(&engine, &probe, range);
+    let unique: BTreeSet<u64> = got.iter().copied().collect();
+    assert_eq!(unique.len(), got.len(), "duplicate frames: {got:?}");
+    let expected: BTreeSet<u64> = [1, 3, 4]
+        .iter()
+        .flat_map(|&v| i_ids(&videos[v - 1]))
+        .collect();
+    assert_eq!(unique, expected);
+}

@@ -168,8 +168,14 @@ fn read_header_line(
         .read_line(&mut line)
         .map_err(|e| read_failed(what, e))?;
     *budget -= n;
-    if *budget == 0 && !line.ends_with('\n') {
-        return Err(bad("header section too large"));
+    if !line.ends_with('\n') {
+        // Either the budget ran out or the stream ended mid-line: a
+        // request cut off by EOF is not served as if it were complete.
+        return Err(bad(if *budget == 0 {
+            "header section too large"
+        } else {
+            "request cut off before the end of its header section"
+        }));
     }
     Ok(line)
 }
@@ -349,6 +355,17 @@ mod tests {
         assert_eq!(e.status, StatusCode::MethodNotAllowed);
         assert!(parse(b"GET\r\n\r\n").is_err());
         assert!(parse(b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn a_request_cut_off_by_eof_is_rejected() {
+        for cut in [&b"GET /a HTTP/1.1\r\nHost: t\r\n"[..], b"GET /b HTTP/1.1"] {
+            let e = parse(cut).unwrap_err();
+            assert_eq!(e.status, StatusCode::BadRequest);
+            assert!(e.message.contains("cut off"), "{}", e.message);
+        }
+        let whole = parse(b"GET /a HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        assert_eq!((whole.path.as_str(), whole.headers["host"].as_str()), ("/a", "t"));
     }
 
     #[test]
