@@ -8,11 +8,11 @@
 //! database replays or discards exactly the right state.
 
 use crate::error::{Result, StorageError};
-use std::sync::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// A random-access, growable byte store.
 pub trait Backend: Send {
@@ -43,8 +43,12 @@ impl FileBackend {
     pub fn open(path: &Path) -> Result<FileBackend> {
         // Existing files must keep their contents: this is open-or-create,
         // never truncate.
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
         Ok(FileBackend { file })
     }
 }
@@ -87,13 +91,17 @@ pub struct MemBackend {
 impl MemBackend {
     /// Fresh empty store.
     pub fn new() -> MemBackend {
-        MemBackend { data: Arc::new(Mutex::new(Vec::new())) }
+        MemBackend {
+            data: Arc::new(Mutex::new(Vec::new())),
+        }
     }
 
     /// Another handle onto the same bytes (simulates reopening the file
     /// after a crash).
     pub fn share(&self) -> MemBackend {
-        MemBackend { data: Arc::clone(&self.data) }
+        MemBackend {
+            data: Arc::clone(&self.data),
+        }
     }
 }
 

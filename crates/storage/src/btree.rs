@@ -31,8 +31,14 @@ const HEADER_LEN: usize = 7; // tag + count + next/unused
 
 #[derive(Debug, Clone)]
 enum Node {
-    Leaf { next: PageId, cells: Vec<(u64, Vec<u8>)> },
-    Internal { keys: Vec<u64>, children: Vec<PageId> },
+    Leaf {
+        next: PageId,
+        cells: Vec<(u64, Vec<u8>)>,
+    },
+    Internal {
+        keys: Vec<u64>,
+        children: Vec<PageId>,
+    },
 }
 
 impl Node {
@@ -76,7 +82,9 @@ fn read_node<B: Backend>(pager: &mut Pager<B>, id: PageId) -> Result<Node> {
             }
             Ok(Node::Internal { keys, children })
         }
-        other => Err(StorageError::Corruption(format!("page {id}: bad node tag {other}"))),
+        other => Err(StorageError::Corruption(format!(
+            "page {id}: bad node tag {other}"
+        ))),
     }
 }
 
@@ -127,7 +135,14 @@ impl BTree {
     /// Allocate an empty tree (a single empty leaf).
     pub fn create<B: Backend>(pager: &mut Pager<B>) -> Result<BTree> {
         let root = pager.allocate()?;
-        write_node(pager, root, &Node::Leaf { next: NO_PAGE, cells: Vec::new() })?;
+        write_node(
+            pager,
+            root,
+            &Node::Leaf {
+                next: NO_PAGE,
+                cells: Vec::new(),
+            },
+        )?;
         Ok(BTree { root })
     }
 
@@ -170,12 +185,22 @@ impl BTree {
     /// # Errors
     /// [`StorageError::Duplicate`] when the key exists,
     /// [`StorageError::TooLarge`] when the value exceeds [`MAX_VALUE_LEN`].
-    pub fn insert<B: Backend>(&mut self, pager: &mut Pager<B>, key: u64, value: &[u8]) -> Result<()> {
+    pub fn insert<B: Backend>(
+        &mut self,
+        pager: &mut Pager<B>,
+        key: u64,
+        value: &[u8],
+    ) -> Result<()> {
         self.put(pager, key, value, false)
     }
 
     /// Insert or overwrite a key.
-    pub fn upsert<B: Backend>(&mut self, pager: &mut Pager<B>, key: u64, value: &[u8]) -> Result<()> {
+    pub fn upsert<B: Backend>(
+        &mut self,
+        pager: &mut Pager<B>,
+        key: u64,
+        value: &[u8],
+    ) -> Result<()> {
         self.put(pager, key, value, true)
     }
 
@@ -199,7 +224,10 @@ impl BTree {
             write_node(
                 pager,
                 new_root,
-                &Node::Internal { keys: vec![split.separator], children: vec![self.root, split.right] },
+                &Node::Internal {
+                    keys: vec![split.separator],
+                    children: vec![self.root, split.right],
+                },
             )?;
             self.root = new_root;
         }
@@ -232,7 +260,9 @@ impl BTree {
                 }
                 // Split the leaf near the byte midpoint, keeping at least
                 // one cell on each side.
-                let Node::Leaf { next, cells } = node else { unreachable!() };
+                let Node::Leaf { next, cells } = node else {
+                    unreachable!()
+                };
                 let total: usize = cells.iter().map(|(_, v)| 10 + v.len()).sum();
                 let mut acc = 0usize;
                 let mut cut = cells.len() / 2; // fallback
@@ -247,11 +277,31 @@ impl BTree {
                 let left_cells: Vec<_> = cells[..cut].to_vec();
                 let right_id = pager.allocate()?;
                 let separator = right_cells[0].0;
-                write_node(pager, right_id, &Node::Leaf { next, cells: right_cells })?;
-                write_node(pager, id, &Node::Leaf { next: right_id, cells: left_cells })?;
-                Ok(Some(Split { separator, right: right_id }))
+                write_node(
+                    pager,
+                    right_id,
+                    &Node::Leaf {
+                        next,
+                        cells: right_cells,
+                    },
+                )?;
+                write_node(
+                    pager,
+                    id,
+                    &Node::Leaf {
+                        next: right_id,
+                        cells: left_cells,
+                    },
+                )?;
+                Ok(Some(Split {
+                    separator,
+                    right: right_id,
+                }))
             }
-            Node::Internal { mut keys, mut children } => {
+            Node::Internal {
+                mut keys,
+                mut children,
+            } => {
                 let idx = keys.partition_point(|&k| k <= key);
                 let child = children[idx];
                 let Some(split) = self.put_rec(pager, child, key, value, overwrite)? else {
@@ -264,16 +314,32 @@ impl BTree {
                     write_node(pager, id, &node)?;
                     return Ok(None);
                 }
-                let Node::Internal { mut keys, mut children } = node else { unreachable!() };
+                let Node::Internal {
+                    mut keys,
+                    mut children,
+                } = node
+                else {
+                    unreachable!()
+                };
                 let mid = keys.len() / 2;
                 let up_key = keys[mid];
                 let right_keys = keys.split_off(mid + 1);
                 keys.pop(); // up_key moves up, not right
                 let right_children = children.split_off(mid + 1);
                 let right_id = pager.allocate()?;
-                write_node(pager, right_id, &Node::Internal { keys: right_keys, children: right_children })?;
+                write_node(
+                    pager,
+                    right_id,
+                    &Node::Internal {
+                        keys: right_keys,
+                        children: right_children,
+                    },
+                )?;
                 write_node(pager, id, &Node::Internal { keys, children })?;
-                Ok(Some(Split { separator: up_key, right: right_id }))
+                Ok(Some(Split {
+                    separator: up_key,
+                    right: right_id,
+                }))
             }
         }
     }
@@ -319,7 +385,9 @@ impl BTree {
         #[allow(clippy::while_let_loop)] // the else-branch is an error, not a break
         loop {
             let Node::Leaf { next, cells } = read_node(pager, id)? else {
-                return Err(StorageError::Corruption(format!("page {id}: expected leaf in chain")));
+                return Err(StorageError::Corruption(format!(
+                    "page {id}: expected leaf in chain"
+                )));
             };
             for (k, v) in &cells {
                 if *k < start {
@@ -384,7 +452,10 @@ mod tests {
     fn duplicate_insert_rejected_upsert_allowed() {
         let (mut pager, mut tree) = fresh();
         tree.insert(&mut pager, 1, b"a").unwrap();
-        assert!(matches!(tree.insert(&mut pager, 1, b"b"), Err(StorageError::Duplicate(1))));
+        assert!(matches!(
+            tree.insert(&mut pager, 1, b"b"),
+            Err(StorageError::Duplicate(1))
+        ));
         tree.upsert(&mut pager, 1, b"b").unwrap();
         assert_eq!(tree.get(&mut pager, 1).unwrap().unwrap(), b"b");
     }
@@ -398,7 +469,8 @@ mod tests {
             Err(StorageError::TooLarge { .. })
         ));
         // Exactly at the limit is fine.
-        tree.insert(&mut pager, 1, &vec![7u8; MAX_VALUE_LEN]).unwrap();
+        tree.insert(&mut pager, 1, &vec![7u8; MAX_VALUE_LEN])
+            .unwrap();
     }
 
     #[test]
@@ -414,7 +486,8 @@ mod tests {
             keys.swap(i, (s % (i as u64 + 1)) as usize);
         }
         for &k in &keys {
-            tree.insert(&mut pager, k, format!("value-{k}").as_bytes()).unwrap();
+            tree.insert(&mut pager, k, format!("value-{k}").as_bytes())
+                .unwrap();
         }
         let all = tree.collect_all(&mut pager).unwrap();
         assert_eq!(all.len(), 1000);
@@ -433,7 +506,11 @@ mod tests {
             tree.insert(&mut pager, k, &value).unwrap();
         }
         for k in 0..200u64 {
-            assert_eq!(tree.get(&mut pager, k).unwrap().unwrap().len(), 1500, "key {k}");
+            assert_eq!(
+                tree.get(&mut pager, k).unwrap().unwrap().len(),
+                1500,
+                "key {k}"
+            );
         }
     }
 
@@ -509,7 +586,8 @@ mod tests {
             let mut pager = Pager::open(data.share(), wal.share(), 64).unwrap();
             let mut tree = BTree::create(&mut pager).unwrap();
             for k in 0..300u64 {
-                tree.insert(&mut pager, k, format!("v{k}").as_bytes()).unwrap();
+                tree.insert(&mut pager, k, format!("v{k}").as_bytes())
+                    .unwrap();
             }
             root = tree.root();
             pager.commit().unwrap();

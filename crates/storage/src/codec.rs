@@ -135,7 +135,11 @@ mod tests {
     #[test]
     fn round_trip_all_types() {
         let mut w = RowWriter::new();
-        w.u8(9).u32(70_000).u64(1 << 50).str("hello world").bytes(&[1, 2, 3]);
+        w.u8(9)
+            .u32(70_000)
+            .u64(1 << 50)
+            .str("hello world")
+            .bytes(&[1, 2, 3]);
         let buf = w.finish();
         let mut r = RowReader::new(&buf);
         assert_eq!(r.u8().unwrap(), 9);

@@ -44,7 +44,9 @@ const TAG_SPILLED: u8 = 1;
 /// never a panic.
 fn le_u32_at(buf: &[u8], at: usize) -> Result<u32> {
     let Some(bytes) = buf.get(at..at + 4) else {
-        return Err(StorageError::Corruption(format!("stored value truncated at byte {at}")));
+        return Err(StorageError::Corruption(format!(
+            "stored value truncated at byte {at}"
+        )));
     };
     let mut b = [0u8; 4];
     b.copy_from_slice(bytes);
@@ -54,7 +56,9 @@ fn le_u32_at(buf: &[u8], at: usize) -> Result<u32> {
 /// Little-endian `u64`, same contract as [`le_u32_at`].
 fn le_u64_at(buf: &[u8], at: usize) -> Result<u64> {
     let Some(bytes) = buf.get(at..at + 8) else {
-        return Err(StorageError::Corruption(format!("stored value truncated at byte {at}")));
+        return Err(StorageError::Corruption(format!(
+            "stored value truncated at byte {at}"
+        )));
     };
     let mut b = [0u8; 8];
     b.copy_from_slice(bytes);
@@ -154,8 +158,7 @@ impl<B: Backend> CbvrDatabase<B> {
         meta[0..4].copy_from_slice(&self.video_store.root().to_le_bytes());
         meta[4..8].copy_from_slice(&self.key_frames.root().to_le_bytes());
         meta[8..12].copy_from_slice(&self.kf_by_video.root().to_le_bytes());
-        meta[12..16]
-            .copy_from_slice(&self.manifest.as_ref().map_or(0, BTree::root).to_le_bytes());
+        meta[12..16].copy_from_slice(&self.manifest.as_ref().map_or(0, BTree::root).to_le_bytes());
         meta[16..24].copy_from_slice(&self.next_v_id.to_le_bytes());
         meta[24..32].copy_from_slice(&self.next_i_id.to_le_bytes());
         self.pager.set_user_meta(meta);
@@ -288,7 +291,12 @@ impl<B: Backend> CbvrDatabase<B> {
             let video = write_blob(&mut db.pager, &record.video)?;
             let stream = write_blob(&mut db.pager, &record.stream)?;
             let full = VideoRowFull {
-                row: VideoRow { v_id, video, stream, dostore: record.dostore },
+                row: VideoRow {
+                    v_id,
+                    video,
+                    stream,
+                    dostore: record.dostore,
+                },
                 v_name: record.v_name.clone(),
             };
             let buf = encode_video_row(&full);
@@ -547,7 +555,11 @@ impl<B: Backend> CbvrDatabase<B> {
                 )));
             }
             let mut tree = db.manifest_tree()?;
-            tree.upsert(&mut db.pager, segment.min_i_id, &Self::encode_manifest_value(&segment))?;
+            tree.upsert(
+                &mut db.pager,
+                segment.min_i_id,
+                &Self::encode_manifest_value(&segment),
+            )?;
             db.manifest = Some(tree);
             Ok(())
         };
@@ -634,11 +646,22 @@ impl<B: Backend> CbvrDatabase<B> {
     }
 
     /// Insert a video under an explicit id (vacuum/restore path).
-    fn insert_video_preserving_id(&mut self, v_id: u64, full: &VideoRowFull, video: &[u8], stream: &[u8]) -> Result<()> {
+    fn insert_video_preserving_id(
+        &mut self,
+        v_id: u64,
+        full: &VideoRowFull,
+        video: &[u8],
+        stream: &[u8],
+    ) -> Result<()> {
         let video_ref = write_blob(&mut self.pager, video)?;
         let stream_ref = write_blob(&mut self.pager, stream)?;
         let row = VideoRowFull {
-            row: VideoRow { v_id, video: video_ref, stream: stream_ref, dostore: full.row.dostore },
+            row: VideoRow {
+                v_id,
+                video: video_ref,
+                stream: stream_ref,
+                dostore: full.row.dostore,
+            },
             v_name: full.v_name.clone(),
         };
         let buf = encode_video_row(&row);
@@ -698,7 +721,11 @@ impl<B: Backend> CbvrDatabase<B> {
             // Vacuum compacts the manifest too: one segment spanning all
             // surviving rows (dead ranges would otherwise linger).
             if let Some((min_i_id, max_i_id, rows)) = kf_span {
-                dst.replace_manifest(&[ManifestSegment { min_i_id, max_i_id, rows }])?;
+                dst.replace_manifest(&[ManifestSegment {
+                    min_i_id,
+                    max_i_id,
+                    rows,
+                }])?;
             }
             dst.next_v_id = next_v_id;
             dst.next_i_id = next_i_id;
@@ -811,11 +838,20 @@ mod tests {
     fn missing_keys_error() {
         let mut db = CbvrDatabase::in_memory().unwrap();
         assert!(matches!(db.get_video(99), Err(StorageError::NotFound(99))));
-        assert!(matches!(db.get_key_frame(99), Err(StorageError::NotFound(99))));
-        assert!(matches!(db.rename_video(1, "x"), Err(StorageError::NotFound(1))));
+        assert!(matches!(
+            db.get_key_frame(99),
+            Err(StorageError::NotFound(99))
+        ));
+        assert!(matches!(
+            db.rename_video(1, "x"),
+            Err(StorageError::NotFound(1))
+        ));
         assert!(matches!(db.delete_video(1), Err(StorageError::NotFound(1))));
         // Key frame for a video that does not exist.
-        assert!(matches!(db.insert_key_frame(&kf_record(5, "kf")), Err(StorageError::NotFound(5))));
+        assert!(matches!(
+            db.insert_key_frame(&kf_record(5, "kf")),
+            Err(StorageError::NotFound(5))
+        ));
     }
 
     #[test]
@@ -825,7 +861,10 @@ mod tests {
         let v2 = db.insert_video(&video_record("v2", 10)).unwrap();
         let mut v1_ids = Vec::new();
         for i in 0..5 {
-            v1_ids.push(db.insert_key_frame(&kf_record(v1, &format!("v1_kf_{i}"))).unwrap());
+            v1_ids.push(
+                db.insert_key_frame(&kf_record(v1, &format!("v1_kf_{i}")))
+                    .unwrap(),
+            );
         }
         let k2 = db.insert_key_frame(&kf_record(v2, "v2_kf_0")).unwrap();
         assert_eq!(db.key_frames_of_video(v1).unwrap(), v1_ids);
@@ -853,7 +892,8 @@ mod tests {
         let mut db = CbvrDatabase::in_memory().unwrap();
         let v = db.insert_video(&video_record("v", 5_000)).unwrap();
         for i in 0..4 {
-            db.insert_key_frame(&kf_record(v, &format!("kf{i}"))).unwrap();
+            db.insert_key_frame(&kf_record(v, &format!("kf{i}")))
+                .unwrap();
         }
         assert_eq!(db.key_frame_count().unwrap(), 4);
         db.delete_video(v).unwrap();
@@ -953,19 +993,38 @@ mod tests {
         let wal = MemBackend::new();
         {
             let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
-            assert!(db.list_manifest().unwrap().is_empty(), "fresh db has no manifest");
-            db.append_manifest_segment(ManifestSegment { min_i_id: 1, max_i_id: 4, rows: 4 })
-                .unwrap();
-            db.append_manifest_segment(ManifestSegment { min_i_id: 5, max_i_id: 9, rows: 5 })
-                .unwrap();
+            assert!(
+                db.list_manifest().unwrap().is_empty(),
+                "fresh db has no manifest"
+            );
+            db.append_manifest_segment(ManifestSegment {
+                min_i_id: 1,
+                max_i_id: 4,
+                rows: 4,
+            })
+            .unwrap();
+            db.append_manifest_segment(ManifestSegment {
+                min_i_id: 5,
+                max_i_id: 9,
+                rows: 5,
+            })
+            .unwrap();
         }
         let mut db = CbvrDatabase::open(data.share(), wal.share()).unwrap();
         let segments = db.list_manifest().unwrap();
         assert_eq!(
             segments,
             vec![
-                ManifestSegment { min_i_id: 1, max_i_id: 4, rows: 4 },
-                ManifestSegment { min_i_id: 5, max_i_id: 9, rows: 5 },
+                ManifestSegment {
+                    min_i_id: 1,
+                    max_i_id: 4,
+                    rows: 4
+                },
+                ManifestSegment {
+                    min_i_id: 5,
+                    max_i_id: 9,
+                    rows: 5
+                },
             ]
         );
         assert_eq!(db.stats().unwrap().manifest_segments, 2);
@@ -974,12 +1033,31 @@ mod tests {
     #[test]
     fn replace_manifest_swaps_whole_set() {
         let mut db = CbvrDatabase::in_memory().unwrap();
-        db.append_manifest_segment(ManifestSegment { min_i_id: 1, max_i_id: 3, rows: 3 }).unwrap();
-        db.append_manifest_segment(ManifestSegment { min_i_id: 4, max_i_id: 6, rows: 3 }).unwrap();
-        db.replace_manifest(&[ManifestSegment { min_i_id: 1, max_i_id: 6, rows: 6 }]).unwrap();
+        db.append_manifest_segment(ManifestSegment {
+            min_i_id: 1,
+            max_i_id: 3,
+            rows: 3,
+        })
+        .unwrap();
+        db.append_manifest_segment(ManifestSegment {
+            min_i_id: 4,
+            max_i_id: 6,
+            rows: 3,
+        })
+        .unwrap();
+        db.replace_manifest(&[ManifestSegment {
+            min_i_id: 1,
+            max_i_id: 6,
+            rows: 6,
+        }])
+        .unwrap();
         assert_eq!(
             db.list_manifest().unwrap(),
-            vec![ManifestSegment { min_i_id: 1, max_i_id: 6, rows: 6 }]
+            vec![ManifestSegment {
+                min_i_id: 1,
+                max_i_id: 6,
+                rows: 6
+            }]
         );
         // Replacing with the empty set clears the manifest entirely.
         db.replace_manifest(&[]).unwrap();
@@ -989,7 +1067,11 @@ mod tests {
     #[test]
     fn inverted_manifest_range_rejected_without_side_effects() {
         let mut db = CbvrDatabase::in_memory().unwrap();
-        let bad = ManifestSegment { min_i_id: 9, max_i_id: 2, rows: 1 };
+        let bad = ManifestSegment {
+            min_i_id: 9,
+            max_i_id: 2,
+            rows: 1,
+        };
         assert!(db.append_manifest_segment(bad).is_err());
         assert!(db.replace_manifest(&[bad]).is_err());
         assert!(db.list_manifest().unwrap().is_empty());
@@ -999,13 +1081,25 @@ mod tests {
     fn manifest_rolls_back_with_failed_batch() {
         let mut db = CbvrDatabase::in_memory().unwrap();
         let result: Result<()> = db.run_batch(|db| {
-            db.append_manifest_segment(ManifestSegment { min_i_id: 1, max_i_id: 2, rows: 2 })?;
+            db.append_manifest_segment(ManifestSegment {
+                min_i_id: 1,
+                max_i_id: 2,
+                rows: 2,
+            })?;
             Err(StorageError::InvalidState("user abort".into()))
         });
         assert!(result.is_err());
-        assert!(db.list_manifest().unwrap().is_empty(), "manifest record must roll back");
+        assert!(
+            db.list_manifest().unwrap().is_empty(),
+            "manifest record must roll back"
+        );
         // The tree can still be created and used after the rollback.
-        db.append_manifest_segment(ManifestSegment { min_i_id: 1, max_i_id: 2, rows: 2 }).unwrap();
+        db.append_manifest_segment(ManifestSegment {
+            min_i_id: 1,
+            max_i_id: 2,
+            rows: 2,
+        })
+        .unwrap();
         assert_eq!(db.list_manifest().unwrap().len(), 1);
     }
 
@@ -1016,7 +1110,10 @@ mod tests {
             db.insert_video(&video_record(name, 10)).unwrap();
         }
         let listed = db.list_videos().unwrap();
-        assert_eq!(listed.iter().map(|(id, _, _)| *id).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(
+            listed.iter().map(|(id, _, _)| *id).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
         assert_eq!(listed[0].1, "c");
     }
 }
@@ -1063,7 +1160,9 @@ mod vacuum_tests {
         let k3 = db.insert_key_frame(&kf_record(v3)).unwrap();
         db.delete_video(v2).unwrap();
 
-        let mut fresh = db.vacuum_into(MemBackend::new(), MemBackend::new()).unwrap();
+        let mut fresh = db
+            .vacuum_into(MemBackend::new(), MemBackend::new())
+            .unwrap();
         assert_eq!(fresh.video_count().unwrap(), 2);
         assert_eq!(fresh.key_frame_count().unwrap(), 2);
         // Ids are preserved exactly.
@@ -1089,13 +1188,20 @@ mod vacuum_tests {
         // Heavy churn: insert and delete large videos repeatedly.
         let keeper = db.insert_video(&video_record("keeper", 50_000)).unwrap();
         for round in 0..10 {
-            let v = db.insert_video(&video_record(&format!("churn{round}"), 200_000)).unwrap();
+            let v = db
+                .insert_video(&video_record(&format!("churn{round}"), 200_000))
+                .unwrap();
             db.delete_video(v).unwrap();
         }
         let before = db.page_count();
-        let mut fresh = db.vacuum_into(MemBackend::new(), MemBackend::new()).unwrap();
+        let mut fresh = db
+            .vacuum_into(MemBackend::new(), MemBackend::new())
+            .unwrap();
         let after = fresh.page_count();
-        assert!(after < before / 2, "vacuum should shrink: {before} -> {after}");
+        assert!(
+            after < before / 2,
+            "vacuum should shrink: {before} -> {after}"
+        );
         assert_eq!(fresh.get_video(keeper).unwrap().v_name, "keeper");
     }
 

@@ -108,7 +108,11 @@ mod tests {
     fn display_variants() {
         assert!(StorageError::NotFound(42).to_string().contains("42"));
         assert!(StorageError::Duplicate(7).to_string().contains("7"));
-        let e = StorageError::TooLarge { what: "row", size: 9000, limit: 1024 };
+        let e = StorageError::TooLarge {
+            what: "row",
+            size: 9000,
+            limit: 1024,
+        };
         assert!(e.to_string().contains("9000"));
         assert!(e.to_string().contains("1024"));
     }
@@ -121,8 +125,7 @@ mod tests {
 
     #[test]
     fn transient_classification() {
-        let t: StorageError =
-            std::io::Error::new(std::io::ErrorKind::Interrupted, "blip").into();
+        let t: StorageError = std::io::Error::new(std::io::ErrorKind::Interrupted, "blip").into();
         assert!(t.is_transient());
         let p: StorageError = std::io::Error::other("disk on fire").into();
         assert!(!p.is_transient());
@@ -139,8 +142,7 @@ mod tests {
 
     #[test]
     fn context_wraps_io_and_preserves_kind() {
-        let e: StorageError =
-            std::io::Error::new(std::io::ErrorKind::Interrupted, "blip").into();
+        let e: StorageError = std::io::Error::new(std::io::ErrorKind::Interrupted, "blip").into();
         let e = e.with_context("wal append");
         assert!(e.to_string().contains("wal append"));
         assert!(e.is_transient(), "kind must survive context wrapping");

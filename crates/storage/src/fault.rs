@@ -212,7 +212,11 @@ impl<B: Backend> FaultBackend<B> {
     /// Wrap `inner`. The current length counts as already durable.
     pub fn new(mut inner: B, injector: FaultInjector) -> FaultBackend<B> {
         let synced_len = inner.len().unwrap_or(0);
-        FaultBackend { inner, injector, synced_len }
+        FaultBackend {
+            inner,
+            injector,
+            synced_len,
+        }
     }
 
     /// The injector driving this backend.
@@ -391,9 +395,15 @@ pub fn state_digest<B: Backend>(db: &mut CbvrDatabase<B>) -> Result<u64> {
         buf.push(0);
         buf.push(row.min);
         buf.push(row.max);
-        for s in
-            [&row.sch, &row.glcm, &row.gabor, &row.tamura, &row.acc, &row.naive, &row.srg]
-        {
+        for s in [
+            &row.sch,
+            &row.glcm,
+            &row.gabor,
+            &row.tamura,
+            &row.acc,
+            &row.naive,
+            &row.srg,
+        ] {
             buf.extend_from_slice(s.as_bytes());
             buf.push(0);
         }
@@ -420,7 +430,9 @@ fn seeded_bytes(rng: &mut u64, len: usize) -> Vec<u8> {
 }
 
 fn feature_string(rng: &mut u64, terms: usize) -> String {
-    let parts: Vec<String> = (0..terms).map(|_| (splitmix64(rng) % 256).to_string()).collect();
+    let parts: Vec<String> = (0..terms)
+        .map(|_| (splitmix64(rng) % 256).to_string())
+        .collect();
     parts.join(" ")
 }
 
@@ -494,7 +506,9 @@ pub fn apply_workload_batch<B: Backend>(
             let (v_id, ..) = videos[1];
             db.delete_video(v_id)
         }),
-        _ => Err(StorageError::InvalidState(format!("workload has no batch {batch}"))),
+        _ => Err(StorageError::InvalidState(format!(
+            "workload has no batch {batch}"
+        ))),
     }
 }
 
@@ -644,10 +658,14 @@ fn sweep_once(
         // A single transient blip must be absorbed by retry-with-backoff:
         // the workload completes and matches the clean run exactly.
         if let Some((batch, e)) = first_err {
-            return Err(fail(format!("transient fault at batch {batch} escaped retry: {e}")));
+            return Err(fail(format!(
+                "transient fault at batch {batch} escaped retry: {e}"
+            )));
         }
         if telemetry.fault_retried == 0 {
-            return Err(fail("transient fault left no storage.fault.retried trace".into()));
+            return Err(fail(
+                "transient fault left no storage.fault.retried trace".into(),
+            ));
         }
     } else {
         if inj.injected() == 0 {
@@ -664,7 +682,9 @@ fn sweep_once(
     let digest = state_digest(&mut db).map_err(|e| fail(format!("post-recovery digest: {e}")))?;
     if kind == FaultKind::Transient {
         if digest != final_digest {
-            return Err(fail("state after absorbed transient differs from the clean run".into()));
+            return Err(fail(
+                "state after absorbed transient differs from the clean run".into(),
+            ));
         }
     } else if !valid.contains(&digest) {
         return Err(fail(format!(
@@ -693,10 +713,15 @@ fn sweep_once(
 /// recoveries are reported in [`SweepReport::failures`].
 pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport> {
     let valid = clean_digests(cfg.seed)?;
-    let final_digest = *valid.last().expect("clean run produced at least one digest");
+    let final_digest = *valid
+        .last()
+        .expect("clean run produced at least one digest");
     let total_ops = count_workload_ops(cfg.seed, cfg.target)?;
 
-    let mut report = SweepReport { total_ops, ..SweepReport::default() };
+    let mut report = SweepReport {
+        total_ops,
+        ..SweepReport::default()
+    };
     for kind in ALL_FAULT_KINDS {
         let ops: Vec<u64> = match cfg.only_op {
             Some(op) => vec![op.clamp(1, total_ops)],
@@ -758,7 +783,11 @@ mod tests {
         inj.arm_after(1, FaultKind::PowerCut);
         assert!(b.sync().is_err());
         inj.heal();
-        assert_eq!(mem.share().len().unwrap(), 100, "unsynced tail lost, synced prefix kept");
+        assert_eq!(
+            mem.share().len().unwrap(),
+            100,
+            "unsynced tail lost, synced prefix kept"
+        );
     }
 
     #[test]
@@ -769,7 +798,10 @@ mod tests {
         inj.arm_after(1, FaultKind::ShortWrite);
         assert!(b.write_at(0, &[0xAB; 4096]).is_err());
         let len = mem.share().len().unwrap();
-        assert!(len < 4096, "short write must not land the full buffer (landed {len})");
+        assert!(
+            len < 4096,
+            "short write must not land the full buffer (landed {len})"
+        );
     }
 
     #[test]
@@ -846,7 +878,11 @@ mod tests {
             digests.push(state_digest(&mut db).unwrap());
         }
         let unique: std::collections::HashSet<_> = digests.iter().collect();
-        assert_eq!(unique.len(), digests.len(), "every batch must move the state");
+        assert_eq!(
+            unique.len(),
+            digests.len(),
+            "every batch must move the state"
+        );
     }
 
     #[test]
@@ -854,13 +890,21 @@ mod tests {
         // Full sweeps live in tests/fault_sweep.rs; here just prove the
         // driver converges on one pinned op per target.
         for target in [SweepTarget::Pager, SweepTarget::Wal] {
-            let cfg = SweepConfig { seed: 0, target, only_op: Some(3) };
+            let cfg = SweepConfig {
+                seed: 0,
+                target,
+                only_op: Some(3),
+            };
             let report = run_sweep(&cfg).unwrap();
             assert_eq!(report.runs, ALL_FAULT_KINDS.len() as u64);
             assert!(
                 report.failures.is_empty(),
                 "sweep failures: {:?}",
-                report.failures.iter().map(|f| f.to_string()).collect::<Vec<_>>()
+                report
+                    .failures
+                    .iter()
+                    .map(|f| f.to_string())
+                    .collect::<Vec<_>>()
             );
         }
     }

@@ -29,7 +29,10 @@ pub struct BlobRef {
 
 impl BlobRef {
     /// The empty blob.
-    pub const EMPTY: BlobRef = BlobRef { head: NO_PAGE, len: 0 };
+    pub const EMPTY: BlobRef = BlobRef {
+        head: NO_PAGE,
+        len: 0,
+    };
 
     /// True when this references zero bytes.
     pub fn is_empty(self) -> bool {
@@ -44,7 +47,9 @@ pub fn write_blob<B: Backend>(pager: &mut Pager<B>, data: &[u8]) -> Result<BlobR
     }
     // Allocate the chain first so each page can point at its successor.
     let chunks: Vec<&[u8]> = data.chunks(CHUNK).collect();
-    let ids: Vec<PageId> = (0..chunks.len()).map(|_| pager.allocate()).collect::<Result<_>>()?;
+    let ids: Vec<PageId> = (0..chunks.len())
+        .map(|_| pager.allocate())
+        .collect::<Result<_>>()?;
     for (i, chunk) in chunks.iter().enumerate() {
         let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
         let mut page = Page::new();
@@ -54,7 +59,10 @@ pub fn write_blob<B: Backend>(pager: &mut Pager<B>, data: &[u8]) -> Result<BlobR
         w.bytes(chunk)?;
         pager.write_page(ids[i], page)?;
     }
-    Ok(BlobRef { head: ids[0], len: data.len() as u64 })
+    Ok(BlobRef {
+        head: ids[0],
+        len: data.len() as u64,
+    })
 }
 
 /// Read a whole blob.
@@ -67,7 +75,9 @@ pub fn read_blob<B: Backend>(pager: &mut Pager<B>, blob: BlobRef) -> Result<Vec<
         let next = r.u32()?;
         let used = r.u16()? as usize;
         if used > CHUNK {
-            return Err(StorageError::Corruption(format!("blob page {id} claims {used} bytes")));
+            return Err(StorageError::Corruption(format!(
+                "blob page {id} claims {used} bytes"
+            )));
         }
         out.extend_from_slice(r.bytes(used)?);
         if out.len() as u64 > blob.len {
@@ -163,9 +173,15 @@ mod tests {
     fn corrupt_length_detected() {
         let mut pager = fresh();
         let blob = write_blob(&mut pager, &[1, 2, 3]).unwrap();
-        let wrong = BlobRef { head: blob.head, len: 5 };
+        let wrong = BlobRef {
+            head: blob.head,
+            len: 5,
+        };
         assert!(read_blob(&mut pager, wrong).is_err());
-        let wrong = BlobRef { head: blob.head, len: 2 };
+        let wrong = BlobRef {
+            head: blob.head,
+            len: 2,
+        };
         assert!(read_blob(&mut pager, wrong).is_err());
     }
 

@@ -40,7 +40,6 @@
 //! - [`db`] — [`db::CbvrDatabase`], the public facade.
 #![warn(missing_docs)]
 
-
 pub mod backend;
 pub mod btree;
 pub mod codec;

@@ -25,7 +25,9 @@ impl std::fmt::Debug for Page {
 
 impl Default for Page {
     fn default() -> Self {
-        Page { bytes: Box::new([0u8; PAGE_SIZE]) }
+        Page {
+            bytes: Box::new([0u8; PAGE_SIZE]),
+        }
     }
 }
 
@@ -60,12 +62,18 @@ impl Page {
 
     /// A reading cursor at `offset`.
     pub fn reader(&self, offset: usize) -> PageReader<'_> {
-        PageReader { page: self, pos: offset }
+        PageReader {
+            page: self,
+            pos: offset,
+        }
     }
 
     /// A writing cursor at `offset`.
     pub fn writer(&mut self, offset: usize) -> PageWriter<'_> {
-        PageWriter { page: self, pos: offset }
+        PageWriter {
+            page: self,
+            pos: offset,
+        }
     }
 }
 

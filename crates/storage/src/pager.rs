@@ -74,7 +74,12 @@ struct ClockCache {
 
 impl ClockCache {
     fn new(capacity: usize) -> ClockCache {
-        ClockCache { frames: Vec::new(), slots: HashMap::new(), hand: 0, capacity }
+        ClockCache {
+            frames: Vec::new(),
+            slots: HashMap::new(),
+            hand: 0,
+            capacity,
+        }
     }
 
     fn get(&mut self, id: PageId) -> Option<&Page> {
@@ -92,13 +97,21 @@ impl ClockCache {
         }
         if self.frames.len() < self.capacity {
             self.slots.insert(id, self.frames.len());
-            self.frames.push(Frame { id, page, referenced: false });
+            self.frames.push(Frame {
+                id,
+                page,
+                referenced: false,
+            });
             return false;
         }
         while std::mem::take(&mut self.frames[self.hand].referenced) {
             self.hand = (self.hand + 1) % self.frames.len();
         }
-        let fresh = Frame { id, page, referenced: false };
+        let fresh = Frame {
+            id,
+            page,
+            referenced: false,
+        };
         let victim = std::mem::replace(&mut self.frames[self.hand], fresh);
         self.slots.remove(&victim.id);
         self.slots.insert(id, self.hand);
@@ -160,7 +173,10 @@ impl<B: Backend> Pager<B> {
                 free_head: NO_PAGE,
                 user_meta: [0u8; USER_META_LEN],
             },
-            telemetry: StorageTelemetry { wal_replays: replayed, ..StorageTelemetry::default() },
+            telemetry: StorageTelemetry {
+                wal_replays: replayed,
+                ..StorageTelemetry::default()
+            },
             fault_counters: FaultCounters::default(),
         };
 
@@ -178,18 +194,26 @@ impl<B: Backend> Pager<B> {
 
     fn load_meta(&mut self) -> Result<()> {
         let mut bytes = vec![0u8; PAGE_SIZE];
-        let Pager { data, fault_counters, .. } = self;
+        let Pager {
+            data,
+            fault_counters,
+            ..
+        } = self;
         with_retry(fault_counters, || data.read_at(0, &mut bytes))
             .map_err(|e| e.with_context("reading meta page"))?;
         let page = Page::from_bytes(&bytes)?;
         let mut r = page.reader(0);
         let magic = r.u32()?;
         if magic != META_MAGIC {
-            return Err(StorageError::Corruption(format!("bad meta magic {magic:#x}")));
+            return Err(StorageError::Corruption(format!(
+                "bad meta magic {magic:#x}"
+            )));
         }
         let version = r.u32()?;
         if version != META_VERSION {
-            return Err(StorageError::Corruption(format!("unsupported version {version}")));
+            return Err(StorageError::Corruption(format!(
+                "unsupported version {version}"
+            )));
         }
         self.page_count = r.u32()?;
         self.free_head = r.u32()?;
@@ -260,7 +284,11 @@ impl<B: Backend> Pager<B> {
         self.telemetry.cache_misses += 1;
         let mut page = Page::new();
         let offset = id as u64 * PAGE_SIZE as u64;
-        let Pager { data, fault_counters, .. } = self;
+        let Pager {
+            data,
+            fault_counters,
+            ..
+        } = self;
         with_retry(fault_counters, || data.read_at(offset, page.as_bytes_mut()))
             .map_err(|e| e.with_context("reading data page"))?;
         if self.clean.insert(id, page.clone()) {
@@ -352,7 +380,12 @@ impl<B: Backend> Pager<B> {
     /// truncate the WAL. The one path by which committed pages reach the
     /// data file.
     fn apply_images(&mut self) -> Result<()> {
-        let Pager { data, fault_counters, unpropagated, .. } = self;
+        let Pager {
+            data,
+            fault_counters,
+            unpropagated,
+            ..
+        } = self;
         for (id, page) in unpropagated.iter() {
             let offset = *id as u64 * PAGE_SIZE as u64;
             with_retry(fault_counters, || data.write_at(offset, page.as_bytes()))
@@ -378,7 +411,11 @@ impl<B: Backend> Pager<B> {
             // Nothing new; use the opportunity to retry a pending checkpoint.
             return self.checkpoint();
         }
-        let meta = if self.meta_dirty { Some(self.meta_page()?) } else { None };
+        let meta = if self.meta_dirty {
+            Some(self.meta_page()?)
+        } else {
+            None
+        };
         let images: Vec<(PageId, &Page)> = meta
             .iter()
             .map(|m| (0, m))
@@ -513,7 +550,11 @@ mod tests {
     fn open_faulted(
         data: &MemBackend,
         wal: &MemBackend,
-    ) -> (Pager<FaultBackend<MemBackend>>, FaultInjector, FaultInjector) {
+    ) -> (
+        Pager<FaultBackend<MemBackend>>,
+        FaultInjector,
+        FaultInjector,
+    ) {
         let (data_inj, wal_inj) = (FaultInjector::new(0), FaultInjector::new(0));
         let pager = Pager::open(
             FaultBackend::new(data.share(), data_inj.clone()),
@@ -540,14 +581,21 @@ mod tests {
         // The WAL fsync is the commit point: the commit succeeds and
         // the pager degrades until the images can propagate.
         pager.commit().unwrap();
-        assert!(pager.wal_pending(), "propagation failure must leave the pager degraded");
+        assert!(
+            pager.wal_pending(),
+            "propagation failure must leave the pager degraded"
+        );
         // The committed page stays readable from the pinned cache.
         assert_eq!(pager.read_page(id).unwrap(), page_of(43));
         drop(pager);
         faults.heal();
         // Reopen: recovery must replay the committed WAL record.
         let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
-        assert_eq!(pager.read_page(1).unwrap(), page_of(43), "WAL image applied");
+        assert_eq!(
+            pager.read_page(1).unwrap(),
+            page_of(43),
+            "WAL image applied"
+        );
     }
 
     #[test]
@@ -595,7 +643,11 @@ mod tests {
         pager.write_page(id, page_of(9)).unwrap();
         pager.abort();
         assert_eq!(pager.user_meta()[0], 0x11, "abort restored pre-commit meta");
-        assert_eq!(pager.read_page(id).unwrap(), page_of(1), "abort dropped staged page");
+        assert_eq!(
+            pager.read_page(id).unwrap(),
+            page_of(1),
+            "abort dropped staged page"
+        );
         faults.heal();
     }
 
@@ -619,7 +671,11 @@ mod tests {
         drop(pager);
         faults.heal();
         let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
-        assert_eq!(pager.read_page(1).unwrap(), page_of(3), "latest commit wins after replay");
+        assert_eq!(
+            pager.read_page(1).unwrap(),
+            page_of(3),
+            "latest commit wins after replay"
+        );
     }
 
     #[test]
@@ -631,10 +687,16 @@ mod tests {
         pager.write_page(id, page_of(5)).unwrap();
         inj.arm_after(1, FaultKind::Transient);
         pager.commit().unwrap();
-        assert!(!pager.wal_pending(), "a retried transient must not degrade the pager");
+        assert!(
+            !pager.wal_pending(),
+            "a retried transient must not degrade the pager"
+        );
         let t = pager.telemetry();
         assert!(t.fault_retried >= 1, "retry must be visible in telemetry");
-        assert!(t.fault_injected >= 1, "injected fault must be visible in telemetry");
+        assert!(
+            t.fault_injected >= 1,
+            "injected fault must be visible in telemetry"
+        );
     }
 
     #[test]
@@ -652,7 +714,11 @@ mod tests {
         drop(pager);
         wal_faults.heal();
         let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
-        assert_eq!(pager.read_page(1).unwrap(), page_of(1), "previous commit intact");
+        assert_eq!(
+            pager.read_page(1).unwrap(),
+            page_of(1),
+            "previous commit intact"
+        );
     }
 
     #[test]
@@ -697,7 +763,11 @@ mod tests {
         pager.write_page(id, page_of(9)).unwrap();
         pager.commit().unwrap();
         let misses = pager.telemetry().cache_misses;
-        assert_eq!(pager.read_page(id).unwrap(), page_of(9), "stale clean copy served");
+        assert_eq!(
+            pager.read_page(id).unwrap(),
+            page_of(9),
+            "stale clean copy served"
+        );
         assert_eq!(pager.telemetry().cache_misses, misses, "served from memory");
     }
 
@@ -709,7 +779,11 @@ mod tests {
         let id = pager.allocate().unwrap();
         pager.write_page(id, page_of(1)).unwrap();
         pager.commit().unwrap();
-        assert_eq!(pager.read_page(id).unwrap(), page_of(1), "clean copy cached");
+        assert_eq!(
+            pager.read_page(id).unwrap(),
+            page_of(1),
+            "clean copy cached"
+        );
         faults.arm_after(1, FaultKind::Crash);
         pager.write_page(id, page_of(2)).unwrap();
         pager.commit().unwrap();
@@ -718,10 +792,18 @@ mod tests {
         faults.heal();
         pager.checkpoint().unwrap();
         assert!(!pager.wal_pending());
-        assert_eq!(pager.read_page(id).unwrap(), page_of(2), "stale clean copy served");
+        assert_eq!(
+            pager.read_page(id).unwrap(),
+            page_of(2),
+            "stale clean copy served"
+        );
         drop(pager);
         let mut pager = Pager::open(data.share(), wal.share(), 16).unwrap();
-        assert_eq!(pager.read_page(id).unwrap(), page_of(2), "data file holds the commit");
+        assert_eq!(
+            pager.read_page(id).unwrap(),
+            page_of(2),
+            "data file holds the commit"
+        );
     }
 
     #[test]
@@ -736,7 +818,11 @@ mod tests {
             assert_eq!(pager.read_page(id).unwrap(), page_of(i as u8 + 1));
         }
         let t = pager.telemetry();
-        assert_eq!(t.cache_misses, 1 + cold.len() as u64, "the hot page was re-read");
+        assert_eq!(
+            t.cache_misses,
+            1 + cold.len() as u64,
+            "the hot page was re-read"
+        );
         assert_eq!(t.cache_evictions, cold.len() as u64 + 1 - 8);
     }
 
@@ -753,12 +839,23 @@ mod tests {
         // after it, reads included.
         faults.arm_after(1, FaultKind::Crash);
         for &id in uncached {
-            assert!(pager.read_page(id).is_err(), "page {id} read from a dead data file");
+            assert!(
+                pager.read_page(id).is_err(),
+                "page {id} read from a dead data file"
+            );
         }
         for (i, &id) in cached.iter().enumerate() {
-            assert_eq!(pager.read_page(id).unwrap(), page_of(i as u8), "cached page {id} lost");
+            assert_eq!(
+                pager.read_page(id).unwrap(),
+                page_of(i as u8),
+                "cached page {id} lost"
+            );
         }
-        assert_eq!(pager.telemetry().cache_evictions, 0, "a failed read evicted a page");
+        assert_eq!(
+            pager.telemetry().cache_evictions,
+            0,
+            "a failed read evicted a page"
+        );
         faults.heal();
     }
 

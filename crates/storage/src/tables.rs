@@ -69,10 +69,24 @@ pub(crate) fn decode_video_row(buf: &[u8]) -> Result<VideoRowFull> {
     let mut r = RowReader::new(buf);
     let v_id = r.u64()?;
     let v_name = r.str()?;
-    let video = BlobRef { head: r.u32()?, len: r.u64()? };
-    let stream = BlobRef { head: r.u32()?, len: r.u64()? };
+    let video = BlobRef {
+        head: r.u32()?,
+        len: r.u64()?,
+    };
+    let stream = BlobRef {
+        head: r.u32()?,
+        len: r.u64()?,
+    };
     let dostore = r.u64()?;
-    Ok(VideoRowFull { row: VideoRow { v_id, video, stream, dostore }, v_name })
+    Ok(VideoRowFull {
+        row: VideoRow {
+            v_id,
+            video,
+            stream,
+            dostore,
+        },
+        v_name,
+    })
 }
 
 /// Insertion payload for `KEY_FRAMES` (ids are assigned by the engine).
@@ -164,7 +178,10 @@ pub(crate) fn decode_key_frame_row(buf: &[u8]) -> Result<KeyFrameRow> {
     Ok(KeyFrameRow {
         i_id: r.u64()?,
         i_name: r.str()?,
-        image: BlobRef { head: r.u32()?, len: r.u64()? },
+        image: BlobRef {
+            head: r.u32()?,
+            len: r.u64()?,
+        },
         min: r.u8()?,
         max: r.u8()?,
         sch: r.str()?,
@@ -187,7 +204,10 @@ mod tests {
         KeyFrameRow {
             i_id: 12,
             i_name: "v3_kf_007".into(),
-            image: BlobRef { head: 99, len: 4321 },
+            image: BlobRef {
+                head: 99,
+                len: 4321,
+            },
             min: 64,
             max: 127,
             sch: "RGB 256 1 2 3".into(),
@@ -207,7 +227,10 @@ mod tests {
         let full = VideoRowFull {
             row: VideoRow {
                 v_id: 42,
-                video: BlobRef { head: 7, len: 100_000 },
+                video: BlobRef {
+                    head: 7,
+                    len: 100_000,
+                },
                 stream: BlobRef::EMPTY,
                 dostore: 1_700_000_000,
             },

@@ -59,7 +59,11 @@ mod tests {
 
     #[test]
     fn render_lines_are_sorted() {
-        let t = StorageTelemetry { cache_hits: 3, wal_bytes: 9, ..Default::default() };
+        let t = StorageTelemetry {
+            cache_hits: 3,
+            wal_bytes: 9,
+            ..Default::default()
+        };
         let lines = t.render_lines();
         let mut sorted = lines.clone();
         sorted.sort();

@@ -41,7 +41,9 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// corruption, not panics.
 fn le_u32(buf: &[u8], at: usize) -> Result<u32> {
     let Some(bytes) = buf.get(at..at + 4) else {
-        return Err(StorageError::Corruption(format!("WAL record truncated at byte {at}")));
+        return Err(StorageError::Corruption(format!(
+            "WAL record truncated at byte {at}"
+        )));
     };
     let mut b = [0u8; 4];
     b.copy_from_slice(bytes);
@@ -51,7 +53,9 @@ fn le_u32(buf: &[u8], at: usize) -> Result<u32> {
 /// `u64::from_le_bytes`, same contract as [`le_u32`].
 fn le_u64(buf: &[u8], at: usize) -> Result<u64> {
     let Some(bytes) = buf.get(at..at + 8) else {
-        return Err(StorageError::Corruption(format!("WAL record truncated at byte {at}")));
+        return Err(StorageError::Corruption(format!(
+            "WAL record truncated at byte {at}"
+        )));
     };
     let mut b = [0u8; 8];
     b.copy_from_slice(bytes);
@@ -72,7 +76,11 @@ pub struct Wal<B: Backend> {
 impl<B: Backend> Wal<B> {
     /// Wrap a backend.
     pub fn new(backend: B) -> Wal<B> {
-        Wal { backend, faults: FaultCounters::default(), suspect_from: None }
+        Wal {
+            backend,
+            faults: FaultCounters::default(),
+            suspect_from: None,
+        }
     }
 
     /// Retry counters accumulated by this log (merged into
@@ -84,7 +92,9 @@ impl<B: Backend> Wal<B> {
     /// Drop the suspect tail left by a failed append, if any.
     fn ensure_clean_tail(&mut self) -> Result<()> {
         if let Some(from) = self.suspect_from {
-            let Wal { backend, faults, .. } = self;
+            let Wal {
+                backend, faults, ..
+            } = self;
             with_retry(faults, || {
                 backend.truncate(from)?;
                 backend.sync()
@@ -116,8 +126,13 @@ impl<B: Backend> Wal<B> {
         // Pin the append offset before the first attempt: a retry after a
         // partial write must rewrite the same bytes at the same place.
         // Re-probing `len()` there would append after its own garbage.
-        let offset = self.backend.len().map_err(|e| e.with_context("probing WAL length"))?;
-        let Wal { backend, faults, .. } = self;
+        let offset = self
+            .backend
+            .len()
+            .map_err(|e| e.with_context("probing WAL length"))?;
+        let Wal {
+            backend, faults, ..
+        } = self;
         let appended = with_retry(faults, || {
             backend.write_at(offset, &buf)?;
             backend.sync()
@@ -149,7 +164,9 @@ impl<B: Backend> Wal<B> {
         let mut offset = 0u64;
         while offset + 8 <= len {
             let mut header = [0u8; 8];
-            let Wal { backend, faults, .. } = self;
+            let Wal {
+                backend, faults, ..
+            } = self;
             with_retry(faults, || backend.read_at(offset, &mut header))
                 .map_err(|e| e.with_context("reading WAL record header"))?;
             let magic = le_u32(&header, 0)?;
@@ -163,11 +180,15 @@ impl<B: Backend> Wal<B> {
                 break; // torn record
             }
             let mut body = vec![0u8; body_len as usize];
-            let Wal { backend, faults, .. } = self;
+            let Wal {
+                backend, faults, ..
+            } = self;
             with_retry(faults, || backend.read_at(offset, &mut body))
                 .map_err(|e| e.with_context("reading WAL record body"))?;
             let mut tail = [0u8; 12];
-            let Wal { backend, faults, .. } = self;
+            let Wal {
+                backend, faults, ..
+            } = self;
             with_retry(faults, || backend.read_at(offset + body_len, &mut tail))
                 .map_err(|e| e.with_context("reading WAL record tail"))?;
             let crc = le_u64(&tail, 0)?;
@@ -192,7 +213,9 @@ impl<B: Backend> Wal<B> {
 
     /// Drop every record (after a checkpoint propagated them).
     pub fn reset(&mut self) -> Result<()> {
-        let Wal { backend, faults, .. } = self;
+        let Wal {
+            backend, faults, ..
+        } = self;
         with_retry(faults, || {
             backend.truncate(0)?;
             backend.sync()
@@ -318,7 +341,11 @@ mod tests {
         wal.append_commit(&[(2, &page_of(2))]).unwrap();
         assert!(wal.fault_counters().retried >= 1, "retry must be recorded");
         let images = Wal::new(mem.share()).recover().unwrap();
-        assert_eq!(images.len(), 2, "both records intact after the retried append");
+        assert_eq!(
+            images.len(),
+            2,
+            "both records intact after the retried append"
+        );
         assert_eq!(images[1].0, 2);
     }
 
@@ -329,8 +356,8 @@ mod tests {
         let inj = FaultInjector::new(0);
         let mut wal = Wal::new(FaultBackend::new(mem.share(), inj.clone()));
         wal.append_commit(&[(1, &page_of(1))]).unwrap(); // ops 1-2
-        // Crash the fsync of the second append: its bytes are complete on
-        // disk but the caller sees an error and rolls the commit back.
+                                                         // Crash the fsync of the second append: its bytes are complete on
+                                                         // disk but the caller sees an error and rolls the commit back.
         inj.arm_after(2, FaultKind::Crash); // op 3 write lands, op 4 sync dies
         assert!(wal.append_commit(&[(2, &page_of(2))]).is_err());
         inj.heal();

@@ -32,7 +32,11 @@ fn env_u64(name: &str) -> Option<u64> {
 }
 
 fn env_targets() -> Vec<SweepTarget> {
-    match std::env::var("CBVR_FAULT_TARGET").ok().as_deref().map(str::trim) {
+    match std::env::var("CBVR_FAULT_TARGET")
+        .ok()
+        .as_deref()
+        .map(str::trim)
+    {
         None | Some("") => vec![SweepTarget::Pager, SweepTarget::Wal],
         Some("pager") => vec![SweepTarget::Pager],
         Some("wal") => vec![SweepTarget::Wal],
@@ -50,7 +54,11 @@ fn target_env_name(target: SweepTarget) -> &'static str {
 /// Drive the sweep for one seed × target, writing the CI artifact and
 /// panicking on any non-convergent recovery.
 fn sweep(seed: u64, target: SweepTarget) {
-    let cfg = SweepConfig { seed, target, only_op: env_u64("CBVR_FAULT_OP") };
+    let cfg = SweepConfig {
+        seed,
+        target,
+        only_op: env_u64("CBVR_FAULT_OP"),
+    };
     let report = run_sweep(&cfg).expect("sweep harness must not error on the clean run");
     eprintln!(
         "fault sweep: seed={seed} target={} ops={} runs={} failures={}",
@@ -59,7 +67,10 @@ fn sweep(seed: u64, target: SweepTarget) {
         report.runs,
         report.failures.len(),
     );
-    assert!(report.total_ops > 0, "workload performed no I/O on the target backend");
+    assert!(
+        report.total_ops > 0,
+        "workload performed no I/O on the target backend"
+    );
     assert!(report.runs > 0, "sweep executed no fault runs");
     if report.failures.is_empty() {
         return;
@@ -130,12 +141,16 @@ fn arb_op() -> impl Strategy<Value = BackendOp> {
 fn apply(backend: &mut impl Backend, op: &BackendOp) -> Result<Vec<u8>, String> {
     match op {
         BackendOp::Write { offset, bytes } => {
-            backend.write_at(*offset, bytes).map_err(|e| e.to_string())?;
+            backend
+                .write_at(*offset, bytes)
+                .map_err(|e| e.to_string())?;
             Ok(Vec::new())
         }
         BackendOp::Read { offset, len } => {
             let mut buf = vec![0u8; *len];
-            backend.read_at(*offset, &mut buf).map_err(|e| e.to_string())?;
+            backend
+                .read_at(*offset, &mut buf)
+                .map_err(|e| e.to_string())?;
             Ok(buf)
         }
         BackendOp::Truncate { len } => {

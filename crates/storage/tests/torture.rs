@@ -168,7 +168,11 @@ fn replay_counter_matches_injected_crashes() {
         .unwrap()
     };
     let mut db = open();
-    assert_eq!(db.telemetry().wal_replays, 0, "fresh store has nothing to replay");
+    assert_eq!(
+        db.telemetry().wal_replays,
+        0,
+        "fresh store has nothing to replay"
+    );
 
     let mut replays_total = 0u64;
     for cycle in 0..CRASHES {
@@ -190,18 +194,34 @@ fn replay_counter_matches_injected_crashes() {
         // Reboot: recovery replays exactly the one stranded record.
         db = open();
         let t = db.telemetry();
-        assert_eq!(t.wal_replays, 1, "cycle {cycle}: one crash, one replayed record");
+        assert_eq!(
+            t.wal_replays, 1,
+            "cycle {cycle}: one crash, one replayed record"
+        );
         replays_total += t.wal_replays;
 
         // The crashed insert was durable the moment its WAL record was
         // fsynced; replay must make it visible again.
-        let names: Vec<String> =
-            db.list_videos().unwrap().into_iter().map(|(_, name, _)| name).collect();
-        assert!(names.contains(&crashed.v_name), "cycle {cycle}: replayed insert missing");
-        assert!(names.contains(&ok.v_name), "cycle {cycle}: pre-crash insert missing");
+        let names: Vec<String> = db
+            .list_videos()
+            .unwrap()
+            .into_iter()
+            .map(|(_, name, _)| name)
+            .collect();
+        assert!(
+            names.contains(&crashed.v_name),
+            "cycle {cycle}: replayed insert missing"
+        );
+        assert!(
+            names.contains(&ok.v_name),
+            "cycle {cycle}: pre-crash insert missing"
+        );
         db.get_video(ok_id).unwrap();
     }
-    assert_eq!(replays_total, CRASHES, "replay count must match injected crashes");
+    assert_eq!(
+        replays_total, CRASHES,
+        "replay count must match injected crashes"
+    );
 
     // A final clean close/open cycle replays nothing.
     drop(db);
