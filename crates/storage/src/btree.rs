@@ -18,8 +18,9 @@
 //! bounded by the high-water mark of the tree.
 
 use crate::backend::Backend;
+use crate::codec::{Reader, Writer};
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PageId, NO_PAGE, PAGE_SIZE};
+use crate::page::{PageId, NO_PAGE, PAGE_SIZE};
 use crate::pager::Pager;
 
 /// Maximum value size storable inline in a leaf.
@@ -58,7 +59,7 @@ impl Node {
 
 fn read_node<B: Backend>(pager: &mut Pager<B>, id: PageId) -> Result<Node> {
     let page = pager.read_page(id)?;
-    let mut r = page.reader(0);
+    let mut r = Reader::new(page.as_bytes());
     let tag = r.u8()?;
     let count = r.u16()? as usize;
     let next = r.u32()?;
@@ -68,7 +69,7 @@ fn read_node<B: Backend>(pager: &mut Pager<B>, id: PageId) -> Result<Node> {
             for _ in 0..count {
                 let key = r.u64()?;
                 let len = r.u16()? as usize;
-                cells.push((key, r.bytes(len)?.to_vec()));
+                cells.push((key, r.take(len)?.to_vec()));
             }
             Ok(Node::Leaf { next, cells })
         }
@@ -90,31 +91,25 @@ fn read_node<B: Backend>(pager: &mut Pager<B>, id: PageId) -> Result<Node> {
 
 fn write_node<B: Backend>(pager: &mut Pager<B>, id: PageId, node: &Node) -> Result<()> {
     debug_assert!(!node.overflows(), "caller must split before writing");
-    let mut page = Page::new();
-    let mut w = page.writer(0);
+    let mut w = Writer::with_capacity(PAGE_SIZE);
     match node {
         Node::Leaf { next, cells } => {
-            w.u8(TAG_LEAF)?;
-            w.u16(cells.len() as u16)?;
-            w.u32(*next)?;
+            w.u8(TAG_LEAF).u16(cells.len() as u16).u32(*next);
             for (key, value) in cells {
-                w.u64(*key)?;
-                w.u16(value.len() as u16)?;
-                w.bytes(value)?;
+                w.u64(*key).u16(value.len() as u16).raw(value);
             }
         }
         Node::Internal { keys, children } => {
-            w.u8(TAG_INTERNAL)?;
-            w.u16(keys.len() as u16)?;
-            w.u32(0)?;
-            w.u32(children[0])?;
+            w.u8(TAG_INTERNAL)
+                .u16(keys.len() as u16)
+                .u32(0)
+                .u32(children[0]);
             for (key, child) in keys.iter().zip(&children[1..]) {
-                w.u64(*key)?;
-                w.u32(*child)?;
+                w.u64(*key).u32(*child);
             }
         }
     }
-    pager.write_page(id, page)
+    pager.write_page(id, w.into_page()?)
 }
 
 /// A B+-tree rooted at a page. The root id changes on root splits; the

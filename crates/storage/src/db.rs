@@ -26,9 +26,10 @@
 
 use crate::backend::{Backend, FileBackend, MemBackend};
 use crate::btree::{BTree, MAX_VALUE_LEN};
+use crate::codec::{Reader, Writer};
 use crate::error::{Result, StorageError};
 use crate::heap::{free_blob, read_blob, write_blob, BlobRef};
-use crate::page::PageId;
+use crate::page::NO_PAGE;
 use crate::pager::{Pager, DEFAULT_CACHE_PAGES, USER_META_LEN};
 use crate::tables::{
     decode_key_frame_row, decode_video_row, encode_key_frame_row, encode_video_row, KeyFrameRecord,
@@ -38,32 +39,6 @@ use std::path::Path;
 
 const TAG_INLINE: u8 = 0;
 const TAG_SPILLED: u8 = 1;
-
-/// Little-endian `u32` from a checked slice: stored bytes are parsed all
-/// over this module, and a truncated buffer must surface as corruption,
-/// never a panic.
-fn le_u32_at(buf: &[u8], at: usize) -> Result<u32> {
-    let Some(bytes) = buf.get(at..at + 4) else {
-        return Err(StorageError::Corruption(format!(
-            "stored value truncated at byte {at}"
-        )));
-    };
-    let mut b = [0u8; 4];
-    b.copy_from_slice(bytes);
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Little-endian `u64`, same contract as [`le_u32_at`].
-fn le_u64_at(buf: &[u8], at: usize) -> Result<u64> {
-    let Some(bytes) = buf.get(at..at + 8) else {
-        return Err(StorageError::Corruption(format!(
-            "stored value truncated at byte {at}"
-        )));
-    };
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes);
-    Ok(u64::from_le_bytes(b))
-}
 
 /// One sealed-segment record of the catalog manifest: the contiguous
 /// `KEY_FRAMES` id range one ingest batch (or one compaction) sealed.
@@ -77,9 +52,47 @@ pub struct ManifestSegment {
     pub rows: u64,
 }
 
-/// The CBVR database over any backend.
-pub struct CbvrDatabase<B: Backend> {
-    pager: Pager<B>,
+impl ManifestSegment {
+    /// The manifest value: `max_i_id u64 | rows u64` (the key is
+    /// `min_i_id`).
+    fn encode_value(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(self.max_i_id).u64(self.rows);
+        w.finish()
+    }
+
+    fn decode(min_i_id: u64, value: &[u8]) -> Result<ManifestSegment> {
+        let mut r = Reader::new(value);
+        let segment = ManifestSegment {
+            min_i_id,
+            max_i_id: r.u64()?,
+            rows: r.u64()?,
+        };
+        r.end()?;
+        Ok(segment)
+    }
+
+    fn check(&self) -> Result<()> {
+        if self.min_i_id > self.max_i_id {
+            return Err(StorageError::InvalidState(format!(
+                "manifest segment range inverted: {}..{}",
+                self.min_i_id, self.max_i_id
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The database's catalog, kept in the pager's user-meta block:
+///
+/// ```text
+/// video_store u32 | key_frames u32 | kf_by_video u32 | manifest u32 | next_v_id u64 | next_i_id u64
+/// ```
+///
+/// A zero `video_store` root marks a fresh database, a zero `manifest`
+/// root a database without a manifest.
+#[derive(Clone, Copy)]
+struct Meta {
     video_store: BTree,
     key_frames: BTree,
     kf_by_video: BTree,
@@ -88,6 +101,128 @@ pub struct CbvrDatabase<B: Backend> {
     manifest: Option<BTree>,
     next_v_id: u64,
     next_i_id: u64,
+}
+
+impl Meta {
+    fn decode(block: &[u8]) -> Result<Meta> {
+        let mut r = Reader::new(block);
+        Ok(Meta {
+            video_store: BTree::load(r.u32()?),
+            key_frames: BTree::load(r.u32()?),
+            kf_by_video: BTree::load(r.u32()?),
+            manifest: Some(r.u32()?)
+                .filter(|&root| root != NO_PAGE)
+                .map(BTree::load),
+            next_v_id: r.u64()?,
+            next_i_id: r.u64()?,
+        })
+    }
+
+    fn encode(&self) -> [u8; USER_META_LEN] {
+        let mut w = Writer::with_capacity(USER_META_LEN);
+        w.u32(self.video_store.root())
+            .u32(self.key_frames.root())
+            .u32(self.kf_by_video.root())
+            .u32(self.manifest.map_or(NO_PAGE, |tree| tree.root()))
+            .u64(self.next_v_id)
+            .u64(self.next_i_id);
+        let mut block = [0u8; USER_META_LEN];
+        block[..w.len()].copy_from_slice(w.as_bytes());
+        block
+    }
+}
+
+// ---- row storage ------------------------------------------------------
+
+/// Store `row` under `key`: inline behind [`TAG_INLINE`] when tag and row
+/// fit a cell, else spilled to the blob heap behind [`TAG_SPILLED`] and
+/// the blob ref (`head u32 | len u64`).
+fn store_row<B: Backend>(
+    pager: &mut Pager<B>,
+    tree: &mut BTree,
+    key: u64,
+    row: &[u8],
+    overwrite: bool,
+) -> Result<()> {
+    let mut w = Writer::new();
+    if row.len() < MAX_VALUE_LEN {
+        w.u8(TAG_INLINE).raw(row);
+    } else {
+        let blob = write_blob(pager, row)?;
+        w.u8(TAG_SPILLED).u32(blob.head).u64(blob.len);
+    }
+    let value = w.finish();
+    if overwrite {
+        tree.upsert(pager, key, &value)
+    } else {
+        tree.insert(pager, key, &value)
+    }
+}
+
+/// The blob a stored row value spilled to; `None` for an inline row.
+fn spilled(value: &[u8]) -> Result<Option<BlobRef>> {
+    let mut r = Reader::new(value);
+    match r.u8()? {
+        TAG_INLINE => Ok(None),
+        TAG_SPILLED => {
+            let blob = BlobRef {
+                head: r.u32()?,
+                len: r.u64()?,
+            };
+            r.end()?;
+            Ok(Some(blob))
+        }
+        tag => Err(StorageError::Corruption(format!("bad row tag {tag}"))),
+    }
+}
+
+/// The cell value stored under `key`.
+fn fetch_value<B: Backend>(pager: &mut Pager<B>, tree: &BTree, key: u64) -> Result<Vec<u8>> {
+    tree.get(pager, key)?.ok_or(StorageError::NotFound(key))
+}
+
+/// The row bytes a stored value holds inline or spilled.
+fn load_row<B: Backend>(pager: &mut Pager<B>, value: &[u8]) -> Result<Vec<u8>> {
+    match spilled(value)? {
+        Some(blob) => read_blob(pager, blob),
+        None => Ok(value[1..].to_vec()),
+    }
+}
+
+/// Free the heap pages a stored value spilled to, if any.
+fn free_row<B: Backend>(pager: &mut Pager<B>, value: &[u8]) -> Result<()> {
+    match spilled(value)? {
+        Some(blob) => free_blob(pager, blob),
+        None => Ok(()),
+    }
+}
+
+/// The manifest tree, created on first use (legacy databases never
+/// wrote one; the zero root in the meta block marks its absence).
+fn manifest_tree<'a, B: Backend>(
+    pager: &mut Pager<B>,
+    manifest: &'a mut Option<BTree>,
+) -> Result<&'a mut BTree> {
+    let tree = match *manifest {
+        Some(tree) => tree,
+        None => BTree::create(pager)?,
+    };
+    Ok(manifest.insert(tree))
+}
+
+fn composite(v_id: u64, i_id: u64) -> Result<u64> {
+    if v_id >= (1 << 32) || i_id >= (1 << 32) {
+        return Err(StorageError::InvalidState(format!(
+            "ids exceed 32 bits: v_id={v_id}, i_id={i_id}"
+        )));
+    }
+    Ok((v_id << 32) | i_id)
+}
+
+/// The CBVR database over any backend.
+pub struct CbvrDatabase<B: Backend> {
+    pager: Pager<B>,
+    meta: Meta,
     autocommit: bool,
 }
 
@@ -112,98 +247,49 @@ impl<B: Backend> CbvrDatabase<B> {
     /// Open over explicit backends.
     pub fn open(data: B, wal: B) -> Result<CbvrDatabase<B>> {
         let mut pager = Pager::open(data, wal, DEFAULT_CACHE_PAGES)?;
-        let meta = *pager.user_meta();
-        let video_root = le_u32_at(&meta, 0)?;
-        let mut db = if video_root == 0 {
-            // Fresh database: create the trees and persist the catalog.
-            let video_store = BTree::create(&mut pager)?;
-            let key_frames = BTree::create(&mut pager)?;
-            let kf_by_video = BTree::create(&mut pager)?;
-            let mut db = CbvrDatabase {
+        let meta = Meta::decode(pager.user_meta())?;
+        if meta.video_store.root() != NO_PAGE {
+            return Ok(CbvrDatabase {
                 pager,
-                video_store,
-                key_frames,
-                kf_by_video,
-                manifest: None,
-                next_v_id: 1,
-                next_i_id: 1,
+                meta,
                 autocommit: true,
-            };
-            db.save_meta();
-            db.pager.commit()?;
-            db
-        } else {
-            let key_root = le_u32_at(&meta, 4)?;
-            let sec_root = le_u32_at(&meta, 8)?;
-            let manifest_root = le_u32_at(&meta, 12)?;
-            let next_v_id = le_u64_at(&meta, 16)?;
-            let next_i_id = le_u64_at(&meta, 24)?;
-            CbvrDatabase {
-                pager,
-                video_store: BTree::load(video_root),
-                key_frames: BTree::load(key_root),
-                kf_by_video: BTree::load(sec_root),
-                manifest: (manifest_root != 0).then(|| BTree::load(manifest_root)),
-                next_v_id,
-                next_i_id,
-                autocommit: true,
-            }
+            });
+        }
+        // Fresh database: create the trees and persist the catalog.
+        let meta = Meta {
+            video_store: BTree::create(&mut pager)?,
+            key_frames: BTree::create(&mut pager)?,
+            kf_by_video: BTree::create(&mut pager)?,
+            manifest: None,
+            next_v_id: 1,
+            next_i_id: 1,
         };
-        db.autocommit = true;
+        let mut db = CbvrDatabase {
+            pager,
+            meta,
+            autocommit: true,
+        };
+        db.finish_op(Ok(()))?;
         Ok(db)
-    }
-
-    fn save_meta(&mut self) {
-        let mut meta = [0u8; USER_META_LEN];
-        meta[0..4].copy_from_slice(&self.video_store.root().to_le_bytes());
-        meta[4..8].copy_from_slice(&self.key_frames.root().to_le_bytes());
-        meta[8..12].copy_from_slice(&self.kf_by_video.root().to_le_bytes());
-        meta[12..16].copy_from_slice(&self.manifest.as_ref().map_or(0, BTree::root).to_le_bytes());
-        meta[16..24].copy_from_slice(&self.next_v_id.to_le_bytes());
-        meta[24..32].copy_from_slice(&self.next_i_id.to_le_bytes());
-        self.pager.set_user_meta(meta);
-    }
-
-    fn reload_meta(&mut self) {
-        // The user-meta area is a fixed 64-byte array, so these reads
-        // cannot fail; fall back to an empty root only if the layout
-        // ever shrinks below the offsets used here.
-        let meta = *self.pager.user_meta();
-        self.video_store = BTree::load(le_u32_at(&meta, 0).unwrap_or(0) as PageId);
-        self.key_frames = BTree::load(le_u32_at(&meta, 4).unwrap_or(0) as PageId);
-        self.kf_by_video = BTree::load(le_u32_at(&meta, 8).unwrap_or(0) as PageId);
-        let manifest_root = le_u32_at(&meta, 12).unwrap_or(0);
-        self.manifest = (manifest_root != 0).then(|| BTree::load(manifest_root as PageId));
-        self.next_v_id = le_u64_at(&meta, 16).unwrap_or(0);
-        self.next_i_id = le_u64_at(&meta, 24).unwrap_or(0);
     }
 
     fn finish_op<T>(&mut self, result: Result<T>) -> Result<T> {
         if !self.autocommit {
             return result;
         }
-        match result {
-            Ok(v) => {
-                self.save_meta();
-                match self.pager.commit() {
-                    Ok(()) => Ok(v),
-                    Err(e) => {
-                        // The commit never reached the WAL: roll the
-                        // staged writes back so the next operation builds
-                        // on the committed state, not on a half-applied
-                        // one that would leak into its commit.
-                        self.pager.abort();
-                        self.reload_meta();
-                        Err(e)
-                    }
-                }
-            }
-            Err(e) => {
-                self.pager.abort();
-                self.reload_meta();
-                Err(e)
-            }
+        let result = result.and_then(|v| {
+            self.pager.set_user_meta(self.meta.encode());
+            self.pager.commit().map(|()| v)
+        });
+        if result.is_err() {
+            // Roll the staged writes back (also when the commit never
+            // reached the WAL) so the next operation builds on the
+            // committed state, not on a half-applied one that would leak
+            // into its commit.
+            self.pager.abort();
+            self.meta = Meta::decode(self.pager.user_meta())?;
         }
+        result
     }
 
     /// True while a durable commit is still awaiting propagation to the
@@ -233,90 +319,54 @@ impl<B: Backend> CbvrDatabase<B> {
         self.finish_op(result)
     }
 
-    // ---- row spill helpers -------------------------------------------
-
-    fn store_row(&mut self, tree: &mut BTree, key: u64, row: &[u8], overwrite: bool) -> Result<()> {
-        // tag + payload must fit a cell, else spill to the heap.
-        let value = if row.len() < MAX_VALUE_LEN {
-            let mut v = Vec::with_capacity(row.len() + 1);
-            v.push(TAG_INLINE);
-            v.extend_from_slice(row);
-            v
-        } else {
-            let blob = write_blob(&mut self.pager, row)?;
-            let mut v = Vec::with_capacity(13);
-            v.push(TAG_SPILLED);
-            v.extend_from_slice(&blob.head.to_le_bytes());
-            v.extend_from_slice(&blob.len.to_le_bytes());
-            v
-        };
-        if overwrite {
-            tree.upsert(&mut self.pager, key, &value)
-        } else {
-            tree.insert(&mut self.pager, key, &value)
-        }
-    }
-
-    fn load_row_value(&mut self, value: &[u8]) -> Result<Vec<u8>> {
-        match value.first() {
-            Some(&TAG_INLINE) => Ok(value[1..].to_vec()),
-            Some(&TAG_SPILLED) => {
-                if value.len() != 13 {
-                    return Err(StorageError::Corruption("bad spilled row ref".into()));
-                }
-                let head = le_u32_at(value, 1)?;
-                let len = le_u64_at(value, 5)?;
-                read_blob(&mut self.pager, BlobRef { head, len })
-            }
-            _ => Err(StorageError::Corruption("empty row value".into())),
-        }
-    }
-
-    fn free_row_value(&mut self, value: &[u8]) -> Result<()> {
-        if value.first() == Some(&TAG_SPILLED) && value.len() == 13 {
-            let head = le_u32_at(value, 1)?;
-            let len = le_u64_at(value, 5)?;
-            free_blob(&mut self.pager, BlobRef { head, len })?;
-        }
-        Ok(())
-    }
-
     // ---- VIDEO_STORE --------------------------------------------------
+
+    /// The one write path of `VIDEO_STORE`: the row under `v_id`, its
+    /// blobs written first.
+    fn put_video(&mut self, v_id: u64, record: &VideoRecord) -> Result<()> {
+        let video = write_blob(&mut self.pager, &record.video)?;
+        let stream = write_blob(&mut self.pager, &record.stream)?;
+        let full = VideoRowFull {
+            row: VideoRow {
+                v_id,
+                video,
+                stream,
+                dostore: record.dostore,
+            },
+            v_name: record.v_name.clone(),
+        };
+        let row = encode_video_row(&full);
+        store_row(
+            &mut self.pager,
+            &mut self.meta.video_store,
+            v_id,
+            &row,
+            false,
+        )
+    }
 
     /// Insert a video; returns the assigned `v_id`.
     pub fn insert_video(&mut self, record: &VideoRecord) -> Result<u64> {
         let op = |db: &mut Self| {
-            let v_id = db.next_v_id;
-            db.next_v_id += 1;
-            let video = write_blob(&mut db.pager, &record.video)?;
-            let stream = write_blob(&mut db.pager, &record.stream)?;
-            let full = VideoRowFull {
-                row: VideoRow {
-                    v_id,
-                    video,
-                    stream,
-                    dostore: record.dostore,
-                },
-                v_name: record.v_name.clone(),
-            };
-            let buf = encode_video_row(&full);
-            let mut tree = db.video_store;
-            db.store_row(&mut tree, v_id, &buf, false)?;
-            db.video_store = tree;
+            let v_id = db.meta.next_v_id;
+            db.meta.next_v_id += 1;
+            db.put_video(v_id, record)?;
             Ok(v_id)
         };
         let result = op(self);
         self.finish_op(result)
     }
 
+    /// A video's stored value and the row it holds.
+    fn video_at(&mut self, v_id: u64) -> Result<(Vec<u8>, VideoRowFull)> {
+        let value = fetch_value(&mut self.pager, &self.meta.video_store, v_id)?;
+        let full = decode_video_row(&load_row(&mut self.pager, &value)?)?;
+        Ok((value, full))
+    }
+
     /// Fetch a video row (metadata + blob refs).
     pub fn get_video(&mut self, v_id: u64) -> Result<VideoRowFull> {
-        let value = self
-            .video_store
-            .get(&mut self.pager, v_id)?
-            .ok_or(StorageError::NotFound(v_id))?;
-        let row = self.load_row_value(&value)?;
-        decode_video_row(&row)
+        Ok(self.video_at(v_id)?.1)
     }
 
     /// Materialise the video container bytes of a row.
@@ -332,18 +382,11 @@ impl<B: Backend> CbvrDatabase<B> {
     /// Rename a video (the administrator's *update* operation).
     pub fn rename_video(&mut self, v_id: u64, new_name: &str) -> Result<()> {
         let op = |db: &mut Self| {
-            let mut full = db.get_video(v_id)?;
+            let (value, mut full) = db.video_at(v_id)?;
             full.v_name = new_name.to_string();
-            let value = db
-                .video_store
-                .get(&mut db.pager, v_id)?
-                .ok_or(StorageError::NotFound(v_id))?;
-            db.free_row_value(&value)?;
-            let buf = encode_video_row(&full);
-            let mut tree = db.video_store;
-            db.store_row(&mut tree, v_id, &buf, true)?;
-            db.video_store = tree;
-            Ok(())
+            free_row(&mut db.pager, &value)?;
+            let row = encode_video_row(&full);
+            store_row(&mut db.pager, &mut db.meta.video_store, v_id, &row, true)
         };
         let result = op(self);
         self.finish_op(result)
@@ -352,22 +395,15 @@ impl<B: Backend> CbvrDatabase<B> {
     /// Delete a video, its blobs and (cascade) all its key frames.
     pub fn delete_video(&mut self, v_id: u64) -> Result<()> {
         let op = |db: &mut Self| {
-            let full = db.get_video(v_id)?;
+            let (value, full) = db.video_at(v_id)?;
             // Cascade to key frames first.
-            let kf_ids = db.key_frames_of_video(v_id)?;
-            for i_id in kf_ids {
+            for i_id in db.key_frames_of_video(v_id)? {
                 db.delete_key_frame_inner(i_id)?;
             }
             free_blob(&mut db.pager, full.row.video)?;
             free_blob(&mut db.pager, full.row.stream)?;
-            let value = db
-                .video_store
-                .get(&mut db.pager, v_id)?
-                .ok_or(StorageError::NotFound(v_id))?;
-            db.free_row_value(&value)?;
-            let mut tree = db.video_store;
-            tree.delete(&mut db.pager, v_id)?;
-            db.video_store = tree;
+            free_row(&mut db.pager, &value)?;
+            db.meta.video_store.delete(&mut db.pager, v_id)?;
             Ok(())
         };
         let result = op(self);
@@ -376,16 +412,16 @@ impl<B: Backend> CbvrDatabase<B> {
 
     /// List `(v_id, v_name, dostore)` of every stored video.
     pub fn list_videos(&mut self) -> Result<Vec<(u64, String, u64)>> {
-        let tree = self.video_store;
         let mut values = Vec::new();
-        tree.scan_from(&mut self.pager, 0, |_, v| {
-            values.push(v.to_vec());
-            true
-        })?;
+        self.meta
+            .video_store
+            .scan_from(&mut self.pager, 0, |_, v| {
+                values.push(v.to_vec());
+                true
+            })?;
         let mut out = Vec::with_capacity(values.len());
         for value in values {
-            let row = self.load_row_value(&value)?;
-            let full = decode_video_row(&row)?;
+            let full = decode_video_row(&load_row(&mut self.pager, &value)?)?;
             out.push((full.row.v_id, full.v_name, full.row.dostore));
         }
         Ok(out)
@@ -393,33 +429,40 @@ impl<B: Backend> CbvrDatabase<B> {
 
     /// Number of stored videos.
     pub fn video_count(&mut self) -> Result<usize> {
-        self.video_store.len(&mut self.pager)
+        self.meta.video_store.len(&mut self.pager)
     }
 
     // ---- KEY_FRAMES ----------------------------------------------------
 
-    fn composite(v_id: u64, i_id: u64) -> Result<u64> {
-        if v_id >= (1 << 32) || i_id >= (1 << 32) {
-            return Err(StorageError::InvalidState(format!(
-                "ids exceed 32 bits: v_id={v_id}, i_id={i_id}"
-            )));
-        }
-        Ok((v_id << 32) | i_id)
+    /// The one write path of `KEY_FRAMES`: `row` under its `i_id` with
+    /// `image` as its blob (written first), plus its secondary-index
+    /// entry.
+    fn put_key_frame(&mut self, mut row: KeyFrameRow, image: &[u8]) -> Result<()> {
+        row.image = write_blob(&mut self.pager, image)?;
+        let buf = encode_key_frame_row(&row);
+        store_row(
+            &mut self.pager,
+            &mut self.meta.key_frames,
+            row.i_id,
+            &buf,
+            false,
+        )?;
+        let key = composite(row.v_id, row.i_id)?;
+        self.meta.kf_by_video.insert(&mut self.pager, key, &[])
     }
 
     /// Insert a key frame; returns the assigned `i_id`.
     pub fn insert_key_frame(&mut self, record: &KeyFrameRecord) -> Result<u64> {
         let op = |db: &mut Self| {
-            if !db.video_store.contains(&mut db.pager, record.v_id)? {
+            if !db.meta.video_store.contains(&mut db.pager, record.v_id)? {
                 return Err(StorageError::NotFound(record.v_id));
             }
-            let i_id = db.next_i_id;
-            db.next_i_id += 1;
-            let image = write_blob(&mut db.pager, &record.image)?;
+            let i_id = db.meta.next_i_id;
+            db.meta.next_i_id += 1;
             let row = KeyFrameRow {
                 i_id,
                 i_name: record.i_name.clone(),
-                image,
+                image: BlobRef::EMPTY,
                 min: record.min,
                 max: record.max,
                 sch: record.sch.clone(),
@@ -432,27 +475,23 @@ impl<B: Backend> CbvrDatabase<B> {
                 majorregions: record.majorregions,
                 v_id: record.v_id,
             };
-            let buf = encode_key_frame_row(&row);
-            let mut tree = db.key_frames;
-            db.store_row(&mut tree, i_id, &buf, false)?;
-            db.key_frames = tree;
-            let mut sec = db.kf_by_video;
-            sec.insert(&mut db.pager, Self::composite(record.v_id, i_id)?, &[])?;
-            db.kf_by_video = sec;
+            db.put_key_frame(row, &record.image)?;
             Ok(i_id)
         };
         let result = op(self);
         self.finish_op(result)
     }
 
+    /// A key frame's stored value and the row it holds.
+    fn key_frame_at(&mut self, i_id: u64) -> Result<(Vec<u8>, KeyFrameRow)> {
+        let value = fetch_value(&mut self.pager, &self.meta.key_frames, i_id)?;
+        let row = decode_key_frame_row(&load_row(&mut self.pager, &value)?)?;
+        Ok((value, row))
+    }
+
     /// Fetch a key-frame row.
     pub fn get_key_frame(&mut self, i_id: u64) -> Result<KeyFrameRow> {
-        let value = self
-            .key_frames
-            .get(&mut self.pager, i_id)?
-            .ok_or(StorageError::NotFound(i_id))?;
-        let row = self.load_row_value(&value)?;
-        decode_key_frame_row(&row)
+        Ok(self.key_frame_at(i_id)?.1)
     }
 
     /// Materialise the image bytes of a key-frame row.
@@ -463,30 +502,29 @@ impl<B: Backend> CbvrDatabase<B> {
     /// The `i_id`s of all key frames belonging to a video, via the
     /// secondary index.
     pub fn key_frames_of_video(&mut self, v_id: u64) -> Result<Vec<u64>> {
-        let start = Self::composite(v_id, 0)?;
-        let tree = self.kf_by_video;
+        let start = composite(v_id, 0)?;
         let mut out = Vec::new();
-        tree.scan_from(&mut self.pager, start, |k, _| {
-            if k >> 32 != v_id {
-                return false;
-            }
-            out.push(k & 0xFFFF_FFFF);
-            true
-        })?;
+        self.meta
+            .kf_by_video
+            .scan_from(&mut self.pager, start, |k, _| {
+                if k >> 32 != v_id {
+                    return false;
+                }
+                out.push(k & 0xFFFF_FFFF);
+                true
+            })?;
         Ok(out)
     }
 
     /// Visit every key-frame row (ascending `i_id`).
     pub fn scan_key_frames(&mut self, mut visit: impl FnMut(&KeyFrameRow) -> bool) -> Result<()> {
-        let tree = self.key_frames;
         let mut values = Vec::new();
-        tree.scan_from(&mut self.pager, 0, |_, v| {
+        self.meta.key_frames.scan_from(&mut self.pager, 0, |_, v| {
             values.push(v.to_vec());
             true
         })?;
         for value in values {
-            let row = self.load_row_value(&value)?;
-            let row = decode_key_frame_row(&row)?;
+            let row = decode_key_frame_row(&load_row(&mut self.pager, &value)?)?;
             if !visit(&row) {
                 break;
             }
@@ -495,19 +533,12 @@ impl<B: Backend> CbvrDatabase<B> {
     }
 
     fn delete_key_frame_inner(&mut self, i_id: u64) -> Result<()> {
-        let row = self.get_key_frame(i_id)?;
+        let (value, row) = self.key_frame_at(i_id)?;
         free_blob(&mut self.pager, row.image)?;
-        let value = self
-            .key_frames
-            .get(&mut self.pager, i_id)?
-            .ok_or(StorageError::NotFound(i_id))?;
-        self.free_row_value(&value)?;
-        let mut tree = self.key_frames;
-        tree.delete(&mut self.pager, i_id)?;
-        self.key_frames = tree;
-        let mut sec = self.kf_by_video;
-        sec.delete(&mut self.pager, Self::composite(row.v_id, i_id)?)?;
-        self.kf_by_video = sec;
+        free_row(&mut self.pager, &value)?;
+        self.meta.key_frames.delete(&mut self.pager, i_id)?;
+        let key = composite(row.v_id, i_id)?;
+        self.meta.kf_by_video.delete(&mut self.pager, key)?;
         Ok(())
     }
 
@@ -519,28 +550,10 @@ impl<B: Backend> CbvrDatabase<B> {
 
     /// Number of stored key frames.
     pub fn key_frame_count(&mut self) -> Result<usize> {
-        self.key_frames.len(&mut self.pager)
+        self.meta.key_frames.len(&mut self.pager)
     }
 
     // ---- catalog manifest ---------------------------------------------
-
-    fn encode_manifest_value(segment: &ManifestSegment) -> [u8; 16] {
-        let mut value = [0u8; 16];
-        value[0..8].copy_from_slice(&segment.max_i_id.to_le_bytes());
-        value[8..16].copy_from_slice(&segment.rows.to_le_bytes());
-        value
-    }
-
-    /// The manifest tree, created on first use (legacy databases never
-    /// wrote one; the zero root in the meta block marks its absence).
-    fn manifest_tree(&mut self) -> Result<BTree> {
-        if let Some(tree) = self.manifest {
-            return Ok(tree);
-        }
-        let tree = BTree::create(&mut self.pager)?;
-        self.manifest = Some(tree);
-        Ok(tree)
-    }
 
     /// Record one sealed catalog segment. Ingestion calls this inside
     /// the same [`CbvrDatabase::run_batch`] that inserts the segment's
@@ -548,20 +561,9 @@ impl<B: Backend> CbvrDatabase<B> {
     /// mid-ingest rolls both back to the last published snapshot.
     pub fn append_manifest_segment(&mut self, segment: ManifestSegment) -> Result<()> {
         let op = |db: &mut Self| {
-            if segment.min_i_id > segment.max_i_id {
-                return Err(StorageError::InvalidState(format!(
-                    "manifest segment range inverted: {}..{}",
-                    segment.min_i_id, segment.max_i_id
-                )));
-            }
-            let mut tree = db.manifest_tree()?;
-            tree.upsert(
-                &mut db.pager,
-                segment.min_i_id,
-                &Self::encode_manifest_value(&segment),
-            )?;
-            db.manifest = Some(tree);
-            Ok(())
+            segment.check()?;
+            let tree = manifest_tree(&mut db.pager, &mut db.meta.manifest)?;
+            tree.upsert(&mut db.pager, segment.min_i_id, &segment.encode_value())
         };
         let result = op(self);
         self.finish_op(result)
@@ -570,27 +572,13 @@ impl<B: Backend> CbvrDatabase<B> {
     /// Every manifest segment, ascending by `min_i_id` — which is also
     /// catalog order, because ids are assigned monotonically.
     pub fn list_manifest(&mut self) -> Result<Vec<ManifestSegment>> {
-        let Some(tree) = self.manifest else {
+        let Some(tree) = self.meta.manifest else {
             return Ok(Vec::new());
         };
-        let mut out = Vec::new();
-        let mut bad = false;
-        tree.scan_from(&mut self.pager, 0, |k, v| {
-            if v.len() != 16 {
-                bad = true;
-                return false;
-            }
-            out.push(ManifestSegment {
-                min_i_id: k,
-                max_i_id: u64::from_le_bytes(v[0..8].try_into().expect("8 bytes")),
-                rows: u64::from_le_bytes(v[8..16].try_into().expect("8 bytes")),
-            });
-            true
-        })?;
-        if bad {
-            return Err(StorageError::Corruption("bad manifest record".into()));
-        }
-        Ok(out)
+        tree.collect_all(&mut self.pager)?
+            .iter()
+            .map(|(min_i_id, value)| ManifestSegment::decode(*min_i_id, value))
+            .collect()
     }
 
     /// Atomically replace the whole manifest (the compaction publish:
@@ -598,24 +586,14 @@ impl<B: Backend> CbvrDatabase<B> {
     pub fn replace_manifest(&mut self, segments: &[ManifestSegment]) -> Result<()> {
         let old = self.list_manifest()?;
         let op = |db: &mut Self| {
-            let mut tree = db.manifest_tree()?;
+            let tree = manifest_tree(&mut db.pager, &mut db.meta.manifest)?;
             for segment in &old {
                 tree.delete(&mut db.pager, segment.min_i_id)?;
             }
             for segment in segments {
-                if segment.min_i_id > segment.max_i_id {
-                    return Err(StorageError::InvalidState(format!(
-                        "manifest segment range inverted: {}..{}",
-                        segment.min_i_id, segment.max_i_id
-                    )));
-                }
-                tree.upsert(
-                    &mut db.pager,
-                    segment.min_i_id,
-                    &Self::encode_manifest_value(segment),
-                )?;
+                segment.check()?;
+                tree.upsert(&mut db.pager, segment.min_i_id, &segment.encode_value())?;
             }
-            db.manifest = Some(tree);
             Ok(())
         };
         let result = op(self);
@@ -640,50 +618,9 @@ impl<B: Backend> CbvrDatabase<B> {
             videos: self.video_count()?,
             key_frames: self.key_frame_count()?,
             manifest_segments: self.list_manifest()?.len(),
-            next_v_id: self.next_v_id,
-            next_i_id: self.next_i_id,
+            next_v_id: self.meta.next_v_id,
+            next_i_id: self.meta.next_i_id,
         })
-    }
-
-    /// Insert a video under an explicit id (vacuum/restore path).
-    fn insert_video_preserving_id(
-        &mut self,
-        v_id: u64,
-        full: &VideoRowFull,
-        video: &[u8],
-        stream: &[u8],
-    ) -> Result<()> {
-        let video_ref = write_blob(&mut self.pager, video)?;
-        let stream_ref = write_blob(&mut self.pager, stream)?;
-        let row = VideoRowFull {
-            row: VideoRow {
-                v_id,
-                video: video_ref,
-                stream: stream_ref,
-                dostore: full.row.dostore,
-            },
-            v_name: full.v_name.clone(),
-        };
-        let buf = encode_video_row(&row);
-        let mut tree = self.video_store;
-        self.store_row(&mut tree, v_id, &buf, false)?;
-        self.video_store = tree;
-        Ok(())
-    }
-
-    /// Insert a key frame under an explicit id (vacuum/restore path).
-    fn insert_key_frame_preserving_id(&mut self, row: &KeyFrameRow, image: &[u8]) -> Result<()> {
-        let image_ref = write_blob(&mut self.pager, image)?;
-        let mut copy = row.clone();
-        copy.image = image_ref;
-        let buf = encode_key_frame_row(&copy);
-        let mut tree = self.key_frames;
-        self.store_row(&mut tree, copy.i_id, &buf, false)?;
-        self.key_frames = tree;
-        let mut sec = self.kf_by_video;
-        sec.insert(&mut self.pager, Self::composite(copy.v_id, copy.i_id)?, &[])?;
-        self.kf_by_video = sec;
-        Ok(())
     }
 
     /// Rewrite all live data into a fresh database on new backends,
@@ -697,21 +634,21 @@ impl<B: Backend> CbvrDatabase<B> {
         let mut fresh = CbvrDatabase::open(data, wal)?;
         // Collect live rows first (scan borrows self mutably).
         let videos = self.list_videos()?;
-        let next_v_id = self.next_v_id;
-        let next_i_id = self.next_i_id;
-
-        fresh.autocommit = false;
-        let copy = |src: &mut Self, dst: &mut CbvrDatabase<B2>| -> Result<()> {
+        fresh.run_batch(|dst| {
             let mut kf_span: Option<(u64, u64, u64)> = None;
             for (v_id, _, _) in &videos {
-                let full = src.get_video(*v_id)?;
-                let video_bytes = src.read_video_bytes(&full.row)?;
-                let stream_bytes = src.read_stream_bytes(&full.row)?;
-                dst.insert_video_preserving_id(*v_id, &full, &video_bytes, &stream_bytes)?;
-                for i_id in src.key_frames_of_video(*v_id)? {
-                    let row = src.get_key_frame(i_id)?;
-                    let image = src.read_image_bytes(&row)?;
-                    dst.insert_key_frame_preserving_id(&row, &image)?;
+                let full = self.get_video(*v_id)?;
+                let record = VideoRecord {
+                    video: self.read_video_bytes(&full.row)?,
+                    stream: self.read_stream_bytes(&full.row)?,
+                    v_name: full.v_name,
+                    dostore: full.row.dostore,
+                };
+                dst.put_video(*v_id, &record)?;
+                for i_id in self.key_frames_of_video(*v_id)? {
+                    let row = self.get_key_frame(i_id)?;
+                    let image = self.read_image_bytes(&row)?;
+                    dst.put_key_frame(row, &image)?;
                     kf_span = Some(match kf_span {
                         None => (i_id, i_id, 1),
                         Some((min, max, rows)) => (min.min(i_id), max.max(i_id), rows + 1),
@@ -727,20 +664,11 @@ impl<B: Backend> CbvrDatabase<B> {
                     rows,
                 }])?;
             }
-            dst.next_v_id = next_v_id;
-            dst.next_i_id = next_i_id;
+            dst.meta.next_v_id = self.meta.next_v_id;
+            dst.meta.next_i_id = self.meta.next_i_id;
             Ok(())
-        };
-        let result = copy(self, &mut fresh);
-        fresh.autocommit = true;
-        match result {
-            Ok(()) => {
-                fresh.save_meta();
-                fresh.pager.commit()?;
-                Ok(fresh)
-            }
-            Err(e) => Err(e),
-        }
+        })?;
+        Ok(fresh)
     }
 }
 

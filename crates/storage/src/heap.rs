@@ -10,8 +10,9 @@
 //! ```
 
 use crate::backend::Backend;
+use crate::codec::{Reader, Writer};
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PageId, NO_PAGE, PAGE_SIZE};
+use crate::page::{PageId, NO_PAGE, PAGE_SIZE};
 use crate::pager::Pager;
 
 const HEADER_LEN: usize = 6;
@@ -52,12 +53,9 @@ pub fn write_blob<B: Backend>(pager: &mut Pager<B>, data: &[u8]) -> Result<BlobR
         .collect::<Result<_>>()?;
     for (i, chunk) in chunks.iter().enumerate() {
         let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
-        let mut page = Page::new();
-        let mut w = page.writer(0);
-        w.u32(next)?;
-        w.u16(chunk.len() as u16)?;
-        w.bytes(chunk)?;
-        pager.write_page(ids[i], page)?;
+        let mut w = Writer::with_capacity(PAGE_SIZE);
+        w.u32(next).u16(chunk.len() as u16).raw(chunk);
+        pager.write_page(ids[i], w.into_page()?)?;
     }
     Ok(BlobRef {
         head: ids[0],
@@ -65,49 +63,74 @@ pub fn write_blob<B: Backend>(pager: &mut Pager<B>, data: &[u8]) -> Result<BlobR
     })
 }
 
-/// Read a whole blob.
-pub fn read_blob<B: Backend>(pager: &mut Pager<B>, blob: BlobRef) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(blob.len as usize);
+/// Walk `blob`'s chain, handing `visit` each page id and its payload.
+///
+/// The chain must be exactly what [`write_blob`] builds: ⌈len / CHUNK⌉
+/// pages, every one full but the last, which holds the rest and ends the
+/// chain. Anything else is `Corruption`, raised before `visit` sees the
+/// offending page, so a forged length or a looping chain can neither
+/// over-allocate nor run on; a length the file cannot hold is refused
+/// before any page is read.
+fn walk_chain<B: Backend>(
+    pager: &mut Pager<B>,
+    blob: BlobRef,
+    mut visit: impl FnMut(&mut Pager<B>, PageId, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let chunk = CHUNK as u64;
+    if blob.len > u64::from(pager.page_count()) * chunk {
+        return Err(StorageError::Corruption(format!(
+            "blob length {} exceeds the {} pages of the file",
+            blob.len,
+            pager.page_count()
+        )));
+    }
     let mut id = blob.head;
-    while id != NO_PAGE {
-        let page = pager.read_page(id)?;
-        let mut r = page.reader(0);
-        let next = r.u32()?;
-        let used = r.u16()? as usize;
-        if used > CHUNK {
+    let mut left = blob.len;
+    while left > 0 {
+        if id == NO_PAGE {
             return Err(StorageError::Corruption(format!(
-                "blob page {id} claims {used} bytes"
-            )));
-        }
-        out.extend_from_slice(r.bytes(used)?);
-        if out.len() as u64 > blob.len {
-            return Err(StorageError::Corruption(format!(
-                "blob chain longer than declared length {}",
+                "blob chain ends {left} bytes short of its declared length {}",
                 blob.len
             )));
         }
+        let page = pager.read_page(id)?;
+        let mut r = Reader::new(page.as_bytes());
+        let next = r.u32()?;
+        let used = u64::from(r.u16()?);
+        if used != left.min(chunk) {
+            return Err(StorageError::Corruption(format!(
+                "blob page {id} claims {used} bytes, expected {}",
+                left.min(chunk)
+            )));
+        }
+        visit(pager, id, r.take(used as usize)?)?;
+        left -= used;
         id = next;
     }
-    if out.len() as u64 != blob.len {
+    if id != NO_PAGE {
         return Err(StorageError::Corruption(format!(
-            "blob chain holds {} bytes, expected {}",
-            out.len(),
+            "blob chain longer than declared length {}",
             blob.len
         )));
     }
+    Ok(())
+}
+
+/// Read a whole blob.
+pub fn read_blob<B: Backend>(pager: &mut Pager<B>, blob: BlobRef) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    walk_chain(pager, blob, |_, _, data| {
+        // The walk has checked the length against the file by now.
+        out.reserve_exact(blob.len as usize - out.len());
+        out.extend_from_slice(data);
+        Ok(())
+    })?;
     Ok(out)
 }
 
 /// Free a blob's pages back to the pager.
 pub fn free_blob<B: Backend>(pager: &mut Pager<B>, blob: BlobRef) -> Result<()> {
-    let mut id = blob.head;
-    while id != NO_PAGE {
-        let page = pager.read_page(id)?;
-        let next = page.reader(0).u32()?;
-        pager.free(id)?;
-        id = next;
-    }
-    Ok(())
+    walk_chain(pager, blob, |pager, id, _| pager.free(id))
 }
 
 #[cfg(test)]
@@ -183,6 +206,40 @@ mod tests {
             len: 2,
         };
         assert!(read_blob(&mut pager, wrong).is_err());
+        // A length no file could hold must not reach the allocator.
+        let wrong = BlobRef {
+            head: blob.head,
+            len: u64::MAX,
+        };
+        assert!(read_blob(&mut pager, wrong).is_err());
+    }
+
+    #[test]
+    fn self_linked_empty_page_is_corruption_not_a_hang() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // One page that claims 0 bytes and links to itself.
+        let mut pager = fresh();
+        let id = pager.allocate().unwrap();
+        let mut w = Writer::new();
+        w.u32(id).u16(0);
+        pager.write_page(id, w.into_page().unwrap()).unwrap();
+        pager.commit().unwrap();
+        let blob = BlobRef { head: id, len: 10 };
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let read = read_blob(&mut pager, blob).map(|_| ());
+            let freed = free_blob(&mut pager, blob);
+            // Freeing must not have touched the free list either.
+            let reused = pager.allocate().unwrap() == id;
+            let _ = tx.send((read, freed, reused));
+        });
+        let (read, freed, reused) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("walking a self-linked blob page must not hang");
+        assert!(matches!(read, Err(StorageError::Corruption(_))));
+        assert!(matches!(freed, Err(StorageError::Corruption(_))));
+        assert!(!reused, "a corrupt chain must not be freed");
     }
 
     #[test]

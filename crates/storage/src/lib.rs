@@ -17,7 +17,7 @@
 //! the paper's system actually uses — keyed inserts/lookups/deletes,
 //! table scans, BLOB streams, and durability:
 //!
-//! - [`page`] — 4 KiB pages with typed read/write cursors;
+//! - [`page`] — 4 KiB pages;
 //! - [`backend`] — the byte-level storage abstraction: real files or a
 //!   shared in-memory buffer (crash tests wrap it in
 //!   [`fault::FaultBackend`]);
@@ -30,7 +30,10 @@
 //!   values and leaf-chained range scans (primary keys and the
 //!   `(v_id, i_id)` secondary index);
 //! - [`heap`] — chained-page BLOB store for `VIDEO`/`STREAM`/`IMAGE`;
-//! - [`codec`] — the row serialisation format;
+//! - [`codec`] — the byte format of every stored structure: one
+//!   bounds-checked writer/reader pair for the meta page, B+-tree
+//!   nodes, blob pages, free-list links, WAL records, rows and the
+//!   catalog's meta block;
 //! - [`tables`] — the two typed tables above plus the secondary index;
 //! - [`telemetry`] — plain-value pager/WAL counters the upper layers
 //!   merge into the process-wide metrics exposition;

@@ -1,4 +1,5 @@
-//! Fixed-size pages and typed cursors.
+//! Fixed-size pages. Their contents are read and written through
+//! [`crate::codec`].
 
 use crate::error::{Result, StorageError};
 
@@ -37,17 +38,22 @@ impl Page {
         Page::default()
     }
 
-    /// Wrap raw bytes (must be exactly [`PAGE_SIZE`]).
-    pub fn from_bytes(data: &[u8]) -> Result<Page> {
-        if data.len() != PAGE_SIZE {
+    /// Zero-pad `buf` to a page image, reusing its allocation (no copy
+    /// when its capacity is [`PAGE_SIZE`]); `Corruption` when it is
+    /// longer than a page.
+    pub fn from_vec(mut buf: Vec<u8>) -> Result<Page> {
+        if buf.len() > PAGE_SIZE {
             return Err(StorageError::Corruption(format!(
-                "page must be {PAGE_SIZE} bytes, got {}",
-                data.len()
+                "page image of {} bytes overruns the page",
+                buf.len()
             )));
         }
-        let mut page = Page::new();
-        page.bytes.copy_from_slice(data);
-        Ok(page)
+        buf.resize(PAGE_SIZE, 0);
+        let bytes = buf
+            .into_boxed_slice()
+            .try_into()
+            .expect("resized to PAGE_SIZE");
+        Ok(Page { bytes })
     }
 
     /// Borrow the raw bytes.
@@ -59,126 +65,6 @@ impl Page {
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         &mut self.bytes[..]
     }
-
-    /// A reading cursor at `offset`.
-    pub fn reader(&self, offset: usize) -> PageReader<'_> {
-        PageReader {
-            page: self,
-            pos: offset,
-        }
-    }
-
-    /// A writing cursor at `offset`.
-    pub fn writer(&mut self, offset: usize) -> PageWriter<'_> {
-        PageWriter {
-            page: self,
-            pos: offset,
-        }
-    }
-}
-
-/// Sequential typed reader over a page.
-pub struct PageReader<'a> {
-    page: &'a Page,
-    pos: usize,
-}
-
-impl PageReader<'_> {
-    /// Current position.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if self.pos + n > PAGE_SIZE {
-            return Err(StorageError::Corruption(format!(
-                "page read of {n} bytes at {} overruns the page",
-                self.pos
-            )));
-        }
-        let s = &self.page.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Read a `u8`.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Read `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&[u8]> {
-        self.take(n)
-    }
-}
-
-/// Sequential typed writer over a page.
-pub struct PageWriter<'a> {
-    page: &'a mut Page,
-    pos: usize,
-}
-
-impl PageWriter<'_> {
-    /// Current position.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    fn put(&mut self, data: &[u8]) -> Result<()> {
-        if self.pos + data.len() > PAGE_SIZE {
-            return Err(StorageError::Corruption(format!(
-                "page write of {} bytes at {} overruns the page",
-                data.len(),
-                self.pos
-            )));
-        }
-        self.page.bytes[self.pos..self.pos + data.len()].copy_from_slice(data);
-        self.pos += data.len();
-        Ok(())
-    }
-
-    /// Write a `u8`.
-    pub fn u8(&mut self, v: u8) -> Result<()> {
-        self.put(&[v])
-    }
-
-    /// Write a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) -> Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    /// Write a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) -> Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    /// Write a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) -> Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    /// Write raw bytes.
-    pub fn bytes(&mut self, data: &[u8]) -> Result<()> {
-        self.put(data)
-    }
 }
 
 #[cfg(test)]
@@ -186,41 +72,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn typed_round_trip() {
-        let mut p = Page::new();
-        {
-            let mut w = p.writer(0);
-            w.u8(7).unwrap();
-            w.u16(300).unwrap();
-            w.u32(70_000).unwrap();
-            w.u64(1 << 40).unwrap();
-            w.bytes(b"tail").unwrap();
-            assert_eq!(w.position(), 1 + 2 + 4 + 8 + 4);
-        }
-        let mut r = p.reader(0);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 300);
-        assert_eq!(r.u32().unwrap(), 70_000);
-        assert_eq!(r.u64().unwrap(), 1 << 40);
-        assert_eq!(r.bytes(4).unwrap(), b"tail");
-    }
-
-    #[test]
-    fn overrun_is_error_not_panic() {
-        let mut p = Page::new();
-        assert!(p.writer(PAGE_SIZE - 1).u16(1).is_err());
-        assert!(p.reader(PAGE_SIZE - 3).u32().is_err());
-        assert!(p.writer(PAGE_SIZE).u8(0).is_err());
-        // Exactly at the edge is fine.
-        assert!(p.writer(PAGE_SIZE - 1).u8(0xFF).is_ok());
-        assert_eq!(p.reader(PAGE_SIZE - 1).u8().unwrap(), 0xFF);
-    }
-
-    #[test]
-    fn from_bytes_validates_length() {
-        assert!(Page::from_bytes(&[0u8; PAGE_SIZE]).is_ok());
-        assert!(Page::from_bytes(&[0u8; 100]).is_err());
-        assert!(Page::from_bytes(&[0u8; PAGE_SIZE + 1]).is_err());
+    fn from_vec_pads_and_rejects_overrun() {
+        assert!(Page::from_vec(vec![0u8; PAGE_SIZE]).is_ok());
+        let page = Page::from_vec(vec![5u8; 100]).unwrap();
+        assert!(page.as_bytes()[..100].iter().all(|&b| b == 5));
+        assert!(page.as_bytes()[100..].iter().all(|&b| b == 0));
+        assert!(Page::from_vec(vec![0u8; PAGE_SIZE + 1]).is_err());
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! counters.
 
 use crate::backend::Backend;
+use crate::codec::{Reader, Writer};
 use crate::error::{Result, StorageError};
 use crate::fault::{with_retry, FaultCounters};
 use crate::page::{Page, PageId, NO_PAGE, PAGE_SIZE};
@@ -201,8 +202,7 @@ impl<B: Backend> Pager<B> {
         } = self;
         with_retry(fault_counters, || data.read_at(0, &mut bytes))
             .map_err(|e| e.with_context("reading meta page"))?;
-        let page = Page::from_bytes(&bytes)?;
-        let mut r = page.reader(0);
+        let mut r = Reader::new(&bytes);
         let magic = r.u32()?;
         if magic != META_MAGIC {
             return Err(StorageError::Corruption(format!(
@@ -217,7 +217,7 @@ impl<B: Backend> Pager<B> {
         }
         self.page_count = r.u32()?;
         self.free_head = r.u32()?;
-        self.user_meta.copy_from_slice(r.bytes(USER_META_LEN)?);
+        self.user_meta.copy_from_slice(r.take(USER_META_LEN)?);
         self.meta_dirty = false;
         self.committed = CommittedMeta {
             page_count: self.page_count,
@@ -228,15 +228,14 @@ impl<B: Backend> Pager<B> {
     }
 
     fn meta_page(&self) -> Result<Page> {
-        let mut page = Page::new();
-        let mut w = page.writer(0);
-        w.u32(META_MAGIC)?;
-        w.u32(META_VERSION)?;
-        w.u32(self.page_count)?;
-        w.u32(self.free_head)?;
-        debug_assert_eq!(w.position(), USER_META_OFFSET);
-        w.bytes(&self.user_meta)?;
-        Ok(page)
+        let mut w = Writer::with_capacity(PAGE_SIZE);
+        w.u32(META_MAGIC)
+            .u32(META_VERSION)
+            .u32(self.page_count)
+            .u32(self.free_head);
+        debug_assert_eq!(w.len(), USER_META_OFFSET);
+        w.raw(&self.user_meta);
+        w.into_page()
     }
 
     /// Total pages, including the meta page.
@@ -310,7 +309,7 @@ impl<B: Backend> Pager<B> {
         if self.free_head != NO_PAGE {
             let id = self.free_head;
             let page = self.read_page(id)?;
-            self.free_head = page.reader(0).u32()?;
+            self.free_head = Reader::new(page.as_bytes()).u32()?;
             self.meta_dirty = true;
             // Hand back a zeroed page.
             self.write_page(id, Page::new())?;
@@ -328,9 +327,9 @@ impl<B: Backend> Pager<B> {
         if id == 0 || id >= self.page_count {
             return Err(StorageError::Corruption(format!("cannot free page {id}")));
         }
-        let mut page = Page::new();
-        page.writer(0).u32(self.free_head)?;
-        self.write_page(id, page)?;
+        let mut w = Writer::with_capacity(PAGE_SIZE);
+        w.u32(self.free_head);
+        self.write_page(id, w.into_page()?)?;
         self.free_head = id;
         self.meta_dirty = true;
         Ok(())

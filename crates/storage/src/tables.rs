@@ -13,7 +13,7 @@
 //! heap; rows that outgrow a B+-tree cell spill to the heap wholesale
 //! (see [`crate::db`]).
 
-use crate::codec::{RowReader, RowWriter};
+use crate::codec::{Reader, Writer};
 use crate::error::Result;
 use crate::heap::BlobRef;
 
@@ -54,7 +54,7 @@ pub struct VideoRowFull {
 }
 
 pub(crate) fn encode_video_row(row: &VideoRowFull) -> Vec<u8> {
-    let mut w = RowWriter::new();
+    let mut w = Writer::new();
     w.u64(row.row.v_id)
         .str(&row.v_name)
         .u32(row.row.video.head)
@@ -66,7 +66,7 @@ pub(crate) fn encode_video_row(row: &VideoRowFull) -> Vec<u8> {
 }
 
 pub(crate) fn decode_video_row(buf: &[u8]) -> Result<VideoRowFull> {
-    let mut r = RowReader::new(buf);
+    let mut r = Reader::new(buf);
     let v_id = r.u64()?;
     let v_name = r.str()?;
     let video = BlobRef {
@@ -154,7 +154,7 @@ pub struct KeyFrameRow {
 }
 
 pub(crate) fn encode_key_frame_row(row: &KeyFrameRow) -> Vec<u8> {
-    let mut w = RowWriter::new();
+    let mut w = Writer::new();
     w.u64(row.i_id)
         .str(&row.i_name)
         .u32(row.image.head)
@@ -174,7 +174,7 @@ pub(crate) fn encode_key_frame_row(row: &KeyFrameRow) -> Vec<u8> {
 }
 
 pub(crate) fn decode_key_frame_row(buf: &[u8]) -> Result<KeyFrameRow> {
-    let mut r = RowReader::new(buf);
+    let mut r = Reader::new(buf);
     Ok(KeyFrameRow {
         i_id: r.u64()?,
         i_name: r.str()?,

@@ -19,7 +19,8 @@
 //! most a handful of records in practice.
 
 use crate::backend::Backend;
-use crate::error::{Result, StorageError};
+use crate::codec::{Reader, Writer};
+use crate::error::Result;
 use crate::fault::{with_retry, FaultCounters};
 use crate::page::{Page, PageId, PAGE_SIZE};
 
@@ -34,32 +35,6 @@ pub fn fnv1a(data: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// `u32::from_le_bytes` over a checked slice — the WAL parses attacker-
-/// grade bytes (a torn log), so out-of-bounds reads must surface as
-/// corruption, not panics.
-fn le_u32(buf: &[u8], at: usize) -> Result<u32> {
-    let Some(bytes) = buf.get(at..at + 4) else {
-        return Err(StorageError::Corruption(format!(
-            "WAL record truncated at byte {at}"
-        )));
-    };
-    let mut b = [0u8; 4];
-    b.copy_from_slice(bytes);
-    Ok(u32::from_le_bytes(b))
-}
-
-/// `u64::from_le_bytes`, same contract as [`le_u32`].
-fn le_u64(buf: &[u8], at: usize) -> Result<u64> {
-    let Some(bytes) = buf.get(at..at + 8) else {
-        return Err(StorageError::Corruption(format!(
-            "WAL record truncated at byte {at}"
-        )));
-    };
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes);
-    Ok(u64::from_le_bytes(b))
 }
 
 /// The write-ahead log over a byte backend.
@@ -112,16 +87,14 @@ impl<B: Backend> Wal<B> {
     /// its previous length.
     pub fn append_commit(&mut self, pages: &[(PageId, &Page)]) -> Result<u64> {
         self.ensure_clean_tail()?;
-        let mut buf = Vec::with_capacity(8 + pages.len() * (4 + PAGE_SIZE) + 12);
-        buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(8 + pages.len() * (4 + PAGE_SIZE) + 12);
+        w.u32(RECORD_MAGIC).u32(pages.len() as u32);
         for (id, page) in pages {
-            buf.extend_from_slice(&id.to_le_bytes());
-            buf.extend_from_slice(page.as_bytes());
+            w.u32(*id).raw(page.as_bytes());
         }
-        let crc = fnv1a(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf.extend_from_slice(&COMMIT_MAGIC.to_le_bytes());
+        let crc = fnv1a(w.as_bytes());
+        w.u64(crc).u32(COMMIT_MAGIC);
+        let buf = w.finish();
 
         // Pin the append offset before the first attempt: a retry after a
         // partial write must rewrite the same bytes at the same place.
@@ -169,11 +142,11 @@ impl<B: Backend> Wal<B> {
             } = self;
             with_retry(faults, || backend.read_at(offset, &mut header))
                 .map_err(|e| e.with_context("reading WAL record header"))?;
-            let magic = le_u32(&header, 0)?;
-            if magic != RECORD_MAGIC {
+            let mut r = Reader::new(&header);
+            if r.u32()? != RECORD_MAGIC {
                 break; // garbage tail
             }
-            let count = le_u32(&header, 4)? as u64;
+            let count = u64::from(r.u32()?);
             let body_len = 8 + count * (4 + PAGE_SIZE as u64);
             let total_len = body_len + 8 + 4; // + crc + commit marker
             if offset + total_len > len {
@@ -191,19 +164,15 @@ impl<B: Backend> Wal<B> {
             } = self;
             with_retry(faults, || backend.read_at(offset + body_len, &mut tail))
                 .map_err(|e| e.with_context("reading WAL record tail"))?;
-            let crc = le_u64(&tail, 0)?;
-            let commit = le_u32(&tail, 8)?;
-            if crc != fnv1a(&body) || commit != COMMIT_MAGIC {
+            let mut r = Reader::new(&tail);
+            if r.u64()? != fnv1a(&body) || r.u32()? != COMMIT_MAGIC {
                 break; // corrupt or uncommitted
             }
-            let mut pos = 8usize;
+            let mut r = Reader::new(&body);
+            r.take(8)?; // the header read above
             for _ in 0..count {
-                let id = le_u32(&body, pos)?;
-                pos += 4;
-                let page = Page::from_bytes(&body[pos..pos + PAGE_SIZE])
-                    .map_err(|e| StorageError::Corruption(format!("bad WAL image: {e}")))?;
-                pos += PAGE_SIZE;
-                images.push((id, page));
+                let id = r.u32()?;
+                images.push((id, Page::from_vec(r.take(PAGE_SIZE)?.to_vec())?));
             }
             records += 1;
             offset += total_len;
